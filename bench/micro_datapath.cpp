@@ -3,10 +3,12 @@
 // the number of flows, unlike per-flow-queue schemes.
 #include <benchmark/benchmark.h>
 
+#include <deque>
+#include <utility>
+
 #include "core/flow_cache.hpp"
 #include "core/lbf.hpp"
 #include "metrics/jfi.hpp"
-#include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queueing/fifo_queue.hpp"
@@ -54,26 +56,39 @@ void BM_SchedulerCancelRearm(benchmark::State& state) {
 BENCHMARK(BM_SchedulerCancelRearm);
 
 void BM_SchedulerPropagationEvent(benchmark::State& state) {
-  // The shape of the hottest event in the simulator: a pooled packet plus
-  // a pointer, fired once. Must stay inside the InlineFunction budget —
-  // zero mallocs per iteration.
-  PacketPool pool;
+  // The shape of link propagation with a per-device delay line
+  // (net/device.hpp): each transmit reserves the arrival's (when, seq) key,
+  // only the head of the line holds a heap entry, and its callback captures
+  // one pointer. 64 frames stay in flight, as on a link holding a window.
+  struct DelayLine {
+    Scheduler& sched;
+    std::deque<std::pair<Time, std::uint64_t>> keys;
+    std::uint64_t arrived = 0;
+
+    void send(Time arrival) {
+      keys.emplace_back(arrival, sched.reserve_seq());
+      if (keys.size() == 1) arm();
+    }
+    void arm() {
+      sched.schedule_reserved(keys.front().first, keys.front().second, [this] { arrive(); });
+    }
+    void arrive() {
+      keys.pop_front();
+      ++arrived;
+      if (!keys.empty()) arm();
+    }
+  };
   Scheduler sched;
-  std::uint64_t sink = 0;
+  DelayLine line{sched, {}};
+  constexpr std::int64_t kSpacingNs = 1'000;
+  constexpr std::int64_t kDelayNs = 64 * kSpacingNs;
   std::int64_t now = 0;
-  Packet proto;
-  proto.size_bytes = kMtuBytes;
-  auto probe = [p = PooledPacket{}, s = &sink]() mutable { *s += (*p).size_bytes; };
-  static_assert(Scheduler::Callback::stores_inline<decltype(probe)>());
-  (void)probe;
   for (auto _ : state) {
-    now += 1'000;
-    sched.schedule_at(Time(now), [p = PooledPacket(&pool, proto), s = &sink]() mutable {
-      *s += (*p).size_bytes;
-    });
+    now += kSpacingNs;
+    line.send(Time(now + kDelayNs));
     sched.run_until(Time(now));
   }
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(line.arrived);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerPropagationEvent);

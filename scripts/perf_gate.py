@@ -7,7 +7,9 @@ against the checked-in baseline in ``bench/baselines/``. Only throughput
 metrics (``*_per_sec``) are gated: a drop beyond --fail-pct fails the run,
 a drop beyond --warn-pct warns. Deterministic companion metrics (event
 counts, goodput checksums) are reported when they drift but never gate —
-they are covered byte-for-byte by bench_smoke instead.
+they are pinned across commits by the golden_smoke ctest instead
+(scripts/golden_smoke.sh checks the micro suite's JSONL, event counts
+included, against tests/golden/micro.sha256).
 
 Baselines are machine-specific. After an intentional perf change (or on a
 new CI runner class), regenerate with::

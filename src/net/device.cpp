@@ -8,14 +8,12 @@
 namespace cebinae {
 
 Device::Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_delay,
-               std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics,
-               PacketPool* pool)
+               std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics)
     : sched_(sched),
       owner_(owner),
       rate_bps_(rate_bps),
       prop_delay_(prop_delay),
-      qdisc_(std::move(qdisc)),
-      pool_(pool) {
+      qdisc_(std::move(qdisc)) {
   assert(rate_bps_ > 0);
   assert(qdisc_ != nullptr);
   if (metrics != nullptr) {
@@ -53,13 +51,35 @@ void Device::try_transmit() {
     try_transmit();
   });
   assert(peer_ != nullptr && "device transmitted before the link was connected");
-  // The in-flight frame lives in the pool; the propagation event captures
-  // only {Device*, pool handle}, which fits the scheduler's inline budget —
-  // zero heap allocations per hop in steady state.
-  sched_.schedule(tx_time + prop_delay_,
-                  [peer = peer_, p = PooledPacket(pool_, std::move(*pkt))]() mutable {
-                    peer->owner().receive(std::move(*p));
-                  });
+  // The arrival's key is reserved here, right after the tx-done event: this
+  // position fixes the global (when, seq) order (DESIGN.md §12).
+  const std::uint64_t seq = sched_.reserve_seq();
+  const Time arrival = sched_.now() + (tx_time + prop_delay_);
+  if (wire_len_++ == 0) {
+    head_.arrival = arrival;
+    head_.seq = seq;
+    head_.pkt = std::move(*pkt);
+    arm_head();
+    return;
+  }
+  if (!behind_) behind_.emplace();
+  assert((behind_->empty() ? head_ : behind_->back()).arrival <= arrival &&
+         "link arrivals must be FIFO");
+  behind_->push_back(InFlight{arrival, seq, std::move(*pkt)});
+}
+
+void Device::arm_head() {
+  sched_.schedule_reserved(head_.arrival, head_.seq, [this] { arrive(); });
+}
+
+void Device::arrive() {
+  Packet pkt = std::move(head_.pkt);
+  if (--wire_len_ > 0) {
+    head_ = std::move(behind_->front());
+    behind_->pop_front();
+    arm_head();
+  }
+  peer_->owner().receive(std::move(pkt));
 }
 
 }  // namespace cebinae

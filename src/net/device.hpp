@@ -3,13 +3,22 @@
 // A device owns the egress queue disc for its direction. Transmission
 // serializes packets at the link rate; propagation adds a fixed delay before
 // the peer's node receives the frame.
+//
+// Frames on the wire wait in a per-device delay line instead of one
+// scheduler event each. The delay is constant and the transmitter
+// serializes one frame at a time, so frames arrive in the order they were
+// sent: a FIFO with at most one armed event, for its head. Each frame keeps
+// the (arrival, seq) key reserved when it was sent (see
+// Scheduler::reserve_seq), so the global event order is the same as with
+// one propagation event per frame (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
@@ -22,12 +31,8 @@ class Device {
  public:
   // `metrics` (optional) aggregates transmit accounting across every device
   // of a network into the "net.tx_bytes"/"net.tx_packets" counters.
-  // `pool` (optional) recycles in-flight packet storage; without one the
-  // propagation event heap-allocates per packet (Network always passes its
-  // per-scenario pool).
   Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_delay,
-         std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics = nullptr,
-         PacketPool* pool = nullptr);
+         std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics = nullptr);
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -48,6 +53,9 @@ class Device {
   // transmit counter).
   [[nodiscard]] std::uint64_t tx_bytes() const { return tx_bytes_; }
   [[nodiscard]] std::uint64_t tx_packets() const { return tx_packets_; }
+  // Frames handed to the wire (serializing or propagating) that the peer
+  // has not received yet.
+  [[nodiscard]] std::size_t frames_on_wire() const { return wire_len_; }
 
   [[nodiscard]] Time serialization_delay(std::uint32_t bytes) const {
     return Time(static_cast<std::int64_t>(bytes) * 8 * 1'000'000'000 /
@@ -55,20 +63,38 @@ class Device {
   }
 
  private:
+  // A frame on the wire and the scheduler key of its arrival.
+  struct InFlight {
+    Time arrival;
+    std::uint64_t seq = 0;
+    Packet pkt;
+  };
+
   void try_transmit();
+  void arm_head();
+  // Arrival event of the head frame: pops it, re-arms for the next head
+  // and delivers to the peer node.
+  void arrive();
 
   Scheduler& sched_;
   Node& owner_;
   std::uint64_t rate_bps_;
   Time prop_delay_;
   std::unique_ptr<QueueDisc> qdisc_;
-  PacketPool* pool_ = nullptr;  // not owned; may be null
-  Device* peer_ = nullptr;
   bool busy_ = false;
   std::uint64_t tx_bytes_ = 0;
   std::uint64_t tx_packets_ = 0;
   obs::Counter* tx_bytes_metric_ = nullptr;    // network-wide aggregates; may be null
   obs::Counter* tx_packets_metric_ = nullptr;
+  // Delay line. Most links carry at most one frame at a time, so the head
+  // frame lives inline, next to the fields an arrival reads. Frames behind
+  // it wait in a deque built on first use; it hands drained blocks back to
+  // the allocator, so memory follows the frames on the wire, not each
+  // link's high-water mark.
+  Device* peer_ = nullptr;
+  std::size_t wire_len_ = 0;
+  InFlight head_;
+  std::optional<std::deque<InFlight>> behind_;
 };
 
 }  // namespace cebinae

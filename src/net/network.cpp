@@ -19,9 +19,9 @@ Network::LinkDevices Network::link(Node& a, Node& b, std::uint64_t rate_bps, Tim
   if (!q_ba) q_ba = std::make_unique<FifoQueue>(FifoQueue::unlimited());
 
   Device& dab = a.add_device(std::make_unique<Device>(sched_, a, rate_bps, delay,
-                                                      std::move(q_ab), &metrics_, &pool_));
+                                                      std::move(q_ab), &metrics_));
   Device& dba = b.add_device(std::make_unique<Device>(sched_, b, rate_bps, delay,
-                                                      std::move(q_ba), &metrics_, &pool_));
+                                                      std::move(q_ba), &metrics_));
   dab.set_peer(dba);
   dba.set_peer(dab);
   edges_.push_back(Edge{a.id(), b.id(), &dab, &dba});
@@ -36,6 +36,10 @@ void Network::build_routes() {
     adj[e.a].emplace_back(e.b, e.ab);
     adj[e.b].emplace_back(e.a, e.ba);
   }
+
+  // Size every table once: growing them destination by destination leaves
+  // each with up to 2x spare capacity, partly resident.
+  for (auto& node : nodes_) node->size_routes(n);
 
   // BFS from every destination; the tree edge used to reach a node is that
   // node's first hop toward the destination.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "net/node.hpp"
-#include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -24,9 +23,6 @@ class Network {
   // Networks, so parallel scenarios stay isolated.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
-  // Per-scenario arena recycling in-flight packet storage (see
-  // packet_pool.hpp); every device of this network transmits through it.
-  [[nodiscard]] PacketPool& packet_pool() { return pool_; }
 
   Node& add_node();
   [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(id); }
@@ -55,9 +51,9 @@ class Network {
     Device* ba;
   };
 
-  // Destruction order: pending scheduler events may hold PooledPacket
-  // handles, so the pool is declared first (destroyed last).
-  PacketPool pool_;
+  // Destruction order: nodes (and their devices, whose delay lines own the
+  // frames on the wire) go first. Pending events only capture component
+  // pointers and are destroyed with the scheduler without running.
   Scheduler sched_;
   RandomStream rng_;
   obs::MetricsRegistry metrics_;

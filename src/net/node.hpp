@@ -30,6 +30,11 @@ class Node {
 
   // Static routing: packets destined to `dst` leave through `egress`.
   void set_route(NodeId dst, Device& egress);
+  // Size the routing table for `n` destinations at once; set_route alone
+  // grows it one destination at a time.
+  void size_routes(std::size_t n) {
+    if (routes_.size() < n) routes_.resize(n, nullptr);
+  }
   // Hot path: NodeIds are dense (assigned sequentially by Network), so the
   // table is a flat vector indexed by destination — one bounds check and one
   // load per forwarded packet instead of a hash lookup.

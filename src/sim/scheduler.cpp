@@ -69,8 +69,16 @@ void Scheduler::pop_root() {
 }
 
 EventId Scheduler::schedule_at(Time when, Callback cb) {
+  return push_event(when, next_seq_++, std::move(cb));
+}
+
+EventId Scheduler::schedule_reserved(Time when, std::uint64_t seq, Callback cb) {
+  assert(seq < next_seq_ && "sequence number was not reserved");
+  return push_event(when, seq, std::move(cb));
+}
+
+EventId Scheduler::push_event(Time when, std::uint64_t seq, Callback&& cb) {
   assert(when >= now_ && "events cannot be scheduled in the past");
-  const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
   push_entry(Entry{when, seq, slot});
@@ -87,7 +95,7 @@ void Scheduler::cancel(EventId id) {
   // the slot moved on; this exactness is what makes stale cancels safe.
   if (s.gen != id.gen_ || s.cancelled) return;
   s.cancelled = true;
-  s.cb.reset();  // release captured state (e.g. pooled packets) eagerly
+  s.cb.reset();  // release captured state eagerly
   --live_;
 }
 

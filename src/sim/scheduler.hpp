@@ -27,9 +27,10 @@
 namespace cebinae {
 
 // Inline capture budget for scheduled callbacks. Large enough for every
-// simulator event (the biggest, packet propagation, captures a device
-// pointer plus a pooled-packet handle); a larger capture falls back to one
-// heap allocation rather than failing, so this is a perf knob, not a limit.
+// simulator event (in-flight frames wait in their device's delay line, so
+// the link-arrival event captures only a Device pointer); a larger capture
+// falls back to one heap allocation rather than failing, so this is a perf
+// knob, not a limit.
 inline constexpr std::size_t kEventInlineBytes = 48;
 
 // Handle used to cancel a pending event. Cancellation is O(1): the handle
@@ -67,6 +68,17 @@ class Scheduler {
   // Schedule at an absolute simulation time (>= now()).
   EventId schedule_at(Time when, Callback cb);
 
+  // Consume the next sequence number without scheduling anything. An event
+  // later scheduled under that number with schedule_reserved() takes exactly
+  // the place in the (when, seq) order it would have had if it had been
+  // scheduled at reservation time. Devices use this to keep in-flight frames
+  // in a delay line with one armed event per link (net/device.hpp).
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  // Schedule at (when, seq), where `seq` came from reserve_seq() and has not
+  // been used yet, and `when` >= now().
+  EventId schedule_reserved(Time when, std::uint64_t seq, Callback cb);
+
   // Cancel a pending event; a default-constructed, already-fired, or
   // already-cancelled id is a harmless no-op.
   void cancel(EventId id);
@@ -100,6 +112,7 @@ class Scheduler {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+  EventId push_event(Time when, std::uint64_t seq, Callback&& cb);
   void push_entry(Entry e);
   void pop_root();
   bool pop_one(Time limit);

@@ -125,9 +125,15 @@ void TcpSender::process_sack(const Packet& ack) {
   if (!config_.sack || ack.sack_count == 0) return;
   for (std::uint8_t b = 0; b < ack.sack_count; ++b) {
     const auto& block = ack.sack[b];
-    // unacked_ is sorted by seq; locate the block's range.
+    // unacked_ is sorted by seq; locate the first segment of the block that
+    // is not yet tagged. Segments inside the cached block are; a segment
+    // straddling the cached end is not skipped, whatever its alignment.
+    const bool in_cache = block.begin >= sack_cache_.begin && block.begin < sack_cache_.end;
+    const std::uint64_t tagged_end = in_cache ? sack_cache_.end : 0;
     auto it = std::lower_bound(unacked_.begin(), unacked_.end(), block.begin,
-                               [](const SegMeta& m, std::uint64_t seq) { return m.seq < seq; });
+                               [tagged_end](const SegMeta& m, std::uint64_t begin) {
+                                 return m.seq < begin || m.seq + m.len <= tagged_end;
+                               });
     for (; it != unacked_.end() && it->seq + it->len <= block.end; ++it) {
       if (!it->sacked) {
         it->sacked = true;
@@ -146,6 +152,7 @@ void TcpSender::process_sack(const Packet& ack) {
     }
     highest_sacked_ = std::max(highest_sacked_, block.end);
   }
+  sack_cache_ = ack.sack[0];
 
   // Mark newly revealed holes as lost: unSACKed segments below the highest
   // SACK have (with no reordering in this network) left the network.
@@ -164,7 +171,9 @@ void TcpSender::process_sack(const Packet& ack) {
 }
 
 bool TcpSender::retransmit_hole() {
-  for (SegMeta& m : unacked_) {
+  assert(retx_hint_ <= unacked_.size());
+  for (; retx_hint_ < unacked_.size(); ++retx_hint_) {
+    SegMeta& m = unacked_[retx_hint_];
     if (m.sacked || m.retransmitted) continue;
     if (!m.counted_lost) return false;  // ordered: no further known losses
     // The retransmission puts the segment back into the network.
@@ -176,6 +185,7 @@ bool TcpSender::retransmit_hole() {
     m.retransmitted = true;
     ++retransmissions_;
     if (m_retransmits_ != nullptr) m_retransmits_->inc();
+    ++retx_hint_;
     send_segment(m.seq, m.len, /*is_retransmission=*/true);
     return true;
   }
@@ -219,6 +229,7 @@ void TcpSender::mark_all_lost() {
   // retransmission in the new episode.
   sacked_bytes_ = 0;
   lost_bytes_ = 0;
+  retx_hint_ = 0;
   for (SegMeta& m : unacked_) {
     m.retransmitted = false;
     if (m.sacked) {
@@ -347,6 +358,7 @@ void TcpSender::on_new_ack(const Packet& ack) {
                     (now - m.delivered_stamp_at_send).seconds();
     }
     unacked_.pop_front();
+    if (retx_hint_ > 0) --retx_hint_;
   }
   if (unacked_.empty()) {
     sacked_bytes_ = 0;

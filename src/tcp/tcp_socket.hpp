@@ -8,6 +8,7 @@
 // long-lived infinite-demand flows in the evaluation never notice.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -102,6 +103,8 @@ class TcpSender final : public PacketSink {
   // SACKed bytes were delivered; segments marked lost (a SACK above them)
   // have left the network unless retransmitted.
   [[nodiscard]] std::uint64_t pipe_bytes() const {
+    assert(sacked_bytes_ + lost_bytes_ <= snd_nxt_ - snd_una_ &&
+           "SACKed + lost bytes exceed the bytes in flight");
     return snd_nxt_ - snd_una_ - sacked_bytes_ - lost_bytes_;
   }
   enum class LossMode { kNone, kFastRecovery, kRtoRecovery };
@@ -155,6 +158,15 @@ class TcpSender final : public PacketSink {
   Time delivered_stamp_;          // when delivered_ last advanced
 
   std::deque<SegMeta> unacked_;
+  // Retransmit hint (Linux's retransmit_skb_hint): every segment in
+  // unacked_[0, retx_hint_) is SACKed or retransmitted, so the scan for the
+  // next hole resumes here. Shifts down on pop_front; mark_all_lost, which
+  // clears the retransmitted marks, resets it to 0.
+  std::size_t retx_hint_ = 0;
+  // The first SACK block of the previous ACK (Linux's recv_sack_cache):
+  // every segment of unacked_ inside [begin, end) is already tagged SACKed,
+  // so a block starting inside it is walked only from its end.
+  Packet::SackBlock sack_cache_{};
 
   std::uint32_t dup_acks_ = 0;
   bool pending_ece_ = false;

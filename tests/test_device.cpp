@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/network.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "workload/udp_app.hpp"
@@ -108,6 +111,54 @@ TEST(Device, FullDuplexDirectionsAreIndependent) {
   h.net.scheduler().run();
   EXPECT_EQ(h.sink.packets(), 1u);
   EXPECT_EQ(sink_a.packets(), 1u);
+}
+
+// Records (arrival time, packet seq) at a node port.
+struct ArrivalLog final : PacketSink {
+  Scheduler& sched;
+  std::vector<std::pair<Time, std::uint64_t>> arrivals;
+  explicit ArrivalLog(Scheduler& s) : sched(s) {}
+  void deliver(const Packet& pkt) override { arrivals.emplace_back(sched.now(), pkt.seq); }
+};
+
+TEST(Device, BackToBackFramesArriveFifoAtTxPlusProp) {
+  Harness h(8'000'000, Milliseconds(5));  // 1000 B serialize in 1 ms
+  Scheduler& sched = h.net.scheduler();
+  ArrivalLog log(sched);
+  h.b.bind(10, log);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    Packet p = h.make_packet(1000);
+    p.flow.dst_port = 10;
+    p.seq = i;
+    h.a.send(p);
+  }
+  // Same timestamp as frame 2's arrival, scheduled before frame 2 started
+  // serializing (its key was reserved at 1 ms): fires first.
+  sched.schedule_at(Milliseconds(7), [&] { log.arrivals.emplace_back(sched.now(), 100); });
+  sched.run_until(Milliseconds(4));
+  // All three frames are on the wire behind one armed arrival event.
+  EXPECT_EQ(h.devs.ab.frames_on_wire(), 3u);
+  EXPECT_EQ(sched.pending_events(), 2u);  // head arrival + the 7 ms marker
+  // Same timestamp as frame 3's arrival, scheduled after it was sent.
+  sched.schedule_at(Milliseconds(8), [&] { log.arrivals.emplace_back(sched.now(), 200); });
+  sched.run();
+  EXPECT_EQ(log.arrivals, (std::vector<std::pair<Time, std::uint64_t>>{
+                              {Milliseconds(6), 1},
+                              {Milliseconds(7), 100},
+                              {Milliseconds(7), 2},
+                              {Milliseconds(8), 3},
+                              {Milliseconds(8), 200}}));
+  EXPECT_EQ(h.devs.ab.frames_on_wire(), 0u);
+}
+
+TEST(Device, TeardownWithFramesOnTheWire) {
+  // The delay line owns in-flight frames; destroying the network with
+  // frames still propagating must release them (checked by the ASan leg).
+  auto h = std::make_unique<Harness>(8'000'000, Milliseconds(50));
+  for (int i = 0; i < 16; ++i) h->a.send(h->make_packet(1000));
+  h->net.scheduler().run_until(Milliseconds(20));
+  ASSERT_GT(h->devs.ab.frames_on_wire(), 1u);
+  h.reset();
 }
 
 }  // namespace

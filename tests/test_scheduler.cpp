@@ -218,5 +218,27 @@ TEST(Scheduler, ScheduleAtAbsoluteTime) {
   EXPECT_EQ(seen, Milliseconds(12));
 }
 
+TEST(Scheduler, ReservedKeysInterleaveInWhenSeqOrder) {
+  // A reserved key fires exactly where an event scheduled at reservation
+  // time would have, even when it is scheduled later (from a callback, or
+  // after events with later keys).
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(Milliseconds(5), [&] { order.push_back(1); });          // (5, 1)
+  const std::uint64_t at5 = s.reserve_seq();                             // (5, 2)
+  s.schedule_at(Milliseconds(5), [&] { order.push_back(3); });          // (5, 3)
+  const std::uint64_t at3 = s.reserve_seq();                             // (3, 4)
+  s.schedule_at(Milliseconds(3), [&] { order.push_back(-1); });         // (3, 5)
+  s.schedule_at(Milliseconds(1), [&] {
+    order.push_back(-3);
+    s.schedule_reserved(Milliseconds(5), at5, [&] { order.push_back(2); });
+  });
+  s.schedule_reserved(Milliseconds(3), at3, [&] { order.push_back(-2); });
+  EXPECT_EQ(s.pending_events(), 5u);  // reserving schedules nothing
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{-3, -2, -1, 1, 2, 3}));
+  EXPECT_EQ(s.executed_events(), 6u);
+}
+
 }  // namespace
 }  // namespace cebinae

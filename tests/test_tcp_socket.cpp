@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
 #include "net/network.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "tcp/new_reno.hpp"
@@ -217,6 +221,149 @@ TEST(TcpReceiver, CePacketTriggersEceOnce) {
   // here (no reverse route), but the latch must clear so state stays sane.
   h.rx.deliver(h.data(100, 100));
   SUCCEED();
+}
+
+// --- Sender SACK recovery driven by fabricated ACKs -------------------------
+
+// Fixed window: recovery decisions then depend only on the scoreboard, not
+// on window reductions.
+class FixedWindowCc final : public CongestionControl {
+ public:
+  explicit FixedWindowCc(std::uint64_t cwnd) : cwnd_(cwnd) {}
+  void on_ack(const AckEvent&) override {}
+  void on_loss(Time, std::uint64_t) override {}
+  void on_rto(Time) override {}
+  [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
+  [[nodiscard]] std::string_view name() const override { return "fixed"; }
+
+ private:
+  std::uint64_t cwnd_;
+};
+
+// Logs the segment number of every data segment reaching the receiver host.
+struct SegmentLog final : PacketSink {
+  std::vector<std::uint64_t> segs;
+  void deliver(const Packet& pkt) override { segs.push_back(pkt.seq / kMssBytes); }
+};
+
+// The sender sends one window of `window_segs` segments to a host that only
+// logs them; the test plays the receiver, handing the sender ACKs whose
+// cumulative point and SACK blocks are given in segment numbers.
+struct SackHarness {
+  Network net;
+  Node& src = net.add_node();
+  Node& dst = net.add_node();
+  FlowId flow{src.id(), dst.id(), 5000, 5000};
+  SegmentLog log;
+  std::unique_ptr<TcpSender> sender;
+
+  explicit SackHarness(std::uint64_t window_segs) {
+    net.link(src, dst, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+    net.build_routes();
+    dst.bind(flow.dst_port, log);
+    TcpSender::Config cfg;
+    cfg.flow = flow;
+    cfg.bytes_to_send = window_segs * kMssBytes;
+    sender = std::make_unique<TcpSender>(
+        net.scheduler(), src, std::make_unique<FixedWindowCc>(window_segs * kMssBytes), cfg);
+    sender->start();
+    net.scheduler().run_until(Milliseconds(1));
+    log.segs.clear();
+  }
+
+  // Delivers the ACK, then lets any retransmission reach the log.
+  void ack(std::uint64_t cum_seg,
+           std::initializer_list<std::pair<std::uint64_t, std::uint64_t>> blocks) {
+    Packet p;
+    p.flow = flow.reversed();
+    p.kind = Packet::Kind::kTcpAck;
+    p.size_bytes = kAckBytes;
+    p.ack = cum_seg * kMssBytes;
+    for (const auto& [begin, end] : blocks) {
+      p.sack[p.sack_count++] = Packet::SackBlock{begin * kMssBytes, end * kMssBytes};
+    }
+    sender->deliver(p);
+    net.scheduler().run_until(net.scheduler().now() + Milliseconds(1));
+  }
+
+  // The receiver's ACKs when every odd segment below `upto` arrived and
+  // every even one was lost: one dup ACK per arrival, newest block first.
+  void sack_odd_segments(std::uint64_t upto) {
+    for (std::uint64_t s = 1; s < upto; s += 2) ack(0, {{s, s + 1}});
+  }
+};
+
+TEST(TcpSackRecovery, ManyHolesRetransmittedOnceInAscendingOrder) {
+  SackHarness h(40);
+  h.sack_odd_segments(40);  // holes at 0, 2, ..., 38
+  ASSERT_TRUE(h.sender->in_recovery());
+  // Further dup ACKs carry no new SACK information but free pipe space.
+  for (int i = 0; i < 40 && h.sender->retransmissions() < 20; ++i) h.ack(0, {{39, 40}});
+  for (int i = 0; i < 10; ++i) h.ack(0, {{39, 40}});
+
+  std::vector<std::uint64_t> holes;
+  for (std::uint64_t s = 0; s < 40; s += 2) holes.push_back(s);
+  EXPECT_EQ(h.log.segs, holes);
+  EXPECT_EQ(h.sender->retransmissions(), 20u);
+  EXPECT_EQ(h.sender->lost_bytes_dbg(), 0u);
+}
+
+TEST(TcpSackRecovery, RtoAfterPartialRepairRestartsFromTheFront) {
+  SackHarness h(40);
+  h.sack_odd_segments(12);  // holes 0, 2, ..., 10; repair starts at 0
+  ASSERT_TRUE(h.sender->in_recovery());
+  ASSERT_FALSE(h.log.segs.empty());
+  ASSERT_EQ(h.log.segs.front(), 0u);
+  const std::size_t before_rto = h.log.segs.size();
+
+  h.net.scheduler().run_until(h.net.scheduler().now() + Seconds(1));
+  ASSERT_EQ(h.sender->rto_count(), 1u);
+  // The RTO marks every unSACKed segment lost again; its retransmission is
+  // the first hole, not the one after the last pre-RTO repair.
+  ASSERT_GT(h.log.segs.size(), before_rto);
+  EXPECT_EQ(h.log.segs[before_rto], 0u);
+}
+
+TEST(TcpSackRecovery, CumulativeAckPastTheHint) {
+  SackHarness h(40);
+  h.sack_odd_segments(8);  // holes 0, 2, 4, 6 repaired; the scan stops at 8
+  ASSERT_TRUE(h.sender->in_recovery());
+  ASSERT_EQ(h.log.segs, (std::vector<std::uint64_t>{0, 2, 4, 6}));
+  h.log.segs.clear();
+
+  // Everything below segment 10 arrives: the partial ACK pops more segments
+  // than the hint had passed, and SACKs reveal holes 10 and 12. Repair
+  // resumes at the new front.
+  h.ack(10, {{13, 16}, {11, 12}});
+  EXPECT_EQ(h.log.segs, (std::vector<std::uint64_t>{10, 12}));
+}
+
+TEST(TcpSackRecovery, ExtendingTheCachedBlockTagsOnlyNewSegments) {
+  SackHarness h(40);
+  h.ack(0, {{1, 5}});
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 4 * kMssBytes);
+  h.ack(0, {{1, 8}});  // extends the cached block: segments 5..7 are new
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 7 * kMssBytes);
+  h.ack(0, {{3, 10}});  // starts inside the cached block
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 9 * kMssBytes);
+  h.ack(0, {{12, 14}, {1, 10}});  // a new block first; the old one again
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 11 * kMssBytes);
+}
+
+TEST(TcpSackRecovery, SegmentStraddlingTheCachedEndIsTagged) {
+  SackHarness h(40);
+  // A block ending inside segment 4 tags segments 1..3 only.
+  Packet p;
+  p.flow = h.flow.reversed();
+  p.kind = Packet::Kind::kTcpAck;
+  p.size_bytes = kAckBytes;
+  p.sack[p.sack_count++] = Packet::SackBlock{kMssBytes, 5 * kMssBytes - 100};
+  h.sender->deliver(p);
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 3 * kMssBytes);
+  // Segment 4 starts before the cached end and ends after it: the walk
+  // from the cache must still reach it.
+  h.ack(0, {{1, 8}});
+  EXPECT_EQ(h.sender->sacked_bytes_dbg(), 7 * kMssBytes);
 }
 
 }  // namespace
