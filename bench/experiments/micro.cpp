@@ -54,7 +54,9 @@ std::vector<std::pair<std::string, double>> run_sched_churn(int rounds) {
     sched.run();
   }
   // Phase 2: cancel-heavy (rearm): keep one pending "RTO" that every
-  // iteration cancels and replaces, while a data event fires.
+  // iteration cancels and replaces, while a data event fires. Each cancel
+  // takes the RTO's entry out of the heap at once, so the heap holds at
+  // most the RTO and the data event.
   EventId rto;
   for (int r = 0; r < rounds * 64; ++r) {
     sched.cancel(rto);

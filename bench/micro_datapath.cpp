@@ -37,9 +37,9 @@ BENCHMARK(BM_SchedulerScheduleRun);
 
 void BM_SchedulerCancelRearm(benchmark::State& state) {
   // The RTO-timer maintenance pattern: every ACK cancels the armed timer
-  // and schedules a fresh one. Exercises the O(1) generation-checked
-  // cancel plus slot recycling; most cancelled entries die lazily at the
-  // heap root.
+  // and schedules a fresh one. Exercises the generation-checked cancel,
+  // which removes the timer's heap entry at once, plus slot recycling; the
+  // heap never holds more than the one live timer.
   Scheduler sched;
   EventId timer;
   std::int64_t now = 0;

@@ -27,8 +27,8 @@ Node& Device::peer_node() {
   return peer_->owner();
 }
 
-void Device::send(Packet pkt) {
-  qdisc_->enqueue(std::move(pkt));
+void Device::send(const Packet& pkt) {
+  qdisc_->enqueue(pkt);
   try_transmit();
 }
 
@@ -79,7 +79,7 @@ void Device::arrive() {
     behind_->pop_front();
     arm_head();
   }
-  peer_->owner().receive(std::move(pkt));
+  peer_->owner().receive(pkt);
 }
 
 }  // namespace cebinae

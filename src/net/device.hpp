@@ -40,7 +40,7 @@ class Device {
   void set_peer(Device& peer) { peer_ = &peer; }
 
   // Enqueue a packet for transmission; starts the transmitter if idle.
-  void send(Packet pkt);
+  void send(const Packet& pkt);
 
   [[nodiscard]] QueueDisc& qdisc() { return *qdisc_; }
   [[nodiscard]] const QueueDisc& qdisc() const { return *qdisc_; }

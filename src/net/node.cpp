@@ -38,7 +38,7 @@ void Node::unbind(std::uint16_t port) {
   }
 }
 
-void Node::receive(Packet pkt) {
+void Node::receive(const Packet& pkt) {
   if (pkt.flow.dst == id_) {
     PacketSink* sink = sink_for(pkt.flow.dst_port);
     if (sink == nullptr) {
@@ -49,17 +49,17 @@ void Node::receive(Packet pkt) {
     sink->deliver(pkt);
     return;
   }
-  send(std::move(pkt));
+  send(pkt);
 }
 
-void Node::send(Packet pkt) {
+void Node::send(const Packet& pkt) {
   Device* egress = route_to(pkt.flow.dst);
   if (egress == nullptr) {
     ++routing_drops_;
     CEBINAE_WARN("node", "node " << id_ << " has no route to " << pkt.flow.dst);
     return;
   }
-  egress->send(std::move(pkt));
+  egress->send(pkt);
 }
 
 }  // namespace cebinae

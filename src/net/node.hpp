@@ -48,10 +48,12 @@ class Node {
 
   // Entry point for packets arriving from the wire and for locally
   // originated traffic: delivers locally or forwards via the routing table.
-  void receive(Packet pkt);
+  // Packets pass by reference along the forwarding path; the egress queue
+  // disc takes the one copy per hop.
+  void receive(const Packet& pkt);
 
   // Send a locally originated packet toward pkt.flow.dst.
-  void send(Packet pkt);
+  void send(const Packet& pkt);
 
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }
   [[nodiscard]] std::uint64_t routing_drops() const { return routing_drops_; }

@@ -31,29 +31,26 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
-  s.cancelled = false;
   // The generation bump is what invalidates every outstanding EventId that
   // still names this slot.
   ++s.gen;
   free_slots_.push_back(slot);
 }
 
-void Scheduler::push_entry(Entry e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
+// The sifts carry `e` through a hole: each level moves one entry (and
+// records its new index in its slot), and `e` is written once at the end.
+void Scheduler::sift_up(std::size_t i, Entry e) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!earlier(e, heap_[parent])) break;
+    place(i, heap_[parent]);
     i = parent;
   }
+  place(i, e);
 }
 
-void Scheduler::pop_root() {
-  const std::size_t n = heap_.size() - 1;
-  heap_[0] = heap_[n];
-  heap_.pop_back();
-  std::size_t i = 0;
+void Scheduler::sift_down(std::size_t i, Entry e) {
+  const std::size_t n = heap_.size();
   while (true) {
     const std::size_t first_child = i * kArity + 1;
     if (first_child >= n) break;
@@ -62,9 +59,34 @@ void Scheduler::pop_root() {
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], heap_[i])) break;
-    std::swap(heap_[i], heap_[best]);
+    if (!earlier(heap_[best], e)) break;
+    place(i, heap_[best]);
     i = best;
+  }
+  place(i, e);
+}
+
+void Scheduler::push_entry(Entry e) {
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, e);
+}
+
+void Scheduler::pop_root() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void Scheduler::remove_at(std::size_t i) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // removed the last entry itself
+  // The last entry may belong above the hole (it came from another
+  // subtree) or below it.
+  if (i > 0 && earlier(last, heap_[(i - 1) / kArity])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
   }
 }
 
@@ -82,7 +104,6 @@ EventId Scheduler::push_event(Time when, std::uint64_t seq, Callback&& cb) {
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
   push_entry(Entry{when, seq, slot});
-  ++live_;
   return EventId(slot, slots_[slot].gen);
 }
 
@@ -90,36 +111,32 @@ void Scheduler::cancel(EventId id) {
   if (!id.valid()) return;
   const std::uint32_t slot = id.slot_plus1_ - 1;
   if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  // Generation mismatch = the event already fired (or was cancelled) and
-  // the slot moved on; this exactness is what makes stale cancels safe.
-  if (s.gen != id.gen_ || s.cancelled) return;
-  s.cancelled = true;
-  s.cb.reset();  // release captured state eagerly
-  --live_;
+  const Slot& s = slots_[slot];
+  // Generation mismatch = the event already fired or was cancelled and the
+  // slot moved on; this exactness is what makes stale cancels safe. A
+  // matching generation means the event is pending, so its entry is in the
+  // heap at s.pos.
+  if (s.gen != id.gen_) return;
+  assert(heap_[s.pos].slot == slot && "slot lost track of its heap entry");
+  remove_at(s.pos);
+  release_slot(slot);
 }
 
 bool Scheduler::pop_one(Time limit) {
-  while (!heap_.empty()) {
-    const Entry top = heap_[0];
-    if (top.when > limit) return false;
-    pop_root();
-    if (slots_[top.slot].cancelled) {
-      release_slot(top.slot);
-      continue;
-    }
-    // Move the callback out and retire the slot before invoking, so a
-    // re-entrant schedule() may reuse it and a self-cancel from inside the
-    // callback sees a bumped generation (harmless no-op).
-    Callback cb = std::move(slots_[top.slot].cb);
-    release_slot(top.slot);
-    now_ = top.when;
-    ++executed_;
-    --live_;
-    cb();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const Entry top = heap_[0];
+  if (top.when > limit) return false;
+  assert(slots_[top.slot].pos == 0 && "root slot lost track of its heap entry");
+  pop_root();
+  // Move the callback out and retire the slot before invoking, so a
+  // re-entrant schedule() may reuse it and a self-cancel from inside the
+  // callback sees a bumped generation (harmless no-op).
+  Callback cb = std::move(slots_[top.slot].cb);
+  release_slot(top.slot);
+  now_ = top.when;
+  ++executed_;
+  cb();
+  return true;
 }
 
 void Scheduler::run() {

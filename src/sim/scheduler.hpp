@@ -11,11 +11,12 @@
 //     once the slot/heap vectors reach their high-water marks.
 //   - The ready queue is a 4-ary heap of 24-byte POD entries (when, seq,
 //     slot); sift operations never move callbacks, only entries.
-//   - Callbacks live in a slot table recycled through a free list. An
-//     EventId names (slot, generation), so cancel() is one bounds check,
-//     one generation compare, and a flag write — O(1), no tombstone set,
-//     and ids that already fired (or were double-cancelled) are harmless
-//     no-ops even after the slot has been reused.
+//   - Callbacks live in a slot table recycled through a free list. Each
+//     slot records its entry's heap index, so cancel() removes the entry
+//     at once in O(log pending): no tombstones, and the heap and slot
+//     table are bounded by the events still pending. An EventId names
+//     (slot, generation); ids that already fired or were cancelled are
+//     exact no-ops even after the slot has been reused.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +34,10 @@ namespace cebinae {
 // knob, not a limit.
 inline constexpr std::size_t kEventInlineBytes = 48;
 
-// Handle used to cancel a pending event. Cancellation is O(1): the handle
-// names a slot and the generation the slot had when the event was
-// scheduled, so stale handles (event already fired, slot reused) are
-// detected exactly and ignored.
+// Handle used to cancel a pending event. The handle names a slot and the
+// generation the slot had when the event was scheduled, so stale handles
+// (event already fired or cancelled, slot reused) are detected exactly and
+// ignored.
 class EventId {
  public:
   EventId() = default;
@@ -79,8 +80,9 @@ class Scheduler {
   // been used yet, and `when` >= now().
   EventId schedule_reserved(Time when, std::uint64_t seq, Callback cb);
 
-  // Cancel a pending event; a default-constructed, already-fired, or
-  // already-cancelled id is a harmless no-op.
+  // Cancel a pending event: its entry leaves the heap and its slot is freed
+  // now. A default-constructed, already-fired, or already-cancelled id is a
+  // harmless no-op. Consumes no sequence number.
   void cancel(EventId id);
 
   // Run until the event queue is empty.
@@ -89,7 +91,7 @@ class Scheduler {
   // Run events with timestamp <= `until`; afterwards now() == until.
   void run_until(Time until);
 
-  [[nodiscard]] std::size_t pending_events() const { return live_; }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
@@ -103,7 +105,7 @@ class Scheduler {
   struct Slot {
     Callback cb;
     std::uint32_t gen = 0;
-    bool cancelled = false;
+    std::uint32_t pos = 0;  // index of this slot's entry in heap_
   };
 
   [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
@@ -115,12 +117,21 @@ class Scheduler {
   EventId push_event(Time when, std::uint64_t seq, Callback&& cb);
   void push_entry(Entry e);
   void pop_root();
+  void remove_at(std::size_t i);
+  // Place `e` into the hole at heap index `i`, moving it toward the root
+  // (sift_up) or the leaves (sift_down) until the heap order holds.
+  void sift_up(std::size_t i, Entry e);
+  void sift_down(std::size_t i, Entry e);
+  // Writes `e` at heap index `i` and records the index in its slot.
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+  }
   bool pop_one(Time limit);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;  // scheduled, not yet fired or cancelled
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <compare>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <random>
 #include <vector>
 
 namespace cebinae {
@@ -238,6 +244,237 @@ TEST(Scheduler, ReservedKeysInterleaveInWhenSeqOrder) {
   s.run();
   EXPECT_EQ(order, (std::vector<int>{-3, -2, -1, 1, 2, 3}));
   EXPECT_EQ(s.executed_events(), 6u);
+}
+
+// Differential test: a seeded random mix of every scheduler operation,
+// checked against a reference model that keeps the pending events in a
+// sorted map keyed by (when, seq). The model mirrors the scheduler's
+// sequence counter (schedule and reserve_seq consume a number, cancel does
+// not), so it predicts the exact firing order; pending_events() must equal
+// the model's size after every operation, also inside callbacks.
+class SchedulerDifferential {
+ public:
+  explicit SchedulerDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      step();
+      check_pending();
+      max_pending_ = std::max(max_pending_, s_.pending_events());
+    }
+    s_.run();
+    check_pending();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(fired_, want_);
+    EXPECT_EQ(s_.executed_events(), fired_.size());
+  }
+
+  std::size_t fired() const { return fired_.size(); }
+  std::size_t max_pending() const { return max_pending_; }
+
+ private:
+  struct Key {
+    std::int64_t when;
+    std::uint64_t seq;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+  struct Live {
+    Key key;
+    EventId id;
+  };
+
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+  // Half the delays are short, so many events share a timestamp; the rest
+  // spread out far enough that the heap grows several levels deep.
+  Time delay() { return Microseconds(static_cast<std::int64_t>(pick(2) == 0 ? pick(8) : pick(2048))); }
+
+  void check_pending() { ASSERT_EQ(s_.pending_events(), model_.size()); }
+
+  // Schedules through one of the three entry points and records the event.
+  void add(int how) {
+    const int token = next_token_++;
+    auto cb = [this, token] { fire(token); };
+    Key key{};
+    EventId id;
+    if (how == 2 && !reserved_.empty()) {
+      const std::size_t r = pick(reserved_.size());
+      key = Key{(s_.now() + delay()).ns(), reserved_[r]};
+      reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(r));
+      id = s_.schedule_reserved(Nanoseconds(key.when), key.seq, cb);
+    } else if (how == 1) {
+      key = Key{(s_.now() + delay()).ns(), next_seq_++};
+      id = s_.schedule_at(Nanoseconds(key.when), cb);
+    } else {
+      const Time d = delay();
+      key = Key{(s_.now() + d).ns(), next_seq_++};
+      id = s_.schedule(d, cb);
+    }
+    track(key, token, id);
+  }
+
+  void track(const Key& key, int token, EventId id) {
+    model_.emplace(key, token);
+    live_.emplace(token, Live{key, id});
+    newest_ = token;
+  }
+
+  void cancel_live(int token) {
+    const auto it = live_.find(token);
+    const EventId id = it->second.id;
+    s_.cancel(id);
+    model_.erase(it->second.key);
+    live_.erase(it);
+    dead_.push_back(id);
+  }
+
+  int random_live() {
+    return std::next(model_.begin(), static_cast<std::ptrdiff_t>(pick(model_.size())))->second;
+  }
+
+  void step() {
+    // Grow the heap to a few hundred entries, then let run_until drain it.
+    const std::uint64_t op = pick(model_.size() > 300 ? 30 : 21);
+    switch (op) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7:
+      case 8:
+      case 9:
+        add(static_cast<int>(op % 3));
+        break;
+      case 10:
+        reserved_.push_back(s_.reserve_seq());
+        ++next_seq_;
+        break;
+      case 11:  // the root
+        if (!model_.empty()) cancel_live(model_.begin()->second);
+        break;
+      case 12:  // a middle entry
+        if (!model_.empty()) cancel_live(random_live());
+        break;
+      case 13: {  // the last heap entry: a fresh event later than all others
+        const std::int64_t last = model_.empty() ? s_.now().ns() : model_.rbegin()->first.when;
+        const int token = next_token_++;
+        const Key key{last + 1, next_seq_++};
+        track(key, token, s_.schedule_at(Nanoseconds(key.when), [this, token] { fire(token); }));
+        cancel_live(token);
+        break;
+      }
+      case 14:  // the most recently scheduled event, if still pending
+        if (live_.contains(newest_)) cancel_live(newest_);
+        break;
+      case 15:  // stale: fired or already cancelled
+        if (!dead_.empty()) s_.cancel(dead_[pick(dead_.size())]);
+        break;
+      case 16:  // double
+        if (!model_.empty()) {
+          const int token = random_live();
+          const EventId id = live_.at(token).id;
+          cancel_live(token);
+          s_.cancel(id);
+        }
+        break;
+      case 17:
+        s_.cancel(EventId{});
+        break;
+      default:
+        s_.run_until(s_.now() + Microseconds(static_cast<std::int64_t>(pick(16))));
+        break;
+    }
+  }
+
+  void fire(int token) {
+    // The scheduler must fire the model's earliest event, at its time.
+    want_.push_back(model_.empty() ? -1 : model_.begin()->second);
+    fired_.push_back(token);
+    const auto it = live_.find(token);
+    if (it == live_.end()) {
+      ADD_FAILURE() << "cancelled event " << token << " fired";
+      return;
+    }
+    EXPECT_EQ(s_.now().ns(), it->second.key.when);
+    model_.erase(it->second.key);
+    const EventId self = it->second.id;
+    live_.erase(it);
+    dead_.push_back(self);
+    switch (pick(6)) {
+      case 0:
+        s_.cancel(self);
+        break;
+      case 1:
+        if (!model_.empty()) cancel_live(random_live());
+        break;
+      case 2:
+      case 3:
+        add(static_cast<int>(pick(3)));
+        break;
+      default:
+        break;
+    }
+    check_pending();
+  }
+
+  Scheduler s_;
+  std::mt19937_64 rng_;
+  std::uint64_t next_seq_ = 1;  // mirrors the scheduler's counter
+  int next_token_ = 0;
+  int newest_ = -1;
+  std::map<Key, int> model_;  // pending events in firing order -> token
+  std::map<int, Live> live_;  // token -> key and id
+  std::vector<EventId> dead_;
+  std::vector<std::uint64_t> reserved_;
+  std::vector<int> fired_;
+  std::vector<int> want_;
+  std::size_t max_pending_ = 0;
+};
+
+TEST(Scheduler, DifferentialAgainstSortedModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    SchedulerDifferential d(seed);
+    d.run(20'000);
+    // Enough traffic, and a heap several levels deep.
+    EXPECT_GT(d.fired(), 3'000u);
+    EXPECT_GT(d.max_pending(), 100u);
+  }
+}
+
+TEST(Scheduler, CancelRearmChurnKeepsHeapAtLiveCount) {
+  // The TCP retransmission-timer pattern: every data event cancels and
+  // re-arms one long timer. Cancelled entries leave the heap at once, so
+  // the heap (pending_events()) holds exactly the live events through 100k
+  // re-arms instead of accumulating them.
+  constexpr int kChains = 4;
+  constexpr int kCycles = 100'000;
+  Scheduler s;
+  EventId timer;
+  int rearms = 0;
+  int chains = kChains;
+  bool timer_fired = false;
+  std::size_t max_pending = 0;
+  std::function<void()> data = [&] {
+    s.cancel(timer);
+    timer = s.schedule(Milliseconds(200), [&] { timer_fired = true; });
+    if (++rearms + chains <= kCycles) {
+      s.schedule(Microseconds(1), data);
+    } else {
+      --chains;  // this chain stops; the others finish the cycles
+    }
+    max_pending = std::max(max_pending, s.pending_events());
+    ASSERT_EQ(s.pending_events(), static_cast<std::size_t>(chains) + 1);
+  };
+  for (int c = 0; c < kChains; ++c) s.schedule(Microseconds(1), data);
+  s.run();
+  EXPECT_EQ(rearms, kCycles);
+  EXPECT_TRUE(timer_fired);
+  EXPECT_EQ(max_pending, static_cast<std::size_t>(kChains) + 1);
+  EXPECT_EQ(s.executed_events(), static_cast<std::uint64_t>(kCycles) + 1);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 }  // namespace
