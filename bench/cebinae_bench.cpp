@@ -14,7 +14,8 @@
 //   --seed=S         base seed; per-job seeds derive from (S, job index)
 //   --out=PATH       stream one JSONL result row per job ("-" = stdout)
 //   --trace-out=PATH stream probe time-series rows of traced jobs
-//   --resume         skip jobs whose rows are already complete in --out
+//   --resume         continue a killed run: rebuild the jobs committed in
+//                    --out/--trace-out, run the rest, print the full report
 //   --perf-out[=P]   write a BENCH_<name>.json perf summary
 #include <algorithm>
 #include <cstdio>

@@ -66,11 +66,10 @@ void minority_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
   out.emplace_back("minority_mean_mbps", exp::to_mbps(minority / n));
 }
 
-// Per-flow goodputs of every (non-skipped) trial, pooled into one sample set.
+// Per-flow goodputs of every trial, pooled into one sample set.
 std::vector<double> pooled_goodputs(const exp::ResultRow& row) {
   std::vector<double> out;
   for (const exp::RunRecord* rec : row.trials) {
-    if (rec == nullptr || rec->skipped) continue;
     out.insert(out.end(), rec->result.goodput_Bps.begin(), rec->result.goodput_Bps.end());
   }
   return out;

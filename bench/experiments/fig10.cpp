@@ -96,7 +96,6 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (ceb.trials.size() > 1) {
     std::printf("\nper-trial Cebinae tail JFI:");
     for (const exp::RunRecord* rec : ceb.trials) {
-      if (rec == nullptr || rec->skipped) continue;
       std::printf(" %.3f", tail_quarter_mean(obs::TraceSink::series_of(rec->trace, "jfi")));
     }
     std::printf("\n");

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Fast-suite CI gate: build with ThreadSanitizer and run the tier-1 tests
-# (unit tests + exp_smoke + bench_smoke + dispatch_smoke). TSan exercises
-# the src/exp thread pool, the runner's in-order JSONL emission, and the
-# dispatcher's heartbeat thread + in-process ledger races
-# (test_job_ledger); dispatch_smoke additionally fault-injects a SIGKILL
-# into a 4-worker sweep. The tier1 label keeps this loop fast enough to
-# run on every change.
+# (unit tests + exp_smoke + bench_smoke + golden_smoke + resume_smoke).
+# TSan exercises the src/exp thread pool and the runner's in-order JSONL
+# emission, including a resumed batch; resume_smoke additionally SIGKILLs
+# a 4-thread sweep and resumes it. The tier1 label keeps this loop fast
+# enough to run on every change.
 #
 # Usage: scripts/check.sh [-L label] [--perf] [build-dir]
 #   -L label    ctest label to run (default: tier1)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Plot any cebinae_bench/cebinae_dispatch JSONL stream (--out= results or
---trace-out= sidecars) as a labeled line or CDF figure.
+"""Plot any cebinae_bench JSONL stream (--out= results or --trace-out=
+sidecars) as a labeled line or CDF figure.
 
 Pure standard library: renders SVG directly, so it works in the bare build
 container. When matplotlib happens to be installed, --format=png is also

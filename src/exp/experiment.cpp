@@ -1,12 +1,14 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <istream>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 
 #include "exp/thread_pool.hpp"
 
@@ -41,6 +43,9 @@ Aggregate aggregate(const std::vector<double>& samples) {
   return a;
 }
 
+namespace {
+
+// Execute one job with its derived seed: the unit of work of the pool.
 RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed) {
   ScenarioConfig cfg = job.config;
   cfg.seed = seed;
@@ -67,44 +72,39 @@ RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed) {
   return rec;
 }
 
+}  // namespace
+
 std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& jobs) {
   const std::size_t total = jobs.size();
-  std::vector<RunRecord> records(total);
+  const std::size_t first = std::min(opts_.resumed.size(), total);
+  std::vector<RunRecord> records(opts_.resumed.begin(), opts_.resumed.begin() + first);
+  records.resize(total);
 
   // In-order JSONL emission: rows are buffered until every lower-index job
   // has been written, so the output file is byte-stable across thread
-  // counts and completion orders.
+  // counts and completion orders. Resumed jobs are already on disk.
   std::mutex emit_mu;
   std::vector<bool> done(total, false);
-  std::size_t next_to_emit = 0;
-  std::size_t completed = 0;
+  std::fill_n(done.begin(), first, true);
+  std::size_t next_to_emit = first;
+  std::size_t completed = first;
 
   auto run_one = [&](std::size_t i) {
-    const std::uint64_t seed = derive_seed(opts_.base_seed, i);
-    RunRecord rec;
-    if (opts_.skip_completed.count(i) != 0) {
-      // Resumed over: the row is already in the results file.
-      rec.seed = seed;
-      rec.skipped = true;
-    } else {
-      rec = run_single_job(jobs[i], seed);
-    }
-    records[i] = std::move(rec);
+    records[i] = run_single_job(jobs[i], derive_seed(opts_.base_seed, i));
 
     std::lock_guard<std::mutex> lock(emit_mu);
     done[i] = true;
     ++completed;
     while (next_to_emit < total && done[next_to_emit]) {
       const std::size_t j = next_to_emit;
-      if (!records[j].skipped) {
-        if (opts_.writer != nullptr) {
-          opts_.writer->write(result_row(jobs[j], j, opts_.base_seed, records[j]));
+      // Trace rows first: the result row commits the job for --resume.
+      if (opts_.trace_writer != nullptr) {
+        for (const obs::TraceRow& row : records[j].trace) {
+          opts_.trace_writer->write(trace_row(jobs[j], j, records[j].seed, row));
         }
-        if (opts_.trace_writer != nullptr) {
-          for (const obs::TraceRow& row : records[j].trace) {
-            opts_.trace_writer->write(trace_row(jobs[j], j, records[j].seed, row));
-          }
-        }
+      }
+      if (opts_.writer != nullptr) {
+        opts_.writer->write(result_row(jobs[j], j, opts_.base_seed, records[j]));
       }
       ++next_to_emit;
     }
@@ -115,7 +115,7 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
   futures.reserve(total);
   {
     ThreadPool pool(opts_.jobs);
-    for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t i = first; i < total; ++i) {
       futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
     }
     // Pool destructor drains the queue, so every future below is ready (or
@@ -209,25 +209,180 @@ bool is_complete_row(std::string_view line) {
   return depth == 0 && !in_string && line.back() == '}';
 }
 
-std::unordered_set<std::uint64_t> completed_job_indices(std::istream& in) {
-  std::unordered_set<std::uint64_t> out;
-  static constexpr std::string_view kKey = "\"job_index\":";
-  std::string line;
-  while (std::getline(in, line)) {
-    // A row interrupted mid-write (killed run / crashed worker) is
-    // structurally unbalanced; treat it as not completed so the job reruns.
-    if (!is_complete_row(line)) continue;
-    const std::size_t pos = line.find(kKey);
-    if (pos == std::string::npos) continue;
-    out.insert(std::strtoull(line.c_str() + pos + kKey.size(), nullptr, 10));
+RunRecord record_from_row(const ParsedRow& row, bool custom) {
+  RunRecord rec;
+  rec.seed = row.u64("seed");
+  rec.wall_seconds = row.num("wall_s");
+  if (!custom) {
+    if (const std::vector<double>* v = row.arr("goodput_Bps")) rec.result.goodput_Bps = *v;
+    if (const std::vector<double>* v = row.arr("tail_goodput_Bps")) {
+      rec.result.tail_goodput_Bps = *v;
+    }
+    if (const std::vector<double>* v = row.arr("throughput_Bps")) {
+      rec.result.throughput_Bps = *v;
+    }
+    rec.result.total_goodput_Bps = row.num("total_goodput_Bps");
+    rec.result.jfi = row.num("jfi", 1.0);
+    return rec;
+  }
+  // Every numeric field past the job context is an extra, in row order
+  // (aggregation orders metrics by first encounter).
+  for (const auto& [key, value] : row.fields) {
+    if (value.kind != JsonField::Kind::kNumber && value.kind != JsonField::Kind::kNull) {
+      continue;
+    }
+    if (key == "job_index" || key == "base_seed" || key == "seed" || key == "wall_s") continue;
+    rec.extra.emplace_back(key, value.num);
+  }
+  return rec;
+}
+
+obs::TraceRow trace_from_row(const ParsedRow& row) {
+  obs::TraceRow out(row.num("t_s"));
+  for (const auto& [key, value] : row.fields) {
+    if (key == "label" || key == "job_index" || key == "seed" || key == "t_s") continue;
+    switch (value.kind) {
+      case JsonField::Kind::kNumber:
+      case JsonField::Kind::kNull:  // json_number() serializes NaN as null
+        out.set(key, value.num);
+        break;
+      case JsonField::Kind::kArray:
+        out.set(key, value.arr);
+        break;
+      default:
+        break;  // trace rows carry no strings or objects past the context
+    }
   }
   return out;
 }
 
-std::unordered_set<std::uint64_t> completed_job_indices_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  return completed_job_indices(in);
+namespace {
+
+// Reads a JSONL file row by row, tracking the byte offset past the last row
+// returned.
+class RowReader {
+ public:
+  RowReader(std::istream& in, std::string name) : in_(in), name_(std::move(name)) {}
+
+  // The next committed row, or nullopt at the end of the file. A line with
+  // no newline or an unbalanced line is a write the process died in; only
+  // the last line may be one.
+  std::optional<ParsedRow> next() {
+    std::string line;
+    if (!std::getline(in_, line)) return std::nullopt;
+    ++line_no_;
+    if (in_.eof() || !is_complete_row(line)) {
+      if (in_.peek() != std::char_traits<char>::eof()) fail("is torn but not the last line");
+      return std::nullopt;
+    }
+    std::optional<ParsedRow> row = parse_row(line);
+    if (!row) fail("is not a JSON row");
+    offset_ += line.size() + 1;
+    return row;
+  }
+
+  [[nodiscard]] std::uint64_t offset() const { return offset_; }
+
+  [[noreturn]] void fail(const std::string& why) const {
+    throw std::runtime_error(name_ + " line " + std::to_string(line_no_) + " " + why);
+  }
+
+ private:
+  std::istream& in_;
+  std::string name_;
+  std::uint64_t offset_ = 0;
+  std::size_t line_no_ = 0;
+};
+
+// Throws unless `row` names job i of this grid, run from `base_seed`.
+void expect_job(const RowReader& reader, const ParsedRow& row,
+                const std::vector<ExperimentJob>& jobs, std::uint64_t base_seed,
+                std::uint64_t i) {
+  if (i >= jobs.size()) {
+    reader.fail("is job " + std::to_string(i) + " but this grid has " +
+                std::to_string(jobs.size()) + " jobs");
+  }
+  if (row.str("label") != jobs[i].label) {
+    reader.fail("is labelled \"" + row.str("label") + "\" but job " + std::to_string(i) +
+                " is \"" + jobs[i].label + "\"");
+  }
+  if (row.u64("seed") != derive_seed(base_seed, i)) {
+    reader.fail("has seed " + std::to_string(row.u64("seed")) + " but job " +
+                std::to_string(i) + " runs with seed " +
+                std::to_string(derive_seed(base_seed, i)));
+  }
+}
+
+ResumePrefix load_prefix(const std::vector<ExperimentJob>& jobs, std::uint64_t base_seed,
+                         RowReader out, std::optional<RowReader> sidecar) {
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  ResumePrefix prefix;
+  std::optional<ParsedRow> pending;  // next trace row not yet given to a job
+  if (sidecar) pending = sidecar->next();
+
+  // Every complete result row is checked against the grid; the prefix stops
+  // at the first traced job whose trace rows are missing.
+  bool accepting = true;
+  for (std::uint64_t i = 0;; ++i) {
+    const std::optional<ParsedRow> row = out.next();
+    if (!row) break;
+    if (row->u64("job_index", kNone) != i) {
+      out.fail("has job_index " + std::to_string(row->u64("job_index", kNone)) +
+               ", expected " + std::to_string(i));
+    }
+    if (row->u64("base_seed") != base_seed) {
+      out.fail("has base_seed " + std::to_string(row->u64("base_seed")) + " but --seed is " +
+               std::to_string(base_seed));
+    }
+    expect_job(out, *row, jobs, base_seed, i);
+    if (!accepting) continue;
+
+    RunRecord rec = record_from_row(*row, static_cast<bool>(jobs[i].custom));
+    if (jobs[i].trace_period > Time::zero()) {
+      while (pending && pending->u64("job_index", kNone) == i) {
+        expect_job(*sidecar, *pending, jobs, base_seed, i);
+        rec.trace.push_back(trace_from_row(*pending));
+        prefix.trace_bytes = sidecar->offset();
+        pending = sidecar->next();
+      }
+      if (rec.trace.empty()) {
+        accepting = false;
+        continue;
+      }
+    }
+    prefix.records.push_back(std::move(rec));
+    prefix.out_bytes = out.offset();
+  }
+
+  // Trace rows past the prefix come from the job that was running; they
+  // must still belong to this grid.
+  while (pending) {
+    expect_job(*sidecar, *pending, jobs, base_seed, pending->u64("job_index", kNone));
+    pending = sidecar->next();
+  }
+  return prefix;
+}
+
+}  // namespace
+
+ResumePrefix load_resume_prefix(const std::vector<ExperimentJob>& jobs,
+                                std::uint64_t base_seed, std::istream& results,
+                                std::istream* trace) {
+  std::optional<RowReader> sidecar;
+  if (trace != nullptr) sidecar.emplace(*trace, "trace");
+  return load_prefix(jobs, base_seed, RowReader(results, "results"), std::move(sidecar));
+}
+
+ResumePrefix load_resume_prefix_file(const std::vector<ExperimentJob>& jobs,
+                                     std::uint64_t base_seed, const std::string& out_path,
+                                     const std::string& trace_path) {
+  // A file that cannot be opened reads as empty.
+  std::ifstream results(out_path);
+  std::ifstream trace;
+  if (!trace_path.empty() && trace_path != "-") trace.open(trace_path);
+  std::optional<RowReader> sidecar;
+  if (trace.is_open()) sidecar.emplace(trace, trace_path);
+  return load_prefix(jobs, base_seed, RowReader(results, out_path), std::move(sidecar));
 }
 
 }  // namespace cebinae::exp

@@ -13,11 +13,12 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/jsonl_writer.hpp"
+#include "exp/row_parse.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "runner/scenario.hpp"
@@ -55,7 +56,6 @@ struct RunRecord {
   ScenarioResult result;
   std::uint64_t seed = 0;     // the derived seed the job actually ran with
   double wall_seconds = 0.0;  // host wall-clock for this one Scenario
-  bool skipped = false;       // true when resumed over (result is empty)
   std::vector<obs::TraceRow> trace;  // sampled rows (empty unless traced)
   // Metrics returned by ExperimentJob::custom jobs (empty for Scenario
   // jobs). Emitted as numeric fields of the JSONL row and picked up by the
@@ -82,12 +82,13 @@ class ExperimentRunner {
     JsonlWriter* writer = nullptr;   // optional JSONL sink (not owned)
     // Optional sidecar sink for time-series rows of traced jobs (not owned).
     // Rows are emitted in job order, and within a job in sample-time order,
-    // so the sidecar is byte-stable across worker counts.
+    // so the sidecar is byte-stable across worker counts. A job's trace rows
+    // precede its result row: the result row commits the job.
     JsonlWriter* trace_writer = nullptr;
-    // Resume support: job indexes already present in an existing results
-    // file. Skipped jobs are not run and not re-emitted; their RunRecord has
-    // skipped=true and only the seed filled in.
-    std::unordered_set<std::uint64_t> skip_completed;
+    // Resume: records of jobs [0, resumed.size()), rebuilt from a previous
+    // run's files (load_resume_prefix). Those jobs are neither run nor
+    // re-emitted; run() returns their records as given.
+    std::vector<RunRecord> resumed;
     // Called after each job finishes, serialized, in completion order —
     // progress reporting only; use the returned vector for results.
     std::function<void(std::size_t done, std::size_t total)> on_progress;
@@ -106,13 +107,6 @@ class ExperimentRunner {
   Options opts_;
 };
 
-// Execute ONE job with an explicit pre-derived seed, outside any pool. This
-// is the unit of work the runner's threads execute, exposed so out-of-process
-// executors (src/dispatch workers) run jobs bit-identically to `--jobs=N`:
-// the caller passes derive_seed(base_seed, global_index) and gets back the
-// same RunRecord a single-process run would have produced at that index.
-[[nodiscard]] RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed);
-
 // The standard JSONL row for one run: config echo + metrics + wall clock.
 // Schema (stable keys, documented in DESIGN.md):
 //   label, params{...}, qdisc, seed, base_seed, job_index, n_flows,
@@ -128,6 +122,14 @@ class ExperimentRunner {
 [[nodiscard]] JsonObject trace_row(const ExperimentJob& job, std::size_t job_index,
                                    std::uint64_t seed, const obs::TraceRow& row);
 
+// Inverses of result_row / trace_row: rebuild the record a run produced
+// from its parsed row. `custom` mirrors ExperimentJob::custom: custom rows
+// carry their metrics as free-form numeric fields, in RunRecord::extra
+// order; scenario rows carry the ScenarioResult echo.
+[[nodiscard]] RunRecord record_from_row(const ParsedRow& row, bool custom);
+// Skips the job-context fields trace_row prepends (label, job_index, seed).
+[[nodiscard]] obs::TraceRow trace_from_row(const ParsedRow& row);
+
 // True when `line` is one structurally complete JSONL row: starts with '{'
 // and every brace/bracket opened outside a string literal is closed by the
 // end of the line. A row truncated by a crashed writer fails this even when
@@ -135,15 +137,29 @@ class ExperimentRunner {
 // which a naive trailing-brace check would wrongly accept.
 [[nodiscard]] bool is_complete_row(std::string_view line);
 
-// Scan an existing results JSONL stream and collect the job_index of every
-// complete row (per is_complete_row). Used by resumable sweeps to skip
-// already-finished jobs after a killed run; a truncated final line from a
-// crashed or killed worker must never poison resume/ledger state, so it is
-// simply treated as "job not completed" and the job reruns.
-[[nodiscard]] std::unordered_set<std::uint64_t> completed_job_indices(std::istream& in);
+// What a killed run of the same job grid left on disk: the longest prefix of
+// committed jobs, and where each file ends after that prefix.
+struct ResumePrefix {
+  std::vector<RunRecord> records;  // jobs [0, records.size()), from their rows
+  std::uint64_t out_bytes = 0;     // end of the last accepted result row
+  std::uint64_t trace_bytes = 0;   // end of the accepted jobs' trace rows
+};
 
-// File convenience: empty set when the file does not exist or is empty.
-[[nodiscard]] std::unordered_set<std::uint64_t> completed_job_indices_file(
-    const std::string& path);
+// Read back a previous run's results and (optional) trace sidecar. Row i is
+// accepted while it is complete and matches the grid (job_index i,
+// jobs[i].label, base_seed, derive_seed(base_seed, i)); a traced job also
+// needs its trace rows, which precede its result row. Only a torn final
+// line may be incomplete. Throws std::runtime_error naming the row when a
+// complete row belongs to another grid or seed.
+[[nodiscard]] ResumePrefix load_resume_prefix(const std::vector<ExperimentJob>& jobs,
+                                              std::uint64_t base_seed,
+                                              std::istream& results, std::istream* trace);
+
+// File convenience: a missing file reads as empty, and an empty or "-"
+// trace path means there is no sidecar to read.
+[[nodiscard]] ResumePrefix load_resume_prefix_file(const std::vector<ExperimentJob>& jobs,
+                                                   std::uint64_t base_seed,
+                                                   const std::string& out_path,
+                                                   const std::string& trace_path);
 
 }  // namespace cebinae::exp

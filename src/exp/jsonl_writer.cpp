@@ -107,18 +107,18 @@ JsonObject& JsonObject::set(std::string_view k, const JsonObject& v) {
   return *this;
 }
 
-JsonlWriter::JsonlWriter(std::string path, Mode mode) : path_(std::move(path)) {
+JsonlWriter::JsonlWriter(std::string path, std::uint64_t keep_bytes) : path_(std::move(path)) {
   if (path_.empty()) return;
   if (path_ == "-") {
     out_ = &std::cout;
     return;
   }
-  const int flags =
-      O_WRONLY | O_CREAT | (mode == Mode::kAppend ? O_APPEND : O_TRUNC) | O_CLOEXEC;
+  const int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC | (keep_bytes == 0 ? O_TRUNC : 0);
   fd_ = ::open(path_.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("JsonlWriter: cannot open " + path_ + ": " +
-                             std::strerror(errno));
+  if (fd_ < 0 || (keep_bytes > 0 && ::ftruncate(fd_, static_cast<off_t>(keep_bytes)) != 0)) {
+    const std::string why = std::strerror(errno);
+    if (fd_ >= 0) ::close(fd_);
+    throw std::runtime_error("JsonlWriter: cannot open " + path_ + ": " + why);
   }
 }
 
@@ -132,15 +132,18 @@ std::size_t JsonlWriter::rows_written() const {
   return rows_;
 }
 
-void JsonlWriter::emit(std::string_view line) {
+void JsonlWriter::write(const JsonObject& row) {
+  if (!enabled()) return;
+  const std::string line = row.str();
+  std::lock_guard<std::mutex> lock(mu_);
   if (out_ != nullptr) {
     *out_ << line << '\n';
     out_->flush();
   } else {
     // One write(2) per row, then fsync: a crash truncates at most the final
-    // line, and every acknowledged row survives the process. This is the
-    // durability the dispatch ledger's done-markers rely on (a marker is
-    // only written after the row's fsync returns).
+    // line, and every acknowledged row survives the process. `--resume`
+    // treats a row on disk as a committed job, so the row must be durable
+    // before the next one is written.
     std::string buf;
     buf.reserve(line.size() + 1);
     buf.append(line);
@@ -158,19 +161,6 @@ void JsonlWriter::emit(std::string_view line) {
     ::fsync(fd_);
   }
   ++rows_;
-}
-
-void JsonlWriter::write(const JsonObject& row) {
-  if (!enabled()) return;
-  const std::string line = row.str();
-  std::lock_guard<std::mutex> lock(mu_);
-  emit(line);
-}
-
-void JsonlWriter::write_line(std::string_view line) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  emit(line);
 }
 
 }  // namespace cebinae::exp

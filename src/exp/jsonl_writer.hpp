@@ -11,10 +11,9 @@
 //
 // Durability contract: file-backed writers write each row with a single
 // write(2) and fsync after it, so a crashed or SIGKILLed process leaves at
-// most one truncated FINAL line and every earlier row is on disk. Resume and
-// dispatch-ledger parsing (exp::is_complete_row) tolerate exactly that
-// shape, which is what lets resume files double as the coordination
-// substrate for the src/dispatch job ledger.
+// most one torn FINAL line and every earlier row is on disk. `--resume`
+// (exp::load_resume_prefix) relies on exactly that shape: it keeps the
+// committed rows and cuts the torn line off before appending.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +56,11 @@ class JsonObject {
 
 class JsonlWriter {
  public:
-  enum class Mode { kTruncate, kAppend };
-
   // Empty path disables the writer (write() becomes a no-op); "-" streams to
-  // stdout. kAppend keeps existing rows (used by resumable sweeps). Throws
-  // std::runtime_error if the file cannot be opened.
-  explicit JsonlWriter(std::string path, Mode mode = Mode::kTruncate);
+  // stdout. A file keeps its first `keep_bytes` bytes (a resumed run's
+  // committed rows) and the rest is truncated; rows are appended after them.
+  // Throws std::runtime_error if the file cannot be opened.
+  explicit JsonlWriter(std::string path, std::uint64_t keep_bytes = 0);
   ~JsonlWriter();
 
   JsonlWriter(const JsonlWriter&) = delete;
@@ -73,12 +71,8 @@ class JsonlWriter {
   [[nodiscard]] std::size_t rows_written() const;
 
   void write(const JsonObject& row);
-  // Emit one pre-serialized row verbatim (no trailing newline in `line`).
-  // Used by the dispatch merge step to copy shard rows byte-exactly.
-  void write_line(std::string_view line);
 
  private:
-  void emit(std::string_view line);  // caller holds mu_
 
   std::string path_;
   mutable std::mutex mu_;

@@ -33,7 +33,7 @@ struct RunOptions {
   int jobs = 1;
   std::string out;        // results JSONL; "" = disabled, "-" = stdout
   std::string trace_out;  // probe time-series sidecar JSONL; "" = disabled
-  bool resume = false;    // skip job indexes already complete in `out`
+  bool resume = false;    // continue after the jobs already committed in `out`
   bool perf = false;      // write a BENCH_<name>.json perf summary
   std::string perf_out;   // summary path; "" = BENCH_<name>.json
 
@@ -122,7 +122,7 @@ struct Registration {
                                                           int n);
 
 // Group records by strip_trial(label) over consecutive jobs and aggregate
-// each metric across the group's non-skipped records.
+// each metric across the group's records.
 [[nodiscard]] std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& jobs,
                                                     const std::vector<RunRecord>& records,
                                                     const MetricExtractor& extra);

@@ -18,23 +18,19 @@ namespace cebinae::exp {
 [[nodiscard]] std::string pm(const Aggregate& a, int precision = 2);
 
 // Elementwise mean of a per-flow (or per-link) vector across a row's trial
-// records; `get(record)` selects the vector. Records resumed over (skipped)
-// are ignored; vectors shorter than the longest contribute zeros beyond
-// their length.
+// records; `get(record)` selects the vector. Vectors shorter than the
+// longest contribute zeros beyond their length.
 template <typename Get>
 [[nodiscard]] std::vector<double> mean_array(const std::vector<const RunRecord*>& trials,
                                              Get get) {
   std::vector<double> sum;
-  int n = 0;
   for (const RunRecord* rec : trials) {
-    if (rec == nullptr || rec->skipped) continue;
     const auto& v = get(*rec);
     if (v.size() > sum.size()) sum.resize(v.size(), 0.0);
     for (std::size_t i = 0; i < v.size(); ++i) sum[i] += v[i];
-    ++n;
   }
-  if (n > 1) {
-    for (double& s : sum) s /= static_cast<double>(n);
+  if (trials.size() > 1) {
+    for (double& s : sum) s /= static_cast<double>(trials.size());
   }
   return sum;
 }

@@ -52,7 +52,7 @@ void Device::try_transmit() {
   });
   assert(peer_ != nullptr && "device transmitted before the link was connected");
   // The arrival's key is reserved here, right after the tx-done event: this
-  // position fixes the global (when, seq) order (DESIGN.md §12).
+  // position fixes the global (when, seq) order (DESIGN.md §11).
   const std::uint64_t seq = sched_.reserve_seq();
   const Time arrival = sched_.now() + (tx_time + prop_delay_);
   if (wire_len_++ == 0) {

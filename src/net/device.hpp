@@ -10,7 +10,7 @@
 // sent: a FIFO with at most one armed event, for its head. Each frame keeps
 // the (arrival, seq) key reserved when it was sent (see
 // Scheduler::reserve_seq), so the global event order is the same as with
-// one propagation event per frame (DESIGN.md §12).
+// one propagation event per frame (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>

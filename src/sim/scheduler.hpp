@@ -5,7 +5,7 @@
 // exactly reproducible for a given seed and schedule. The `--jobs=N` merge
 // determinism of the experiment harness depends on this promise.
 //
-// Hot-path design (see DESIGN.md §12):
+// Hot-path design (see DESIGN.md §11):
 //   - Callbacks are InlineFunction<kEventInlineBytes>: captures up to 48
 //     bytes live inside the event slot, so scheduling costs no allocation
 //     once the slot/heap vectors reach their high-water marks.

@@ -147,24 +147,5 @@ TEST(AggregateRows, GroupsConsecutiveTrialsAndAggregatesExtras) {
   EXPECT_DOUBLE_EQ(rows[0].mean("absent"), 0.0);
 }
 
-TEST(AggregateRows, SkippedRecordsJoinTheRowButContributeNoSamples) {
-  std::vector<ExperimentJob> jobs(2);
-  std::vector<RunRecord> records(2);
-  jobs[0].label = "point=a trial=0";
-  jobs[1].label = "point=a trial=1";
-  for (auto& j : jobs) {
-    j.custom = [](std::uint64_t) { return std::vector<std::pair<std::string, double>>{}; };
-  }
-  records[0].extra.emplace_back("metric", 7.0);
-  records[1].skipped = true;
-  const auto rows = aggregate_rows(jobs, records, nullptr);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].trials.size(), 2u);
-  const Aggregate* a = rows[0].metric("metric");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->n, 1);
-  EXPECT_DOUBLE_EQ(a->mean, 7.0);
-}
-
 }  // namespace
 }  // namespace cebinae::exp

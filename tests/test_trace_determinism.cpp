@@ -1,7 +1,7 @@
 // Telemetry determinism contract: the trace sidecar produced by a traced
 // batch is byte-identical for any --jobs count and across same-seed reruns,
-// and resumable sweeps complete a truncated results file without disturbing
-// the rows already on disk.
+// and a resumed sweep completes killed files without disturbing the rows
+// already committed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -118,29 +118,11 @@ TEST(TraceDeterminism, ProbeSetupHookAddsCustomColumns) {
 
 // --- resumable sweeps -----------------------------------------------------
 
-TEST(CompletedJobIndices, ParsesCompleteRowsOnly) {
-  std::istringstream in(
-      "{\"label\":\"a\",\"job_index\":0,\"jfi\":1}\n"
-      "not json at all\n"
-      "{\"label\":\"b\",\"job_index\":3,\"jfi\":0.5}\n"
-      "{\"label\":\"c\",\"job_index\":5,\"jfi\":0.2");  // killed mid-write
-  const auto done = completed_job_indices(in);
-  EXPECT_EQ(done.size(), 2u);
-  EXPECT_TRUE(done.count(0));
-  EXPECT_TRUE(done.count(3));
-  EXPECT_FALSE(done.count(5));  // no closing brace -> job reruns
-}
-
-TEST(CompletedJobIndices, MissingFileYieldsEmptySet) {
-  EXPECT_TRUE(completed_job_indices_file("/nonexistent/cebinae.jsonl").empty());
-}
-
-std::vector<std::string> read_lines(const std::string& path) {
+std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
 }
 
 // Strips the (intentionally non-deterministic) wall-clock field.
@@ -151,55 +133,60 @@ std::string strip_wall(const std::string& line) {
 
 TEST(ResumableSweep, SkipsCompletedJobsAndCompletesTheFile) {
   const std::string full_path = ::testing::TempDir() + "cebinae_resume_full.jsonl";
-  const std::string resumed_path = ::testing::TempDir() + "cebinae_resume_part.jsonl";
+  const std::string full_trace = ::testing::TempDir() + "cebinae_resume_full.trace.jsonl";
+  const std::string part_path = ::testing::TempDir() + "cebinae_resume_part.jsonl";
+  const std::string part_trace = ::testing::TempDir() + "cebinae_resume_part.trace.jsonl";
 
   const std::vector<ExperimentJob> jobs = traced_batch();
-  auto run = [&jobs](JsonlWriter& writer, std::unordered_set<std::uint64_t> skip) {
+  auto run = [&jobs](const std::string& out, const std::string& trace,
+                     const ResumePrefix& prefix) {
+    JsonlWriter writer(out, prefix.out_bytes);
+    JsonlWriter trace_writer(trace, prefix.trace_bytes);
     ExperimentRunner::Options opts;
     opts.jobs = 2;
     opts.base_seed = 11;
     opts.writer = &writer;
-    opts.skip_completed = std::move(skip);
+    opts.trace_writer = &trace_writer;
+    opts.resumed = prefix.records;
     return ExperimentRunner(opts).run(jobs);
   };
 
-  {
-    JsonlWriter writer(full_path);
-    (void)run(writer, {});
-  }
-  const std::vector<std::string> full = read_lines(full_path);
-  ASSERT_EQ(full.size(), 2u);
+  const std::vector<RunRecord> full = run(full_path, full_trace, {});
+  const std::string full_rows = read_file(full_path);
+  const std::string full_trace_rows = read_file(full_trace);
+  const std::size_t row0_end = full_rows.find('\n') + 1;
+  // Job 0's 4 trace rows, then job 1's: job 1 starts at the 5th line.
+  std::size_t trace0_end = 0;
+  for (int i = 0; i < 4; ++i) trace0_end = full_trace_rows.find('\n', trace0_end) + 1;
 
-  // Simulate a killed sweep: only job 0's row made it to disk.
+  // Simulate a sweep killed while job 1 was writing its trace rows.
   {
-    std::ofstream out(resumed_path, std::ios::trunc);
-    out << full[0] << '\n';
+    std::ofstream(part_path) << full_rows.substr(0, row0_end);
+    std::ofstream(part_trace) << full_trace_rows.substr(0, trace0_end + 10);
   }
-  const auto done = completed_job_indices_file(resumed_path);
-  ASSERT_EQ(done.size(), 1u);
-  ASSERT_TRUE(done.count(0));
+  const ResumePrefix prefix = load_resume_prefix_file(jobs, 11, part_path, part_trace);
+  ASSERT_EQ(prefix.records.size(), 1u);
+  EXPECT_EQ(prefix.records[0].seed, derive_seed(11, 0));
+  EXPECT_EQ(prefix.records[0].trace.size(), 4u);
+  EXPECT_EQ(prefix.out_bytes, row0_end);
+  EXPECT_EQ(prefix.trace_bytes, trace0_end);
 
-  std::vector<RunRecord> records;
-  {
-    JsonlWriter writer(resumed_path, JsonlWriter::Mode::kAppend);
-    records = run(writer, done);
-  }
-  // Job 0 was resumed over: not re-run, seed still derived for bookkeeping.
-  EXPECT_TRUE(records[0].skipped);
-  EXPECT_EQ(records[0].seed, derive_seed(11, 0));
-  EXPECT_TRUE(records[0].trace.empty());
-  EXPECT_FALSE(records[1].skipped);
+  const std::vector<RunRecord> records = run(part_path, part_trace, prefix);
+  // Job 0 was rebuilt from its rows, not re-run; job 1 ran.
+  EXPECT_EQ(records[0].wall_seconds, prefix.records[0].wall_seconds);
+  EXPECT_EQ(records[0].result.goodput_Bps, full[0].result.goodput_Bps);
   EXPECT_EQ(records[1].trace.size(), 4u);
 
-  // The resumed file holds the original job-0 row plus a fresh job-1 row
+  // The resumed files hold the original job-0 rows plus fresh job-1 rows
   // equal (modulo wall clock) to the full run's.
-  const std::vector<std::string> resumed = read_lines(resumed_path);
-  ASSERT_EQ(resumed.size(), 2u);
-  EXPECT_EQ(resumed[0], full[0]);
-  EXPECT_EQ(strip_wall(resumed[1]), strip_wall(full[1]));
+  const std::string part_rows = read_file(part_path);
+  EXPECT_EQ(part_rows.substr(0, row0_end), full_rows.substr(0, row0_end));
+  EXPECT_EQ(strip_wall(part_rows.substr(row0_end)), strip_wall(full_rows.substr(row0_end)));
+  EXPECT_EQ(read_file(part_trace), full_trace_rows);
 
-  std::remove(full_path.c_str());
-  std::remove(resumed_path.c_str());
+  for (const std::string& path : {full_path, full_trace, part_path, part_trace}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
