@@ -18,8 +18,10 @@
 //                    --out/--trace-out, run the rest, print the full report
 //   --perf-out[=P]   write a BENCH_<name>.json perf summary
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -44,6 +46,18 @@ int usage(FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
+// Parses the value of `--flag=value` as a whole non-negative decimal integer
+// no larger than `max`. Anything else (empty, a sign, trailing characters,
+// overflow) prints an error and returns false.
+bool parse_count(const char* arg, std::uint64_t max, std::uint64_t& out) {
+  const char* text = std::strchr(arg, '=') + 1;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && ptr == end && out <= max) return true;
+  std::fprintf(stderr, "error: %s: expected a non-negative integer\n", arg);
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,11 +76,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--smoke") == 0) {
       opts.smoke = true;
     } else if (std::strncmp(arg, "--trials=", 9) == 0) {
-      opts.trials = std::atoi(arg + 9);
+      std::uint64_t n = 0;
+      if (!parse_count(arg, INT_MAX, n)) return 2;
+      opts.trials = static_cast<int>(n);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opts.jobs = std::atoi(arg + 7);
+      std::uint64_t n = 0;
+      if (!parse_count(arg, INT_MAX, n)) return 2;
+      opts.jobs = static_cast<int>(n);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.base_seed = std::strtoull(arg + 7, nullptr, 10);
+      if (!parse_count(arg, UINT64_MAX, opts.base_seed)) return 2;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       opts.out = arg + 6;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {

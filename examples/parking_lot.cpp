@@ -37,7 +37,7 @@ int main() {
     }
 
     Scenario scenario(cfg);
-    const std::vector<double> ideal = scenario.ideal_goodputs_Bps();
+    const std::vector<double> ideal = ideal_goodputs_Bps(scenario.config());
     const ScenarioResult r = scenario.run();
 
     std::printf("--- %s ---\n", std::string(to_string(qdisc)).c_str());

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Bench smoke gate (tier-1): every experiment `cebinae_bench --list` reports
-# must complete a --smoke run, and a representative subset must produce
-# byte-identical stdout at --jobs=1 and --jobs=4 (the registry's determinism
-# contract: reports render only from aggregated records, progress goes to
-# stderr).
+# Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values must
+# exit 2, every experiment `cebinae_bench --list` reports must complete a
+# --smoke run, and a representative subset must produce byte-identical
+# stdout at --jobs=1 and --jobs=4 (the registry's determinism contract:
+# reports render only from aggregated records, progress goes to stderr).
 #
 # Usage: scripts/bench_smoke.sh [path-to-cebinae_bench]
 set -euo pipefail
@@ -20,6 +20,18 @@ if [[ -z "$names" ]]; then
   echo "error: --list returned no experiments" >&2
   exit 1
 fi
+
+# Malformed numeric flags must be rejected (exit 2, "error:"), not read as
+# their numeric prefix.
+for flag in --seed=abc --seed=-1 --trials=2x --trials= --jobs=x1 --jobs=+4 \
+            --seed=18446744073709551616; do
+  status=0
+  err="$("$BENCH" --experiment=fig12 --smoke "$flag" 2>&1 >/dev/null)" || status=$?
+  if [[ "$status" -ne 2 || "$err" != error:* ]]; then
+    echo "error: $flag exited $status (want 2 with an 'error:' message)" >&2
+    exit 1
+  fi
+done
 
 for name in $names; do
   echo "== $name --smoke ==" >&2

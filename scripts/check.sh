@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Fast-suite CI gate: build with ThreadSanitizer and run the tier-1 tests
-# (unit tests + exp_smoke + bench_smoke + golden_smoke + resume_smoke).
+# (unit tests + exp_smoke + bench_smoke + golden_smoke + resume_smoke +
+# examples_smoke).
 # TSan exercises the src/exp thread pool and the runner's in-order JSONL
 # emission, including a resumed batch; resume_smoke additionally SIGKILLs
 # a 4-thread sweep and resumes it. The tier1 label keeps this loop fast

@@ -45,7 +45,7 @@ void CebinaeAgent::recompute() {
   ++recomputations_;
   const Time interval = params_.dt * params_.p_rounds;
 
-  // Fig. 4 lines 8-13: port utilization from the shadow byte counter.
+  // Fig. 4 lines 8-13: port utilization from the transmit byte counter.
   const bool saturated = qdisc_.port().sample(interval);
 
   // Fig. 4 line 10: the cache is polled and reset every interval regardless

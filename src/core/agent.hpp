@@ -2,7 +2,7 @@
 // Fig. 6 timeline).
 //
 // Every dT the data plane rotates queue priorities (driven by the packet
-// generator). Every P rotations the agent samples the port's shadow byte
+// generator). Every P rotations the agent samples the port's transmit byte
 // counter, polls-and-resets the heavy-hitter cache, classifies ⊤ flows
 // (within δf of the maximum), and computes taxed rate allocations; all
 // changes commit at t0 + vdT + L — the window in which the drained queue is

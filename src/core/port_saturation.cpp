@@ -3,10 +3,8 @@
 namespace cebinae {
 
 bool PortSaturationDetector::sample(Time interval) {
-  counter_.snapshot();
-  const std::uint64_t current = counter_.shadow_at(0);
-  const std::uint64_t delta = current - last_sample_;
-  last_sample_ = current;
+  const std::uint64_t delta = tx_bytes_ - last_sample_;
+  last_sample_ = tx_bytes_;
 
   const double capacity_bytes =
       static_cast<double>(capacity_bps_) / 8.0 * interval.seconds();

@@ -32,19 +32,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.back();
 }
 
-void MetricsRegistry::gauge(std::string_view name, std::function<double()> fn) {
-  const auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) {
-    const Entry& e = order_[it->second];
-    assert(e.kind == Kind::kGauge && "metric name reused with a different kind");
-    gauges_[e.index] = std::move(fn);
-    return;
-  }
-  gauges_.push_back(std::move(fn));
-  by_name_.emplace(std::string(name), order_.size());
-  order_.push_back(Entry{std::string(name), Kind::kGauge, gauges_.size() - 1});
-}
-
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   const auto it = by_name_.find(std::string(name));
   if (it == by_name_.end() || order_[it->second].kind != Kind::kCounter) return nullptr;
@@ -57,19 +44,11 @@ const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   return &histograms_[order_[it->second].index];
 }
 
-bool MetricsRegistry::has_gauge(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
-  return it != by_name_.end() && order_[it->second].kind == Kind::kGauge;
-}
-
 void MetricsRegistry::sample_into(TraceRow& row) const {
   for (const Entry& e : order_) {
     switch (e.kind) {
       case Kind::kCounter:
         row.set(e.name, static_cast<double>(counters_[e.index].value()));
-        break;
-      case Kind::kGauge:
-        row.set(e.name, gauges_[e.index]());
         break;
       case Kind::kHistogram: {
         const Histogram& h = histograms_[e.index];

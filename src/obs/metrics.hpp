@@ -1,5 +1,5 @@
-// Per-scenario metrics registry: named counters, gauges, and histogram
-// accumulators for the observability layer.
+// Per-scenario metrics registry: named counters and histogram accumulators
+// for the observability layer.
 //
 // Ownership and threading: a MetricsRegistry is owned by a Network (one per
 // Scenario) — there is deliberately NO process-global registry, preserving
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -70,23 +69,17 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  // Register (or replace) a gauge: a callback evaluated at sample time.
-  // Gauges are for values that are cheap to read but change continuously
-  // (queue depth, cwnd); nothing is paid on the datapath.
-  void gauge(std::string_view name, std::function<double()> fn);
-
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
-  [[nodiscard]] bool has_gauge(std::string_view name) const;
   [[nodiscard]] std::size_t size() const { return order_.size(); }
 
   // Snapshot every metric into `row`, in registration order (deterministic
-  // key order is what keeps trace files byte-stable). Counters and gauges
-  // emit one scalar; a histogram `h` emits `h.n`, `h.mean`, and `h.max`.
+  // key order is what keeps trace files byte-stable). A counter emits one
+  // scalar; a histogram `h` emits `h.n`, `h.mean`, and `h.max`.
   void sample_into(TraceRow& row) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct Entry {
     std::string name;
     Kind kind;
@@ -97,7 +90,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::size_t> by_name_;  // -> order_ index
   std::deque<Counter> counters_;
   std::deque<Histogram> histograms_;
-  std::vector<std::function<double()>> gauges_;
 };
 
 }  // namespace cebinae::obs

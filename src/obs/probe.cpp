@@ -4,6 +4,11 @@
 
 namespace cebinae::obs {
 
+Probe::Probe(Scheduler& sched, Time period, TraceSink& sink)
+    : sched_(sched), sink_(sink), timer_(sched, period, [this] { tick(); }) {
+  assert(period > Time::zero() && "probe period must be positive");
+}
+
 void Probe::add_scalar(std::string name, std::function<double(Time)> fn) {
   add_sampler([name = std::move(name), fn = std::move(fn)](Time now, TraceRow& row) {
     row.set(name, fn(now));
@@ -20,27 +25,11 @@ void Probe::sample_registry(const MetricsRegistry& reg) {
   add_sampler([&reg](Time, TraceRow& row) { reg.sample_into(row); });
 }
 
-void Probe::start() {
-  assert(period_ > Time::zero() && "probe period must be positive");
-  if (running_) return;
-  running_ = true;
-  pending_ = sched_.schedule(period_, [this] { tick(); });
-}
-
-void Probe::stop() {
-  if (!running_) return;
-  running_ = false;
-  sched_.cancel(pending_);
-  pending_ = EventId();
-}
-
 void Probe::tick() {
   const Time now = sched_.now();
   TraceRow row(now.seconds());
   for (const auto& sampler : samplers_) sampler(now, row);
   sink_.push(std::move(row));
-  ++ticks_;
-  pending_ = sched_.schedule(period_, [this] { tick(); });
 }
 
 }  // namespace cebinae::obs

@@ -1,11 +1,12 @@
 // Scheduler-driven telemetry probe.
 //
 // A Probe fires on the deterministic event scheduler every `period`,
-// starting at now + period. Each tick builds one TraceRow stamped with the
-// simulation time and runs the registered samplers over it in registration
-// order, then pushes the row into the sink. Because ticks are ordinary
-// scheduler events, sampling is exactly reproducible: the same seed and
-// schedule yield the same rows regardless of host threads or wall clock.
+// starting at now + period, driven by a PacketGenerator. Each tick builds one
+// TraceRow stamped with the simulation time and runs the registered samplers
+// over it in registration order, then pushes the row into the sink. Because
+// ticks are ordinary scheduler events, sampling is exactly reproducible: the
+// same seed and schedule yield the same rows regardless of host threads or
+// wall clock.
 //
 // Probe ticks scheduled at time T run before same-timestamp packet events
 // that were scheduled later (FIFO tie-break), so a tick at T observes the
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "control/packet_generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
@@ -26,12 +28,7 @@ namespace cebinae::obs {
 
 class Probe {
  public:
-  Probe(Scheduler& sched, Time period, TraceSink& sink)
-      : sched_(sched), period_(period), sink_(sink) {}
-
-  ~Probe() { stop(); }
-  Probe(const Probe&) = delete;
-  Probe& operator=(const Probe&) = delete;
+  Probe(Scheduler& sched, Time period, TraceSink& sink);
 
   // Samplers run in registration order on every tick.
   void add_sampler(std::function<void(Time now, TraceRow& row)> fn) {
@@ -46,24 +43,18 @@ class Probe {
   void sample_registry(const MetricsRegistry& reg);
 
   // First tick at now + period, then every period until stop().
-  void start();
-  void stop();
-
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] Time period() const { return period_; }
-  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
-  [[nodiscard]] TraceSink& sink() { return sink_; }
+  void start() { timer_.start(timer_.period()); }
+  void stop() { timer_.stop(); }
 
  private:
   void tick();
 
   Scheduler& sched_;
-  Time period_;
   TraceSink& sink_;
   std::vector<std::function<void(Time, TraceRow&)>> samplers_;
-  EventId pending_;
-  bool running_ = false;
-  std::uint64_t ticks_ = 0;
+  // Re-arms before tick() runs the samplers. The event order is the same as
+  // re-arming after them only because samplers never schedule events.
+  PacketGenerator timer_;
 };
 
 }  // namespace cebinae::obs

@@ -65,21 +65,14 @@ class TraceSink {
   [[nodiscard]] bool empty() const { return rows_.empty(); }
   [[nodiscard]] std::vector<TraceRow> take_rows() { return std::move(rows_); }
 
-  // Column extraction for benches that print tables from a finished run.
-  // The static forms work on rows already moved out (e.g. RunRecord::trace).
+  // Column extraction for benches that print tables from a finished run;
+  // works on rows already moved out (e.g. RunRecord::trace).
   [[nodiscard]] static std::vector<double> series_of(const std::vector<TraceRow>& rows,
                                                      std::string_view scalar_name);
   // Element `index` of a named array in every row (NaN where missing/short).
   [[nodiscard]] static std::vector<double> array_series_of(const std::vector<TraceRow>& rows,
                                                            std::string_view array_name,
                                                            std::size_t index);
-  [[nodiscard]] std::vector<double> series(std::string_view scalar_name) const {
-    return series_of(rows_, scalar_name);
-  }
-  [[nodiscard]] std::vector<double> array_series(std::string_view array_name,
-                                                 std::size_t index) const {
-    return array_series_of(rows_, array_name, index);
-  }
 
  private:
   std::vector<TraceRow> rows_;

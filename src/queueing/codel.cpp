@@ -91,26 +91,4 @@ std::optional<Packet> CodelController::dequeue(std::deque<TimestampedPacket>& q,
   return r.pkt;
 }
 
-bool CodelQueue::enqueue(Packet pkt) {
-  if (bytes_ + pkt.size_bytes > limit_bytes_) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
-    return false;
-  }
-  bytes_ += pkt.size_bytes;
-  ++stats_.enqueued_packets;
-  q_.push_back(TimestampedPacket{std::move(pkt), sched_.now()});
-  return true;
-}
-
-std::optional<Packet> CodelQueue::dequeue() {
-  std::optional<Packet> pkt =
-      controller_.dequeue(q_, bytes_, sched_.now(), stats_, sojourn_hist());
-  if (pkt) {
-    ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += pkt->size_bytes;
-  }
-  return pkt;
-}
-
 }  // namespace cebinae

@@ -1,8 +1,7 @@
 // CoDel active queue management (RFC 8289).
 //
-// `CodelController` holds the control-law state and is reusable: the
-// standalone `CodelQueue` qdisc wraps one controller around a FIFO, and
-// FQ-CoDel instantiates one controller per flow queue.
+// `CodelController` holds the control-law state over a caller-owned packet
+// deque; FQ-CoDel instantiates one controller per flow queue.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <optional>
 
 #include "queueing/queue_disc.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace cebinae {
@@ -35,9 +33,6 @@ class CodelController {
                                 Time now, QueueDiscStats& stats,
                                 obs::Histogram* sojourn = nullptr);
 
-  [[nodiscard]] std::uint32_t drop_count() const { return count_; }
-  [[nodiscard]] bool dropping() const { return dropping_; }
-
  private:
   struct DodequeResult {
     std::optional<Packet> pkt;
@@ -53,25 +48,6 @@ class CodelController {
   Time drop_next_ = Time::zero();
   std::uint32_t count_ = 0;
   bool dropping_ = false;
-};
-
-class CodelQueue final : public QueueDisc {
- public:
-  CodelQueue(Scheduler& sched, std::uint64_t limit_bytes, CodelParams params = {})
-      : sched_(sched), limit_bytes_(limit_bytes), controller_(params) {}
-
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
-
-  [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return q_.size(); }
-
- private:
-  Scheduler& sched_;
-  std::uint64_t limit_bytes_;
-  CodelController controller_;
-  std::deque<TimestampedPacket> q_;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace cebinae

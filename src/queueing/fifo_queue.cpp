@@ -5,7 +5,7 @@
 namespace cebinae {
 
 bool FifoQueue::enqueue(Packet pkt) {
-  if (bytes_ + pkt.size_bytes > limit_bytes_ || q_.size() + 1 > limit_packets_) {
+  if (bytes_ + pkt.size_bytes > limit_bytes_) {
     ++stats_.dropped_packets;
     stats_.dropped_bytes += pkt.size_bytes;
     return false;

@@ -12,19 +12,11 @@ namespace cebinae {
 
 class FifoQueue final : public QueueDisc {
  public:
-  // Limits are checked before admitting a packet: admission requires both
-  // byte_count + size <= limit_bytes and packet_count + 1 <= limit_packets.
-  explicit FifoQueue(std::uint64_t limit_bytes,
-                     std::uint64_t limit_packets = std::numeric_limits<std::uint64_t>::max())
-      : limit_bytes_(limit_bytes), limit_packets_(limit_packets) {}
+  // Admission requires byte_count + size <= limit_bytes.
+  explicit FifoQueue(std::uint64_t limit_bytes) : limit_bytes_(limit_bytes) {}
 
   [[nodiscard]] static std::uint64_t unlimited() {
     return std::numeric_limits<std::uint64_t>::max();
-  }
-
-  // Convenience: limit expressed in MTUs, as in the paper's Table 2.
-  [[nodiscard]] static FifoQueue with_mtu_limit(std::uint64_t mtus) {
-    return FifoQueue(mtus * kMtuBytes);
   }
 
   bool enqueue(Packet pkt) override;
@@ -35,7 +27,6 @@ class FifoQueue final : public QueueDisc {
 
  private:
   std::uint64_t limit_bytes_;
-  std::uint64_t limit_packets_;
   std::uint64_t bytes_ = 0;
   std::deque<TimestampedPacket> q_;
 };

@@ -128,20 +128,30 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
 
   for (std::size_t i = 0; i < cfg_.flows.size(); ++i) {
     const FlowSpec& spec = cfg_.flows[i];
-    BulkFlow::Spec bs;
-    bs.cca = spec.cca;
-    bs.start_time = spec.start;
+    const auto port = static_cast<std::uint16_t>(5000 + i);
+    const FlowId flow{pairs[i].src->id(), pairs[i].dst->id(), port, port};
+
+    TcpSender::Config sc;
+    sc.flow = flow;
+    sc.start_time = spec.start;
     if (cfg_.start_jitter > Time::zero()) {
-      bs.start_time += Time(static_cast<std::int64_t>(
+      sc.start_time += Time(static_cast<std::int64_t>(
           jitter_rng.uniform(0.0, static_cast<double>(cfg_.start_jitter.ns()))));
     }
-    bs.stop_time = spec.stop;
-    bs.bytes_to_send = spec.bytes;
-    bs.ecn = spec.ecn;
-    bs.port = static_cast<std::uint16_t>(5000 + i);
-    flows_.push_back(
-        std::make_unique<BulkFlow>(*net_, *pairs[i].src, *pairs[i].dst, bs, &stats_));
-    flow_ids_.push_back(flows_.back()->id());
+    sc.stop_time = spec.stop;
+    sc.bytes_to_send = spec.bytes;
+    sc.ecn_capable = spec.ecn;
+    sc.metrics = &net_->metrics();
+
+    senders_.push_back(
+        std::make_unique<TcpSender>(net_->scheduler(), *pairs[i].src, make_cc(spec.cca), sc));
+    receivers_.push_back(std::make_unique<TcpReceiver>(net_->scheduler(), *pairs[i].dst, flow));
+    stats_.register_flow(flow);
+    receivers_.back()->set_delivery_callback(
+        [this](const FlowId& f, std::uint64_t bytes, Time now) {
+          stats_.on_delivery(f, bytes, now);
+        });
+    flow_ids_.push_back(flow);
   }
 }
 
@@ -189,9 +199,9 @@ obs::Probe& Scenario::enable_trace(Time period) {
   // Per-flow TCP state.
   probe.add_sampler([this](Time, obs::TraceRow& row) {
     std::vector<double> cwnd, srtt;
-    for (const auto& flow : flows_) {
-      cwnd.push_back(static_cast<double>(flow->sender().cc().cwnd_bytes()));
-      srtt.push_back(flow->sender().rtt().srtt().seconds());
+    for (const auto& sender : senders_) {
+      cwnd.push_back(static_cast<double>(sender->cc().cwnd_bytes()));
+      srtt.push_back(sender->rtt().srtt().seconds());
     }
     row.set("cwnd_bytes", std::move(cwnd));
     row.set("srtt_s", std::move(srtt));
@@ -240,17 +250,9 @@ obs::Probe& Scenario::enable_trace(Time period) {
   return probe;
 }
 
-void Scenario::add_probe(Time period, std::function<void(Time)> fn) {
-  auto gen = std::make_unique<PacketGenerator>(
-      net_->scheduler(), period,
-      [this, fn = std::move(fn)] { fn(net_->scheduler().now()); });
-  gen->start(period);
-  probes_.push_back(std::move(gen));
-}
-
 ScenarioResult Scenario::run() {
   for (auto& agent : agents_) agent->start();
-  for (auto& flow : flows_) flow->start();
+  for (auto& sender : senders_) sender->start();
   net_->scheduler().run_until(cfg_.duration);
 
   ScenarioResult r;
@@ -284,11 +286,6 @@ std::vector<double> ideal_goodputs_Bps(const ScenarioConfig& cfg) {
     problem.flow_links.push_back(std::move(links));
   }
   return maxmin_rates(problem);
-}
-
-std::vector<double> Scenario::ideal_goodputs_Bps() const {
-  // cfg_ is already normalized by the constructor.
-  return cebinae::ideal_goodputs_Bps(cfg_);
 }
 
 }  // namespace cebinae

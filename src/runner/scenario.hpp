@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -26,8 +24,8 @@
 #include "queueing/fq_codel.hpp"
 #include "queueing/token_bucket.hpp"
 #include "runner/flow_spec.hpp"
+#include "tcp/tcp_socket.hpp"
 #include "topology/topology.hpp"
-#include "workload/bulk_app.hpp"
 
 namespace cebinae {
 
@@ -81,9 +79,6 @@ class Scenario {
 
   // Pre-run hooks -----------------------------------------------------------
 
-  // Fire `fn(now)` every `period` for the whole run (time-series probes).
-  void add_probe(Time period, std::function<void(Time)> fn);
-
   // Install the standard telemetry probe: every `period` it snapshots the
   // network's MetricsRegistry plus the computed series the paper's figures
   // need — per-flow windowed throughput and JFI(t), per-bottleneck queue
@@ -101,7 +96,7 @@ class Scenario {
   [[nodiscard]] FlowStatsCollector& stats() { return stats_; }
   [[nodiscard]] const std::vector<FlowId>& flow_ids() const { return flow_ids_; }
   [[nodiscard]] TcpSender& sender(std::size_t flow_index) {
-    return flows_.at(flow_index)->sender();
+    return *senders_.at(flow_index);
   }
   [[nodiscard]] const Device& bottleneck(int link = 0) const {
     return *topo_.bottlenecks.at(link);
@@ -118,10 +113,6 @@ class Scenario {
     return effective_params_;
   }
 
-  // Ideal max-min goodput allocation (application-level) for this scenario's
-  // topology and flows — Fig. 11's "Ideal" bars.
-  [[nodiscard]] std::vector<double> ideal_goodputs_Bps() const;
-
  private:
   [[nodiscard]] std::unique_ptr<QueueDisc> make_bottleneck_qdisc(int link);
 
@@ -130,11 +121,11 @@ class Scenario {
   std::unique_ptr<Network> net_;
   FlowStatsCollector stats_;
   ChainTopology topo_;
-  std::vector<std::unique_ptr<BulkFlow>> flows_;
+  std::vector<std::unique_ptr<TcpSender>> senders_;
+  std::vector<std::unique_ptr<TcpReceiver>> receivers_;
   std::vector<FlowId> flow_ids_;
   std::vector<std::unique_ptr<CebinaeAgent>> agents_;
   std::vector<CebinaeQueueDisc*> cebinae_qdiscs_;
-  std::vector<std::unique_ptr<PacketGenerator>> probes_;
   obs::TraceSink trace_sink_;
   std::unique_ptr<obs::Probe> trace_probe_;
 };

@@ -49,7 +49,4 @@ class CongestionControl {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-// Factory signature used by scenario configuration.
-using CongestionControlFactory = std::unique_ptr<CongestionControl> (*)(std::uint32_t mss);
-
 }  // namespace cebinae

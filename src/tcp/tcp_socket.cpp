@@ -117,12 +117,8 @@ void TcpSender::start() {
   });
 }
 
-std::uint64_t TcpSender::send_window() const {
-  return std::min(cc_->cwnd_bytes() + recovery_extra_, config_.rcv_wnd);
-}
-
 void TcpSender::process_sack(const Packet& ack) {
-  if (!config_.sack || ack.sack_count == 0) return;
+  if (ack.sack_count == 0) return;
   for (std::uint8_t b = 0; b < ack.sack_count; ++b) {
     const auto& block = ack.sack[b];
     // unacked_ is sorted by seq; locate the first segment of the block that
@@ -209,14 +205,14 @@ std::uint64_t TcpSender::prr_budget() const {
   // segment per delivery.
   const std::uint64_t grow = prr_delivered_ > prr_out_ ? prr_delivered_ - prr_out_ : 0;
   return std::min<std::uint64_t>(target - pipe,
-                                 std::max<std::uint64_t>(grow, config_.mss));
+                                 std::max<std::uint64_t>(grow, kMssBytes));
 }
 
 void TcpSender::repair_holes() {
   while (true) {
     if (loss_mode_ == LossMode::kFastRecovery) {
-      if (prr_budget() < config_.mss) return;
-    } else if (pipe_bytes() + config_.mss > send_window()) {
+      if (prr_budget() < kMssBytes) return;
+    } else if (pipe_bytes() + kMssBytes > cc_->cwnd_bytes()) {
       return;
     }
     if (!retransmit_hole()) return;
@@ -251,13 +247,10 @@ void TcpSender::try_send() {
   const double pacing = cc_->pacing_rate_Bps();
 
   while (!demand_exhausted()) {
-    const std::uint64_t wnd = send_window();
-    // With SACK, gate on the pipe estimate (SACKed bytes left the network);
-    // without it, rely on classic dup-ACK window inflation.
-    const std::uint64_t in_flight = config_.sack ? pipe_bytes() : bytes_in_flight();
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(config_.mss, config_.bytes_to_send - snd_nxt_));
-    if (in_flight + len > wnd) return;
+    const std::uint32_t len = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kMssBytes, config_.bytes_to_send - snd_nxt_));
+    // Gate on the pipe estimate: SACKed bytes have left the network.
+    if (pipe_bytes() + len > cc_->cwnd_bytes()) return;
     if (loss_mode_ == LossMode::kFastRecovery && len > prr_budget()) return;
 
     if (pacing > 0.0) {
@@ -375,18 +368,13 @@ void TcpSender::on_new_ack(const Packet& ack) {
   }
 
   dup_acks_ = 0;
-  recovery_extra_ = 0;
 
   if (in_recovery()) {
     if (snd_una_ >= recover_) {
       loss_mode_ = LossMode::kNone;
-    } else if (config_.sack) {
+    } else {
       // Partial ACK: repair as many holes as the pipe allows.
       repair_holes();
-    } else {
-      // NewReno partial ACK: the next hole is lost too; retransmit it
-      // immediately without leaving recovery.
-      retransmit_front();
     }
   }
 
@@ -422,14 +410,8 @@ void TcpSender::on_new_ack(const Packet& ack) {
 void TcpSender::on_dup_ack() {
   ++dup_acks_;
   if (in_recovery()) {
-    if (config_.sack) {
-      // Returning ACKs free pipe space; repair holes up to the window.
-      repair_holes();
-    } else {
-      // Window inflation stand-in: each dup ACK signals a departed packet,
-      // permitting one more transmission (packet conservation).
-      recovery_extra_ += config_.mss;
-    }
+    // Returning ACKs free pipe space; repair holes up to the window.
+    repair_holes();
   } else if (dup_acks_ == 3) {
     loss_mode_ = LossMode::kFastRecovery;
     recover_ = snd_nxt_;
@@ -438,13 +420,9 @@ void TcpSender::on_dup_ack() {
     cc_->on_loss(sched_.now(), bytes_in_flight());
     prr_delivered_ = 0;
     prr_out_ = 0;
-    recover_fs_ = std::max<std::uint64_t>(bytes_in_flight(), config_.mss);
-    if (config_.sack) {
-      if (!retransmit_hole()) retransmit_front();
-      repair_holes();
-    } else {
-      retransmit_front();
-    }
+    recover_fs_ = std::max<std::uint64_t>(bytes_in_flight(), kMssBytes);
+    if (!retransmit_hole()) retransmit_front();
+    repair_holes();
   }
   try_send();
 }
@@ -458,18 +436,12 @@ void TcpSender::on_rto_fire() {
   cc_->on_rto(sched_.now());
   rtt_.backoff();
   dup_acks_ = 0;
-  recovery_extra_ = 0;
-  if (config_.sack) {
-    // Enter loss recovery: everything unSACKed is lost; holes are repaired
-    // ACK-clocked as the (collapsed) window regrows.
-    mark_all_lost();
-    loss_mode_ = LossMode::kRtoRecovery;
-    recover_ = snd_nxt_;
-    retransmit_hole();
-  } else {
-    loss_mode_ = LossMode::kNone;
-    retransmit_front();
-  }
+  // Enter loss recovery: everything unSACKed is lost; holes are repaired
+  // ACK-clocked as the (collapsed) window regrows.
+  mark_all_lost();
+  loss_mode_ = LossMode::kRtoRecovery;
+  recover_ = snd_nxt_;
+  retransmit_hole();
   arm_rto();
 }
 

@@ -2,7 +2,7 @@
 //
 // The model covers everything the paper's workloads exercise: bytestream
 // transfer with cumulative ACKs, out-of-order reassembly, RTT sampling via
-// timestamp echo, fast retransmit / NewReno-style recovery, RTO with
+// timestamp echo, SACK-based fast recovery (RFC 6675 pipe, PRR), RTO with
 // exponential backoff, optional pacing (used by BBR), and ECN. Connection
 // setup/teardown (SYN/FIN) is omitted: sockets are born connected, which the
 // long-lived infinite-demand flows in the evaluation never notice.
@@ -66,13 +66,8 @@ class TcpSender final : public PacketSink {
  public:
   struct Config {
     FlowId flow;  // data direction: flow.src must be the local node
-    std::uint32_t mss = kMssBytes;
-    std::uint64_t rcv_wnd = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t bytes_to_send = std::numeric_limits<std::uint64_t>::max();
     bool ecn_capable = false;
-    // Selective acknowledgments (RFC 2018); on by default, matching modern
-    // stacks (and ns-3.35, which the paper's simulations use).
-    bool sack = true;
     Time start_time;
     Time stop_time = Time::max();  // stop offering new data after this time
     // Optional observability hookup (the owning Network's registry).
@@ -109,7 +104,6 @@ class TcpSender final : public PacketSink {
   }
   enum class LossMode { kNone, kFastRecovery, kRtoRecovery };
   [[nodiscard]] bool in_recovery() const { return loss_mode_ != LossMode::kNone; }
-  [[nodiscard]] LossMode loss_mode() const { return loss_mode_; }
   [[nodiscard]] std::uint64_t sacked_bytes_dbg() const { return sacked_bytes_; }
   [[nodiscard]] std::uint64_t lost_bytes_dbg() const { return lost_bytes_; }
 
@@ -127,8 +121,8 @@ class TcpSender final : public PacketSink {
 
   void try_send();
   void send_segment(std::uint64_t seq, std::uint32_t len, bool is_retransmission);
-  // Classic NewReno retransmission of the first unacknowledged segment
-  // (non-SACK mode).
+  // Retransmit the first unacknowledged segment: the fast-retransmit
+  // fallback when no hole is known yet.
   void retransmit_front();
   // Retransmit the first known-lost, not-yet-retransmitted segment.
   // Returns true when a segment was retransmitted.
@@ -143,7 +137,6 @@ class TcpSender final : public PacketSink {
   void on_rto_fire();
   void arm_rto();
   void disarm_rto();
-  [[nodiscard]] std::uint64_t send_window() const;
   [[nodiscard]] bool demand_exhausted() const;
 
   Scheduler& sched_;
@@ -172,7 +165,6 @@ class TcpSender final : public PacketSink {
   bool pending_ece_ = false;
   LossMode loss_mode_ = LossMode::kNone;
   std::uint64_t recover_ = 0;
-  std::uint64_t recovery_extra_ = 0;  // non-SACK dup-ACK window inflation
   std::uint64_t sacked_bytes_ = 0;
   std::uint64_t lost_bytes_ = 0;      // unSACKed, unretransmitted, below highest SACK
   std::uint64_t highest_sacked_ = 0;  // end of the highest SACKed range

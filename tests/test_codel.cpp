@@ -1,4 +1,7 @@
-#include "queueing/codel.hpp"
+// CoDel control-law tests. They run through FqCoDel: every test packet has
+// the same (default) FlowId, so there is one flow queue and every packet
+// passes through its CodelController.
+#include "queueing/fq_codel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,15 +15,16 @@ Packet pkt(std::uint32_t size, bool ect = false) {
   return p;
 }
 
-CodelParams no_ecn() {
-  CodelParams p;
-  p.use_ecn = false;
+FqCoDelParams codel_params(std::uint64_t limit_bytes, bool use_ecn = false) {
+  FqCoDelParams p;
+  p.limit_bytes = limit_bytes;
+  p.codel.use_ecn = use_ecn;
   return p;
 }
 
 TEST(Codel, NoDropsBelowTarget) {
   Scheduler sched;
-  CodelQueue q(sched, 1 << 20, no_ecn());
+  FqCoDel q(sched, codel_params(1 << 20));
   // Enqueue and dequeue promptly: sojourn ~0, never drops.
   for (int i = 0; i < 100; ++i) {
     q.enqueue(pkt(kMtuBytes));
@@ -32,7 +36,7 @@ TEST(Codel, NoDropsBelowTarget) {
 
 TEST(Codel, NoDropWithinFirstInterval) {
   Scheduler sched;
-  CodelQueue q(sched, 1 << 20, no_ecn());
+  FqCoDel q(sched, codel_params(1 << 20));
   for (int i = 0; i < 50; ++i) q.enqueue(pkt(kMtuBytes));
   // Sojourn above target but the 100 ms grace interval has not elapsed.
   sched.run_until(Milliseconds(50));
@@ -42,7 +46,7 @@ TEST(Codel, NoDropWithinFirstInterval) {
 
 TEST(Codel, DropsAfterPersistentQueue) {
   Scheduler sched;
-  CodelQueue q(sched, 1 << 20, no_ecn());
+  FqCoDel q(sched, codel_params(1 << 20));
   for (int i = 0; i < 200; ++i) q.enqueue(pkt(kMtuBytes));
   std::uint64_t drops = 0;
   // Dequeue slowly: standing queue with sojourn >> target for >> interval.
@@ -56,7 +60,7 @@ TEST(Codel, DropsAfterPersistentQueue) {
 
 TEST(Codel, DropRateAcceleratesWithSqrtLaw) {
   Scheduler sched;
-  CodelQueue q(sched, 8 << 20, no_ecn());
+  FqCoDel q(sched, codel_params(8 << 20));
   for (int i = 0; i < 2000; ++i) q.enqueue(pkt(kMtuBytes));
   std::uint64_t drops_first_half = 0;
   for (int i = 0; i < 50; ++i) {
@@ -74,9 +78,7 @@ TEST(Codel, DropRateAcceleratesWithSqrtLaw) {
 
 TEST(Codel, EcnMarksInsteadOfDropping) {
   Scheduler sched;
-  CodelParams params;
-  params.use_ecn = true;
-  CodelQueue q(sched, 8 << 20, params);
+  FqCoDel q(sched, codel_params(8 << 20, /*use_ecn=*/true));
   for (int i = 0; i < 500; ++i) q.enqueue(pkt(kMtuBytes, /*ect=*/true));
   bool saw_mark = false;
   for (int i = 0; i < 100; ++i) {
@@ -91,7 +93,7 @@ TEST(Codel, EcnMarksInsteadOfDropping) {
 
 TEST(Codel, RecoverWhenQueueDrains) {
   Scheduler sched;
-  CodelQueue q(sched, 1 << 20, no_ecn());
+  FqCoDel q(sched, codel_params(1 << 20));
   for (int i = 0; i < 100; ++i) q.enqueue(pkt(kMtuBytes));
   for (int i = 0; i < 100; ++i) {
     sched.run_until(sched.now() + Milliseconds(20));
@@ -107,14 +109,6 @@ TEST(Codel, RecoverWhenQueueDrains) {
     EXPECT_TRUE(q.dequeue().has_value());
   }
   EXPECT_EQ(q.stats().dropped_packets, drops_before);
-}
-
-TEST(Codel, ByteLimitStillApplies) {
-  Scheduler sched;
-  CodelQueue q(sched, 2 * kMtuBytes, no_ecn());
-  EXPECT_TRUE(q.enqueue(pkt(kMtuBytes)));
-  EXPECT_TRUE(q.enqueue(pkt(kMtuBytes)));
-  EXPECT_FALSE(q.enqueue(pkt(kMtuBytes)));
 }
 
 }  // namespace

@@ -34,14 +34,6 @@ TEST(FifoQueue, ByteLimitDropsTail) {
   EXPECT_EQ(q.stats().dropped_bytes, 100u);
 }
 
-TEST(FifoQueue, PacketLimit) {
-  FifoQueue q(FifoQueue::unlimited(), 2);
-  EXPECT_TRUE(q.enqueue(pkt(1)));
-  EXPECT_TRUE(q.enqueue(pkt(1)));
-  EXPECT_FALSE(q.enqueue(pkt(1)));
-  EXPECT_EQ(q.packet_count(), 2u);
-}
-
 TEST(FifoQueue, CountsTrackDequeues) {
   FifoQueue q(1000);
   q.enqueue(pkt(400));
@@ -55,7 +47,7 @@ TEST(FifoQueue, CountsTrackDequeues) {
 }
 
 TEST(FifoQueue, MtuLimitHelper) {
-  FifoQueue q = FifoQueue::with_mtu_limit(2);
+  FifoQueue q(2 * kMtuBytes);
   EXPECT_TRUE(q.enqueue(pkt(kMtuBytes)));
   EXPECT_TRUE(q.enqueue(pkt(kMtuBytes)));
   EXPECT_FALSE(q.enqueue(pkt(1)));

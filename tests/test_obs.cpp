@@ -56,40 +56,26 @@ TEST(MetricsRegistry, HistogramTracksSummaryStats) {
 TEST(MetricsRegistry, SampleIntoUsesRegistrationOrder) {
   MetricsRegistry reg;
   reg.counter("z.counter").add(7);
-  reg.gauge("a.gauge", [] { return 2.5; });
+  reg.counter("a.counter").add(2);
   reg.histogram("m.hist").observe(4.0);
   reg.histogram("m.hist").observe(8.0);
 
   TraceRow row(1.0);
   reg.sample_into(row);
-  // Registration order, not alphabetical: z.counter, a.gauge, then the
+  // Registration order, not alphabetical: z.counter, a.counter, then the
   // histogram's three derived scalars.
   const auto& scalars = row.scalars();
   ASSERT_EQ(scalars.size(), 5u);
   EXPECT_EQ(scalars[0].first, "z.counter");
   EXPECT_DOUBLE_EQ(scalars[0].second, 7.0);
-  EXPECT_EQ(scalars[1].first, "a.gauge");
-  EXPECT_DOUBLE_EQ(scalars[1].second, 2.5);
+  EXPECT_EQ(scalars[1].first, "a.counter");
+  EXPECT_DOUBLE_EQ(scalars[1].second, 2.0);
   EXPECT_EQ(scalars[2].first, "m.hist.n");
   EXPECT_DOUBLE_EQ(scalars[2].second, 2.0);
   EXPECT_EQ(scalars[3].first, "m.hist.mean");
   EXPECT_DOUBLE_EQ(scalars[3].second, 6.0);
   EXPECT_EQ(scalars[4].first, "m.hist.max");
   EXPECT_DOUBLE_EQ(scalars[4].second, 8.0);
-}
-
-TEST(MetricsRegistry, GaugeIsEvaluatedAtSampleTime) {
-  MetricsRegistry reg;
-  double depth = 0.0;
-  reg.gauge("q.depth", [&depth] { return depth; });
-  EXPECT_TRUE(reg.has_gauge("q.depth"));
-  TraceRow r1(1.0);
-  reg.sample_into(r1);
-  depth = 42.0;
-  TraceRow r2(2.0);
-  reg.sample_into(r2);
-  EXPECT_DOUBLE_EQ(r1.scalar("q.depth"), 0.0);
-  EXPECT_DOUBLE_EQ(r2.scalar("q.depth"), 42.0);
 }
 
 // --- TraceRow / TraceSink -------------------------------------------------
@@ -126,19 +112,19 @@ TEST(TraceSink, ExtractsColumnsAndDrainsRows) {
   }
   EXPECT_EQ(sink.size(), 3u);
 
-  const std::vector<double> jfi = sink.series("jfi");
+  const std::vector<double> jfi = TraceSink::series_of(sink.rows(), "jfi");
   ASSERT_EQ(jfi.size(), 3u);
   EXPECT_DOUBLE_EQ(jfi[1], 0.5);
 
-  const std::vector<double> f1 = sink.array_series("tput_Bps", 1);
+  const std::vector<double> f1 = TraceSink::array_series_of(sink.rows(), "tput_Bps", 1);
   ASSERT_EQ(f1.size(), 3u);
   EXPECT_DOUBLE_EQ(f1[2], 60.0);
-  EXPECT_TRUE(std::isnan(sink.array_series("tput_Bps", 9)[0]));
+  EXPECT_TRUE(std::isnan(TraceSink::array_series_of(sink.rows(), "tput_Bps", 9)[0]));
 
   const std::vector<TraceRow> rows = sink.take_rows();
   EXPECT_EQ(rows.size(), 3u);
   EXPECT_TRUE(sink.empty());
-  // Static forms work on the moved-out rows (RunRecord::trace).
+  // Extraction works the same on moved-out rows (RunRecord::trace).
   EXPECT_DOUBLE_EQ(TraceSink::series_of(rows, "jfi")[0], 1.0);
 }
 
@@ -156,7 +142,6 @@ TEST(Probe, TicksEveryPeriodStartingAtPeriod) {
   probe.start();
   sched.run_until(Seconds(1));
   // First tick at t=period, last at t=1.0 (run_until is inclusive).
-  EXPECT_EQ(probe.ticks(), 10u);
   ASSERT_EQ(sink.size(), 10u);
   EXPECT_DOUBLE_EQ(sink.rows()[0].t_s(), 0.1);
   EXPECT_DOUBLE_EQ(sink.rows()[9].t_s(), 1.0);
@@ -172,9 +157,7 @@ TEST(Probe, StopCancelsFutureTicks) {
   probe.start();
   sched.schedule(Milliseconds(250), [&probe] { probe.stop(); });
   sched.run_until(Seconds(1));
-  EXPECT_EQ(probe.ticks(), 2u);  // t=0.1 and t=0.2 only
-  EXPECT_FALSE(probe.running());
-  EXPECT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.size(), 2u);  // t=0.1 and t=0.2 only
 }
 
 TEST(Probe, SamplersRunInRegistrationOrder) {

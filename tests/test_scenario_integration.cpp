@@ -124,7 +124,7 @@ TEST(ScenarioIntegration, ParkingLotIdealMatchesWaterFilling) {
     cfg.flows.push_back(local);
   }
   Scenario scenario(cfg);
-  const auto ideal = scenario.ideal_goodputs_Bps();
+  const auto ideal = ideal_goodputs_Bps(scenario.config());
   ASSERT_EQ(ideal.size(), 4u);
   // All four contend on the middle link only: equal shares.
   for (double r : ideal) EXPECT_NEAR(r, ideal[0], 1.0);
@@ -163,10 +163,9 @@ TEST(ScenarioIntegration, ProbesFireDuringRun) {
   cfg.duration = Seconds(5);
   cfg.flows = flows_of(CcaType::kNewReno, 1, Milliseconds(20));
   Scenario scenario(cfg);
-  int fired = 0;
-  scenario.add_probe(Seconds(1), [&](Time) { ++fired; });
+  scenario.enable_trace(Seconds(1));
   scenario.run();
-  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(scenario.trace().size(), 5u);
 }
 
 TEST(ScenarioIntegration, BbrVsNewRenoIsUnfairUnderFifo) {
