@@ -1,7 +1,5 @@
 #include "core/cebinae_queue_disc.hpp"
 
-#include <utility>
-
 namespace cebinae {
 
 CebinaeQueueDisc::CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
@@ -19,9 +17,7 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
   // available to whichever queue needs it (paper §4.4).
   if (byte_count() + pkt.size_bytes > buffer_bytes_) {
     ++buffer_dropped_packets_;
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
-    return false;
+    return reject(pkt);
   }
 
   const FlowGroup group = is_top(pkt.flow) ? FlowGroup::kTop : FlowGroup::kBottom;
@@ -30,9 +26,7 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
   switch (d.queue) {
     case LeakyBucketFilter::Queue::kDrop:
       ++lbf_dropped_packets_;
-      ++stats_.dropped_packets;
-      stats_.dropped_bytes += pkt.size_bytes;
-      return false;
+      return reject(pkt);
     case LeakyBucketFilter::Queue::kTail:
       ++delayed_packets_;
       if (d.mark_ecn && pkt.ect) {
@@ -48,29 +42,29 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
                                                            : 1 - lbf_.head_index();
   qbytes_[q] += pkt.size_bytes;
   ++stats_.enqueued_packets;
-  q_[q].push_back(TimestampedPacket{std::move(pkt), sojourn_now()});
+  PacketSlab& slab = PacketSlab::local();
+  q_[q].push_back(slab, slab.alloc(pkt, sojourn_now()));
   return true;
 }
 
-std::optional<Packet> CebinaeQueueDisc::dequeue() {
+PacketSlab::Slot CebinaeQueueDisc::dequeue_slot() {
   const int head = lbf_.head_index();
   for (int q : {head, 1 - head}) {
     if (q_[q].empty()) continue;
-    TimestampedPacket tp = std::move(q_[q].front());
-    q_[q].pop_front();
-    qbytes_[q] -= tp.pkt.size_bytes;
+    PacketSlab& slab = PacketSlab::local();
+    const PacketSlab::Slot s = q_[q].pop_front(slab);
+    const Packet& pkt = slab[s].pkt;
+    qbytes_[q] -= pkt.size_bytes;
 
     // Egress pipeline: per-port byte counter and heavy-hitter cache see
     // transmitted traffic only.
-    port_.on_transmit(tp.pkt.size_bytes);
-    cache_.add(tp.pkt.flow, tp.pkt.size_bytes);
+    port_.on_transmit(pkt.size_bytes);
+    cache_.add(pkt.flow, pkt.size_bytes);
 
-    ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += tp.pkt.size_bytes;
-    record_sojourn(tp.enqueued);
-    return std::move(tp.pkt);
+    account_dequeue(slab[s]);
+    return s;
   }
-  return std::nullopt;
+  return PacketSlab::kNone;
 }
 
 void CebinaeQueueDisc::rotate() { lbf_.rotate(sched_.now()); }

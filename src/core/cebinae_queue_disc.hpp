@@ -5,9 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "core/flow_cache.hpp"
 #include "core/lbf.hpp"
@@ -24,7 +23,7 @@ class CebinaeQueueDisc final : public QueueDisc {
                    CebinaeParams params);
 
   bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t byte_count() const override { return qbytes_[0] + qbytes_[1]; }
   [[nodiscard]] std::uint64_t packet_count() const override { return q_[0].size() + q_[1].size(); }
@@ -66,7 +65,7 @@ class CebinaeQueueDisc final : public QueueDisc {
   PortSaturationDetector port_;
   std::unordered_set<FlowId, FlowIdHash> top_flows_;
 
-  std::deque<TimestampedPacket> q_[2];
+  SlotFifo q_[2];
   std::uint64_t qbytes_[2] = {0, 0};
 
   std::uint64_t delayed_packets_ = 0;

@@ -34,15 +34,18 @@ void Device::send(const Packet& pkt) {
 
 void Device::try_transmit() {
   if (busy_) return;
-  std::optional<Packet> pkt = qdisc_->dequeue();
-  if (!pkt) return;
+  const PacketSlab::Slot s = qdisc_->dequeue_slot();
+  if (s == PacketSlab::kNone) return;
+  PacketSlab& slab = PacketSlab::local();
+  PacketSlab::Entry& frame = slab[s];
 
   busy_ = true;
-  const Time tx_time = serialization_delay(pkt->size_bytes);
-  tx_bytes_ += pkt->size_bytes;
+  const std::uint32_t size = frame.pkt.size_bytes;
+  const Time tx_time = serialization_delay(size);
+  tx_bytes_ += size;
   ++tx_packets_;
   if (tx_bytes_metric_ != nullptr) {
-    tx_bytes_metric_->add(pkt->size_bytes);
+    tx_bytes_metric_->add(size);
     tx_packets_metric_->inc();
   }
 
@@ -53,33 +56,25 @@ void Device::try_transmit() {
   assert(peer_ != nullptr && "device transmitted before the link was connected");
   // The arrival's key is reserved here, right after the tx-done event: this
   // position fixes the global (when, seq) order (DESIGN.md §11).
-  const std::uint64_t seq = sched_.reserve_seq();
-  const Time arrival = sched_.now() + (tx_time + prop_delay_);
-  if (wire_len_++ == 0) {
-    head_.arrival = arrival;
-    head_.seq = seq;
-    head_.pkt = std::move(*pkt);
-    arm_head();
-    return;
-  }
-  if (!behind_) behind_.emplace();
-  assert((behind_->empty() ? head_ : behind_->back()).arrival <= arrival &&
+  frame.seq = sched_.reserve_seq();
+  frame.stamp = sched_.now() + (tx_time + prop_delay_);
+  assert((wire_.empty() || slab[wire_.back()].stamp <= frame.stamp) &&
          "link arrivals must be FIFO");
-  behind_->push_back(InFlight{arrival, seq, std::move(*pkt)});
+  wire_.push_back(slab, s);
+  if (wire_.size() == 1) arm_head(slab);
 }
 
-void Device::arm_head() {
-  sched_.schedule_reserved(head_.arrival, head_.seq, [this] { arrive(); });
+void Device::arm_head(PacketSlab& slab) {
+  const PacketSlab::Entry& head = slab[wire_.front()];
+  sched_.schedule_reserved(head.stamp, head.seq, [this] { arrive(); });
 }
 
 void Device::arrive() {
-  Packet pkt = std::move(head_.pkt);
-  if (--wire_len_ > 0) {
-    head_ = std::move(behind_->front());
-    behind_->pop_front();
-    arm_head();
-  }
-  peer_->owner().receive(pkt);
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Slot s = wire_.pop_front(slab);
+  if (!wire_.empty()) arm_head(slab);
+  peer_->owner().receive(slab[s].pkt);
+  slab.release(s);
 }
 
 }  // namespace cebinae

@@ -4,21 +4,24 @@
 // serializes packets at the link rate; propagation adds a fixed delay before
 // the peer's node receives the frame.
 //
-// Frames on the wire wait in a per-device delay line instead of one
-// scheduler event each. The delay is constant and the transmitter
-// serializes one frame at a time, so frames arrive in the order they were
-// sent: a FIFO with at most one armed event, for its head. Each frame keeps
-// the (arrival, seq) key reserved when it was sent (see
+// Packets stay in the slab slot their queue disc copied them into
+// (net/packet_slab.hpp). When the transmitter takes a slot from the queue
+// disc, it links the slot into the device's delay line, a SlotFifo, instead
+// of scheduling one event per frame. The delay is constant and the
+// transmitter serializes one frame at a time, so frames arrive in the order
+// they were sent: a FIFO with at most one armed event, for its head. Each
+// slot keeps the (arrival, seq) key reserved when its frame was sent (see
 // Scheduler::reserve_seq), so the global event order is the same as with
-// one propagation event per frame (DESIGN.md §11).
+// one propagation event per frame (DESIGN.md §11). The arrival hands the
+// packet to the peer node by reference and releases the slot once the node
+// has handled it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "obs/metrics.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
@@ -49,13 +52,14 @@ class Device {
   [[nodiscard]] Node& owner() { return owner_; }
   [[nodiscard]] Node& peer_node();
 
-  // Total bytes fully serialized onto the wire (the paper's per-port egress
-  // transmit counter).
+  // Bytes of every frame the transmitter has started to serialize onto the
+  // wire (the paper's per-port egress transmit counter). A frame counts when
+  // its serialization starts, not when it ends.
   [[nodiscard]] std::uint64_t tx_bytes() const { return tx_bytes_; }
   [[nodiscard]] std::uint64_t tx_packets() const { return tx_packets_; }
   // Frames handed to the wire (serializing or propagating) that the peer
   // has not received yet.
-  [[nodiscard]] std::size_t frames_on_wire() const { return wire_len_; }
+  [[nodiscard]] std::size_t frames_on_wire() const { return wire_.size(); }
 
   [[nodiscard]] Time serialization_delay(std::uint32_t bytes) const {
     return Time(static_cast<std::int64_t>(bytes) * 8 * 1'000'000'000 /
@@ -63,17 +67,10 @@ class Device {
   }
 
  private:
-  // A frame on the wire and the scheduler key of its arrival.
-  struct InFlight {
-    Time arrival;
-    std::uint64_t seq = 0;
-    Packet pkt;
-  };
-
   void try_transmit();
-  void arm_head();
-  // Arrival event of the head frame: pops it, re-arms for the next head
-  // and delivers to the peer node.
+  void arm_head(PacketSlab& slab);
+  // Arrival event of the head frame: pops it, re-arms for the next head,
+  // delivers to the peer node and releases the slot.
   void arrive();
 
   Scheduler& sched_;
@@ -86,15 +83,10 @@ class Device {
   std::uint64_t tx_packets_ = 0;
   obs::Counter* tx_bytes_metric_ = nullptr;    // network-wide aggregates; may be null
   obs::Counter* tx_packets_metric_ = nullptr;
-  // Delay line. Most links carry at most one frame at a time, so the head
-  // frame lives inline, next to the fields an arrival reads. Frames behind
-  // it wait in a deque built on first use; it hands drained blocks back to
-  // the allocator, so memory follows the frames on the wire, not each
-  // link's high-water mark.
   Device* peer_ = nullptr;
-  std::size_t wire_len_ = 0;
-  InFlight head_;
-  std::optional<std::deque<InFlight>> behind_;
+  // Delay line: frames on the wire, oldest first. Each slot's `stamp` is its
+  // arrival time and `seq` the arrival's reserved scheduler seq.
+  SlotFifo wire_;
 };
 
 }  // namespace cebinae

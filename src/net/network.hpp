@@ -51,8 +51,8 @@ class Network {
     Device* ba;
   };
 
-  // Destruction order: nodes (and their devices, whose delay lines own the
-  // frames on the wire) go first. Pending events only capture component
+  // Destruction order: nodes (and their devices, whose queue discs and delay
+  // lines release the slab slots of the packets they hold) go first. Pending events only capture component
   // pointers and are destroyed with the scheduler without running.
   Scheduler sched_;
   RandomStream rng_;

@@ -7,11 +7,7 @@ namespace cebinae {
 Afq::Afq(AfqParams params) : params_(params), queues_(params.num_queues) {}
 
 bool Afq::enqueue(Packet pkt) {
-  if (bytes_ + pkt.size_bytes > params_.buffer_bytes) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
-    return false;
-  }
+  if (bytes_ + pkt.size_bytes > params_.buffer_bytes) return reject(pkt);
 
   // Bid: the round in which the flow's cumulative bytes would depart under
   // ideal fair queueing. Flows idle past the current round restart there
@@ -25,9 +21,7 @@ bool Afq::enqueue(Packet pkt) {
   if (ahead >= params_.num_queues) {
     // Target slot is beyond the calendar horizon: drop (Equation 1's limit).
     ++horizon_drops_;
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
-    return false;
+    return reject(pkt);
   }
 
   fb += pkt.size_bytes;
@@ -35,24 +29,23 @@ bool Afq::enqueue(Packet pkt) {
   bytes_ += pkt.size_bytes;
   ++packets_;
   ++stats_.enqueued_packets;
-  queues_[slot].push_back(TimestampedPacket{std::move(pkt), sojourn_now()});
+  PacketSlab& slab = PacketSlab::local();
+  queues_[slot].push_back(slab, slab.alloc(pkt, sojourn_now()));
   return true;
 }
 
-std::optional<Packet> Afq::dequeue() {
+PacketSlab::Slot Afq::dequeue_slot() {
   // Serve the current round's queue; when it empties, rotate to the next
   // non-empty slot (advancing the virtual round clock).
   for (std::uint32_t scanned = 0; scanned < params_.num_queues; ++scanned) {
     auto& q = queues_[head_slot_];
     if (!q.empty()) {
-      TimestampedPacket tp = std::move(q.front());
-      q.pop_front();
-      bytes_ -= tp.pkt.size_bytes;
+      PacketSlab& slab = PacketSlab::local();
+      const PacketSlab::Slot s = q.pop_front(slab);
+      bytes_ -= slab[s].pkt.size_bytes;
       --packets_;
-      ++stats_.dequeued_packets;
-      stats_.dequeued_bytes += tp.pkt.size_bytes;
-      record_sojourn(tp.enqueued);
-      return std::move(tp.pkt);
+      account_dequeue(slab[s]);
+      return s;
     }
     head_slot_ = (head_slot_ + 1) % params_.num_queues;
     ++current_round_;
@@ -60,7 +53,7 @@ std::optional<Packet> Afq::dequeue() {
   // All slots empty: opportunistically age out stale flow state so the map
   // does not grow without bound across idle periods.
   if (flow_bytes_.size() > 100'000) flow_bytes_.clear();
-  return std::nullopt;
+  return PacketSlab::kNone;
 }
 
 }  // namespace cebinae

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +33,7 @@ class Afq final : public QueueDisc {
   explicit Afq(AfqParams params);
 
   bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::uint64_t packet_count() const override { return packets_; }
@@ -45,7 +43,7 @@ class Afq final : public QueueDisc {
 
  private:
   AfqParams params_;
-  std::vector<std::deque<TimestampedPacket>> queues_;  // ring of calendar slots
+  std::vector<SlotFifo> queues_;  // ring of calendar slots
   std::size_t head_slot_ = 0;
   std::uint64_t current_round_ = 0;
   std::uint64_t bytes_ = 0;

@@ -1,7 +1,6 @@
 #include "queueing/codel.hpp"
 
 #include <cmath>
-#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -12,20 +11,19 @@ Time CodelController::control_law(Time t) const {
                                             std::sqrt(static_cast<double>(count_))));
 }
 
-CodelController::DodequeResult CodelController::dodeque(std::deque<TimestampedPacket>& q,
+CodelController::DodequeResult CodelController::dodeque(SlotFifo& q, PacketSlab& slab,
                                                         std::uint64_t& bytes, Time now) {
   DodequeResult r;
   if (q.empty()) {
     first_above_time_ = Time::zero();
     return r;
   }
-  TimestampedPacket tp = std::move(q.front());
-  q.pop_front();
-  bytes -= tp.pkt.size_bytes;
+  r.slot = q.pop_front(slab);
+  const PacketSlab::Entry& e = slab[r.slot];
+  bytes -= e.pkt.size_bytes;
 
-  const Time sojourn = now - tp.enqueued;
-  r.sojourn = sojourn;
-  if (sojourn < params_.target || bytes < kMtuBytes) {
+  r.sojourn = now - e.stamp;
+  if (r.sojourn < params_.target || bytes < kMtuBytes) {
     first_above_time_ = Time::zero();
   } else {
     if (first_above_time_ == Time::zero()) {
@@ -34,17 +32,16 @@ CodelController::DodequeResult CodelController::dodeque(std::deque<TimestampedPa
       r.ok_to_drop = true;
     }
   }
-  r.pkt = std::move(tp.pkt);
   return r;
 }
 
-std::optional<Packet> CodelController::dequeue(std::deque<TimestampedPacket>& q,
-                                               std::uint64_t& bytes, Time now,
-                                               QueueDiscStats& stats,
-                                               obs::Histogram* sojourn) {
-  auto drop_or_mark = [&](Packet& pkt) -> bool {
+PacketSlab::Slot CodelController::dequeue(SlotFifo& q, PacketSlab& slab, std::uint64_t& bytes,
+                                          Time now, QueueDiscStats& stats,
+                                          obs::Histogram* sojourn) {
+  auto drop_or_mark = [&](PacketSlab::Slot s) -> bool {
     // Returns true when the packet was ECN-marked (and should be forwarded)
-    // rather than dropped.
+    // rather than dropped; a dropped packet's slot is released.
+    Packet& pkt = slab[s].pkt;
     if (params_.use_ecn && pkt.ect) {
       pkt.ce = true;
       ++stats.ecn_marked_packets;
@@ -52,21 +49,22 @@ std::optional<Packet> CodelController::dequeue(std::deque<TimestampedPacket>& q,
     }
     ++stats.dropped_packets;
     stats.dropped_bytes += pkt.size_bytes;
+    slab.release(s);
     return false;
   };
 
-  DodequeResult r = dodeque(q, bytes, now);
+  DodequeResult r = dodeque(q, slab, bytes, now);
   if (dropping_) {
     if (!r.ok_to_drop) {
       dropping_ = false;
     } else {
-      while (dropping_ && r.pkt && now >= drop_next_) {
+      while (dropping_ && r.slot != PacketSlab::kNone && now >= drop_next_) {
         ++count_;
-        if (drop_or_mark(*r.pkt)) {
+        if (drop_or_mark(r.slot)) {
           drop_next_ = control_law(drop_next_);
           break;  // marked packets are still delivered
         }
-        r = dodeque(q, bytes, now);
+        r = dodeque(q, slab, bytes, now);
         if (!r.ok_to_drop) {
           dropping_ = false;
         } else {
@@ -76,8 +74,8 @@ std::optional<Packet> CodelController::dequeue(std::deque<TimestampedPacket>& q,
     }
   } else if (r.ok_to_drop) {
     // Enter dropping state.
-    const bool marked = r.pkt && drop_or_mark(*r.pkt);
-    if (!marked) r = dodeque(q, bytes, now);
+    const bool marked = r.slot != PacketSlab::kNone && drop_or_mark(r.slot);
+    if (!marked) r = dodeque(q, slab, bytes, now);
     dropping_ = true;
     // Start closer to the previous rate if we were recently dropping.
     if (count_ > 2 && now - drop_next_ < params_.interval) {
@@ -87,8 +85,8 @@ std::optional<Packet> CodelController::dequeue(std::deque<TimestampedPacket>& q,
     }
     drop_next_ = control_law(now);
   }
-  if (sojourn != nullptr && r.pkt) sojourn->observe(r.sojourn.seconds());
-  return r.pkt;
+  if (sojourn != nullptr && r.slot != PacketSlab::kNone) sojourn->observe(r.sojourn.seconds());
+  return r.slot;
 }
 
 }  // namespace cebinae

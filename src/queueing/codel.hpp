@@ -1,12 +1,10 @@
 // CoDel active queue management (RFC 8289).
 //
-// `CodelController` holds the control-law state over a caller-owned packet
-// deque; FQ-CoDel instantiates one controller per flow queue.
+// `CodelController` holds the control-law state over a caller-owned queue
+// of slab slots; FQ-CoDel instantiates one controller per flow queue.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 
 #include "queueing/queue_disc.hpp"
 #include "sim/time.hpp"
@@ -23,24 +21,24 @@ class CodelController {
  public:
   explicit CodelController(CodelParams params) : params_(params) {}
 
-  // Drive the CoDel state machine at dequeue time over `q`. Drops (or
-  // ECN-marks) packets per the control law and returns the packet to
-  // transmit, if any. `bytes` is the queue's byte counter and is updated as
-  // packets leave; drop/mark counters accumulate into `stats`. When
-  // `sojourn` is set, the delivered packet's queueing delay (seconds) is
-  // observed into it (dropped packets are not).
-  std::optional<Packet> dequeue(std::deque<TimestampedPacket>& q, std::uint64_t& bytes,
-                                Time now, QueueDiscStats& stats,
-                                obs::Histogram* sojourn = nullptr);
+  // Drive the CoDel state machine at dequeue time over `q`, whose slots are
+  // stamped with their enqueue time. Drops (or ECN-marks) packets per the
+  // control law, releasing dropped slots, and returns the slot to transmit
+  // (the caller owns it), or PacketSlab::kNone. `bytes` is the queue's byte
+  // counter and is updated as packets leave; drop/mark counters accumulate
+  // into `stats`. When `sojourn` is set, the delivered packet's queueing
+  // delay (seconds) is observed into it (dropped packets are not).
+  PacketSlab::Slot dequeue(SlotFifo& q, PacketSlab& slab, std::uint64_t& bytes, Time now,
+                           QueueDiscStats& stats, obs::Histogram* sojourn = nullptr);
 
  private:
   struct DodequeResult {
-    std::optional<Packet> pkt;
-    Time sojourn = Time::zero();  // queueing delay of `pkt`, when present
+    PacketSlab::Slot slot = PacketSlab::kNone;
+    Time sojourn = Time::zero();  // queueing delay of `slot`, when present
     bool ok_to_drop = false;
   };
 
-  DodequeResult dodeque(std::deque<TimestampedPacket>& q, std::uint64_t& bytes, Time now);
+  DodequeResult dodeque(SlotFifo& q, PacketSlab& slab, std::uint64_t& bytes, Time now);
   [[nodiscard]] Time control_law(Time t) const;
 
   CodelParams params_;

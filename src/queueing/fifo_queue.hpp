@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <optional>
 
 #include "queueing/queue_disc.hpp"
 
@@ -20,7 +18,7 @@ class FifoQueue final : public QueueDisc {
   }
 
   bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::uint64_t packet_count() const override { return q_.size(); }
@@ -28,7 +26,7 @@ class FifoQueue final : public QueueDisc {
  private:
   std::uint64_t limit_bytes_;
   std::uint64_t bytes_ = 0;
-  std::deque<TimestampedPacket> q_;
+  SlotFifo q_;
 };
 
 }  // namespace cebinae

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace cebinae {
 
@@ -28,19 +27,22 @@ void FqCoDel::drop_from_fattest() {
   if (!fattest || fattest->q.empty()) return;
   // RFC 8290 drops from the head of the fattest queue to penalize the
   // standing queue rather than the arriving packet.
-  TimestampedPacket victim = std::move(fattest->q.front());
-  fattest->q.pop_front();
-  fattest->bytes -= victim.pkt.size_bytes;
-  bytes_ -= victim.pkt.size_bytes;
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Slot victim = fattest->q.pop_front(slab);
+  const std::uint32_t size = slab[victim].pkt.size_bytes;
+  slab.release(victim);
+  fattest->bytes -= size;
+  bytes_ -= size;
   --packets_;
   ++stats_.dropped_packets;
-  stats_.dropped_bytes += victim.pkt.size_bytes;
+  stats_.dropped_bytes += size;
 }
 
 bool FqCoDel::enqueue(Packet pkt) {
   FlowQueue& fq = queue_for(pkt);
   const std::uint32_t size = pkt.size_bytes;
-  fq.q.push_back(TimestampedPacket{std::move(pkt), sched_.now()});
+  PacketSlab& slab = PacketSlab::local();
+  fq.q.push_back(slab, slab.alloc(pkt, sched_.now()));
   fq.bytes += size;
   bytes_ += size;
   ++packets_;
@@ -55,7 +57,8 @@ bool FqCoDel::enqueue(Packet pkt) {
   return true;
 }
 
-std::optional<Packet> FqCoDel::dequeue() {
+PacketSlab::Slot FqCoDel::dequeue_slot() {
+  PacketSlab& slab = PacketSlab::local();
   // Bounded by the number of scheduled queues; each iteration either
   // services, recycles, or retires one queue.
   while (!new_flows_.empty() || !old_flows_.empty()) {
@@ -74,13 +77,13 @@ std::optional<Packet> FqCoDel::dequeue() {
 
     const std::uint64_t bytes_before = fq->bytes;
     const std::size_t pkts_before = fq->q.size();
-    std::optional<Packet> pkt =
-        fq->codel.dequeue(fq->q, fq->bytes, sched_.now(), stats_, sojourn_hist());
+    const PacketSlab::Slot s =
+        fq->codel.dequeue(fq->q, slab, fq->bytes, sched_.now(), stats_, sojourn_hist());
     // CoDel may have consumed several packets (drops plus the returned one).
     bytes_ -= bytes_before - fq->bytes;
     packets_ -= pkts_before - fq->q.size();
 
-    if (!pkt) {
+    if (s == PacketSlab::kNone) {
       // Queue is empty: a new queue gets one pass through old before being
       // retired (RFC 8290 §4.2); an old empty queue is removed.
       lst.pop_front();
@@ -94,12 +97,13 @@ std::optional<Packet> FqCoDel::dequeue() {
       continue;
     }
 
-    fq->deficit -= pkt->size_bytes;
+    const std::uint32_t size = slab[s].pkt.size_bytes;
+    fq->deficit -= size;
     ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += pkt->size_bytes;
-    return pkt;
+    stats_.dequeued_bytes += size;
+    return s;
   }
-  return std::nullopt;
+  return PacketSlab::kNone;
 }
 
 }  // namespace cebinae

@@ -5,10 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "queueing/codel.hpp"
@@ -31,7 +29,7 @@ class FqCoDel final : public QueueDisc {
   FqCoDel(Scheduler& sched, FqCoDelParams params) : sched_(sched), params_(params) {}
 
   bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::uint64_t packet_count() const override { return packets_; }
@@ -39,7 +37,7 @@ class FqCoDel final : public QueueDisc {
 
  private:
   struct FlowQueue {
-    std::deque<TimestampedPacket> q;
+    SlotFifo q;
     std::uint64_t bytes = 0;
     std::int64_t deficit = 0;
     CodelController codel;

@@ -78,34 +78,28 @@ bool StrawmanQueueDisc::enqueue(Packet pkt) {
     }
     if (!it->second.conforms(pkt.size_bytes, sched_.now())) {
       ++limited_drops_;
-      ++stats_.dropped_packets;
-      stats_.dropped_bytes += pkt.size_bytes;
-      return false;
+      return reject(pkt);
     }
   }
 
-  if (bytes_ + pkt.size_bytes > buffer_bytes_) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
-    return false;
-  }
+  if (bytes_ + pkt.size_bytes > buffer_bytes_) return reject(pkt);
   bytes_ += pkt.size_bytes;
   ++stats_.enqueued_packets;
-  q_.push_back(TimestampedPacket{std::move(pkt), sojourn_now()});
+  PacketSlab& slab = PacketSlab::local();
+  q_.push_back(slab, slab.alloc(pkt, sojourn_now()));
   return true;
 }
 
-std::optional<Packet> StrawmanQueueDisc::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  TimestampedPacket tp = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= tp.pkt.size_bytes;
-  interval_bytes_[tp.pkt.flow] += tp.pkt.size_bytes;
-  interval_tx_ += tp.pkt.size_bytes;
-  ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += tp.pkt.size_bytes;
-  record_sojourn(tp.enqueued);
-  return std::move(tp.pkt);
+PacketSlab::Slot StrawmanQueueDisc::dequeue_slot() {
+  if (q_.empty()) return PacketSlab::kNone;
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Slot s = q_.pop_front(slab);
+  const Packet& pkt = slab[s].pkt;
+  bytes_ -= pkt.size_bytes;
+  interval_bytes_[pkt.flow] += pkt.size_bytes;
+  interval_tx_ += pkt.size_bytes;
+  account_dequeue(slab[s]);
+  return s;
 }
 
 }  // namespace cebinae

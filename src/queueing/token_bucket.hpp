@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <unordered_map>
 
 #include "queueing/queue_disc.hpp"
@@ -55,7 +53,7 @@ class StrawmanQueueDisc final : public QueueDisc {
                     std::uint64_t buffer_bytes, StrawmanParams params = {});
 
   bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
   [[nodiscard]] std::uint64_t packet_count() const override { return q_.size(); }
@@ -72,7 +70,7 @@ class StrawmanQueueDisc final : public QueueDisc {
   std::uint64_t buffer_bytes_;
   StrawmanParams params_;
 
-  std::deque<TimestampedPacket> q_;
+  SlotFifo q_;
   std::uint64_t bytes_ = 0;
 
   // Measurement (the strawman is not resource-constrained: exact state).

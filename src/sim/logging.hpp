@@ -6,12 +6,15 @@
 // Thread-safety contract (relied on by the src/exp experiment harness):
 // the simulator itself is single-threaded, but the harness runs one
 // independent Scenario per worker thread. Everything a Scenario touches is
-// owned by its Network (scheduler, RNG, nodes); the ONLY process-global
-// mutable state in the simulator is this logger's level. The level is
-// therefore an atomic (set_level/level may race benignly with readers), and
-// log() serializes whole lines under an internal mutex so concurrent
-// scenarios cannot interleave output. Running one Scenario per thread is
-// safe; sharing a Scenario/Network across threads is not.
+// owned by its Network (scheduler, RNG, nodes) or is per-thread: the packet
+// slab (net/packet_slab.hpp) is one per thread, looked up at use time, so a
+// Network must be built, run and destroyed on one thread. The ONLY
+// process-global mutable state in the simulator is this logger's level. The
+// level is therefore an atomic (set_level/level may race benignly with
+// readers), and log() serializes whole lines under an internal mutex so
+// concurrent scenarios cannot interleave output. Running one Scenario per
+// thread is safe; sharing a Scenario/Network across threads, or handing one
+// to another thread, is not.
 #pragma once
 
 #include <atomic>

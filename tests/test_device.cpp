@@ -152,13 +152,19 @@ TEST(Device, BackToBackFramesArriveFifoAtTxPlusProp) {
 }
 
 TEST(Device, TeardownWithFramesOnTheWire) {
-  // The delay line owns in-flight frames; destroying the network with
-  // frames still propagating must release them (checked by the ASan leg).
+  // The delay line owns the slab slots of in-flight frames and the queue
+  // disc those of queued packets; destroying the network with frames still
+  // propagating must release them all.
+  const std::uint64_t before = PacketSlab::local().live();
   auto h = std::make_unique<Harness>(8'000'000, Milliseconds(50));
-  for (int i = 0; i < 16; ++i) h->a.send(h->make_packet(1000));
+  for (int i = 0; i < 32; ++i) h->a.send(h->make_packet(1000));
   h->net.scheduler().run_until(Milliseconds(20));
   ASSERT_GT(h->devs.ab.frames_on_wire(), 1u);
+  ASSERT_GT(h->devs.ab.qdisc().packet_count(), 0u);
+  EXPECT_EQ(PacketSlab::local().live() - before,
+            h->devs.ab.frames_on_wire() + h->devs.ab.qdisc().packet_count());
   h.reset();
+  EXPECT_EQ(PacketSlab::local().live(), before);
 }
 
 }  // namespace
