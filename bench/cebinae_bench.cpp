@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   RunOptions opts;
   std::string experiment;
   bool list = false;
+  const char* perf_out = nullptr;  // "" = BENCH_<name>.json
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -92,10 +93,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--resume") == 0) {
       opts.resume = true;
     } else if (std::strcmp(arg, "--perf-out") == 0) {
-      opts.perf = true;
+      perf_out = "";
     } else if (std::strncmp(arg, "--perf-out=", 11) == 0) {
-      opts.perf = true;
-      opts.perf_out = arg + 11;
+      perf_out = arg + 11;
     } else if (arg[0] != '-' && experiment.empty()) {
       experiment = arg;  // positional experiment name
     } else {
@@ -123,6 +123,9 @@ int main(int argc, char** argv) {
     return usage(stderr);
   }
 
+  if (perf_out != nullptr) {
+    opts.perf_out = *perf_out != '\0' ? perf_out : "BENCH_" + spec->name + ".json";
+  }
   if (opts.jobs <= 0) {
     opts.jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }

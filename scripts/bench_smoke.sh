@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values must
-# exit 2, every experiment `cebinae_bench --list` reports must complete a
-# --smoke run, and a representative subset must produce byte-identical
-# stdout at --jobs=1 and --jobs=4 (the registry's determinism contract:
-# reports render only from aggregated records, progress goes to stderr).
+# Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values and a
+# failed results or perf-summary write must exit 2, every experiment
+# `cebinae_bench --list` reports must complete a --smoke run, and a
+# representative subset must produce byte-identical stdout at --jobs=1 and
+# --jobs=4 (the registry's determinism contract: reports render only from
+# aggregated records, progress goes to stderr).
 #
 # Usage: scripts/bench_smoke.sh [path-to-cebinae_bench]
 set -euo pipefail
@@ -29,6 +30,17 @@ for flag in --seed=abc --seed=-1 --trials=2x --trials= --jobs=x1 --jobs=+4 \
   err="$("$BENCH" --experiment=fig12 --smoke "$flag" 2>&1 >/dev/null)" || status=$?
   if [[ "$status" -ne 2 || "$err" != error:* ]]; then
     echo "error: $flag exited $status (want 2 with an 'error:' message)" >&2
+    exit 1
+  fi
+done
+
+# A write that fails after the file opened (a full disk) is an error too,
+# for the results file and for the perf summary alike.
+for flag in --out=/dev/full --perf-out=/dev/full; do
+  status=0
+  err="$("$BENCH" --experiment=table3 --smoke "$flag" 2>&1 >/dev/null)" || status=$?
+  if [[ "$status" -ne 2 ]] || ! grep -q '^error: ' <<<"$err"; then
+    echo "error: $flag exited $status (want 2 with an 'error:' line)" >&2
     exit 1
   fi
 done

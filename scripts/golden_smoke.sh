@@ -3,9 +3,10 @@
 # reports must reproduce, byte for byte, the --smoke stdout and --out= JSONL
 # digests checked in under tests/golden/<experiment>.sha256. The experiments
 # in QUICK (each under ~2 s at quick scale on 4 cores) also pin their
-# quick-scale output. The host-timed JSONL fields (wall_s, events_per_sec)
-# are removed before hashing; every other field (event counts, goodputs,
-# JFIs, ...) is pinned.
+# quick-scale output. The host-timed JSONL field wall_s is removed before
+# hashing; every other field (event counts, goodputs, JFIs, ...) is pinned.
+# A digest whose experiment `--list` no longer reports fails the gate too,
+# so a stale digest cannot linger.
 #
 # A change that moves simulated behaviour on purpose regenerates the digests
 # with --update and says why in CHANGES.md.
@@ -25,7 +26,7 @@ if [[ ! -x "$BENCH" ]]; then
   exit 1
 fi
 JOBS="$(nproc 2>/dev/null || echo 4)"
-QUICK=" ablation_strawman fig01 fig07 fig10 fig12 fig13 micro table3 "
+QUICK=" ablation_strawman fig01 fig07 fig10 fig12 fig13 table3 "
 
 names="$("$BENCH" --list | cut -f1)"
 if [[ -z "$names" ]]; then
@@ -44,12 +45,21 @@ digest() {
   shift 2
   "$BENCH" --experiment="$name" "$@" --jobs="$JOBS" --out="$out.raw.jsonl" \
     2>/dev/null >"$out.stdout"
-  sed -E 's/,"(wall_s|events_per_sec)":[-+0-9.eE]+//g' "$out.raw.jsonl" >"$out.jsonl"
+  sed -E 's/,"wall_s":[-+0-9.eE]+//g' "$out.raw.jsonl" >"$out.jsonl"
   echo "$(sha256sum <"$out.stdout" | cut -d' ' -f1)  $label stdout"
   echo "$(sha256sum <"$out.jsonl" | cut -d' ' -f1)  $label jsonl"
 }
 
 failed=0
+for digest_file in "$GOLDEN"/*.sha256; do
+  [[ -e "$digest_file" ]] || continue
+  name="$(basename "$digest_file" .sha256)"
+  if ! grep -qxF "$name" <<<"$names"; then
+    echo "error: tests/golden/$name.sha256 has no experiment in --list (delete it)" >&2
+    failed=1
+  fi
+done
+
 for name in $names; do
   {
     digest "$name" smoke --smoke

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hpp"
-
 namespace cebinae {
 
 CebinaeAgent::CebinaeAgent(Scheduler& sched, CebinaeQueueDisc& qdisc)
@@ -93,10 +91,6 @@ void CebinaeAgent::recompute() {
 
   snapshot_.top_rate_Bps = top_rate;
   snapshot_.bottom_rate_Bps = bottom_rate;
-
-  CEBINAE_DEBUG("cebinae", "recompute: util=" << snapshot_.utilization
-                                              << " top_flows=" << target_top_flows_.size()
-                                              << " top_rate=" << top_rate);
 }
 
 }  // namespace cebinae

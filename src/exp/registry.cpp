@@ -196,14 +196,18 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<RunRecord> records = ExperimentRunner(ro).run(jobs);
+  std::vector<RunRecord> records;
+  try {
+    // A failed job or results write ends the run; every job committed
+    // before it stays resumable.
+    records = ExperimentRunner(ro).run(jobs);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   const auto t1 = std::chrono::steady_clock::now();
 
-  const std::vector<ResultRow> rows = aggregate_rows(jobs, records, spec.metrics);
-
-  if (opts.perf) {
-    const std::string path =
-        opts.perf_out.empty() ? "BENCH_" + spec.name + ".json" : opts.perf_out;
+  if (!opts.perf_out.empty()) {
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();
     JsonObject o;
     o.set("bench", spec.name);
@@ -213,28 +217,18 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
     o.set("wall_s", wall_s);
     o.set("scenarios_per_sec",
           wall_s > 0.0 ? static_cast<double>(records.size() - resumed) / wall_s : 0.0);
-    // Flattened per-row metric means ("<label>.<metric>": mean). This is
-    // the surface scripts/perf_gate.py compares against bench/baselines/:
-    // rate metrics (events_per_sec, ...) regress-gate releases, and the
-    // deterministic counts document what each rate measured.
-    JsonObject metrics;
-    for (const ResultRow& row : rows) {
-      for (const auto& [name, agg] : row.metrics) {
-        metrics.set(row.label + "." + name, agg.mean);
-      }
-    }
-    if (!metrics.empty()) o.set("metrics", metrics);
-    std::ofstream f(path, std::ios::out | std::ios::trunc);
+    std::ofstream f(opts.perf_out, std::ios::out | std::ios::trunc);
+    f << o.str() << '\n';
+    f.close();
     if (!f) {
-      std::fprintf(stderr, "error: cannot write perf summary %s\n", path.c_str());
+      std::fprintf(stderr, "error: cannot write perf summary %s\n", opts.perf_out.c_str());
       return 2;
     }
-    f << o.str() << '\n';
-    std::fprintf(stderr, "[exp] perf summary -> %s\n", path.c_str());
+    std::fprintf(stderr, "[exp] perf summary -> %s\n", opts.perf_out.c_str());
   }
 
   if (spec.report) {
-    spec.report(opts, rows);
+    spec.report(opts, aggregate_rows(jobs, records, spec.metrics));
   }
   return 0;
 }

@@ -34,8 +34,7 @@ struct RunOptions {
   std::string out;        // results JSONL; "" = disabled, "-" = stdout
   std::string trace_out;  // probe time-series sidecar JSONL; "" = disabled
   bool resume = false;    // continue after the jobs already committed in `out`
-  bool perf = false;      // write a BENCH_<name>.json perf summary
-  std::string perf_out;   // summary path; "" = BENCH_<name>.json
+  std::string perf_out;   // BENCH perf summary JSON; "" = disabled
 
   [[nodiscard]] int trials_or(int dflt) const { return trials > 0 ? trials : dflt; }
 

@@ -8,7 +8,7 @@
 //
 // The pool itself is thread-safe; the jobs it runs are not synchronized with
 // each other. Simulation code is safe to run here one Scenario per job (see
-// sim/logging.hpp for the shared-state contract).
+// net/packet_slab.hpp for the shared-state contract).
 #pragma once
 
 #include <condition_variable>

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/logging.hpp"
-
 namespace cebinae {
 
 Device& Node::add_device(std::unique_ptr<Device> dev) {
@@ -41,10 +39,7 @@ void Node::unbind(std::uint16_t port) {
 void Node::receive(const Packet& pkt) {
   if (pkt.flow.dst == id_) {
     PacketSink* sink = sink_for(pkt.flow.dst_port);
-    if (sink == nullptr) {
-      CEBINAE_WARN("node", "node " << id_ << " has no sink on port " << pkt.flow.dst_port);
-      return;
-    }
+    if (sink == nullptr) return;
     ++delivered_packets_;
     sink->deliver(pkt);
     return;
@@ -56,7 +51,6 @@ void Node::send(const Packet& pkt) {
   Device* egress = route_to(pkt.flow.dst);
   if (egress == nullptr) {
     ++routing_drops_;
-    CEBINAE_WARN("node", "node " << id_ << " has no route to " << pkt.flow.dst);
     return;
   }
   egress->send(pkt);

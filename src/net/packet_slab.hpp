@@ -12,10 +12,15 @@
 // and the slab's size follows the packets alive network-wide rather than
 // any one queue's high-water mark (DESIGN.md §11).
 //
-// There is one slab per thread (PacketSlab::local()). Slot numbers never
-// affect behaviour; they are allocator state, like heap addresses. Code
-// calls local() at use time, so a Network must be built, run and destroyed
-// on one thread (the contract in sim/logging.hpp).
+// Thread-safety contract (relied on by the src/exp experiment harness,
+// which runs one independent Scenario per worker thread): everything a
+// Scenario touches is owned by its Network (scheduler, RNG, nodes, metrics
+// registry) except this slab, of which there is one per thread
+// (PacketSlab::local()); the simulator has no process-global mutable state.
+// Code calls local() at use time, so a Network must be built, run and
+// destroyed on one thread; sharing one across threads, or handing one to
+// another thread, is not supported. Slot numbers never affect behaviour;
+// they are allocator state, like heap addresses.
 //
 // Under AddressSanitizer a released slot's packet is poisoned until the
 // slot is allocated again, so a reference held past release is reported

@@ -3,7 +3,7 @@
 //
 // Ownership and threading: a MetricsRegistry is owned by a Network (one per
 // Scenario) — there is deliberately NO process-global registry, preserving
-// the one-Scenario-per-thread contract documented in src/sim/logging.hpp.
+// the one-Scenario-per-thread contract documented in src/net/packet_slab.hpp.
 // Instrumented components hold plain pointers into their Network's registry,
 // so the hot-path cost of a counter is one null check plus one add; nothing
 // is ever locked. Sampling (reading every metric into a trace row) is done

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/logging.hpp"
-
 namespace cebinae {
 
 // ---------------------------------------------------------------------------
@@ -432,7 +430,6 @@ void TcpSender::on_rto_fire() {
   if (unacked_.empty()) return;
   ++rto_count_;
   if (m_rtos_ != nullptr) m_rtos_->inc();
-  CEBINAE_DEBUG("tcp", "RTO on flow " << config_.flow << " at " << sched_.now());
   cc_->on_rto(sched_.now());
   rtt_.backoff();
   dup_acks_ = 0;
