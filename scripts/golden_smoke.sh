@@ -5,6 +5,7 @@
 # in QUICK (each under ~2 s at quick scale on 4 cores) also pin their
 # quick-scale output. The host-timed JSONL field wall_s is removed before
 # hashing; every other field (event counts, goodputs, JFIs, ...) is pinned.
+# Experiments that trace also pin their --trace-out= sidecar.
 # A digest whose experiment `--list` no longer reports fails the gate too,
 # so a stale digest cannot linger.
 #
@@ -38,16 +39,19 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 mkdir -p "$GOLDEN"
 
-# digest <name> <scale-label> [scale flag]: prints the stdout and the
-# JSONL digest lines of one run.
+# digest <name> <scale-label> [scale flag]: prints the stdout, the JSONL
+# and (for a traced experiment) the trace sidecar digest lines of one run.
 digest() {
   local name="$1" label="$2" out="$tmpdir/$1.$2"
   shift 2
   "$BENCH" --experiment="$name" "$@" --jobs="$JOBS" --out="$out.raw.jsonl" \
-    2>/dev/null >"$out.stdout"
+    --trace-out="$out.trace.jsonl" 2>/dev/null >"$out.stdout"
   sed -E 's/,"wall_s":[-+0-9.eE]+//g' "$out.raw.jsonl" >"$out.jsonl"
   echo "$(sha256sum <"$out.stdout" | cut -d' ' -f1)  $label stdout"
   echo "$(sha256sum <"$out.jsonl" | cut -d' ' -f1)  $label jsonl"
+  if [[ -s "$out.trace.jsonl" ]]; then
+    echo "$(sha256sum <"$out.trace.jsonl" | cut -d' ' -f1)  $label trace"
+  fi
 }
 
 failed=0
