@@ -19,6 +19,7 @@ void FlowStatsCollector::on_delivery(const FlowId& flow, std::uint64_t bytes, Ti
   }
   Record& rec = it->second;
   rec.total += bytes;
+  if (now >= window_from_ && now < window_to_) rec.in_window += bytes;
   const auto bucket = static_cast<std::size_t>(now / bucket_width_);
   if (rec.buckets.size() <= bucket) rec.buckets.resize(bucket + 1, 0);
   rec.buckets[bucket] += bytes;
@@ -45,6 +46,17 @@ std::vector<double> FlowStatsCollector::goodputs_Bps(Time from, Time to) const {
   std::vector<double> out;
   out.reserve(order_.size());
   for (const FlowId& f : order_) out.push_back(goodput_Bps(f, from, to));
+  return out;
+}
+
+std::vector<double> FlowStatsCollector::window_goodputs_Bps() const {
+  std::vector<double> out;
+  out.reserve(order_.size());
+  const double seconds = (window_to_ - window_from_).seconds();
+  for (const FlowId& f : order_) {
+    const std::uint64_t bytes = records_.at(f).in_window;
+    out.push_back(seconds > 0.0 ? static_cast<double>(bytes) / seconds : 0.0);
+  }
   return out;
 }
 

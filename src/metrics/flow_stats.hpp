@@ -37,6 +37,15 @@ class FlowStatsCollector {
   // All registered flows, in registration order.
   [[nodiscard]] std::vector<double> goodputs_Bps(Time from, Time to) const;
 
+  // Also count each flow's bytes delivered in [from, to) exactly, unlike the
+  // whole-bucket windows above. Call before the deliveries it should see.
+  void set_window(Time from, Time to) {
+    window_from_ = from;
+    window_to_ = to;
+  }
+  // Goodput of every registered flow over the set_window() window.
+  [[nodiscard]] std::vector<double> window_goodputs_Bps() const;
+
   // Bytes delivered in bucket `i` (bucket i covers [i*w, (i+1)*w)).
   [[nodiscard]] std::vector<std::uint64_t> series(const FlowId& flow) const;
 
@@ -45,10 +54,13 @@ class FlowStatsCollector {
  private:
   struct Record {
     std::uint64_t total = 0;
+    std::uint64_t in_window = 0;
     std::vector<std::uint64_t> buckets;
   };
 
   Time bucket_width_;
+  Time window_from_ = Time::zero();
+  Time window_to_ = Time::zero();
   std::vector<FlowId> order_;
   std::unordered_map<FlowId, Record, FlowIdHash> records_;
 };

@@ -253,13 +253,14 @@ obs::Probe& Scenario::enable_trace(Time period) {
 ScenarioResult Scenario::run() {
   for (auto& agent : agents_) agent->start();
   for (auto& sender : senders_) sender->start();
+  // Second-half goodputs: the steady-state window the ablation benches and
+  // convergence reporters read (excludes slow start and join transients).
+  stats_.set_window(Time(cfg_.duration.ns() / 2), cfg_.duration);
   net_->scheduler().run_until(cfg_.duration);
 
   ScenarioResult r;
   r.goodput_Bps = stats_.goodputs_Bps(Time::zero(), cfg_.duration);
-  // Second-half goodputs: the steady-state window the ablation benches and
-  // convergence reporters read (excludes slow start and join transients).
-  r.tail_goodput_Bps = stats_.goodputs_Bps(Time(cfg_.duration.ns() / 2), cfg_.duration);
+  r.tail_goodput_Bps = stats_.window_goodputs_Bps();
   for (double g : r.goodput_Bps) r.total_goodput_Bps += g;
   for (const Device* dev : topo_.bottlenecks) {
     r.throughput_Bps.push_back(static_cast<double>(dev->tx_bytes()) /

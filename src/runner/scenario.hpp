@@ -64,7 +64,7 @@ struct ScenarioConfig {
 
 struct ScenarioResult {
   std::vector<double> goodput_Bps;      // per flow, over the whole run
-  std::vector<double> tail_goodput_Bps; // per flow, over [duration/2, duration]
+  std::vector<double> tail_goodput_Bps; // per flow, over [duration/2, duration)
   double total_goodput_Bps = 0.0;
   std::vector<double> throughput_Bps;   // per chain link (wire bytes)
   double jfi = 1.0;

@@ -65,6 +65,17 @@ TEST(FlowStats, WindowedGoodput) {
   EXPECT_DOUBLE_EQ(stats.goodput_Bps(kFlowA, Time::zero(), Seconds(3)), 7000.0 / 3.0);
 }
 
+TEST(FlowStats, ExactWindowCountsOnlyDeliveriesInsideIt) {
+  FlowStatsCollector stats(Seconds(1));
+  stats.register_flow(kFlowA);
+  stats.set_window(Milliseconds(150), Milliseconds(300));
+  stats.on_delivery(kFlowA, 1000, Milliseconds(149));  // same bucket, before
+  stats.on_delivery(kFlowA, 3000, Milliseconds(150));
+  stats.on_delivery(kFlowA, 6000, Milliseconds(299));
+  stats.on_delivery(kFlowA, 8000, Milliseconds(300));  // window end is open
+  EXPECT_DOUBLE_EQ(stats.window_goodputs_Bps()[0], 9000.0 / 0.15);
+}
+
 TEST(FlowStats, EmptyWindowIsZero) {
   FlowStatsCollector stats;
   stats.on_delivery(kFlowA, 1000, Milliseconds(500));

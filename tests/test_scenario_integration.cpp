@@ -168,6 +168,24 @@ TEST(ScenarioIntegration, ProbesFireDuringRun) {
   EXPECT_EQ(scenario.trace().size(), 5u);
 }
 
+TEST(ScenarioIntegration, TailGoodputIsTheSecondHalfOfASubSecondRun) {
+  // D = 300 ms: the second half does not start on a 1-s stats bucket edge.
+  // A 150-ms probe's row at t = D measures the same window, [D/2, D).
+  ScenarioConfig cfg = base_config(QdiscKind::kFifo);
+  cfg.duration = Milliseconds(300);
+  cfg.flows = flows_of(CcaType::kNewReno, 2, Milliseconds(20));
+  Scenario scenario(cfg);
+  scenario.enable_trace(Milliseconds(150));
+  const ScenarioResult r = scenario.run();
+  ASSERT_EQ(scenario.trace().size(), 2u);
+  const std::vector<double>& tput = *scenario.trace().rows()[1].array("tput_Bps");
+  ASSERT_EQ(r.tail_goodput_Bps.size(), tput.size());
+  for (std::size_t i = 0; i < tput.size(); ++i) {
+    EXPECT_GT(tput[i], 0.0);
+    EXPECT_DOUBLE_EQ(r.tail_goodput_Bps[i], tput[i]);
+  }
+}
+
 TEST(ScenarioIntegration, BbrVsNewRenoIsUnfairUnderFifo) {
   // Scaled-down Fig. 8a: BBR claims far more than its share against many
   // NewReno flows.
