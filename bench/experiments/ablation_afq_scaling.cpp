@@ -79,7 +79,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "ablation_afq_scaling",
     "Ablation: AFQ calendar requirements vs RTT (Equation 1)",
     "AFQ queue-count scaling vs RTT against FIFO and Cebinae",
-    1,
     make_jobs,
     nullptr,
     report,

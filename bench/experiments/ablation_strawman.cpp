@@ -72,7 +72,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "ablation_strawman",
     "Ablation: strawman freeze-at-max vs Cebinae tax (paper 3.2)",
     "entrenched BBR vs late NewReno joiners under FIFO/Strawman/Cebinae",
-    1,
     make_jobs,
     tail_metrics,
     report,

@@ -62,7 +62,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
     job.config.qdisc = qdisc;
     job.label = "qdisc=" + std::string(to_string(qdisc));
     job.params.set("qdisc", std::string(to_string(qdisc)));
-    job.trace_period = opts.trace_period(Seconds(1));
+    job.trace_period = opts.trace_period();
     jobs.push_back(std::move(job));
   }
   return exp::replicate_trials(std::move(jobs), opts.trials_or(1));
@@ -100,7 +100,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig01",
     "Figure 1: RTT unfairness time series (2x NewReno, 20.4/40 ms)",
     "2-flow RTT unfairness time series with Cebinae port state",
-    1,
     make_jobs,
     ratio_metric,
     report,

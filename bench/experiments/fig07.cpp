@@ -53,7 +53,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig07",
     "Figure 7: 16 Vegas vs 1 NewReno over 100 Mbps",
     "per-flow goodput, 16 Vegas + 1 NewReno, FIFO vs Cebinae",
-    1,
     make_jobs,
     nullptr,
     report,

@@ -114,7 +114,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig08",
     "Figure 8: goodput CDFs, aggressive/starved CCA mixes at 1 Gbps",
     "goodput CDFs for 128 NewReno vs 2 BBR / 4 Vegas at 1 Gbps",
-    1,
     make_jobs,
     minority_metrics,
     report,

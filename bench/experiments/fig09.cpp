@@ -64,7 +64,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig09",
     "Figure 9: RTT asymmetry (4+4 Cubic, 400 Mbps, 3 MB buffer)",
     "RTT asymmetry sweep, 4 fixed + 4 swept Cubic, FIFO/FQ/Cebinae",
-    1,
     make_jobs,
     mbyte_metrics,
     report,

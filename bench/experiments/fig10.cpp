@@ -52,7 +52,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
     job.config.qdisc = qdisc;
     job.label = "qdisc=" + std::string(to_string(qdisc));
     job.params.set("qdisc", std::string(to_string(qdisc)));
-    job.trace_period = opts.trace_period(Seconds(1));
+    job.trace_period = opts.trace_period();
     jobs.push_back(std::move(job));
   }
   return exp::replicate_trials(std::move(jobs), opts.trials_or(1));
@@ -106,7 +106,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig10",
     "Figure 10: JFI time series (32 Vegas; NewReno joins @5s, Cubic @25s)",
     "per-second JFI under late NewReno/Cubic joins, FIFO/FQ/Cebinae",
-    1,
     make_jobs,
     tail_metrics,
     report,

@@ -86,7 +86,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig11",
     "Figure 11: Parking Lot (3x100 Mbps): 8 NewReno e2e vs local Bic/Vegas/Cubic",
     "3-link parking lot vs ideal max-min allocation, FIFO vs Cebinae",
-    1,
     make_jobs,
     norm_jfi_metric,
     report,

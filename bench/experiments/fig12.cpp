@@ -73,7 +73,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig12",
     "Figure 12: threshold sensitivity (16 NewReno + 1 Cubic, 100 Mbps)",
     "delta_p/delta_f/tau sweep 1-100% vs FIFO and FQ references",
-    1,
     make_jobs,
     nullptr,
     report,

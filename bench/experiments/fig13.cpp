@@ -100,7 +100,7 @@ Rates evaluate(const std::vector<TracePacket>& trace, std::uint32_t stages,
   return r;
 }
 
-int default_trials(const exp::RunOptions& opts) {
+int trace_trials(const exp::RunOptions& opts) {
   if (opts.smoke) return 1;
   return opts.full ? 20 : 3;
 }
@@ -110,7 +110,7 @@ Time trace_duration(const exp::RunOptions& opts) {
 }
 
 std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
-  const int trials = opts.trials_or(default_trials(opts));
+  const int trials = opts.trials_or(trace_trials(opts));
   const Time duration = trace_duration(opts);
 
   std::vector<exp::ExperimentJob> jobs;
@@ -167,7 +167,7 @@ void report(const exp::RunOptions& opts, const std::vector<exp::ResultRow>& rows
                 static_cast<unsigned long long>(summary.packets),
                 static_cast<unsigned long long>(summary.flows),
                 static_cast<double>(summary.bytes) * 8 / tc.duration.seconds() / 1e9,
-                tc.duration.seconds(), opts.trials_or(default_trials(opts)));
+                tc.duration.seconds(), opts.trials_or(trace_trials(opts)));
   }
 
   // Rows arrive in build order: sweep (a) points first, then sweep (b).
@@ -203,7 +203,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "fig13",
     "Figure 13: flow-cache FPR/FNR on synthetic backbone traces",
     "flow-cache FPR/FNR vs round interval, slots, and stages",
-    1,  // effective default is full/smoke-aware; see default_trials()
     make_jobs,
     nullptr,
     report,

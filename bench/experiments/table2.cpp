@@ -154,7 +154,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "table2",
     "Table 2: CCA/RTT/bandwidth sweep",
     "25 configs (bw x RTT x buffer x CCA mix) under FIFO/FQ/Cebinae",
-    1,
     make_jobs,
     nullptr,
     report,

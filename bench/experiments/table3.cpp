@@ -67,7 +67,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "table3",
     "Table 3: Tofino data-plane resource usage (analytic model)",
     "analytic Tofino resource model for 1/2/4 cache stages",
-    1,
     make_jobs,
     nullptr,
     report,

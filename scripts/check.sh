@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fast-suite CI gate: build with ThreadSanitizer and run the tier-1 tests
-# (unit tests + exp_smoke + bench_smoke + golden_smoke + resume_smoke +
-# examples_smoke).
-# TSan exercises the src/exp thread pool and the runner's in-order JSONL
+# (unit tests + bench_smoke + golden_smoke + resume_smoke + examples_smoke +
+# perf_compare_logic).
+# TSan exercises the runner's worker threads and its in-order JSONL
 # emission, including a resumed batch; resume_smoke additionally SIGKILLs
 # a 4-thread sweep and resumes it. The tier1 label keeps this loop fast
 # enough to run on every change. The performance gate is separate:

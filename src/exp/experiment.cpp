@@ -1,6 +1,7 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -9,8 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-
-#include "exp/thread_pool.hpp"
+#include <thread>
 
 namespace cebinae::exp {
 
@@ -45,7 +45,7 @@ Aggregate aggregate(const std::vector<double>& samples) {
 
 namespace {
 
-// Execute one job with its derived seed: the unit of work of the pool.
+// Execute one job with its derived seed: the unit of work of a worker.
 RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed) {
   ScenarioConfig cfg = job.config;
   cfg.seed = seed;
@@ -60,10 +60,7 @@ RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed) {
   } else {
     const auto t0 = std::chrono::steady_clock::now();
     Scenario scenario(cfg);
-    if (job.trace_period > Time::zero()) {
-      obs::Probe& probe = scenario.enable_trace(job.trace_period);
-      if (job.probe_setup) job.probe_setup(scenario, probe);
-    }
+    if (job.trace_period > Time::zero()) scenario.enable_trace(job.trace_period);
     rec.result = scenario.run();
     const auto t1 = std::chrono::steady_clock::now();
     rec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -111,28 +108,33 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
     if (opts_.on_progress) opts_.on_progress(completed, total);
   };
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(total);
-  {
-    ThreadPool pool(opts_.jobs);
-    for (std::size_t i = first; i < total; ++i) {
-      futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
+  // Parallel-for: each worker claims the next job index until none is left.
+  // A job's exception is kept at its index and does not stop the others.
+  std::atomic<std::size_t> next_job{first};
+  std::vector<std::exception_ptr> errors(total);
+  auto worker = [&] {
+    for (std::size_t i = next_job++; i < total; i = next_job++) {
+      try {
+        run_one(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    // Pool destructor drains the queue, so every future below is ready (or
-    // holds the job's exception) once this scope closes.
+  };
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(std::max(opts_.jobs, 1)), total - first);
+  {
+    // jthreads join on scope exit, also when starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
   }
 
-  // Surface the first failure after all jobs have drained; later rows for
-  // completed jobs are already on disk, which aids post-mortems.
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  // Surface the lowest-index failure; rows of the jobs before it are
+  // already on disk, which aids post-mortems.
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  if (first_error) std::rethrow_exception(first_error);
   return records;
 }
 

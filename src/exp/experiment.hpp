@@ -1,5 +1,5 @@
 // ExperimentRunner: execute a batch of independent ScenarioConfig jobs
-// across a thread pool, with deterministic per-job seeding and results
+// across worker threads, with deterministic per-job seeding and results
 // returned in job order.
 //
 // Determinism contract: job i always runs with seed
@@ -19,7 +19,6 @@
 
 #include "exp/jsonl_writer.hpp"
 #include "exp/row_parse.hpp"
-#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "runner/scenario.hpp"
 
@@ -40,10 +39,6 @@ struct ExperimentJob {
   // (Scenario::enable_trace) and the sampled rows land in RunRecord::trace
   // (and, when Options::trace_writer is set, the sidecar JSONL file).
   Time trace_period = Time::zero();
-  // Optional hook to add custom samplers; called after the standard probe is
-  // installed, before the scenario runs. Runs on a worker thread, but only
-  // ever touches its own job's Scenario.
-  std::function<void(Scenario&, obs::Probe&)> probe_setup;
 
   // Non-Scenario jobs (analytic models, FlowCache traces, ...): when set,
   // the runner calls this with the job's derived seed instead of building a
@@ -96,11 +91,12 @@ class ExperimentRunner {
 
   explicit ExperimentRunner(Options opts) : opts_(std::move(opts)) {}
 
-  // Runs every job and returns records in job order. If a writer is
-  // configured, rows are ALSO emitted in job order (buffered until all
-  // preceding jobs finish) so JSONL files diff cleanly across runs.
-  // Exceptions thrown by a Scenario propagate out of run() after the
-  // remaining jobs drain.
+  // Runs every job on min(jobs, jobs left) worker threads, never on the
+  // caller, and returns records in job order. If a writer is configured,
+  // rows are ALSO emitted in job order (buffered until all preceding jobs
+  // finish) so JSONL files diff cleanly across runs. A job that throws does
+  // not stop the others; after they all finish, run() rethrows the
+  // exception of the lowest failing job index.
   std::vector<RunRecord> run(const std::vector<ExperimentJob>& jobs);
 
  private:

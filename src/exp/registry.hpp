@@ -45,11 +45,9 @@ struct RunOptions {
     return full ? full_duration : quick_duration;
   }
 
-  // Probe period for traced experiments: fast enough that a smoke run still
-  // produces rows.
-  [[nodiscard]] Time trace_period(Time normal = Seconds(1)) const {
-    return smoke ? Milliseconds(100) : normal;
-  }
+  // Probe period for traced experiments: 1 s, and fast enough that a smoke
+  // run still produces rows.
+  [[nodiscard]] Time trace_period() const { return smoke ? Milliseconds(100) : Seconds(1); }
 };
 
 // One aggregated line of an experiment: all trials of one grid point.
@@ -75,7 +73,6 @@ struct ExperimentSpec {
   std::string name;         // CLI handle, e.g. "fig08"
   std::string title;        // header line, e.g. "Fig. 8 goodput CDFs"
   std::string description;  // one-liner shown by --list
-  int default_trials = 1;   // used when the CLI passes --trials=0
 
   // Expand the run options into the ordered job list. Trials must be the
   // innermost (fastest-varying) dimension so aggregation can group
@@ -114,9 +111,10 @@ struct Registration {
 // `trial=` token wherever it appears.
 [[nodiscard]] std::string strip_trial(std::string_view label);
 
-// Hand-built job lists (time-series figures, custom jobs): replicate each
-// job n times with ` trial=t` appended to the label and echoed into params,
-// trials innermost. n <= 1 returns the list unchanged.
+// Replicate each job n times with ` trial=t` appended to the label and
+// echoed into params, trials innermost. Hand-built job lists call it
+// directly, SweepGrid::trials through build(). n <= 1 returns the list
+// unchanged.
 [[nodiscard]] std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs,
                                                           int n);
 

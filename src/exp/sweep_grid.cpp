@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "exp/registry.hpp"
+
 namespace cebinae::exp {
 
 namespace {
@@ -61,33 +63,10 @@ SweepGrid& SweepGrid::variants(std::string name,
   return *this;
 }
 
-SweepGrid& SweepGrid::trials(int n) {
-  // A single trial adds no information to labels/params, and keeping the
-  // dimension out preserves clean "qdisc=... x=..." labels for default runs.
-  if (n <= 1) return *this;
-  Dimension dim;
-  dim.name = "trial";
-  for (int t = 0; t < n; ++t) {
-    Option opt;
-    opt.value_label = std::to_string(t);
-    opt.numeric = true;
-    opt.numeric_value = t;
-    opt.apply = [](ScenarioConfig&) {};
-    dim.options.push_back(std::move(opt));
-  }
-  dims_.push_back(std::move(dim));
-  return *this;
-}
-
-std::size_t SweepGrid::size() const {
-  std::size_t n = 1;
-  for (const Dimension& d : dims_) n *= d.options.size();
-  return n;
-}
-
 std::vector<ExperimentJob> SweepGrid::build() const {
+  std::size_t total = 1;
+  for (const Dimension& d : dims_) total *= d.options.size();
   std::vector<ExperimentJob> jobs;
-  const std::size_t total = size();
   jobs.reserve(total);
 
   // Odometer over dimension indices, first dimension outermost.
@@ -113,7 +92,7 @@ std::vector<ExperimentJob> SweepGrid::build() const {
       idx[d] = 0;
     }
   }
-  return jobs;
+  return replicate_trials(std::move(jobs), trials_);
 }
 
 }  // namespace cebinae::exp

@@ -1,11 +1,11 @@
 // SweepGrid: declarative cartesian-product builder for experiment batches.
 //
 // A grid starts from a base ScenarioConfig and accumulates dimensions —
-// qdiscs, named numeric axes, arbitrary named variants, and trial
-// replication. build() expands the cartesian product in declaration order
-// (first-added dimension outermost, trials conventionally innermost) into a
-// stable list of ExperimentJobs, each labelled "name=value ..." with the
-// same values echoed into its JSONL `params` object.
+// qdiscs, named numeric axes and arbitrary named variants — plus a trial
+// count. build() expands the cartesian product in declaration order
+// (first-added dimension outermost) into a stable list of ExperimentJobs,
+// each labelled "name=value ..." with the same values echoed into its JSONL
+// `params` object, then replicates every point with replicate_trials.
 //
 // The expansion order is part of the determinism contract: job index is
 // position in this product, and ExperimentRunner derives per-job seeds from
@@ -43,15 +43,16 @@ class SweepGrid {
   SweepGrid& variants(std::string name,
                       std::vector<std::pair<std::string, Mutator>> options);
 
-  // Replicate every point n times; ExperimentRunner's per-job seeding makes
-  // each trial an independent sample. Echoed into params as `trial`.
-  // n <= 1 is a no-op: single-trial runs keep their labels free of the
-  // `trial=` token, which is what the registry's aggregation key expects.
-  SweepGrid& trials(int n);
+  // Replicate every point n times, innermost, through replicate_trials;
+  // ExperimentRunner's per-job seeding makes each trial an independent
+  // sample. n <= 1 keeps labels free of the `trial=` token, which is what the
+  // registry's aggregation key expects.
+  SweepGrid& trials(int n) {
+    trials_ = n;
+    return *this;
+  }
 
   [[nodiscard]] std::vector<ExperimentJob> build() const;
-
-  [[nodiscard]] std::size_t size() const;  // number of jobs build() will emit
 
  private:
   struct Option {
@@ -67,6 +68,7 @@ class SweepGrid {
 
   ScenarioConfig base_;
   std::vector<Dimension> dims_;
+  int trials_ = 1;
 };
 
 }  // namespace cebinae::exp

@@ -32,18 +32,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.back();
 }
 
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end() || order_[it->second].kind != Kind::kCounter) return nullptr;
-  return &counters_[order_[it->second].index];
-}
-
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end() || order_[it->second].kind != Kind::kHistogram) return nullptr;
-  return &histograms_[order_[it->second].index];
-}
-
 void MetricsRegistry::sample_into(TraceRow& row) const {
   for (const Entry& e : order_) {
     switch (e.kind) {

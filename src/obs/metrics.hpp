@@ -69,8 +69,6 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
   [[nodiscard]] std::size_t size() const { return order_.size(); }
 
   // Snapshot every metric into `row`, in registration order (deterministic

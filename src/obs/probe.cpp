@@ -9,18 +9,6 @@ Probe::Probe(Scheduler& sched, Time period, TraceSink& sink)
   assert(period > Time::zero() && "probe period must be positive");
 }
 
-void Probe::add_scalar(std::string name, std::function<double(Time)> fn) {
-  add_sampler([name = std::move(name), fn = std::move(fn)](Time now, TraceRow& row) {
-    row.set(name, fn(now));
-  });
-}
-
-void Probe::add_array(std::string name, std::function<std::vector<double>(Time)> fn) {
-  add_sampler([name = std::move(name), fn = std::move(fn)](Time now, TraceRow& row) {
-    row.set(name, fn(now));
-  });
-}
-
 void Probe::sample_registry(const MetricsRegistry& reg) {
   add_sampler([&reg](Time, TraceRow& row) { reg.sample_into(row); });
 }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -34,17 +33,14 @@ class Probe {
   void add_sampler(std::function<void(Time now, TraceRow& row)> fn) {
     samplers_.push_back(std::move(fn));
   }
-  void add_scalar(std::string name, std::function<double(Time now)> fn);
-  void add_array(std::string name, std::function<std::vector<double>(Time now)> fn);
 
   // Snapshot every registered metric of `reg` on each tick. The registry
   // must outlive the probe (it does: both are owned by the scenario's
   // Network / Scenario).
   void sample_registry(const MetricsRegistry& reg);
 
-  // First tick at now + period, then every period until stop().
+  // First tick at now + period, then every period.
   void start() { timer_.start(timer_.period()); }
-  void stop() { timer_.stop(); }
 
  private:
   void tick();

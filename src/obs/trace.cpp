@@ -38,18 +38,4 @@ std::vector<double> TraceSink::series_of(const std::vector<TraceRow>& rows,
   return out;
 }
 
-std::vector<double> TraceSink::array_series_of(const std::vector<TraceRow>& rows,
-                                               std::string_view array_name,
-                                               std::size_t index) {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const TraceRow& row : rows) {
-    const std::vector<double>* arr = row.array(array_name);
-    out.push_back(arr != nullptr && index < arr->size()
-                      ? (*arr)[index]
-                      : std::numeric_limits<double>::quiet_NaN());
-  }
-  return out;
-}
-
 }  // namespace cebinae::obs

@@ -69,10 +69,6 @@ class TraceSink {
   // works on rows already moved out (e.g. RunRecord::trace).
   [[nodiscard]] static std::vector<double> series_of(const std::vector<TraceRow>& rows,
                                                      std::string_view scalar_name);
-  // Element `index` of a named array in every row (NaN where missing/short).
-  [[nodiscard]] static std::vector<double> array_series_of(const std::vector<TraceRow>& rows,
-                                                           std::string_view array_name,
-                                                           std::size_t index);
 
  private:
   std::vector<TraceRow> rows_;

@@ -1,10 +1,8 @@
-// String/enum registry of the congestion control algorithms used by the
-// paper's evaluation (Table 2 and all figures).
+// Enum, factory and display names of the congestion control algorithms used
+// by the paper's evaluation (Table 2 and all figures).
 #pragma once
 
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 
 #include "tcp/bbr.hpp"
@@ -47,15 +45,6 @@ inline std::string_view to_string(CcaType type) {
       return "BBR";
   }
   return "?";
-}
-
-inline CcaType cca_from_string(std::string_view name) {
-  if (name == "NewReno" || name == "newreno") return CcaType::kNewReno;
-  if (name == "Cubic" || name == "cubic") return CcaType::kCubic;
-  if (name == "Bic" || name == "bic") return CcaType::kBic;
-  if (name == "Vegas" || name == "vegas") return CcaType::kVegas;
-  if (name == "BBR" || name == "bbr") return CcaType::kBbr;
-  throw std::invalid_argument("unknown CCA name: " + std::string(name));
 }
 
 }  // namespace cebinae

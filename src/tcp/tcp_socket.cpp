@@ -280,7 +280,6 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
 
   total_sent_bytes_ += len;
   if (loss_mode_ == LossMode::kFastRecovery) prr_out_ += len;
-  last_send_time_ = sched_.now();
   if (!is_retransmission) {
     unacked_.push_back(
         SegMeta{seq, len, sched_.now(), delivered_, delivered_stamp_, false, false, false});
@@ -377,10 +376,7 @@ void TcpSender::on_new_ack(const Packet& ack) {
   }
 
   const bool round_start = snd_una_ >= round_end_seq_;
-  if (round_start) {
-    round_end_seq_ = snd_nxt_;
-    ++round_count_;
-  }
+  if (round_start) round_end_seq_ = snd_nxt_;
 
   AckEvent ev;
   ev.now = now;

@@ -179,11 +179,9 @@ class TcpSender final : public PacketSink {
 
   // RTT-round tracking (Vegas/BBR need per-round hooks).
   std::uint64_t round_end_seq_ = 0;
-  std::uint64_t round_count_ = 0;
 
   EventId rto_timer_;
   EventId pacing_timer_;
-  Time last_send_time_ = Time::zero();
   Time next_pacing_gate_ = Time::zero();
 
   std::uint64_t total_sent_bytes_ = 0;

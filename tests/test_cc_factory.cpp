@@ -22,22 +22,6 @@ TEST(CcFactory, NamesMatchAlgorithms) {
   EXPECT_EQ(make_cc(CcaType::kBbr)->name(), "bbr");
 }
 
-TEST(CcFactory, StringRoundTrip) {
-  for (CcaType t : {CcaType::kNewReno, CcaType::kCubic, CcaType::kBic, CcaType::kVegas,
-                    CcaType::kBbr}) {
-    EXPECT_EQ(cca_from_string(to_string(t)), t);
-  }
-}
-
-TEST(CcFactory, AcceptsLowercaseNames) {
-  EXPECT_EQ(cca_from_string("newreno"), CcaType::kNewReno);
-  EXPECT_EQ(cca_from_string("bbr"), CcaType::kBbr);
-}
-
-TEST(CcFactory, RejectsUnknownName) {
-  EXPECT_THROW((void)cca_from_string("reno2000"), std::invalid_argument);
-}
-
 TEST(CcFactory, CustomMssPropagates) {
   auto cc = make_cc(CcaType::kNewReno, 500);
   EXPECT_EQ(cc->cwnd_bytes(), 5000u);  // 10 segments of the custom MSS

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "exp/sweep_grid.hpp"
 
@@ -135,7 +139,6 @@ TEST(SweepGrid, ExpandsCartesianProductInDeclarationOrder) {
               for (auto& f : cfg.flows) f.rtt = MillisecondsF(ms);
             })
       .trials(3);
-  EXPECT_EQ(grid.size(), 2u * 2u * 3u);
   const std::vector<ExperimentJob> jobs = grid.build();
   ASSERT_EQ(jobs.size(), 12u);
   // First dimension outermost, trials innermost.
@@ -261,6 +264,103 @@ TEST(ExperimentRunner, ProgressCallbackCoversEveryJob) {
   ASSERT_EQ(seen.size(), 8u);
   // Completion counter is serialized, so it must count 1..8 in order.
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+}
+
+// n custom jobs labelled "job=<i>"; job i calls body(i) on a worker thread.
+std::vector<ExperimentJob> custom_jobs(int n, const std::function<void(int)>& body) {
+  std::vector<ExperimentJob> jobs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    jobs[i].label = "job=" + std::to_string(i);
+    jobs[i].custom = [body, i](std::uint64_t) {
+      body(i);
+      return std::vector<std::pair<std::string, double>>{{"i", i}};
+    };
+  }
+  return jobs;
+}
+
+// Spins until `done` holds; false after 30 s, so a missing worker fails the
+// test instead of hanging it.
+bool wait_until(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ExperimentRunner, FailedJobEndsTheRowsButEveryJobRuns) {
+  for (const std::set<int>& failing : {std::set<int>{2}, std::set<int>{2, 4}}) {
+    std::atomic<int> ran{0};
+    std::atomic<bool> four_ran{false};
+    const std::vector<ExperimentJob> jobs = custom_jobs(6, [&](int i) {
+      ++ran;
+      // Job 2 ends after job 4, so completion order is not index order.
+      if (i == 2) {
+        EXPECT_TRUE(wait_until([&] { return four_ran.load(); }));
+      }
+      if (i == 4) four_ran = true;
+      if (failing.count(i) > 0) throw std::runtime_error("job " + std::to_string(i));
+    });
+    const std::string path = ::testing::TempDir() + "cebinae_exp_failure.jsonl";
+    std::string error;
+    {
+      JsonlWriter writer(path);
+      ExperimentRunner::Options opts;
+      opts.jobs = 3;
+      opts.writer = &writer;
+      try {
+        (void)ExperimentRunner(opts).run(jobs);
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+    }
+    EXPECT_EQ(error, "job 2");  // the lowest failing index, not the first to fail
+    EXPECT_EQ(ran, 6);
+    std::ifstream in(path);
+    std::string line;
+    for (int row = 0; row < 2; ++row) {
+      ASSERT_TRUE(std::getline(in, line));
+      EXPECT_NE(line.find("\"label\":\"job=" + std::to_string(row) + "\""), std::string::npos);
+    }
+    EXPECT_FALSE(std::getline(in, line));
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ExperimentRunner, RunsJobsConcurrentlyOnWorkerThreads) {
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  auto note_thread = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  std::atomic<int> arrived{0};
+  // A barrier: no job returns before all four have started, which takes
+  // four workers running at once.
+  const std::vector<ExperimentJob> jobs = custom_jobs(4, [&](int) {
+    note_thread();
+    ++arrived;
+    EXPECT_TRUE(wait_until([&] { return arrived.load() == 4; }));
+  });
+  ExperimentRunner::Options opts;
+  opts.jobs = 4;
+  (void)ExperimentRunner(opts).run(jobs);
+  EXPECT_EQ(threads.size(), 4u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);  // never the caller
+
+  // jobs < 1 runs every job on one worker, still not the caller.
+  threads.clear();
+  std::atomic<int> ran{0};
+  opts.jobs = 0;
+  (void)ExperimentRunner(opts).run(custom_jobs(5, [&](int) {
+    note_thread();
+    ++ran;
+  }));
+  EXPECT_EQ(ran, 5);
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
 }
 
 }  // namespace

@@ -97,25 +97,6 @@ TEST(TraceDeterminism, RecordsCarrySampledRowsWithTheDocumentedSchema) {
   EXPECT_EQ(records[1].trace[0].array("top_flow")->size(), 2u);
 }
 
-TEST(TraceDeterminism, ProbeSetupHookAddsCustomColumns) {
-  std::vector<ExperimentJob> jobs = traced_batch();
-  for (ExperimentJob& job : jobs) {
-    job.probe_setup = [](Scenario& scenario, obs::Probe& probe) {
-      probe.add_scalar("events", [&scenario](Time) {
-        return static_cast<double>(scenario.network().scheduler().executed_events());
-      });
-    };
-  }
-  ExperimentRunner::Options opts;
-  opts.jobs = 2;
-  opts.base_seed = 11;
-  const std::vector<RunRecord> records = ExperimentRunner(opts).run(jobs);
-  for (const RunRecord& rec : records) {
-    ASSERT_EQ(rec.trace.size(), 4u);
-    EXPECT_GT(rec.trace[0].scalar("events"), 0.0);
-  }
-}
-
 // --- resumable sweeps -----------------------------------------------------
 
 std::string read_file(const std::string& path) {
