@@ -13,7 +13,7 @@
 //                    stdout are byte-identical for any N
 //   --seed=S         base seed; per-job seeds derive from (S, job index)
 //   --out=PATH       stream one JSONL result row per job ("-" = stdout)
-//   --trace-out=PATH stream probe time-series rows of traced jobs
+//   --trace-out=PATH stream trace time-series rows of traced jobs
 //   --resume         continue a killed run: rebuild the jobs committed in
 //                    --out/--trace-out, run the rest, print the full report
 //   --perf-out[=P]   write a BENCH_<name>.json perf summary

@@ -2,7 +2,7 @@
 // 40 ms sharing one bottleneck, under FIFO and under Cebinae, along with
 // Cebinae's port state (unsaturated / which flow is bottlenecked).
 //
-// The per-second series come from the trace probe's sampled rows
+// The per-second series come from the scenario's trace rows
 // (tput_Bps / ceb_saturated / top_flow). With --trials=N the table shows
 // trial 0 and the steady-state ratio line aggregates across trials.
 #include <algorithm>

@@ -3,10 +3,10 @@
 // in-network help the system slides into persistent unfairness; Cebinae
 // pushes it back toward fair.
 //
-// Each qdisc runs with a trace probe; the JFI series is the probe's "jfi"
-// scalar (computed over flows active for a full sample window). With
-// --trials=N the per-second table shows trial 0 and the final-quarter
-// summary aggregates across trials — the per-trial Cebinae tail list at the
+// Each qdisc runs traced; the JFI series is the trace rows' "jfi" scalar
+// (computed over flows active for a full sample window). With --trials=N
+// the per-second table shows trial 0 and the final-quarter summary
+// aggregates across trials — the per-trial Cebinae tail list at the
 // bottom is the seed-sensitivity readout (see EXPERIMENTS.md).
 #include <algorithm>
 #include <cstdio>
@@ -61,7 +61,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 void tail_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
                   std::vector<std::pair<std::string, double>>& out) {
   out.emplace_back("tail_jfi",
-                   tail_quarter_mean(obs::TraceSink::series_of(rec.trace, "jfi")));
+                   tail_quarter_mean(obs::series_of(rec.trace, "jfi")));
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
@@ -75,9 +75,9 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
     static const std::vector<obs::TraceRow> kEmpty;
     return r.trials.empty() || r.trials[0] == nullptr ? kEmpty : r.trials[0]->trace;
   };
-  const std::vector<double> f = obs::TraceSink::series_of(first_trace(fifo), "jfi");
-  const std::vector<double> q = obs::TraceSink::series_of(first_trace(fq), "jfi");
-  const std::vector<double> c = obs::TraceSink::series_of(first_trace(ceb), "jfi");
+  const std::vector<double> f = obs::series_of(first_trace(fifo), "jfi");
+  const std::vector<double> q = obs::series_of(first_trace(fq), "jfi");
+  const std::vector<double> c = obs::series_of(first_trace(ceb), "jfi");
   if (f.empty() || q.empty() || c.empty()) return;
 
   std::printf("%5s %10s %10s %10s\n", "t[s]", "FIFO", "FQ", "Cebinae");
@@ -96,7 +96,7 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (ceb.trials.size() > 1) {
     std::printf("\nper-trial Cebinae tail JFI:");
     for (const exp::RunRecord* rec : ceb.trials) {
-      std::printf(" %.3f", tail_quarter_mean(obs::TraceSink::series_of(rec->trace, "jfi")));
+      std::printf(" %.3f", tail_quarter_mean(obs::series_of(rec->trace, "jfi")));
     }
     std::printf("\n");
   }

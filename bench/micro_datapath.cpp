@@ -9,7 +9,6 @@
 #include "core/flow_cache.hpp"
 #include "core/lbf.hpp"
 #include "metrics/jfi.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "queueing/fq_codel.hpp"
@@ -192,36 +191,6 @@ void BM_FqCoDelEnqueueDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_FqCoDelEnqueueDequeue)->Arg(16)->Arg(1024)->Arg(65536);
 
-void BM_MetricsCounterAdd(benchmark::State& state) {
-  // The always-compiled instrumentation cost on a hot path: one null check
-  // plus an increment through a cached Counter*.
-  obs::MetricsRegistry reg;
-  obs::Counter* c = &reg.counter("net.tx_bytes");
-  for (auto _ : state) {
-    if (c != nullptr) c->add(kMtuBytes);
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsCounterAdd);
-
-void BM_RegistrySampleRow(benchmark::State& state) {
-  // Probe-tick cost: snapshot every registered metric into a TraceRow.
-  // Paid once per sample period, never per packet.
-  const auto metrics = static_cast<int>(state.range(0));
-  obs::MetricsRegistry reg;
-  for (int i = 0; i < metrics; ++i) {
-    reg.counter("counter." + std::to_string(i)).add(static_cast<std::uint64_t>(i));
-  }
-  for (auto _ : state) {
-    obs::TraceRow row(1.0);
-    reg.sample_into(row);
-    benchmark::DoNotOptimize(row);
-  }
-  state.SetItemsProcessed(state.iterations() * metrics);
-}
-BENCHMARK(BM_RegistrySampleRow)->Arg(8)->Arg(64);
-
 void BM_TraceRowToJson(benchmark::State& state) {
   // Serialization cost of one sidecar row (runner-side, off the sim path).
   obs::TraceRow row(12.0);
@@ -229,7 +198,9 @@ void BM_TraceRowToJson(benchmark::State& state) {
   std::vector<double> tput(34, 1.25e6);
   row.set("tput_Bps", std::move(tput));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(row.to_json().str());
+    exp::JsonObject obj;
+    row.write_fields(obj);
+    benchmark::DoNotOptimize(obj.str());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -35,7 +35,7 @@ struct ExperimentJob {
   std::string label;  // free-form, e.g. "row=3 qdisc=Cebinae trial=1"
   JsonObject params;  // sweep-axis echo, nested into the JSONL row
 
-  // Telemetry: a positive period installs the scenario's standard probe
+  // Telemetry: a positive period records the scenario's trace rows
   // (Scenario::enable_trace) and the sampled rows land in RunRecord::trace
   // (and, when Options::trace_writer is set, the sidecar JSONL file).
   Time trace_period = Time::zero();
@@ -111,10 +111,11 @@ class ExperimentRunner {
 [[nodiscard]] JsonObject result_row(const ExperimentJob& job, std::size_t job_index,
                                     std::uint64_t base_seed, const RunRecord& record);
 
-// One sidecar JSONL row per probe sample: job context + the row's fields.
-// Schema: label, job_index, seed, t_s, then the probe's scalars and arrays
-// (jfi, tput_Bps[...], q_bytes[...], cwnd_bytes[...], srtt_s[...], ceb_*,
-// top_flow[...], net.tx_*, tcp.*; see DESIGN.md §9).
+// One sidecar JSONL row per trace tick: job context + the row's fields.
+// Schema: label, job_index, seed, t_s, then the row's scalars (jfi,
+// qdisc.sojourn_s.l<k>.*, net.tx_*, tcp.*) and arrays (tput_Bps[...],
+// q_bytes[...], cwnd_bytes[...], srtt_s[...], ceb_*, top_flow[...]; see
+// DESIGN.md §9).
 [[nodiscard]] JsonObject trace_row(const ExperimentJob& job, std::size_t job_index,
                                    std::uint64_t seed, const obs::TraceRow& row);
 

@@ -32,7 +32,7 @@ struct RunOptions {
   std::uint64_t base_seed = 1;
   int jobs = 1;
   std::string out;        // results JSONL; "" = disabled, "-" = stdout
-  std::string trace_out;  // probe time-series sidecar JSONL; "" = disabled
+  std::string trace_out;  // trace time-series sidecar JSONL; "" = disabled
   bool resume = false;    // continue after the jobs already committed in `out`
   std::string perf_out;   // BENCH perf summary JSON; "" = disabled
 
@@ -45,7 +45,7 @@ struct RunOptions {
     return full ? full_duration : quick_duration;
   }
 
-  // Probe period for traced experiments: 1 s, and fast enough that a smoke
+  // Trace period for traced experiments: 1 s, and fast enough that a smoke
   // run still produces rows.
   [[nodiscard]] Time trace_period() const { return smoke ? Milliseconds(100) : Seconds(1); }
 };

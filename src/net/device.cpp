@@ -8,7 +8,7 @@
 namespace cebinae {
 
 Device::Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_delay,
-               std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics)
+               std::unique_ptr<QueueDisc> qdisc)
     : sched_(sched),
       owner_(owner),
       rate_bps_(rate_bps),
@@ -16,10 +16,6 @@ Device::Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_
       qdisc_(std::move(qdisc)) {
   assert(rate_bps_ > 0);
   assert(qdisc_ != nullptr);
-  if (metrics != nullptr) {
-    tx_bytes_metric_ = &metrics->counter("net.tx_bytes");
-    tx_packets_metric_ = &metrics->counter("net.tx_packets");
-  }
 }
 
 Node& Device::peer_node() {
@@ -44,10 +40,6 @@ void Device::try_transmit() {
   const Time tx_time = serialization_delay(size);
   tx_bytes_ += size;
   ++tx_packets_;
-  if (tx_bytes_metric_ != nullptr) {
-    tx_bytes_metric_->add(size);
-    tx_packets_metric_->inc();
-  }
 
   sched_.schedule(tx_time, [this] {
     busy_ = false;

@@ -22,7 +22,6 @@
 
 #include "net/packet.hpp"
 #include "net/packet_slab.hpp"
-#include "obs/metrics.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
 
@@ -32,10 +31,8 @@ class Node;
 
 class Device {
  public:
-  // `metrics` (optional) aggregates transmit accounting across every device
-  // of a network into the "net.tx_bytes"/"net.tx_packets" counters.
   Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_delay,
-         std::unique_ptr<QueueDisc> qdisc, obs::MetricsRegistry* metrics = nullptr);
+         std::unique_ptr<QueueDisc> qdisc);
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -81,8 +78,6 @@ class Device {
   bool busy_ = false;
   std::uint64_t tx_bytes_ = 0;
   std::uint64_t tx_packets_ = 0;
-  obs::Counter* tx_bytes_metric_ = nullptr;    // network-wide aggregates; may be null
-  obs::Counter* tx_packets_metric_ = nullptr;
   Device* peer_ = nullptr;
   // Delay line: frames on the wire, oldest first. Each slot's `stamp` is its
   // arrival time and `seq` the arrival's reserved scheduler seq.

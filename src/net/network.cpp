@@ -18,10 +18,10 @@ Network::LinkDevices Network::link(Node& a, Node& b, std::uint64_t rate_bps, Tim
   if (!q_ab) q_ab = std::make_unique<FifoQueue>(FifoQueue::unlimited());
   if (!q_ba) q_ba = std::make_unique<FifoQueue>(FifoQueue::unlimited());
 
-  Device& dab = a.add_device(std::make_unique<Device>(sched_, a, rate_bps, delay,
-                                                      std::move(q_ab), &metrics_));
-  Device& dba = b.add_device(std::make_unique<Device>(sched_, b, rate_bps, delay,
-                                                      std::move(q_ba), &metrics_));
+  Device& dab =
+      a.add_device(std::make_unique<Device>(sched_, a, rate_bps, delay, std::move(q_ab)));
+  Device& dba =
+      b.add_device(std::make_unique<Device>(sched_, b, rate_bps, delay, std::move(q_ba)));
   dab.set_peer(dba);
   dba.set_peer(dab);
   edges_.push_back(Edge{a.id(), b.id(), &dab, &dba});

@@ -18,11 +18,10 @@ class Network {
 
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] RandomStream& rng() { return rng_; }
-  // Per-network metrics registry: instrumented components (devices, sockets,
-  // qdiscs) register counters here; probes sample it. Never shared across
-  // Networks, so parallel scenarios stay isolated.
+  // Per-network metrics registry: instrumented components (sockets, qdiscs)
+  // observe into its named histograms; Scenario's trace rows read them.
+  // Never shared across Networks, so parallel scenarios stay isolated.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   Node& add_node();
   [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(id); }

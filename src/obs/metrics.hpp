@@ -1,44 +1,30 @@
-// Per-scenario metrics registry: named counters and histogram accumulators
-// for the observability layer.
+// Per-scenario metrics registry: named histogram accumulators for the
+// observability layer.
 //
 // Ownership and threading: a MetricsRegistry is owned by a Network (one per
 // Scenario) — there is deliberately NO process-global registry, preserving
 // the one-Scenario-per-thread contract documented in src/net/packet_slab.hpp.
 // Instrumented components hold plain pointers into their Network's registry,
-// so the hot-path cost of a counter is one null check plus one add; nothing
-// is ever locked. Sampling (reading every metric into a trace row) is done
-// only by scheduler-driven probes, on the simulation thread.
+// so the hot-path cost of an observation is one null check plus the update;
+// nothing is ever locked. Counts that a component already keeps (bytes sent,
+// retransmissions, ...) are not mirrored here: the trace row reads them from
+// the component at the tick (Scenario::trace_row).
 //
-// Metric cells are deque-backed, so a Counter&/Histogram& returned by the
-// registry stays valid for the registry's lifetime regardless of how many
-// metrics are registered afterwards.
+// The registry is node-based, so a Histogram& it returns stays valid for the
+// registry's lifetime regardless of how many histograms are added afterwards.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 namespace cebinae::obs {
 
-class TraceRow;
-
-// Monotonic event count (packets dropped, retransmissions, rotations...).
-class Counter {
- public:
-  void add(std::uint64_t n) { v_ += n; }
-  void inc() { ++v_; }
-  [[nodiscard]] std::uint64_t value() const { return v_; }
-
- private:
-  std::uint64_t v_ = 0;
-};
-
 // Streaming summary of observed samples (count/sum/min/max); cheap enough to
-// sit on a per-ACK path. Probes export n, mean, and max.
+// sit on a per-ACK path. Trace rows export n, mean, and max.
 class Histogram {
  public:
   void observe(double x) {
@@ -64,30 +50,16 @@ class Histogram {
 class MetricsRegistry {
  public:
   // Get-or-create: repeated lookups of the same name return the same cell,
-  // so multiple instances (e.g. every Device in the network) can share one
-  // aggregate counter.
-  Counter& counter(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
-
-  // Snapshot every metric into `row`, in registration order (deterministic
-  // key order is what keeps trace files byte-stable). A counter emits one
-  // scalar; a histogram `h` emits `h.n`, `h.mean`, and `h.max`.
-  void sample_into(TraceRow& row) const;
+  // so multiple instances (e.g. every TcpSender in the network) can share
+  // one aggregate histogram.
+  Histogram& histogram(std::string_view name) {
+    const auto it = histograms_.find(name);
+    if (it != histograms_.end()) return it->second;
+    return histograms_.emplace(std::string(name), Histogram{}).first->second;
+  }
 
  private:
-  enum class Kind { kCounter, kHistogram };
-  struct Entry {
-    std::string name;
-    Kind kind;
-    std::size_t index;  // into the kind's storage
-  };
-
-  std::vector<Entry> order_;
-  std::unordered_map<std::string, std::size_t> by_name_;  // -> order_ index
-  std::deque<Counter> counters_;
-  std::deque<Histogram> histograms_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace cebinae::obs

@@ -24,14 +24,7 @@ void TraceRow::write_fields(exp::JsonObject& obj) const {
   for (const auto& [k, v] : arrays_) obj.set(k, v);
 }
 
-exp::JsonObject TraceRow::to_json() const {
-  exp::JsonObject obj;
-  write_fields(obj);
-  return obj;
-}
-
-std::vector<double> TraceSink::series_of(const std::vector<TraceRow>& rows,
-                                         std::string_view scalar_name) {
+std::vector<double> series_of(const std::vector<TraceRow>& rows, std::string_view scalar_name) {
   std::vector<double> out;
   out.reserve(rows.size());
   for (const TraceRow& row : rows) out.push_back(row.scalar(scalar_name));

@@ -1,5 +1,4 @@
-// Time-series rows sampled by probes, and the per-scenario sink that
-// collects them.
+// Time-series rows of a traced scenario.
 //
 // A TraceRow is one sample instant: the simulation time plus named scalars
 // and named arrays (per-flow / per-link series). Field order is insertion
@@ -7,13 +6,13 @@
 // so two runs that sample the same values produce byte-identical JSONL —
 // the property the trace determinism test asserts across --jobs counts.
 //
-// A TraceSink buffers the rows of ONE scenario in memory (single-threaded,
-// like everything a Scenario owns). Streaming to the per-job sidecar file is
-// the ExperimentRunner's job: it serializes each completed job's rows in job
-// order, which is what keeps the sidecar stable across worker counts.
+// A Scenario builds its rows (Scenario::trace_row) and keeps them in memory
+// (single-threaded, like everything a Scenario owns). Streaming to the
+// per-job sidecar file is the ExperimentRunner's job: it serializes each
+// completed job's rows in job order, which is what keeps the sidecar stable
+// across worker counts.
 #pragma once
 
-#include <cmath>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,17 +37,9 @@ class TraceRow {
   [[nodiscard]] double scalar(std::string_view name) const;
   [[nodiscard]] const std::vector<double>* array(std::string_view name) const;
 
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& scalars() const {
-    return scalars_;
-  }
-  [[nodiscard]] const std::vector<std::pair<std::string, std::vector<double>>>& arrays() const {
-    return arrays_;
-  }
-
-  // Append t_s + every field to a JSON object under construction (used by
-  // the runner to prepend job context before the sample fields).
+  // Append t_s, every scalar, then every array to a JSON object under
+  // construction (the runner prepends job context before the sample fields).
   void write_fields(exp::JsonObject& obj) const;
-  [[nodiscard]] exp::JsonObject to_json() const;
 
  private:
   double t_s_;
@@ -56,22 +47,9 @@ class TraceRow {
   std::vector<std::pair<std::string, std::vector<double>>> arrays_;
 };
 
-class TraceSink {
- public:
-  void push(TraceRow row) { rows_.push_back(std::move(row)); }
-
-  [[nodiscard]] const std::vector<TraceRow>& rows() const { return rows_; }
-  [[nodiscard]] std::size_t size() const { return rows_.size(); }
-  [[nodiscard]] bool empty() const { return rows_.empty(); }
-  [[nodiscard]] std::vector<TraceRow> take_rows() { return std::move(rows_); }
-
-  // Column extraction for benches that print tables from a finished run;
-  // works on rows already moved out (e.g. RunRecord::trace).
-  [[nodiscard]] static std::vector<double> series_of(const std::vector<TraceRow>& rows,
-                                                     std::string_view scalar_name);
-
- private:
-  std::vector<TraceRow> rows_;
-};
+// One scalar column of a finished run's rows (NaN where a row lacks it), for
+// benches that print tables from RunRecord::trace.
+[[nodiscard]] std::vector<double> series_of(const std::vector<TraceRow>& rows,
+                                            std::string_view scalar_name);
 
 }  // namespace cebinae::obs

@@ -69,8 +69,7 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
       break;
   }
   // Per-link sojourn-time histogram: dequeue − enqueue of every delivered
-  // packet, exported by probe.sample_registry as qdisc.sojourn_s.l<k>.{n,
-  // mean,max} in the standard trace rows.
+  // packet, exported by trace_row as qdisc.sojourn_s.l<k>.{n,mean,max}.
   if (disc != nullptr) {
     disc->instrument_sojourn(
         net_->scheduler(),
@@ -155,99 +154,129 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
   }
 }
 
-obs::Probe& Scenario::enable_trace(Time period) {
-  assert(trace_probe_ == nullptr && "enable_trace must be called at most once");
-  trace_probe_ = std::make_unique<obs::Probe>(net_->scheduler(), period, trace_sink_);
-  obs::Probe& probe = *trace_probe_;
+void Scenario::enable_trace(Time period) {
+  assert(trace_timer_ == nullptr && "enable_trace must be called at most once");
+  assert(period > Time::zero() && "trace period must be positive");
+  trace_period_ = period;
+  trace_prev_bytes_.assign(flow_ids_.size(), 0);
+  trace_timer_ = std::make_unique<PacketGenerator>(net_->scheduler(), period, [this] {
+    trace_.push_back(trace_row(net_->scheduler().now()));
+  });
+  trace_timer_->start(period);
+}
+
+namespace {
+void set_histogram(obs::TraceRow& row, const std::string& name, const obs::Histogram& h) {
+  row.set(name + ".n", static_cast<double>(h.count()));
+  row.set(name + ".mean", h.mean());
+  row.set(name + ".max", h.max());
+}
+}  // namespace
+
+obs::TraceRow Scenario::trace_row(Time now) {
+  obs::TraceRow row(now.seconds());
 
   // Per-flow windowed throughput over [now - period, now), plus JFI over the
   // flows whose configured start precedes the window — matching the paper's
   // time-series figures, where a joining flow enters the fairness index only
   // once it has been active for a full sample window.
-  probe.add_sampler([this, period,
-                     prev = std::vector<std::uint64_t>(flow_ids_.size(), 0)](
-                        Time now, obs::TraceRow& row) mutable {
-    std::vector<double> tput(flow_ids_.size(), 0.0);
-    std::vector<double> active;
-    const Time window_start = now - period;
-    for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
-      const std::uint64_t total = stats_.total_bytes(flow_ids_[i]);
-      tput[i] = static_cast<double>(total - prev[i]) / period.seconds();
-      prev[i] = total;
-      if (cfg_.flows[i].start <= window_start) active.push_back(tput[i]);
+  std::vector<double> tput(flow_ids_.size(), 0.0);
+  std::vector<double> active;
+  const Time window_start = now - trace_period_;
+  for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
+    const std::uint64_t total = stats_.total_bytes(flow_ids_[i]);
+    tput[i] = static_cast<double>(total - trace_prev_bytes_[i]) / trace_period_.seconds();
+    trace_prev_bytes_[i] = total;
+    if (cfg_.flows[i].start <= window_start) active.push_back(tput[i]);
+  }
+  row.set("jfi", jain_index(active));
+
+  // Scalars, in a fixed order: every link's sojourn histogram, then
+  // network-wide transmit counts, then TCP counts summed over the senders.
+  obs::MetricsRegistry& metrics = net_->metrics();
+  for (std::size_t l = 0; l < topo_.bottlenecks.size(); ++l) {
+    const std::string name = "qdisc.sojourn_s.l" + std::to_string(l);
+    set_histogram(row, name, metrics.histogram(name));
+  }
+  std::uint64_t tx_bytes = 0, tx_packets = 0;
+  for (NodeId n = 0; n < net_->node_count(); ++n) {
+    Node& node = net_->node(n);
+    for (std::size_t d = 0; d < node.device_count(); ++d) {
+      tx_bytes += node.device(d).tx_bytes();
+      tx_packets += node.device(d).tx_packets();
     }
-    row.set("jfi", jain_index(active));
-    row.set("tput_Bps", std::move(tput));
-  });
+  }
+  row.set("net.tx_bytes", static_cast<double>(tx_bytes));
+  row.set("net.tx_packets", static_cast<double>(tx_packets));
+  std::uint64_t retransmits = 0, rtos = 0, fast_retransmits = 0;
+  for (const auto& sender : senders_) {
+    retransmits += sender->retransmissions();
+    rtos += sender->rto_count();
+    fast_retransmits += sender->fast_retransmit_count();
+  }
+  row.set("tcp.retransmits", static_cast<double>(retransmits));
+  row.set("tcp.rtos", static_cast<double>(rtos));
+  row.set("tcp.fast_retransmits", static_cast<double>(fast_retransmits));
+  set_histogram(row, "tcp.srtt_s", metrics.histogram("tcp.srtt_s"));
+
+  row.set("tput_Bps", std::move(tput));
 
   // Bottleneck queue state, one array element per chain link.
-  probe.add_sampler([this](Time, obs::TraceRow& row) {
-    std::vector<double> depth_bytes, depth_pkts, drops, ecn_marks;
-    for (const Device* dev : topo_.bottlenecks) {
-      const QueueDisc& q = dev->qdisc();
-      depth_bytes.push_back(static_cast<double>(q.byte_count()));
-      depth_pkts.push_back(static_cast<double>(q.packet_count()));
-      drops.push_back(static_cast<double>(q.stats().dropped_packets));
-      ecn_marks.push_back(static_cast<double>(q.stats().ecn_marked_packets));
-    }
-    row.set("q_bytes", std::move(depth_bytes));
-    row.set("q_pkts", std::move(depth_pkts));
-    row.set("q_drops", std::move(drops));
-    row.set("q_ecn_marks", std::move(ecn_marks));
-  });
+  std::vector<double> depth_bytes, depth_pkts, drops, ecn_marks;
+  for (const Device* dev : topo_.bottlenecks) {
+    const QueueDisc& q = dev->qdisc();
+    depth_bytes.push_back(static_cast<double>(q.byte_count()));
+    depth_pkts.push_back(static_cast<double>(q.packet_count()));
+    drops.push_back(static_cast<double>(q.stats().dropped_packets));
+    ecn_marks.push_back(static_cast<double>(q.stats().ecn_marked_packets));
+  }
+  row.set("q_bytes", std::move(depth_bytes));
+  row.set("q_pkts", std::move(depth_pkts));
+  row.set("q_drops", std::move(drops));
+  row.set("q_ecn_marks", std::move(ecn_marks));
 
   // Per-flow TCP state.
-  probe.add_sampler([this](Time, obs::TraceRow& row) {
-    std::vector<double> cwnd, srtt;
-    for (const auto& sender : senders_) {
-      cwnd.push_back(static_cast<double>(sender->cc().cwnd_bytes()));
-      srtt.push_back(sender->rtt().srtt().seconds());
-    }
-    row.set("cwnd_bytes", std::move(cwnd));
-    row.set("srtt_s", std::move(srtt));
-  });
+  std::vector<double> cwnd, srtt;
+  for (const auto& sender : senders_) {
+    cwnd.push_back(static_cast<double>(sender->cc().cwnd_bytes()));
+    srtt.push_back(sender->rtt().srtt().seconds());
+  }
+  row.set("cwnd_bytes", std::move(cwnd));
+  row.set("srtt_s", std::move(srtt));
 
   // Cebinae data/control-plane state (per link, plus per-flow ⊤ membership
   // at the first bottleneck).
-  if (cfg_.qdisc == QdiscKind::kCebinae) {
-    probe.add_sampler([this](Time, obs::TraceRow& row) {
-      std::vector<double> rotations, delayed, lbf_drops, buffer_drops, flips, saturated,
-          utilization, cache_occupied, cache_uncounted;
-      for (std::size_t l = 0; l < cebinae_qdiscs_.size(); ++l) {
-        CebinaeQueueDisc* q = cebinae_qdiscs_[l];
-        const CebinaeAgent::Snapshot& snap = agents_[l]->snapshot();
-        rotations.push_back(static_cast<double>(q->lbf().rotations()));
-        delayed.push_back(static_cast<double>(q->delayed_packets()));
-        lbf_drops.push_back(static_cast<double>(q->lbf_dropped_packets()));
-        buffer_drops.push_back(static_cast<double>(q->buffer_dropped_packets()));
-        flips.push_back(static_cast<double>(agents_[l]->phase_changes()));
-        saturated.push_back(snap.saturated ? 1.0 : 0.0);
-        utilization.push_back(snap.utilization);
-        cache_occupied.push_back(static_cast<double>(q->cache().occupied_slots()));
-        cache_uncounted.push_back(static_cast<double>(q->cache().uncounted_packets()));
-      }
-      row.set("ceb_rotations", std::move(rotations));
-      row.set("ceb_delayed", std::move(delayed));
-      row.set("ceb_lbf_drops", std::move(lbf_drops));
-      row.set("ceb_buffer_drops", std::move(buffer_drops));
-      row.set("ceb_flips", std::move(flips));
-      row.set("ceb_saturated", std::move(saturated));
-      row.set("ceb_util", std::move(utilization));
-      row.set("ceb_cache_occupied", std::move(cache_occupied));
-      row.set("ceb_cache_uncounted", std::move(cache_uncounted));
-      std::vector<double> top(flow_ids_.size(), 0.0);
-      for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
-        top[i] = cebinae_qdiscs_[0]->is_top(flow_ids_[i]) ? 1.0 : 0.0;
-      }
-      row.set("top_flow", std::move(top));
-    });
+  if (cfg_.qdisc != QdiscKind::kCebinae) return row;
+  std::vector<double> rotations, delayed, lbf_drops, buffer_drops, flips, saturated, utilization,
+      cache_occupied, cache_uncounted;
+  for (std::size_t l = 0; l < cebinae_qdiscs_.size(); ++l) {
+    CebinaeQueueDisc* q = cebinae_qdiscs_[l];
+    const CebinaeAgent::Snapshot& snap = agents_[l]->snapshot();
+    rotations.push_back(static_cast<double>(q->lbf().rotations()));
+    delayed.push_back(static_cast<double>(q->delayed_packets()));
+    lbf_drops.push_back(static_cast<double>(q->lbf_dropped_packets()));
+    buffer_drops.push_back(static_cast<double>(q->buffer_dropped_packets()));
+    flips.push_back(static_cast<double>(agents_[l]->phase_changes()));
+    saturated.push_back(snap.saturated ? 1.0 : 0.0);
+    utilization.push_back(snap.utilization);
+    cache_occupied.push_back(static_cast<double>(q->cache().occupied_slots()));
+    cache_uncounted.push_back(static_cast<double>(q->cache().uncounted_packets()));
   }
-
-  // Everything components registered themselves (net.tx_*, tcp.*).
-  probe.sample_registry(net_->metrics());
-
-  probe.start();
-  return probe;
+  row.set("ceb_rotations", std::move(rotations));
+  row.set("ceb_delayed", std::move(delayed));
+  row.set("ceb_lbf_drops", std::move(lbf_drops));
+  row.set("ceb_buffer_drops", std::move(buffer_drops));
+  row.set("ceb_flips", std::move(flips));
+  row.set("ceb_saturated", std::move(saturated));
+  row.set("ceb_util", std::move(utilization));
+  row.set("ceb_cache_occupied", std::move(cache_occupied));
+  row.set("ceb_cache_uncounted", std::move(cache_uncounted));
+  std::vector<double> top(flow_ids_.size(), 0.0);
+  for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
+    top[i] = cebinae_qdiscs_[0]->is_top(flow_ids_[i]) ? 1.0 : 0.0;
+  }
+  row.set("top_flow", std::move(top));
+  return row;
 }
 
 ScenarioResult Scenario::run() {

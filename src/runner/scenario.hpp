@@ -14,11 +14,11 @@
 
 #include "core/agent.hpp"
 #include "core/cebinae_queue_disc.hpp"
+#include "control/packet_generator.hpp"
 #include "core/params.hpp"
 #include "metrics/flow_stats.hpp"
 #include "metrics/maxmin.hpp"
 #include "net/network.hpp"
-#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "queueing/afq.hpp"
 #include "queueing/fq_codel.hpp"
@@ -79,17 +79,11 @@ class Scenario {
 
   // Pre-run hooks -----------------------------------------------------------
 
-  // Install the standard telemetry probe: every `period` it snapshots the
-  // network's MetricsRegistry plus the computed series the paper's figures
-  // need — per-flow windowed throughput and JFI(t), per-bottleneck queue
-  // depth/drops/ECN marks, per-flow cwnd and srtt, and (under Cebinae) LBF
-  // rotations, ⊤/⊥ classification state, delayed/dropped counts, and cache
-  // occupancy. Rows accumulate in trace(); returns the probe so callers can
-  // add custom samplers before run(). Call at most once, before run().
-  obs::Probe& enable_trace(Time period);
+  // Record one trace row (trace_row) every `period`, first at now + period.
+  // Rows accumulate in trace(). Call at most once, before run().
+  void enable_trace(Time period);
 
-  [[nodiscard]] obs::TraceSink& trace() { return trace_sink_; }
-  [[nodiscard]] bool tracing() const { return trace_probe_ != nullptr; }
+  [[nodiscard]] std::vector<obs::TraceRow>& trace() { return trace_; }
 
   // Accessors ---------------------------------------------------------------
   [[nodiscard]] Network& network() { return *net_; }
@@ -116,6 +110,14 @@ class Scenario {
  private:
   [[nodiscard]] std::unique_ptr<QueueDisc> make_bottleneck_qdisc(int link);
 
+  // The trace row at `now`, read from component state: per-flow throughput
+  // over [now - period, now) and JFI(t), the registry's sojourn and RTT
+  // histograms, network-wide transmit counts, TCP loss-recovery counts,
+  // per-bottleneck queue depth/drops/ECN marks, per-flow cwnd and srtt, and
+  // (under Cebinae) LBF rotations, ⊤/⊥ classification state,
+  // delayed/dropped counts, and cache occupancy. Schedules nothing.
+  [[nodiscard]] obs::TraceRow trace_row(Time now);
+
   ScenarioConfig cfg_;
   CebinaeParams effective_params_;
   std::unique_ptr<Network> net_;
@@ -126,8 +128,10 @@ class Scenario {
   std::vector<FlowId> flow_ids_;
   std::vector<std::unique_ptr<CebinaeAgent>> agents_;
   std::vector<CebinaeQueueDisc*> cebinae_qdiscs_;
-  obs::TraceSink trace_sink_;
-  std::unique_ptr<obs::Probe> trace_probe_;
+  std::vector<obs::TraceRow> trace_;
+  std::unique_ptr<PacketGenerator> trace_timer_;
+  Time trace_period_;
+  std::vector<std::uint64_t> trace_prev_bytes_;  // per flow, at the last tick
 };
 
 }  // namespace cebinae

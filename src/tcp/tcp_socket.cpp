@@ -94,12 +94,7 @@ TcpSender::TcpSender(Scheduler& sched, Node& local, std::unique_ptr<CongestionCo
   assert(config_.flow.src == local_.id());
   assert(cc_ != nullptr);
   local_.bind(config_.flow.src_port, *this);
-  if (config_.metrics != nullptr) {
-    m_retransmits_ = &config_.metrics->counter("tcp.retransmits");
-    m_rtos_ = &config_.metrics->counter("tcp.rtos");
-    m_fast_retransmits_ = &config_.metrics->counter("tcp.fast_retransmits");
-    m_srtt_ = &config_.metrics->histogram("tcp.srtt_s");
-  }
+  if (config_.metrics != nullptr) m_srtt_ = &config_.metrics->histogram("tcp.srtt_s");
 }
 
 TcpSender::~TcpSender() {
@@ -178,7 +173,6 @@ bool TcpSender::retransmit_hole() {
     m.delivered_stamp_at_send = delivered_stamp_;
     m.retransmitted = true;
     ++retransmissions_;
-    if (m_retransmits_ != nullptr) m_retransmits_->inc();
     ++retx_hint_;
     send_segment(m.seq, m.len, /*is_retransmission=*/true);
     return true;
@@ -296,7 +290,6 @@ void TcpSender::retransmit_front() {
   m.delivered_stamp_at_send = delivered_stamp_;
   m.retransmitted = true;
   ++retransmissions_;
-  if (m_retransmits_ != nullptr) m_retransmits_->inc();
   send_segment(m.seq, m.len, /*is_retransmission=*/true);
 }
 
@@ -410,7 +403,6 @@ void TcpSender::on_dup_ack() {
     loss_mode_ = LossMode::kFastRecovery;
     recover_ = snd_nxt_;
     ++fast_retransmits_;
-    if (m_fast_retransmits_ != nullptr) m_fast_retransmits_->inc();
     cc_->on_loss(sched_.now(), bytes_in_flight());
     prr_delivered_ = 0;
     prr_out_ = 0;
@@ -425,7 +417,6 @@ void TcpSender::on_rto_fire() {
   rto_timer_ = EventId();
   if (unacked_.empty()) return;
   ++rto_count_;
-  if (m_rtos_ != nullptr) m_rtos_->inc();
   cc_->on_rto(sched_.now());
   rtt_.backoff();
   dup_acks_ = 0;

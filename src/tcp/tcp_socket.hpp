@@ -70,9 +70,9 @@ class TcpSender final : public PacketSink {
     bool ecn_capable = false;
     Time start_time;
     Time stop_time = Time::max();  // stop offering new data after this time
-    // Optional observability hookup (the owning Network's registry).
-    // Aggregated across senders: "tcp.retransmits", "tcp.rtos",
-    // "tcp.fast_retransmits" counters and a "tcp.srtt_s" sample histogram.
+    // Optional observability hookup (the owning Network's registry): every
+    // RTT sample is observed into its "tcp.srtt_s" histogram, which is
+    // shared by all senders of the network.
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -190,10 +190,7 @@ class TcpSender final : public PacketSink {
   std::uint64_t fast_retransmits_ = 0;
   bool started_ = false;
 
-  // Aggregate metric cells (null when the socket runs unregistered).
-  obs::Counter* m_retransmits_ = nullptr;
-  obs::Counter* m_rtos_ = nullptr;
-  obs::Counter* m_fast_retransmits_ = nullptr;
+  // Aggregate RTT histogram (null when the socket runs unregistered).
   obs::Histogram* m_srtt_ = nullptr;
 };
 

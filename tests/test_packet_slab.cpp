@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "control/packet_generator.hpp"
 #include "runner/scenario.hpp"
 
 namespace cebinae {
@@ -143,12 +144,13 @@ TEST_P(SlabScenario, LiveSlotsAreQueuedOrOnTheWire) {
   Network& net = scenario.network();
   int ticks = 0;
   std::uint64_t max_queued = 0;
-  scenario.enable_trace(Milliseconds(10)).add_sampler([&](Time, obs::TraceRow&) {
+  PacketGenerator check(net.scheduler(), Milliseconds(10), [&] {
     const Totals t = totals(net);
     ASSERT_EQ(slab.live() - before, t.queued + t.on_wire);
     max_queued = std::max(max_queued, t.queued);
     ++ticks;
   });
+  check.start(Milliseconds(10));
   scenario.run();
   EXPECT_GT(ticks, 100);
   EXPECT_GT(max_queued, 0u);

@@ -1,6 +1,6 @@
 // Per-queue sojourn instrumentation: every QueueDisc stamps packets at
 // enqueue and feeds dequeue − enqueue deltas into an obs::Histogram, and
-// Scenario wires a per-link histogram that the standard trace probe exports.
+// Scenario wires a per-link histogram that the standard trace rows export.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,7 +62,7 @@ TEST(Sojourn, DroppedPacketsNeverReachTheHistogram) {
 }
 
 // Every qdisc kind exposes its per-link sojourn histogram through the
-// standard trace probe as qdisc.sojourn_s.l0.{n,mean,max}.
+// standard trace rows as qdisc.sojourn_s.l0.{n,mean,max}.
 TEST(Sojourn, ScenarioTraceExportsSojournHistogram) {
   for (QdiscKind kind : {QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae,
                          QdiscKind::kAfq, QdiscKind::kStrawman}) {
@@ -75,7 +75,7 @@ TEST(Sojourn, ScenarioTraceExportsSojournHistogram) {
     scenario.enable_trace(Milliseconds(100));
     scenario.run();
 
-    const auto& rows = scenario.trace().rows();
+    const auto& rows = scenario.trace();
     ASSERT_FALSE(rows.empty()) << to_string(kind);
     const obs::TraceRow& last = rows.back();
     const double n = last.scalar("qdisc.sojourn_s.l0.n");

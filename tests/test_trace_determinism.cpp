@@ -86,7 +86,7 @@ TEST(TraceDeterminism, RecordsCarrySampledRowsWithTheDocumentedSchema) {
       ASSERT_NE(row.array("q_bytes"), nullptr);
       ASSERT_NE(row.array("cwnd_bytes"), nullptr);
       ASSERT_NE(row.array("srtt_s"), nullptr);
-      // Component-registered aggregates flow through sample_registry.
+      // Network-wide counts are summed over the components at the tick.
       EXPECT_GT(row.scalar("net.tx_bytes"), 0.0);
     }
   }
