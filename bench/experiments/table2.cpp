@@ -116,7 +116,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
-  std::printf("%-9s %-14s %-7s %-28s | %-29s | %-29s | %-23s\n", "Btl.BW", "RTTs[ms]",
+  std::printf("%-9s %-14s %-7s %-29s | %-29s | %-29s | %-23s\n", "Btl.BW", "RTTs[ms]",
               "Buf", "CCAs", "Throughput[Mbps] F/FQ/Ceb", "Goodput[Mbps] F/FQ/Ceb",
               "JFI FIFO/FQ/Ceb");
   for (std::size_t ri = 0; ri < rows_of_table2().size() && ri * 3 + 2 < rows.size(); ++ri) {
@@ -128,7 +128,9 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
     std::string rtts = "{";
     for (std::size_t i = 0; i < row.rtts_ms.size(); ++i) {
       if (i) rtts += ",";
-      rtts += std::to_string(row.rtts_ms[i]).substr(0, 4);
+      char rtt[16];
+      std::snprintf(rtt, sizeof(rtt), "%g", row.rtts_ms[i]);
+      rtts += rtt;
     }
     rtts += "}";
 
@@ -137,7 +139,7 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
       return a == nullptr ? std::string("-") : exp::pm(*a, prec);
     };
     std::printf(
-        "%-9s %-14s %-7llu %-28s | %9s %9s %9s | %9s %9s %9s | %7s %7s %7s\n",
+        "%-9s %-14s %-7llu %-29s | %9s %9s %9s | %9s %9s %9s | %7s %7s %7s\n",
         row.bps >= 10'000'000'000ull ? "10 Gbps"
         : row.bps >= 1'000'000'000ull ? "1 Gbps"
                                       : "100 Mbps",
