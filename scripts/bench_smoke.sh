@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values and a
-# failed results or perf-summary write must exit 2, every experiment
+# failed results or perf-summary write must exit 2, results written to a
+# target that cannot be fsynced (/dev/null, a pipe) must not, every experiment
 # `cebinae_bench --list` reports must complete a --smoke run, and a
 # representative subset must produce byte-identical stdout at --jobs=1 and
 # --jobs=4 (the registry's determinism contract: reports render only from
@@ -45,14 +46,34 @@ for flag in --out=/dev/full --perf-out=/dev/full; do
   fi
 done
 
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
+# /dev/null and a pipe cannot be fsynced (EINVAL); that is not a failed
+# write. Through the pipe comes one row per job.
+status=0
+"$BENCH" --experiment=table3 --smoke --out=/dev/null >/dev/null 2>&1 || status=$?
+if [[ "$status" -ne 0 ]]; then
+  echo "error: --out=/dev/null exited $status (want 0)" >&2
+  exit 1
+fi
+"$BENCH" --experiment=table3 --smoke --out="$tmpdir/table3.jsonl" >/dev/null 2>&1
+status=0
+"$BENCH" --experiment=table3 --smoke --out=/dev/stdout 2>/dev/null | cat >"$tmpdir/table3.pipe" ||
+  status=$?
+want="$(wc -l <"$tmpdir/table3.jsonl")"
+got="$(grep -c '^{"label":' "$tmpdir/table3.pipe" || true)"
+if [[ "$status" -ne 0 || "$want" -eq 0 || "$got" -ne "$want" ]]; then
+  echo "error: --out=/dev/stdout | cat exited $status with $got rows (want 0 and $want)" >&2
+  exit 1
+fi
+
 for name in $names; do
   echo "== $name --smoke ==" >&2
   "$BENCH" --experiment="$name" --smoke --jobs="$JOBS" >/dev/null
 done
 
 # Determinism across worker counts on quick multi-job experiments.
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 for name in fig07 fig10; do
   echo "== $name --jobs determinism ==" >&2
   "$BENCH" --experiment="$name" --smoke --trials=2 --jobs=1 2>/dev/null \

@@ -158,7 +158,12 @@ void JsonlWriter::write(const JsonObject& row) {
       }
       off += static_cast<std::size_t>(n);
     }
-    ::fsync(fd_);
+    // EINVAL/EROFS: the target cannot be synced (/dev/null, a pipe), so
+    // there is nothing to make durable. Any other error may have lost the row.
+    if (::fsync(fd_) != 0 && errno != EINVAL && errno != EROFS) {
+      throw std::runtime_error("JsonlWriter: fsync of " + path_ + " failed: " +
+                               std::strerror(errno));
+    }
   }
   ++rows_;
 }
