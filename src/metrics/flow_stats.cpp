@@ -20,7 +20,7 @@ void FlowStatsCollector::on_delivery(const FlowId& flow, std::uint64_t bytes, Ti
   Record& rec = it->second;
   rec.total += bytes;
   if (now >= window_from_ && now < window_to_) rec.in_window += bytes;
-  const auto bucket = static_cast<std::size_t>(now / bucket_width_);
+  const auto bucket = static_cast<std::size_t>(now / kBucket);
   if (rec.buckets.size() <= bucket) rec.buckets.resize(bucket + 1, 0);
   rec.buckets[bucket] += bytes;
 }
@@ -35,8 +35,8 @@ double FlowStatsCollector::goodput_Bps(const FlowId& flow, Time from, Time to) c
   auto it = records_.find(flow);
   if (it == records_.end()) return 0.0;
   const auto& buckets = it->second.buckets;
-  const auto first = static_cast<std::size_t>(from / bucket_width_);
-  const auto last = static_cast<std::size_t>((to - Time(1)) / bucket_width_);
+  const auto first = static_cast<std::size_t>(from / kBucket);
+  const auto last = static_cast<std::size_t>((to - Time(1)) / kBucket);
   std::uint64_t bytes = 0;
   for (std::size_t i = first; i <= last && i < buckets.size(); ++i) bytes += buckets[i];
   return static_cast<double>(bytes) / (to - from).seconds();
@@ -58,11 +58,6 @@ std::vector<double> FlowStatsCollector::window_goodputs_Bps() const {
     out.push_back(seconds > 0.0 ? static_cast<double>(bytes) / seconds : 0.0);
   }
   return out;
-}
-
-std::vector<std::uint64_t> FlowStatsCollector::series(const FlowId& flow) const {
-  auto it = records_.find(flow);
-  return it == records_.end() ? std::vector<std::uint64_t>{} : it->second.buckets;
 }
 
 }  // namespace cebinae

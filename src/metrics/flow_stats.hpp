@@ -1,8 +1,7 @@
-// Per-flow goodput accounting with bucketed time series.
+// Per-flow goodput accounting in 1-s buckets.
 //
 // Receivers report in-order application deliveries here; benches and
-// examples read back total and windowed goodputs and per-bucket series
-// (for the paper's time-series figures).
+// examples read back total and windowed goodputs.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +15,6 @@ namespace cebinae {
 
 class FlowStatsCollector {
  public:
-  explicit FlowStatsCollector(Time bucket_width = Seconds(1)) : bucket_width_(bucket_width) {}
-
   // Fix a flow's position in the output ordering (call in scenario order).
   void register_flow(const FlowId& flow);
 
@@ -46,19 +43,15 @@ class FlowStatsCollector {
   // Goodput of every registered flow over the set_window() window.
   [[nodiscard]] std::vector<double> window_goodputs_Bps() const;
 
-  // Bytes delivered in bucket `i` (bucket i covers [i*w, (i+1)*w)).
-  [[nodiscard]] std::vector<std::uint64_t> series(const FlowId& flow) const;
-
-  [[nodiscard]] Time bucket_width() const { return bucket_width_; }
-
  private:
+  static constexpr Time kBucket = Seconds(1);  // bucket i covers [i, i+1) s
+
   struct Record {
     std::uint64_t total = 0;
     std::uint64_t in_window = 0;
     std::vector<std::uint64_t> buckets;
   };
 
-  Time bucket_width_;
   Time window_from_ = Time::zero();
   Time window_to_ = Time::zero();
   std::vector<FlowId> order_;

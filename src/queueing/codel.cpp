@@ -42,7 +42,7 @@ PacketSlab::Slot CodelController::dequeue(SlotFifo& q, PacketSlab& slab, std::ui
     // Returns true when the packet was ECN-marked (and should be forwarded)
     // rather than dropped; a dropped packet's slot is released.
     Packet& pkt = slab[s].pkt;
-    if (params_.use_ecn && pkt.ect) {
+    if (pkt.ect) {
       pkt.ce = true;
       ++stats.ecn_marked_packets;
       return true;

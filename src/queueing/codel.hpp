@@ -1,4 +1,5 @@
-// CoDel active queue management (RFC 8289).
+// CoDel active queue management (RFC 8289). Packets from ECN-capable
+// transports (ECT) are marked CE instead of dropped.
 //
 // `CodelController` holds the control-law state over a caller-owned queue
 // of slab slots; FQ-CoDel instantiates one controller per flow queue.
@@ -14,7 +15,6 @@ namespace cebinae {
 struct CodelParams {
   Time target = Milliseconds(5);     // acceptable standing-queue sojourn time
   Time interval = Milliseconds(100); // sliding window for the minimum
-  bool use_ecn = true;               // mark ECT packets instead of dropping
 };
 
 class CodelController {

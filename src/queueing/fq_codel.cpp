@@ -5,23 +5,18 @@
 
 namespace cebinae {
 
-std::uint64_t FqCoDel::bucket_of(const FlowId& flow) const {
-  const std::uint64_t h = FlowIdHash{}(flow);
-  return params_.bucket_count == 0 ? h : h % params_.bucket_count;
-}
-
 FqCoDel::FlowQueue& FqCoDel::queue_for(const Packet& pkt) {
-  const std::uint64_t bucket = bucket_of(pkt.flow);
-  auto it = queues_.find(bucket);
+  const std::uint64_t key = FlowIdHash{}(pkt.flow);
+  auto it = queues_.find(key);
   if (it == queues_.end()) {
-    it = queues_.emplace(bucket, std::make_unique<FlowQueue>(params_.codel)).first;
+    it = queues_.emplace(key, std::make_unique<FlowQueue>(params_.codel)).first;
   }
   return *it->second;
 }
 
 void FqCoDel::drop_from_fattest() {
   FlowQueue* fattest = nullptr;
-  for (auto& [bucket, fq] : queues_) {
+  for (auto& [key, fq] : queues_) {
     if (!fattest || fq->bytes > fattest->bytes) fattest = fq.get();
   }
   if (!fattest || fattest->q.empty()) return;
@@ -49,7 +44,7 @@ bool FqCoDel::enqueue(Packet pkt) {
   ++stats_.enqueued_packets;
 
   if (!fq.in_new && !fq.in_old) {
-    fq.deficit = params_.quantum;
+    fq.deficit = kMtuBytes;
     new_flows_.push_back(&fq);
     fq.in_new = true;
   }
@@ -67,7 +62,7 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
     FlowQueue* fq = lst.front();
 
     if (fq->deficit <= 0) {
-      fq->deficit += params_.quantum;
+      fq->deficit += kMtuBytes;
       lst.pop_front();
       fq->in_new = false;
       fq->in_old = true;

@@ -1,7 +1,7 @@
 // FQ-CoDel (RFC 8290): DRR fair queueing across per-flow queues, each
 // managed by a CoDel controller. This is the paper's "FQ" comparison point;
-// following the paper's methodology, the default flow-queue count is
-// effectively unbounded (ideal per-flow queueing) rather than 1024.
+// following the paper's methodology, the flow-queue count is unbounded
+// (ideal per-flow queueing) rather than 1024.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +15,10 @@
 
 namespace cebinae {
 
+// Every distinct 5-tuple gets its own queue (the paper's 2^32-1
+// configuration), and the DRR quantum is one MTU.
 struct FqCoDelParams {
   std::uint64_t limit_bytes = 4 * 1024 * 1024;
-  std::uint32_t quantum = kMtuBytes;
-  // Number of hash buckets; 0 means ideal per-flow queues (every distinct
-  // 5-tuple gets its own queue), matching the paper's 2^32-1 configuration.
-  std::uint32_t bucket_count = 0;
   CodelParams codel;
 };
 
@@ -47,12 +45,12 @@ class FqCoDel final : public QueueDisc {
     explicit FlowQueue(CodelParams p) : codel(p) {}
   };
 
-  [[nodiscard]] std::uint64_t bucket_of(const FlowId& flow) const;
   FlowQueue& queue_for(const Packet& pkt);
   void drop_from_fattest();
 
   Scheduler& sched_;
   FqCoDelParams params_;
+  // Keyed by FlowIdHash; the iteration order breaks drop_from_fattest ties.
   std::unordered_map<std::uint64_t, std::unique_ptr<FlowQueue>> queues_;
   std::list<FlowQueue*> new_flows_;
   std::list<FlowQueue*> old_flows_;

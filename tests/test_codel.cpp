@@ -15,10 +15,9 @@ Packet pkt(std::uint32_t size, bool ect = false) {
   return p;
 }
 
-FqCoDelParams codel_params(std::uint64_t limit_bytes, bool use_ecn = false) {
+FqCoDelParams codel_params(std::uint64_t limit_bytes) {
   FqCoDelParams p;
   p.limit_bytes = limit_bytes;
-  p.codel.use_ecn = use_ecn;
   return p;
 }
 
@@ -78,7 +77,7 @@ TEST(Codel, DropRateAcceleratesWithSqrtLaw) {
 
 TEST(Codel, EcnMarksInsteadOfDropping) {
   Scheduler sched;
-  FqCoDel q(sched, codel_params(8 << 20, /*use_ecn=*/true));
+  FqCoDel q(sched, codel_params(8 << 20));
   for (int i = 0; i < 500; ++i) q.enqueue(pkt(kMtuBytes, /*ect=*/true));
   bool saw_mark = false;
   for (int i = 0; i < 100; ++i) {

@@ -40,22 +40,8 @@ TEST(FlowStats, UnregisteredDeliveryAutoRegisters) {
   EXPECT_EQ(stats.flow_count(), 1u);
 }
 
-TEST(FlowStats, BucketedSeries) {
-  FlowStatsCollector stats(Seconds(1));
-  stats.on_delivery(kFlowA, 100, Milliseconds(200));   // bucket 0
-  stats.on_delivery(kFlowA, 200, Milliseconds(1500));  // bucket 1
-  stats.on_delivery(kFlowA, 300, Milliseconds(1999));  // bucket 1
-  stats.on_delivery(kFlowA, 400, Milliseconds(5000));  // bucket 5
-  const auto series = stats.series(kFlowA);
-  ASSERT_EQ(series.size(), 6u);
-  EXPECT_EQ(series[0], 100u);
-  EXPECT_EQ(series[1], 500u);
-  EXPECT_EQ(series[2], 0u);
-  EXPECT_EQ(series[5], 400u);
-}
-
 TEST(FlowStats, WindowedGoodput) {
-  FlowStatsCollector stats(Seconds(1));
+  FlowStatsCollector stats;
   stats.on_delivery(kFlowA, 1000, Milliseconds(500));   // bucket 0
   stats.on_delivery(kFlowA, 2000, Milliseconds(1500));  // bucket 1
   stats.on_delivery(kFlowA, 4000, Milliseconds(2500));  // bucket 2
@@ -66,7 +52,7 @@ TEST(FlowStats, WindowedGoodput) {
 }
 
 TEST(FlowStats, ExactWindowCountsOnlyDeliveriesInsideIt) {
-  FlowStatsCollector stats(Seconds(1));
+  FlowStatsCollector stats;
   stats.register_flow(kFlowA);
   stats.set_window(Milliseconds(150), Milliseconds(300));
   stats.on_delivery(kFlowA, 1000, Milliseconds(149));  // same bucket, before
@@ -81,16 +67,6 @@ TEST(FlowStats, EmptyWindowIsZero) {
   stats.on_delivery(kFlowA, 1000, Milliseconds(500));
   EXPECT_DOUBLE_EQ(stats.goodput_Bps(kFlowA, Seconds(5), Seconds(10)), 0.0);
   EXPECT_DOUBLE_EQ(stats.goodput_Bps(kFlowA, Seconds(3), Seconds(3)), 0.0);
-}
-
-TEST(FlowStats, CustomBucketWidth) {
-  FlowStatsCollector stats(Milliseconds(100));
-  stats.on_delivery(kFlowA, 10, Milliseconds(50));
-  stats.on_delivery(kFlowA, 20, Milliseconds(150));
-  const auto series = stats.series(kFlowA);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0], 10u);
-  EXPECT_EQ(series[1], 20u);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ Packet pkt(std::uint32_t flow, std::uint32_t size = kMtuBytes) {
 FqCoDelParams params(std::uint64_t limit = 10 << 20) {
   FqCoDelParams p;
   p.limit_bytes = limit;
-  p.codel.use_ecn = false;
   return p;
 }
 
@@ -106,20 +105,9 @@ TEST(FqCoDel, OverflowDropsFromFattestQueue) {
 
 TEST(FqCoDel, IdealModeIsolatesEveryFlow) {
   Scheduler sched;
-  FqCoDelParams p = params();
-  p.bucket_count = 0;  // ideal per-flow queues
-  FqCoDel q(sched, p);
+  FqCoDel q(sched, params());
   for (std::uint32_t f = 1; f <= 64; ++f) q.enqueue(pkt(f));
   EXPECT_EQ(q.flow_queue_count(), 64u);
-}
-
-TEST(FqCoDel, BucketedModeSharesQueues) {
-  Scheduler sched;
-  FqCoDelParams p = params();
-  p.bucket_count = 8;
-  FqCoDel q(sched, p);
-  for (std::uint32_t f = 1; f <= 64; ++f) q.enqueue(pkt(f));
-  EXPECT_LE(q.flow_queue_count(), 8u);
 }
 
 TEST(FqCoDel, EmptyDequeueReturnsNullopt) {
