@@ -40,7 +40,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 // Measure the converged tail (final half) rather than the whole run.
 void tail_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
                   std::vector<std::pair<std::string, double>>& out) {
-  const std::vector<double>& tail = rec.result.tail_goodput_Bps;
+  const std::vector<double>& tail = rec.row.arr("tail_goodput_Bps");
   if (tail.empty()) return;
   out.emplace_back("incumbent_mbps", exp::to_mbps(tail[0]));
   double joiners = 0;

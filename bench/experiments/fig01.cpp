@@ -12,30 +12,29 @@
 
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
-#include "obs/trace.hpp"
+#include "exp/sweep_grid.hpp"
 #include "runner/scenario.hpp"
 
 namespace cebinae {
 namespace {
 
 // '-' unsaturated, '0'/'1' flow 0/1 is in the top (bottlenecked) set, 'B' both.
-char state_char(const obs::TraceRow& row) {
-  const std::vector<double>* saturated = row.array("ceb_saturated");
-  const std::vector<double>* top = row.array("top_flow");
-  if (saturated == nullptr || top == nullptr || saturated->empty()) return '-';
-  if ((*saturated)[0] == 0.0) return '-';
-  const bool has0 = top->size() > 0 && (*top)[0] != 0.0;
-  const bool has1 = top->size() > 1 && (*top)[1] != 0.0;
+char state_char(const exp::JsonObject& row) {
+  const std::vector<double>& saturated = row.arr("ceb_saturated");
+  const std::vector<double>& top = row.arr("top_flow");
+  if (saturated.empty() || saturated[0] == 0.0) return '-';
+  const bool has0 = top.size() > 0 && top[0] != 0.0;
+  const bool has1 = top.size() > 1 && top[1] != 0.0;
   return has0 && has1 ? 'B' : (has0 ? '0' : (has1 ? '1' : '-'));
 }
 
-double flow_mbps(const obs::TraceRow& row, std::size_t flow) {
-  const std::vector<double>* tput = row.array("tput_Bps");
-  return tput != nullptr && flow < tput->size() ? exp::to_mbps((*tput)[flow]) : 0.0;
+double flow_mbps(const exp::JsonObject& row, std::size_t flow) {
+  const std::vector<double>& tput = row.arr("tput_Bps");
+  return flow < tput.size() ? exp::to_mbps(tput[flow]) : 0.0;
 }
 
 // Short-RTT over long-RTT goodput, averaged over the second half of a trace.
-double tail_ratio(const std::vector<obs::TraceRow>& trace) {
+double tail_ratio(const std::vector<exp::JsonObject>& trace) {
   if (trace.empty()) return 0.0;
   double f0 = 0, f1 = 0;
   for (std::size_t i = trace.size() / 2; i < trace.size(); ++i) {
@@ -55,17 +54,12 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   base.flows = {FlowSpec{CcaType::kNewReno, MillisecondsF(20.4)},
                 FlowSpec{CcaType::kNewReno, Milliseconds(40)}};
 
-  std::vector<exp::ExperimentJob> jobs;
-  for (QdiscKind qdisc : {QdiscKind::kFifo, QdiscKind::kCebinae}) {
-    exp::ExperimentJob job;
-    job.config = base;
-    job.config.qdisc = qdisc;
-    job.label = "qdisc=" + std::string(to_string(qdisc));
-    job.params.set("qdisc", std::string(to_string(qdisc)));
-    job.trace_period = opts.trace_period();
-    jobs.push_back(std::move(job));
-  }
-  return exp::replicate_trials(std::move(jobs), opts.trials_or(1));
+  std::vector<exp::ExperimentJob> jobs = exp::SweepGrid(base)
+                                             .qdiscs({QdiscKind::kFifo, QdiscKind::kCebinae})
+                                             .trials(opts.trials_or(1))
+                                             .build();
+  for (exp::ExperimentJob& job : jobs) job.trace_period = opts.trace_period();
+  return jobs;
 }
 
 void ratio_metric(const exp::ExperimentJob&, const exp::RunRecord& rec,
@@ -75,19 +69,19 @@ void ratio_metric(const exp::ExperimentJob&, const exp::RunRecord& rec,
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (rows.size() < 2) return;
-  auto first_trace = [](const exp::ResultRow& r) -> const std::vector<obs::TraceRow>& {
-    static const std::vector<obs::TraceRow> kEmpty;
+  auto first_trace = [](const exp::ResultRow& r) -> const std::vector<exp::JsonObject>& {
+    static const std::vector<exp::JsonObject> kEmpty;
     return r.trials.empty() || r.trials[0] == nullptr ? kEmpty : r.trials[0]->trace;
   };
-  const std::vector<obs::TraceRow>& fifo = first_trace(rows[0]);
-  const std::vector<obs::TraceRow>& ceb = first_trace(rows[1]);
+  const std::vector<exp::JsonObject>& fifo = first_trace(rows[0]);
+  const std::vector<exp::JsonObject>& ceb = first_trace(rows[1]);
   if (fifo.empty() || ceb.empty()) return;
 
   std::printf("%4s  %14s %14s   %14s %14s  %s\n", "t[s]", "FIFO rtt20[Mb]",
               "FIFO rtt40[Mb]", "Ceb rtt20[Mb]", "Ceb rtt40[Mb]", "Ceb state");
   const std::size_t n = std::min(fifo.size(), ceb.size());
   for (std::size_t s = 0; s < n; ++s) {
-    std::printf("%4.0f  %14.1f %14.1f   %14.1f %14.1f  %c\n", fifo[s].t_s(),
+    std::printf("%4.0f  %14.1f %14.1f   %14.1f %14.1f  %c\n", fifo[s].num("t_s"),
                 flow_mbps(fifo[s], 0), flow_mbps(fifo[s], 1), flow_mbps(ceb[s], 0),
                 flow_mbps(ceb[s], 1), state_char(ceb[s]));
   }

@@ -31,10 +31,8 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (rows.size() < 2) return;
   const exp::ResultRow& fifo = rows[0];
   const exp::ResultRow& ceb = rows[1];
-  const std::vector<double> fifo_flows =
-      exp::mean_array(fifo.trials, [](const exp::RunRecord& r) { return r.result.goodput_Bps; });
-  const std::vector<double> ceb_flows =
-      exp::mean_array(ceb.trials, [](const exp::RunRecord& r) { return r.result.goodput_Bps; });
+  const std::vector<double> fifo_flows = exp::mean_array(fifo.trials, "goodput_Bps");
+  const std::vector<double> ceb_flows = exp::mean_array(ceb.trials, "goodput_Bps");
 
   std::printf("%-10s %18s %18s\n", "Flow", "FIFO [Mbps]", "Cebinae [Mbps]");
   for (std::size_t i = 0; i < fifo_flows.size() && i < ceb_flows.size(); ++i) {

@@ -55,13 +55,14 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 
 void minority_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
                       std::vector<std::pair<std::string, double>>& out) {
-  const std::vector<double>& g = rec.result.goodput_Bps;
+  const std::vector<double>& g = rec.row.arr("goodput_Bps");
   if (g.size() <= kMajorityFlows) return;
   double minority = 0.0;
   for (std::size_t i = kMajorityFlows; i < g.size(); ++i) minority += g[i];
   const double n = static_cast<double>(g.size() - kMajorityFlows);
-  if (rec.result.total_goodput_Bps > 0.0) {
-    out.emplace_back("minority_share_pct", 100.0 * minority / rec.result.total_goodput_Bps);
+  const double total = rec.row.num("total_goodput_Bps");
+  if (total > 0.0) {
+    out.emplace_back("minority_share_pct", 100.0 * minority / total);
   }
   out.emplace_back("minority_mean_mbps", exp::to_mbps(minority / n));
 }
@@ -70,7 +71,8 @@ void minority_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
 std::vector<double> pooled_goodputs(const exp::ResultRow& row) {
   std::vector<double> out;
   for (const exp::RunRecord* rec : row.trials) {
-    out.insert(out.end(), rec->result.goodput_Bps.begin(), rec->result.goodput_Bps.end());
+    const std::vector<double>& g = rec->row.arr("goodput_Bps");
+    out.insert(out.end(), g.begin(), g.end());
   }
   return out;
 }

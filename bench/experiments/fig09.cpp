@@ -39,7 +39,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 void mbyte_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
                    std::vector<std::pair<std::string, double>>& out) {
   // The paper's y-axis is MBps, not Mbps.
-  out.emplace_back("goodput_MBps", rec.result.total_goodput_Bps / 1e6);
+  out.emplace_back("goodput_MBps", rec.row.num("total_goodput_Bps") / 1e6);
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {

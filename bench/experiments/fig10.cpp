@@ -15,7 +15,7 @@
 
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
-#include "obs/trace.hpp"
+#include "exp/sweep_grid.hpp"
 #include "runner/scenario.hpp"
 
 namespace cebinae {
@@ -45,23 +45,18 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   cubic.start = Seconds(25);
   base.flows.push_back(cubic);
 
-  std::vector<exp::ExperimentJob> jobs;
-  for (QdiscKind qdisc : {QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae}) {
-    exp::ExperimentJob job;
-    job.config = base;
-    job.config.qdisc = qdisc;
-    job.label = "qdisc=" + std::string(to_string(qdisc));
-    job.params.set("qdisc", std::string(to_string(qdisc)));
-    job.trace_period = opts.trace_period();
-    jobs.push_back(std::move(job));
-  }
-  return exp::replicate_trials(std::move(jobs), opts.trials_or(1));
+  std::vector<exp::ExperimentJob> jobs =
+      exp::SweepGrid(base)
+          .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae})
+          .trials(opts.trials_or(1))
+          .build();
+  for (exp::ExperimentJob& job : jobs) job.trace_period = opts.trace_period();
+  return jobs;
 }
 
 void tail_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
                   std::vector<std::pair<std::string, double>>& out) {
-  out.emplace_back("tail_jfi",
-                   tail_quarter_mean(obs::series_of(rec.trace, "jfi")));
+  out.emplace_back("tail_jfi", tail_quarter_mean(exp::series_of(rec.trace, "jfi")));
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
@@ -71,19 +66,19 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   const exp::ResultRow& ceb = rows[2];
 
   // Per-second table from each qdisc's first trial.
-  auto first_trace = [](const exp::ResultRow& r) -> const std::vector<obs::TraceRow>& {
-    static const std::vector<obs::TraceRow> kEmpty;
+  auto first_trace = [](const exp::ResultRow& r) -> const std::vector<exp::JsonObject>& {
+    static const std::vector<exp::JsonObject> kEmpty;
     return r.trials.empty() || r.trials[0] == nullptr ? kEmpty : r.trials[0]->trace;
   };
-  const std::vector<double> f = obs::series_of(first_trace(fifo), "jfi");
-  const std::vector<double> q = obs::series_of(first_trace(fq), "jfi");
-  const std::vector<double> c = obs::series_of(first_trace(ceb), "jfi");
+  const std::vector<double> f = exp::series_of(first_trace(fifo), "jfi");
+  const std::vector<double> q = exp::series_of(first_trace(fq), "jfi");
+  const std::vector<double> c = exp::series_of(first_trace(ceb), "jfi");
   if (f.empty() || q.empty() || c.empty()) return;
 
   std::printf("%5s %10s %10s %10s\n", "t[s]", "FIFO", "FQ", "Cebinae");
   const std::size_t n = std::min(f.size(), std::min(q.size(), c.size()));
   for (std::size_t s = 0; s < n; ++s) {
-    std::printf("%5.0f %10.3f %10.3f %10.3f\n", first_trace(fifo)[s].t_s(), f[s], q[s], c[s]);
+    std::printf("%5.0f %10.3f %10.3f %10.3f\n", first_trace(fifo)[s].num("t_s"), f[s], q[s], c[s]);
   }
   std::printf("\nfinal-quarter mean JFI: FIFO %s  FQ %s  Cebinae %s\n",
               exp::pm(*fifo.metric("tail_jfi"), 3).c_str(),
@@ -96,7 +91,7 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (ceb.trials.size() > 1) {
     std::printf("\nper-trial Cebinae tail JFI:");
     for (const exp::RunRecord* rec : ceb.trials) {
-      std::printf(" %.3f", tail_quarter_mean(obs::series_of(rec->trace, "jfi")));
+      std::printf(" %.3f", tail_quarter_mean(exp::series_of(rec->trace, "jfi")));
     }
     std::printf("\n");
   }

@@ -55,7 +55,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 
 void norm_jfi_metric(const exp::ExperimentJob& job, const exp::RunRecord& rec,
                      std::vector<std::pair<std::string, double>>& out) {
-  out.emplace_back("norm_jfi", normalized_jain_index(rec.result.goodput_Bps,
+  out.emplace_back("norm_jfi", normalized_jain_index(rec.row.arr("goodput_Bps"),
                                                      ideal_goodputs_Bps(job.config)));
 }
 
@@ -64,10 +64,8 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   const exp::ResultRow& fifo = rows[0];
   const exp::ResultRow& ceb = rows[1];
   const std::vector<double> ideal = ideal_goodputs_Bps(fifo.job->config);
-  const std::vector<double> fifo_flows =
-      exp::mean_array(fifo.trials, [](const exp::RunRecord& r) { return r.result.goodput_Bps; });
-  const std::vector<double> ceb_flows =
-      exp::mean_array(ceb.trials, [](const exp::RunRecord& r) { return r.result.goodput_Bps; });
+  const std::vector<double> fifo_flows = exp::mean_array(fifo.trials, "goodput_Bps");
+  const std::vector<double> ceb_flows = exp::mean_array(ceb.trials, "goodput_Bps");
 
   std::printf("%4s %-14s %12s %12s %12s\n", "Flow", "Type", "Ideal[Mbps]", "FIFO[Mbps]",
               "Cebinae[Mbps]");

@@ -8,8 +8,8 @@
 
 #include "core/flow_cache.hpp"
 #include "core/lbf.hpp"
+#include "exp/json_row.hpp"
 #include "metrics/jfi.hpp"
-#include "obs/trace.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "queueing/fq_codel.hpp"
 #include "sim/random.hpp"
@@ -193,14 +193,12 @@ BENCHMARK(BM_FqCoDelEnqueueDequeue)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_TraceRowToJson(benchmark::State& state) {
   // Serialization cost of one sidecar row (runner-side, off the sim path).
-  obs::TraceRow row(12.0);
+  exp::JsonObject row;
+  row.set("t_s", 12.0);
   row.set("jfi", 0.987654321);
-  std::vector<double> tput(34, 1.25e6);
-  row.set("tput_Bps", std::move(tput));
+  row.set("tput_Bps", std::vector<double>(34, 1.25e6));
   for (auto _ : state) {
-    exp::JsonObject obj;
-    row.write_fields(obj);
-    benchmark::DoNotOptimize(obj.str());
+    benchmark::DoNotOptimize(row.str());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -7,7 +7,9 @@
 # hashing; every other field (event counts, goodputs, JFIs, ...) is pinned.
 # Experiments that trace also pin their --trace-out= sidecar.
 # A digest whose experiment `--list` no longer reports fails the gate too,
-# so a stale digest cannot linger.
+# so a stale digest cannot linger. A run that exits non-zero fails it with
+# `error: <name> <scale> run exited <status>`; this is the check that every
+# `--list` entry completes a --smoke run.
 #
 # A change that moves simulated behaviour on purpose regenerates the digests
 # with --update and says why in CHANGES.md.
@@ -41,11 +43,16 @@ mkdir -p "$GOLDEN"
 
 # digest <name> <scale-label> [scale flag]: prints the stdout, the JSONL
 # and (for a traced experiment) the trace sidecar digest lines of one run.
+# A failed run ends the gate.
 digest() {
-  local name="$1" label="$2" out="$tmpdir/$1.$2"
+  local name="$1" label="$2" out="$tmpdir/$1.$2" status=0
   shift 2
   "$BENCH" --experiment="$name" "$@" --jobs="$JOBS" --out="$out.raw.jsonl" \
-    --trace-out="$out.trace.jsonl" 2>/dev/null >"$out.stdout"
+    --trace-out="$out.trace.jsonl" 2>/dev/null >"$out.stdout" || status=$?
+  if [[ $status -ne 0 ]]; then
+    echo "error: $name $label run exited $status" >&2
+    exit 1
+  fi
   sed -E 's/,"wall_s":[-+0-9.eE]+//g' "$out.raw.jsonl" >"$out.jsonl"
   echo "$(sha256sum <"$out.stdout" | cut -d' ' -f1)  $label stdout"
   echo "$(sha256sum <"$out.jsonl" | cut -d' ' -f1)  $label jsonl"

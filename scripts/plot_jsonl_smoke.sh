@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Plot smoke gate (tier-1): scripts/plot_jsonl.py is the one reader of the
+# JSONL formats outside C++. It must render README's two example plots from
+# fresh --smoke output — a jfi CDF per qdisc from fig07's results, and both
+# flows' goodput over time from fig01's trace sidecar — exit 0, write the
+# SVG and report the expected number of series and points.
+#
+# Usage: scripts/plot_jsonl_smoke.sh [path-to-cebinae_bench] [python3]
+set -euo pipefail
+
+BENCH="${1:-build/bench/cebinae_bench}"
+PYTHON="${2:-python3}"
+PLOT="$(dirname "$0")/plot_jsonl.py"
+if [[ ! -x "$BENCH" ]]; then
+  echo "error: $BENCH not built" >&2
+  exit 1
+fi
+
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
+"$BENCH" --experiment=fig07 --smoke --out="$tmpdir/fig07.jsonl" >/dev/null 2>&1
+"$BENCH" --experiment=fig01 --smoke --trace-out="$tmpdir/fig01.trace.jsonl" >/dev/null 2>&1
+
+# check <want> <svg> <plot args...>: plot_jsonl.py must exit 0, write <svg>
+# and report "<want>" (series and point counts) on stderr.
+check() {
+  local want="$1" svg="$2" err status=0
+  shift 2
+  err="$("$PYTHON" "$PLOT" "$@" --out "$svg" 2>&1 >/dev/null)" || status=$?
+  if [[ "$status" -ne 0 || ! -s "$svg" || "$err" != "wrote $svg: $want" ]]; then
+    echo "error: plot_jsonl.py $* exited $status, said '$err' (want 0, '$want' and $svg)" >&2
+    exit 1
+  fi
+  echo "== $want: ok ==" >&2
+}
+
+check "2 series, 2 points" "$tmpdir/jfi_cdf.svg" \
+  "$tmpdir/fig07.jsonl" --y jfi --cdf --group-by qdisc
+check "2 series, 6 points" "$tmpdir/fig01.svg" \
+  "$tmpdir/fig01.trace.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
+  --filter label='qdisc=Cebinae'
+
+echo "plot smoke: both plots render" >&2

@@ -45,27 +45,68 @@ Aggregate aggregate(const std::vector<double>& samples) {
 
 namespace {
 
-// Execute one job with its derived seed: the unit of work of a worker.
-RunRecord run_single_job(const ExperimentJob& job, std::uint64_t seed) {
-  ScenarioConfig cfg = job.config;
-  cfg.seed = seed;
+// Job i's result row, in the schema of RunRecord: the job context, the
+// Scenario's config echo and results or the custom job's metrics, and the
+// host wall clock of the run.
+JsonObject result_row(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed,
+                      const ScenarioResult& result,
+                      const std::vector<std::pair<std::string, double>>& metrics,
+                      double wall_s) {
+  JsonObject row;
+  row.set("label", job.label);
+  if (!job.params.empty()) row.set("params", job.params);
+  row.set("job_index", static_cast<std::uint64_t>(job_index));
+  row.set("base_seed", base_seed);
+  row.set("seed", derive_seed(base_seed, job_index));
+  if (!job.custom) {
+    row.set("qdisc", to_string(job.config.qdisc));
+    row.set("n_flows", static_cast<std::uint64_t>(job.config.flows.size()));
+    row.set("chain_links", job.config.chain_links);
+    row.set("bottleneck_bps", job.config.bottleneck_bps);
+    row.set("buffer_bytes", job.config.buffer_bytes);
+    row.set("duration_s", job.config.duration.seconds());
+    row.set("goodput_Bps", result.goodput_Bps);
+    row.set("total_goodput_Bps", result.total_goodput_Bps);
+    row.set("tail_goodput_Bps", result.tail_goodput_Bps);
+    row.set("throughput_Bps", result.throughput_Bps);
+    row.set("jfi", result.jfi);
+  }
+  for (const auto& [name, value] : metrics) row.set(name, value);
+  row.set("wall_s", wall_s);
+  return row;
+}
 
+// Execute job i with its derived seed: the unit of work of a worker.
+RunRecord run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed) {
+  const std::uint64_t seed = derive_seed(base_seed, job_index);
+  ScenarioResult result;
+  std::vector<std::pair<std::string, double>> metrics;
   RunRecord rec;
-  rec.seed = seed;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto elapsed = [t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  double wall_s = 0.0;
   if (job.custom) {
-    const auto t0 = std::chrono::steady_clock::now();
-    rec.extra = job.custom(seed);
-    const auto t1 = std::chrono::steady_clock::now();
-    rec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+    metrics = job.custom(seed);
+    wall_s = elapsed();
   } else {
-    const auto t0 = std::chrono::steady_clock::now();
+    ScenarioConfig cfg = job.config;
+    cfg.seed = seed;
     Scenario scenario(cfg);
     if (job.trace_period > Time::zero()) scenario.enable_trace(job.trace_period);
-    rec.result = scenario.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    rec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    rec.trace = std::move(scenario.trace());
+    result = scenario.run();
+    wall_s = elapsed();
+    for (const JsonObject& tick : scenario.trace()) {
+      JsonObject row;
+      row.set("label", job.label);
+      row.set("job_index", static_cast<std::uint64_t>(job_index));
+      row.set("seed", seed);
+      row.append(tick);
+      rec.trace.push_back(std::move(row));
+    }
   }
+  rec.row = result_row(job, job_index, base_seed, result, metrics, wall_s);
   return rec;
 }
 
@@ -87,7 +128,7 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
   std::size_t completed = first;
 
   auto run_one = [&](std::size_t i) {
-    records[i] = run_single_job(jobs[i], derive_seed(opts_.base_seed, i));
+    records[i] = run_job(jobs[i], i, opts_.base_seed);
 
     std::lock_guard<std::mutex> lock(emit_mu);
     done[i] = true;
@@ -97,13 +138,9 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
       try {
         // Trace rows first: the result row commits the job for --resume.
         if (opts_.trace_writer != nullptr) {
-          for (const obs::TraceRow& row : records[j].trace) {
-            opts_.trace_writer->write(trace_row(jobs[j], j, records[j].seed, row));
-          }
+          for (const JsonObject& row : records[j].trace) opts_.trace_writer->write(row);
         }
-        if (opts_.writer != nullptr) {
-          opts_.writer->write(result_row(jobs[j], j, opts_.base_seed, records[j]));
-        }
+        if (opts_.writer != nullptr) opts_.writer->write(records[j].row);
       } catch (...) {
         // A failed write ends the files: no later job may write a row, or
         // retry this one, after it.
@@ -145,126 +182,6 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
   return records;
 }
 
-JsonObject result_row(const ExperimentJob& job, std::size_t job_index,
-                      std::uint64_t base_seed, const RunRecord& record) {
-  JsonObject row;
-  row.set("label", job.label);
-  if (!job.params.empty()) row.set("params", job.params);
-  row.set("job_index", static_cast<std::uint64_t>(job_index));
-  row.set("base_seed", base_seed);
-  row.set("seed", record.seed);
-  if (!job.custom) {
-    row.set("qdisc", to_string(job.config.qdisc));
-    row.set("n_flows", static_cast<std::uint64_t>(job.config.flows.size()));
-    row.set("chain_links", job.config.chain_links);
-    row.set("bottleneck_bps", job.config.bottleneck_bps);
-    row.set("buffer_bytes", job.config.buffer_bytes);
-    row.set("duration_s", job.config.duration.seconds());
-    row.set("goodput_Bps", record.result.goodput_Bps);
-    row.set("total_goodput_Bps", record.result.total_goodput_Bps);
-    row.set("tail_goodput_Bps", record.result.tail_goodput_Bps);
-    row.set("throughput_Bps", record.result.throughput_Bps);
-    row.set("jfi", record.result.jfi);
-  }
-  for (const auto& [name, value] : record.extra) row.set(name, value);
-  row.set("wall_s", record.wall_seconds);
-  return row;
-}
-
-JsonObject trace_row(const ExperimentJob& job, std::size_t job_index, std::uint64_t seed,
-                     const obs::TraceRow& row) {
-  JsonObject o;
-  o.set("label", job.label);
-  o.set("job_index", static_cast<std::uint64_t>(job_index));
-  o.set("seed", seed);
-  row.write_fields(o);
-  return o;
-}
-
-bool is_complete_row(std::string_view line) {
-  if (line.empty() || line.front() != '{') return false;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : line) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_string = true;
-        break;
-      case '{':
-      case '[':
-        ++depth;
-        break;
-      case '}':
-      case ']':
-        --depth;
-        // A stray closer means the line is not one object; bail early.
-        if (depth < 0) return false;
-        break;
-      default:
-        break;
-    }
-  }
-  return depth == 0 && !in_string && line.back() == '}';
-}
-
-RunRecord record_from_row(const ParsedRow& row, bool custom) {
-  RunRecord rec;
-  rec.seed = row.u64("seed");
-  rec.wall_seconds = row.num("wall_s");
-  if (!custom) {
-    if (const std::vector<double>* v = row.arr("goodput_Bps")) rec.result.goodput_Bps = *v;
-    if (const std::vector<double>* v = row.arr("tail_goodput_Bps")) {
-      rec.result.tail_goodput_Bps = *v;
-    }
-    if (const std::vector<double>* v = row.arr("throughput_Bps")) {
-      rec.result.throughput_Bps = *v;
-    }
-    rec.result.total_goodput_Bps = row.num("total_goodput_Bps");
-    rec.result.jfi = row.num("jfi", 1.0);
-    return rec;
-  }
-  // Every numeric field past the job context is an extra, in row order
-  // (aggregation orders metrics by first encounter).
-  for (const auto& [key, value] : row.fields) {
-    if (value.kind != JsonField::Kind::kNumber && value.kind != JsonField::Kind::kNull) {
-      continue;
-    }
-    if (key == "job_index" || key == "base_seed" || key == "seed" || key == "wall_s") continue;
-    rec.extra.emplace_back(key, value.num);
-  }
-  return rec;
-}
-
-obs::TraceRow trace_from_row(const ParsedRow& row) {
-  obs::TraceRow out(row.num("t_s"));
-  for (const auto& [key, value] : row.fields) {
-    if (key == "label" || key == "job_index" || key == "seed" || key == "t_s") continue;
-    switch (value.kind) {
-      case JsonField::Kind::kNumber:
-      case JsonField::Kind::kNull:  // json_number() serializes NaN as null
-        out.set(key, value.num);
-        break;
-      case JsonField::Kind::kArray:
-        out.set(key, value.arr);
-        break;
-      default:
-        break;  // trace rows carry no strings or objects past the context
-    }
-  }
-  return out;
-}
-
 namespace {
 
 // Reads a JSONL file row by row, tracking the byte offset past the last row
@@ -273,19 +190,20 @@ class RowReader {
  public:
   RowReader(std::istream& in, std::string name) : in_(in), name_(std::move(name)) {}
 
-  // The next committed row, or nullopt at the end of the file. A line with
-  // no newline or an unbalanced line is a write the process died in; only
-  // the last line may be one.
-  std::optional<ParsedRow> next() {
+  // The next committed row, or nullopt at the end of the file. A truncated
+  // line, or a row without its newline, is a write the process died in;
+  // only the last line may be one.
+  std::optional<JsonObject> next() {
     std::string line;
     if (!std::getline(in_, line)) return std::nullopt;
     ++line_no_;
-    if (in_.eof() || !is_complete_row(line)) {
+    JsonObject row;
+    const JsonObject::Parse parsed = JsonObject::parse(line, row);
+    if (parsed == JsonObject::Parse::kMalformed) fail("is not a JSON row");
+    if (parsed == JsonObject::Parse::kTruncated || in_.eof()) {
       if (in_.peek() != std::char_traits<char>::eof()) fail("is torn but not the last line");
       return std::nullopt;
     }
-    std::optional<ParsedRow> row = parse_row(line);
-    if (!row) fail("is not a JSON row");
     offset_ += line.size() + 1;
     return row;
   }
@@ -304,16 +222,16 @@ class RowReader {
 };
 
 // Throws unless `row` names job i of this grid, run from `base_seed`.
-void expect_job(const RowReader& reader, const ParsedRow& row,
+void expect_job(const RowReader& reader, const JsonObject& row,
                 const std::vector<ExperimentJob>& jobs, std::uint64_t base_seed,
                 std::uint64_t i) {
   if (i >= jobs.size()) {
     reader.fail("is job " + std::to_string(i) + " but this grid has " +
                 std::to_string(jobs.size()) + " jobs");
   }
-  if (row.str("label") != jobs[i].label) {
-    reader.fail("is labelled \"" + row.str("label") + "\" but job " + std::to_string(i) +
-                " is \"" + jobs[i].label + "\"");
+  if (row.text("label") != jobs[i].label) {
+    reader.fail("is labelled \"" + std::string(row.text("label")) + "\" but job " +
+                std::to_string(i) + " is \"" + jobs[i].label + "\"");
   }
   if (row.u64("seed") != derive_seed(base_seed, i)) {
     reader.fail("has seed " + std::to_string(row.u64("seed")) + " but job " +
@@ -326,14 +244,14 @@ ResumePrefix load_prefix(const std::vector<ExperimentJob>& jobs, std::uint64_t b
                          RowReader out, std::optional<RowReader> sidecar) {
   constexpr std::uint64_t kNone = ~std::uint64_t{0};
   ResumePrefix prefix;
-  std::optional<ParsedRow> pending;  // next trace row not yet given to a job
+  std::optional<JsonObject> pending;  // next trace row not yet given to a job
   if (sidecar) pending = sidecar->next();
 
   // Every complete result row is checked against the grid; the prefix stops
   // at the first traced job whose trace rows are missing.
   bool accepting = true;
   for (std::uint64_t i = 0;; ++i) {
-    const std::optional<ParsedRow> row = out.next();
+    std::optional<JsonObject> row = out.next();
     if (!row) break;
     if (row->u64("job_index", kNone) != i) {
       out.fail("has job_index " + std::to_string(row->u64("job_index", kNone)) +
@@ -346,11 +264,11 @@ ResumePrefix load_prefix(const std::vector<ExperimentJob>& jobs, std::uint64_t b
     expect_job(out, *row, jobs, base_seed, i);
     if (!accepting) continue;
 
-    RunRecord rec = record_from_row(*row, static_cast<bool>(jobs[i].custom));
+    RunRecord rec{std::move(*row), {}};
     if (jobs[i].trace_period > Time::zero()) {
       while (pending && pending->u64("job_index", kNone) == i) {
         expect_job(*sidecar, *pending, jobs, base_seed, i);
-        rec.trace.push_back(trace_from_row(*pending));
+        rec.trace.push_back(std::move(*pending));
         prefix.trace_bytes = sidecar->offset();
         pending = sidecar->next();
       }

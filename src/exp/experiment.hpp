@@ -13,13 +13,10 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/jsonl_writer.hpp"
-#include "exp/row_parse.hpp"
-#include "obs/trace.hpp"
 #include "runner/scenario.hpp"
 
 namespace cebinae::exp {
@@ -36,26 +33,33 @@ struct ExperimentJob {
   JsonObject params;  // sweep-axis echo, nested into the JSONL row
 
   // Telemetry: a positive period records the scenario's trace rows
-  // (Scenario::enable_trace) and the sampled rows land in RunRecord::trace
-  // (and, when Options::trace_writer is set, the sidecar JSONL file).
+  // (Scenario::enable_trace); they land in RunRecord::trace (and, when
+  // Options::trace_writer is set, the sidecar JSONL file).
   Time trace_period = Time::zero();
 
   // Non-Scenario jobs (analytic models, FlowCache traces, ...): when set,
   // the runner calls this with the job's derived seed instead of building a
-  // Scenario, and the returned (name, value) pairs land in RunRecord::extra.
-  // `config` is still the source of the label/params echo but is not run.
+  // Scenario, and the returned (name, value) pairs become numeric fields of
+  // the result row. `config` is not run.
   std::function<std::vector<std::pair<std::string, double>>(std::uint64_t seed)> custom;
 };
 
+// What one job produced, in the shape it is written in: its result row
+// (--out) and, for a traced job, its trace rows (--trace-out), in sample
+// order. A resumed job's record is those rows read back from the files.
+//
+// Result row schema (stable keys, documented in DESIGN.md §8):
+//   label, params{...}, job_index, base_seed, seed, then for a Scenario job
+//   qdisc, n_flows, chain_links, bottleneck_bps, buffer_bytes, duration_s,
+//   goodput_Bps[...], total_goodput_Bps, tail_goodput_Bps[...],
+//   throughput_Bps[...], jfi, or a custom job's metrics; then wall_s.
+// Trace row schema: label, job_index, seed, then the fields of
+// Scenario::trace_row — t_s, scalars (jfi, qdisc.sojourn_s.l<k>.*, net.tx_*,
+// tcp.*) and arrays (tput_Bps[...], q_bytes[...], cwnd_bytes[...],
+// srtt_s[...], ceb_*, top_flow[...]; see DESIGN.md §9).
 struct RunRecord {
-  ScenarioResult result;
-  std::uint64_t seed = 0;     // the derived seed the job actually ran with
-  double wall_seconds = 0.0;  // host wall-clock for this one Scenario
-  std::vector<obs::TraceRow> trace;  // sampled rows (empty unless traced)
-  // Metrics returned by ExperimentJob::custom jobs (empty for Scenario
-  // jobs). Emitted as numeric fields of the JSONL row and picked up by the
-  // registry's aggregation pass.
-  std::vector<std::pair<std::string, double>> extra;
+  JsonObject row;
+  std::vector<JsonObject> trace;
 };
 
 // Min/max/mean/stddev over one metric across trials (population stddev).
@@ -103,37 +107,6 @@ class ExperimentRunner {
   Options opts_;
 };
 
-// The standard JSONL row for one run: config echo + metrics + wall clock.
-// Schema (stable keys, documented in DESIGN.md):
-//   label, params{...}, qdisc, seed, base_seed, job_index, n_flows,
-//   chain_links, bottleneck_bps, buffer_bytes, duration_s,
-//   goodput_Bps[...], total_goodput_Bps, throughput_Bps[...], jfi, wall_s
-[[nodiscard]] JsonObject result_row(const ExperimentJob& job, std::size_t job_index,
-                                    std::uint64_t base_seed, const RunRecord& record);
-
-// One sidecar JSONL row per trace tick: job context + the row's fields.
-// Schema: label, job_index, seed, t_s, then the row's scalars (jfi,
-// qdisc.sojourn_s.l<k>.*, net.tx_*, tcp.*) and arrays (tput_Bps[...],
-// q_bytes[...], cwnd_bytes[...], srtt_s[...], ceb_*, top_flow[...]; see
-// DESIGN.md §9).
-[[nodiscard]] JsonObject trace_row(const ExperimentJob& job, std::size_t job_index,
-                                   std::uint64_t seed, const obs::TraceRow& row);
-
-// Inverses of result_row / trace_row: rebuild the record a run produced
-// from its parsed row. `custom` mirrors ExperimentJob::custom: custom rows
-// carry their metrics as free-form numeric fields, in RunRecord::extra
-// order; scenario rows carry the ScenarioResult echo.
-[[nodiscard]] RunRecord record_from_row(const ParsedRow& row, bool custom);
-// Skips the job-context fields trace_row prepends (label, job_index, seed).
-[[nodiscard]] obs::TraceRow trace_from_row(const ParsedRow& row);
-
-// True when `line` is one structurally complete JSONL row: starts with '{'
-// and every brace/bracket opened outside a string literal is closed by the
-// end of the line. A row truncated by a crashed writer fails this even when
-// the cut happens to land just after a nested '}' (e.g. inside "params"),
-// which a naive trailing-brace check would wrongly accept.
-[[nodiscard]] bool is_complete_row(std::string_view line);
-
 // What a killed run of the same job grid left on disk: the longest prefix of
 // committed jobs, and where each file ends after that prefix.
 struct ResumePrefix {
@@ -145,9 +118,10 @@ struct ResumePrefix {
 // Read back a previous run's results and (optional) trace sidecar. Row i is
 // accepted while it is complete and matches the grid (job_index i,
 // jobs[i].label, base_seed, derive_seed(base_seed, i)); a traced job also
-// needs its trace rows, which precede its result row. Only a torn final
-// line may be incomplete. Throws std::runtime_error naming the row when a
-// complete row belongs to another grid or seed.
+// needs its trace rows, which precede its result row. Only the final line
+// of a file may be truncated (JsonObject::parse), or lack its newline; it
+// is cut off. Throws std::runtime_error naming the line when a line is
+// malformed, or a complete row belongs to another grid or seed.
 [[nodiscard]] ResumePrefix load_resume_prefix(const std::vector<ExperimentJob>& jobs,
                                               std::uint64_t base_seed,
                                               std::istream& results, std::istream* trace);

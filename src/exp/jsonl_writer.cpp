@@ -4,108 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
 
 namespace cebinae::exp {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void JsonObject::key(std::string_view k) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_escape(k);
-  body_ += ':';
-}
-
-JsonObject& JsonObject::set(std::string_view k, double v) {
-  key(k);
-  body_ += json_number(v);
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, std::uint64_t v) {
-  key(k);
-  body_ += std::to_string(v);
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, std::int64_t v) {
-  key(k);
-  body_ += std::to_string(v);
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, bool v) {
-  key(k);
-  body_ += v ? "true" : "false";
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, std::string_view v) {
-  key(k);
-  body_ += json_escape(v);
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, const std::vector<double>& v) {
-  key(k);
-  body_ += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) body_ += ',';
-    body_ += json_number(v[i]);
-  }
-  body_ += ']';
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view k, const JsonObject& v) {
-  key(k);
-  body_ += v.str();
-  return *this;
-}
 
 JsonlWriter::JsonlWriter(std::string path, std::uint64_t keep_bytes) : path_(std::move(path)) {
   if (path_.empty()) return;

@@ -1,10 +1,7 @@
 // Structured results: one JSON object per line (JSONL), streamed to a file.
-//
-// JsonObject is a tiny insertion-ordered builder — enough JSON for flat
-// result rows (scalars, strings, and arrays of numbers), with no external
-// dependency. Doubles are printed with %.17g so a row round-trips
-// bit-identically; that is what lets determinism tests diff JSONL output
-// from runs with different thread counts.
+// The rows are exp::JsonObject (json_row.hpp); doubles print as %.17g, so
+// determinism tests can diff JSONL output from runs with different thread
+// counts.
 //
 // JsonlWriter serializes whole rows under a mutex, so worker threads can
 // write results as they complete without interleaving partial lines.
@@ -20,39 +17,10 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <string_view>
-#include <vector>
+
+#include "exp/json_row.hpp"
 
 namespace cebinae::exp {
-
-class JsonObject {
- public:
-  JsonObject& set(std::string_view key, double v);
-  JsonObject& set(std::string_view key, std::uint64_t v);
-  JsonObject& set(std::string_view key, std::int64_t v);
-  JsonObject& set(std::string_view key, int v) { return set(key, static_cast<std::int64_t>(v)); }
-  JsonObject& set(std::string_view key, bool v);
-  JsonObject& set(std::string_view key, std::string_view v);
-  JsonObject& set(std::string_view key, const char* v) { return set(key, std::string_view(v)); }
-  JsonObject& set(std::string_view key, const std::vector<double>& v);
-
-  // Nest a pre-built object (e.g. the sweep-point parameter echo).
-  JsonObject& set(std::string_view key, const JsonObject& v);
-
-  [[nodiscard]] bool empty() const { return body_.empty(); }
-  [[nodiscard]] std::string str() const { return "{" + body_ + "}"; }
-
- private:
-  void key(std::string_view k);
-
-  std::string body_;  // comma-joined "key":value pairs, insertion order
-};
-
-// Escape `s` as a JSON string literal (including the quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
-// Format a double exactly (%.17g, with non-finite values as null).
-[[nodiscard]] std::string json_number(double v);
 
 class JsonlWriter {
  public:

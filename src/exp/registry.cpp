@@ -89,19 +89,26 @@ double ResultRow::mean(std::string_view name) const {
 
 namespace {
 
-// Per-record metric samples: standard Scenario summary metrics, the
-// record's custom extras, then the spec's extractor.
+// Per-record metric samples, read from the record's result row: standard
+// Scenario summary metrics, or a custom job's metrics (the row's numeric
+// fields past the job context), then the spec's extractor.
 void extract_metrics(const ExperimentJob& job, const RunRecord& rec,
                      const MetricExtractor& extra,
                      std::vector<std::pair<std::string, double>>& out) {
-  if (!job.custom) {
-    out.emplace_back("jfi", rec.result.jfi);
-    out.emplace_back("goodput_mbps", to_mbps(rec.result.total_goodput_Bps));
-    if (!rec.result.throughput_Bps.empty()) {
-      out.emplace_back("throughput_mbps", to_mbps(rec.result.throughput_Bps[0]));
+  const JsonObject& row = rec.row;
+  if (job.custom) {
+    for (const auto& [name, value] : row.fields()) {
+      if (name == "job_index" || name == "base_seed" || name == "seed" || name == "wall_s") {
+        continue;
+      }
+      if (const std::optional<double> v = JsonObject::number(value)) out.emplace_back(name, *v);
     }
+  } else {
+    out.emplace_back("jfi", row.num("jfi"));
+    out.emplace_back("goodput_mbps", to_mbps(row.num("total_goodput_Bps")));
+    const std::vector<double>& throughput = row.arr("throughput_Bps");
+    if (!throughput.empty()) out.emplace_back("throughput_mbps", to_mbps(throughput[0]));
   }
-  for (const auto& [name, value] : rec.extra) out.emplace_back(name, value);
   if (extra) extra(job, rec, out);
 }
 

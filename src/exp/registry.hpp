@@ -62,10 +62,11 @@ struct ResultRow {
   [[nodiscard]] double mean(std::string_view name) const;
 };
 
-// Append (name, value) metric samples for one record. The registry feeds
-// every record through the default extractor (jfi / goodput_mbps /
-// throughput_mbps for Scenario jobs, RunRecord::extra pairs for custom
-// jobs) and then through the spec's extractor, if any.
+// Append (name, value) metric samples for one record, read from its rows by
+// name. The registry feeds every record through the default extractor
+// (jfi / goodput_mbps / throughput_mbps for Scenario jobs; for custom jobs,
+// the result row's numeric fields except job_index, base_seed, seed and
+// wall_s) and then through the spec's extractor, if any.
 using MetricExtractor = std::function<void(const ExperimentJob&, const RunRecord&,
                                            std::vector<std::pair<std::string, double>>&)>;
 

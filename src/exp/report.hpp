@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -17,22 +18,10 @@ namespace cebinae::exp {
 // "12.34" for a single sample, "12.34±0.56" once several trials contributed.
 [[nodiscard]] std::string pm(const Aggregate& a, int precision = 2);
 
-// Elementwise mean of a per-flow (or per-link) vector across a row's trial
-// records; `get(record)` selects the vector. Vectors shorter than the
-// longest contribute zeros beyond their length.
-template <typename Get>
+// Elementwise mean of a per-flow (or per-link) array field of the trials'
+// result rows, e.g. "goodput_Bps". Arrays shorter than the longest
+// contribute zeros beyond their length.
 [[nodiscard]] std::vector<double> mean_array(const std::vector<const RunRecord*>& trials,
-                                             Get get) {
-  std::vector<double> sum;
-  for (const RunRecord* rec : trials) {
-    const auto& v = get(*rec);
-    if (v.size() > sum.size()) sum.resize(v.size(), 0.0);
-    for (std::size_t i = 0; i < v.size(); ++i) sum[i] += v[i];
-  }
-  if (trials.size() > 1) {
-    for (double& s : sum) s /= static_cast<double>(trials.size());
-  }
-  return sum;
-}
+                                             std::string_view field);
 
 }  // namespace cebinae::exp

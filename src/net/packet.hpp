@@ -58,7 +58,7 @@ inline std::ostream& operator<<(std::ostream& os, const FlowId& f) {
 }
 
 struct Packet {
-  enum class Kind : std::uint8_t { kTcpData, kTcpAck, kUdp, kRotate };
+  enum class Kind : std::uint8_t { kTcpData, kTcpAck, kUdp };
 
   FlowId flow;
   Kind kind = Kind::kTcpData;

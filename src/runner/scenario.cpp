@@ -166,15 +166,16 @@ void Scenario::enable_trace(Time period) {
 }
 
 namespace {
-void set_histogram(obs::TraceRow& row, const std::string& name, const obs::Histogram& h) {
+void set_histogram(exp::JsonObject& row, const std::string& name, const obs::Histogram& h) {
   row.set(name + ".n", static_cast<double>(h.count()));
   row.set(name + ".mean", h.mean());
   row.set(name + ".max", h.max());
 }
 }  // namespace
 
-obs::TraceRow Scenario::trace_row(Time now) {
-  obs::TraceRow row(now.seconds());
+exp::JsonObject Scenario::trace_row(Time now) {
+  exp::JsonObject row;
+  row.set("t_s", now.seconds());
 
   // Per-flow windowed throughput over [now - period, now), plus JFI over the
   // flows whose configured start precedes the window — matching the paper's

@@ -16,10 +16,10 @@
 #include "core/cebinae_queue_disc.hpp"
 #include "control/packet_generator.hpp"
 #include "core/params.hpp"
+#include "exp/json_row.hpp"
 #include "metrics/flow_stats.hpp"
 #include "metrics/maxmin.hpp"
 #include "net/network.hpp"
-#include "obs/trace.hpp"
 #include "queueing/afq.hpp"
 #include "queueing/fq_codel.hpp"
 #include "queueing/token_bucket.hpp"
@@ -83,7 +83,7 @@ class Scenario {
   // Rows accumulate in trace(). Call at most once, before run().
   void enable_trace(Time period);
 
-  [[nodiscard]] std::vector<obs::TraceRow>& trace() { return trace_; }
+  [[nodiscard]] std::vector<exp::JsonObject>& trace() { return trace_; }
 
   // Accessors ---------------------------------------------------------------
   [[nodiscard]] Network& network() { return *net_; }
@@ -110,13 +110,14 @@ class Scenario {
  private:
   [[nodiscard]] std::unique_ptr<QueueDisc> make_bottleneck_qdisc(int link);
 
-  // The trace row at `now`, read from component state: per-flow throughput
-  // over [now - period, now) and JFI(t), the registry's sojourn and RTT
+  // The trace row at `now`, read from component state, fields in order: t_s,
+  // then the scalars, then the arrays. Per-flow throughput over
+  // [now - period, now) and JFI(t), the registry's sojourn and RTT
   // histograms, network-wide transmit counts, TCP loss-recovery counts,
   // per-bottleneck queue depth/drops/ECN marks, per-flow cwnd and srtt, and
   // (under Cebinae) LBF rotations, ⊤/⊥ classification state,
   // delayed/dropped counts, and cache occupancy. Schedules nothing.
-  [[nodiscard]] obs::TraceRow trace_row(Time now);
+  [[nodiscard]] exp::JsonObject trace_row(Time now);
 
   ScenarioConfig cfg_;
   CebinaeParams effective_params_;
@@ -128,7 +129,7 @@ class Scenario {
   std::vector<FlowId> flow_ids_;
   std::vector<std::unique_ptr<CebinaeAgent>> agents_;
   std::vector<CebinaeQueueDisc*> cebinae_qdiscs_;
-  std::vector<obs::TraceRow> trace_;
+  std::vector<exp::JsonObject> trace_;
   std::unique_ptr<PacketGenerator> trace_timer_;
   Time trace_period_;
   std::vector<std::uint64_t> trace_prev_bytes_;  // per flow, at the last tick

@@ -1,15 +1,11 @@
-// Constant-bit-rate / on-off UDP traffic sources and a counting sink.
-//
-// Used by unit tests to exercise queues with precisely controlled arrival
-// patterns and by admission experiments as unresponsive background load.
+// A counting UDP sink: unit tests bind it to a node's port and count the
+// packets and payload bytes the network delivers there.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
-#include "sim/scheduler.hpp"
 
 namespace cebinae {
 
@@ -33,39 +29,6 @@ class UdpSink final : public PacketSink {
   std::uint16_t port_;
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
-};
-
-class OnOffUdpSender {
- public:
-  struct Spec {
-    FlowId flow;
-    double rate_bps = 1e6;          // sending rate while ON
-    std::uint32_t packet_bytes = kMtuBytes;  // frame size
-    Time on_duration = Time::max(); // CBR by default
-    Time off_duration = Time::zero();
-    Time start_time;
-    Time stop_time = Time::max();
-  };
-
-  OnOffUdpSender(Scheduler& sched, Node& local, Spec spec);
-  ~OnOffUdpSender();
-
-  void start();
-
-  [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
-
- private:
-  void send_one();
-  void toggle();
-
-  Scheduler& sched_;
-  Node& local_;
-  Spec spec_;
-  Time interval_;
-  bool on_ = false;
-  EventId send_event_;
-  EventId toggle_event_;
-  std::uint64_t packets_sent_ = 0;
 };
 
 }  // namespace cebinae

@@ -193,17 +193,19 @@ TEST(ExperimentRunner, ParallelRunIsBitIdenticalToSerialRun) {
   const std::vector<RunRecord> parallel = run_with_jobs(4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].seed, parallel[i].seed) << "job " << i;
-    EXPECT_EQ(serial[i].seed, derive_seed(7, i));
-    ASSERT_EQ(serial[i].result.goodput_Bps.size(), parallel[i].result.goodput_Bps.size());
-    for (std::size_t f = 0; f < serial[i].result.goodput_Bps.size(); ++f) {
+    const JsonObject& s = serial[i].row;
+    const JsonObject& p = parallel[i].row;
+    EXPECT_EQ(s.u64("seed"), p.u64("seed")) << "job " << i;
+    EXPECT_EQ(s.u64("seed"), derive_seed(7, i));
+    const std::vector<double>& goodputs = s.arr("goodput_Bps");
+    ASSERT_EQ(goodputs.size(), p.arr("goodput_Bps").size());
+    for (std::size_t f = 0; f < goodputs.size(); ++f) {
       // Bit-identical, not approximately equal: same seed, same event order.
-      EXPECT_EQ(serial[i].result.goodput_Bps[f], parallel[i].result.goodput_Bps[f])
-          << "job " << i << " flow " << f;
+      EXPECT_EQ(goodputs[f], p.arr("goodput_Bps")[f]) << "job " << i << " flow " << f;
     }
-    EXPECT_EQ(serial[i].result.total_goodput_Bps, parallel[i].result.total_goodput_Bps);
-    EXPECT_EQ(serial[i].result.jfi, parallel[i].result.jfi);
-    EXPECT_EQ(serial[i].result.throughput_Bps, parallel[i].result.throughput_Bps);
+    EXPECT_EQ(s.num("total_goodput_Bps"), p.num("total_goodput_Bps"));
+    EXPECT_EQ(s.num("jfi"), p.num("jfi"));
+    EXPECT_EQ(s.arr("throughput_Bps"), p.arr("throughput_Bps"));
   }
 }
 
@@ -211,8 +213,8 @@ TEST(ExperimentRunner, TrialsDifferButAreIndividuallyDeterministic) {
   const std::vector<RunRecord> records = run_with_jobs(2);
   // trial=0 and trial=1 of the same point run different seeds -> different
   // start jitter -> (almost surely) different goodputs.
-  EXPECT_NE(records[0].seed, records[1].seed);
-  EXPECT_NE(records[0].result.goodput_Bps, records[1].result.goodput_Bps);
+  EXPECT_NE(records[0].row.u64("seed"), records[1].row.u64("seed"));
+  EXPECT_NE(records[0].row.arr("goodput_Bps"), records[1].row.arr("goodput_Bps"));
 }
 
 // Strips the (intentionally non-deterministic) wall-clock field.

@@ -1,6 +1,5 @@
-// src/obs unit tests: MetricsRegistry cells, and TraceRow formatting and
-// column extraction. Scenario's trace rows are tested in
-// test_scenario_integration.cpp.
+// src/obs unit tests: MetricsRegistry cells. Scenario's trace rows are
+// tested in test_scenario_integration.cpp, the row type in test_json_row.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace cebinae::obs {
 namespace {
@@ -49,48 +47,6 @@ TEST(MetricsRegistry, HistogramTracksSummaryStats) {
   EXPECT_DOUBLE_EQ(h.mean(), 0.030);
   EXPECT_DOUBLE_EQ(h.min(), 0.020);
   EXPECT_DOUBLE_EQ(h.max(), 0.040);
-}
-
-// --- TraceRow --------------------------------------------------------------
-
-TEST(TraceRow, AccessorsAndAbsenceSentinels) {
-  TraceRow row(3.5);
-  row.set("jfi", 0.75);
-  row.set("tput_Bps", std::vector<double>{100.0, 200.0});
-  EXPECT_DOUBLE_EQ(row.t_s(), 3.5);
-  EXPECT_DOUBLE_EQ(row.scalar("jfi"), 0.75);
-  EXPECT_TRUE(std::isnan(row.scalar("absent")));
-  ASSERT_NE(row.array("tput_Bps"), nullptr);
-  EXPECT_EQ(row.array("tput_Bps")->size(), 2u);
-  EXPECT_EQ(row.array("absent"), nullptr);
-}
-
-TEST(TraceRow, SerializesExactlyInInsertionOrder) {
-  TraceRow row(2.0);
-  row.set("jfi", 0.5);
-  row.set("drops", 3.0);
-  row.set("tput_Bps", std::vector<double>{1.0, 0.25});
-  // t_s first, scalars before arrays, %.17g-exact numbers — the byte-stable
-  // schema the determinism tests diff.
-  exp::JsonObject obj;
-  row.write_fields(obj);
-  EXPECT_EQ(obj.str(), R"({"t_s":2,"jfi":0.5,"drops":3,"tput_Bps":[1,0.25]})");
-}
-
-TEST(TraceRow, SeriesOfExtractsOneScalarPerRow) {
-  std::vector<TraceRow> rows;
-  for (int i = 1; i <= 3; ++i) {
-    TraceRow row(static_cast<double>(i));
-    row.set("jfi", 1.0 / i);
-    row.set("tput_Bps", std::vector<double>{10.0 * i, 20.0 * i});
-    rows.push_back(std::move(row));
-  }
-  const std::vector<double> jfi = series_of(rows, "jfi");
-  ASSERT_EQ(jfi.size(), 3u);
-  EXPECT_DOUBLE_EQ(jfi[0], 1.0);
-  EXPECT_DOUBLE_EQ(jfi[1], 0.5);
-  // Arrays and absent names read as NaN.
-  EXPECT_TRUE(std::isnan(series_of(rows, "tput_Bps")[0]));
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(AggregateRows, GroupsConsecutiveTrialsAndAggregatesExtras) {
     jobs[i].custom = [](std::uint64_t) {
       return std::vector<std::pair<std::string, double>>{};
     };
-    records[i].extra.emplace_back("metric", static_cast<double>(i));
+    records[i].row.set("metric", static_cast<double>(i));
   }
   const auto rows = aggregate_rows(jobs, records, nullptr);
   ASSERT_EQ(rows.size(), 2u);

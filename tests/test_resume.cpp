@@ -1,9 +1,8 @@
-// Resume tests: the JSONL row parser, RunRecord/TraceRow reconstruction
-// (the %.17g round-trip the byte-identical report depends on), the
-// committed-prefix loader, and `--resume` end to end — files cut at every
-// point a killed run can leave them must resume to the uninterrupted run's
-// records, report and files, and files of another grid or seed must be
-// refused untouched.
+// Resume tests: the committed-prefix loader, and `--resume` end to end —
+// files cut at every point a killed run can leave them must resume to the
+// uninterrupted run's records, report and files, and files of another grid
+// or seed, or with a final line no kill can leave, must be refused
+// untouched. The row parser itself is tested in test_json_row.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,100 +15,14 @@
 #include "exp/experiment.hpp"
 #include "exp/jsonl_writer.hpp"
 #include "exp/registry.hpp"
-#include "exp/row_parse.hpp"
-
-using cebinae::exp::JsonField;
-using cebinae::exp::ParsedRow;
-using cebinae::exp::parse_row;
-using cebinae::exp::record_from_row;
-using cebinae::exp::trace_from_row;
 
 namespace {
 
-// ---- parser ---------------------------------------------------------------
+using cebinae::exp::ExperimentJob;
+using cebinae::exp::JsonObject;
+using cebinae::exp::RunRecord;
 
-TEST(RowParse, ParsesTheShapesJsonObjectEmits) {
-  cebinae::exp::JsonObject params;
-  params.set("qdisc", "Cebinae");
-  params.set("trial", 2);
-  cebinae::exp::JsonObject o;
-  o.set("label", "qdisc=Cebinae trial=2");
-  o.set("params", params);
-  o.set("jfi", 0.98765432109876543);
-  o.set("count", std::uint64_t{18446744073709551615ull});  // max u64
-  o.set("flag", true);
-  o.set("bad", std::nan(""));  // serialized as null
-  o.set("goodput_Bps", std::vector<double>{1.5, 2.5e9, 0.0});
-
-  const auto row = parse_row(o.str());
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->str("label"), "qdisc=Cebinae trial=2");
-  EXPECT_DOUBLE_EQ(row->num("jfi"), 0.98765432109876543);
-  EXPECT_EQ(row->u64("count"), 18446744073709551615ull);
-  const JsonField* flag = row->find("flag");
-  ASSERT_NE(flag, nullptr);
-  EXPECT_EQ(flag->kind, JsonField::Kind::kBool);
-  EXPECT_TRUE(flag->b);
-  const JsonField* bad = row->find("bad");
-  ASSERT_NE(bad, nullptr);
-  EXPECT_EQ(bad->kind, JsonField::Kind::kNull);
-  const std::vector<double>* arr = row->arr("goodput_Bps");
-  ASSERT_NE(arr, nullptr);
-  EXPECT_EQ(*arr, (std::vector<double>{1.5, 2.5e9, 0.0}));
-  // Nested object captured verbatim.
-  const JsonField* p = row->find("params");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->kind, JsonField::Kind::kObject);
-  EXPECT_EQ(p->str, params.str());
-}
-
-TEST(RowParse, ExactDoubleRoundTrip) {
-  // The byte-identity contract: %.17g out, strtod in, %.17g out again must
-  // reproduce the identical bytes.
-  for (double v : {1.0 / 3.0, 0.1 + 0.2, 6.62607015e-34, 123456789.123456789}) {
-    cebinae::exp::JsonObject o;
-    o.set("v", v);
-    const auto row = parse_row(o.str());
-    ASSERT_TRUE(row.has_value());
-    cebinae::exp::JsonObject again;
-    again.set("v", row->num("v"));
-    EXPECT_EQ(o.str(), again.str());
-  }
-}
-
-TEST(RowParse, RejectsMalformedAndTruncated) {
-  EXPECT_FALSE(parse_row("").has_value());
-  EXPECT_FALSE(parse_row("not json").has_value());
-  EXPECT_FALSE(parse_row(R"({"a":1)").has_value());
-  EXPECT_FALSE(parse_row(R"({"a":[1,2)").has_value());
-  EXPECT_FALSE(parse_row(R"({"a":"unterminated)").has_value());
-  EXPECT_FALSE(parse_row(R"({"a":1}garbage)").has_value());
-  EXPECT_TRUE(parse_row("{}").has_value());
-}
-
-TEST(RowParse, EscapedStringsRoundTrip) {
-  cebinae::exp::JsonObject o;
-  o.set("msg", "line1\nline2\t\"quoted\" back\\slash");
-  const auto row = parse_row(o.str());
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->str("msg"), "line1\nline2\t\"quoted\" back\\slash");
-}
-
-// ---- is_complete_row / truncated resume regression ------------------------
-
-TEST(CompleteRow, NaiveTrailingBraceIsNotEnough) {
-  using cebinae::exp::is_complete_row;
-  EXPECT_TRUE(is_complete_row(R"({"a":1,"params":{"x":2},"b":3})"));
-  // Truncation landing just after the NESTED closing brace: ends in '}' but
-  // the row is torn — the old trailing-brace check accepted this.
-  EXPECT_FALSE(is_complete_row(R"({"a":1,"params":{"x":2})"));
-  EXPECT_FALSE(is_complete_row(R"({"a":1,"b":)"));
-  EXPECT_FALSE(is_complete_row(R"("a":1})"));
-  // Braces inside strings must not count.
-  EXPECT_TRUE(is_complete_row(R"({"label":"weird{]label","n":1})"));
-  EXPECT_FALSE(is_complete_row(R"({"label":"open{string)"));
-  EXPECT_FALSE(is_complete_row(""));
-}
+// ---- committed-prefix loader ----------------------------------------------
 
 TEST(CompleteRow, HandTruncatedResumeFileSkipsOnlyTornRow) {
   // A resume file whose final line was cut mid-write (killed run) must
@@ -133,92 +46,10 @@ TEST(CompleteRow, HandTruncatedResumeFileSkipsOnlyTornRow) {
   file << a << "\n" << b << "\n" << row("c", 2) << R"(,"params":{"trial":0})";  // torn after '}'
   const auto prefix = cebinae::exp::load_resume_prefix(jobs, 1, file, nullptr);
   ASSERT_EQ(prefix.records.size(), 2u) << "torn row must re-run, not resume over";
-  EXPECT_EQ(prefix.records[1].extra[0], (std::pair<std::string, double>{"jfi", 0.6}));
+  EXPECT_EQ(prefix.records[1].row.text("label"), "b");
+  EXPECT_EQ(prefix.records[1].row.num("jfi"), 0.6);
   EXPECT_EQ(prefix.out_bytes, a.size() + b.size() + 2) << "the torn row is cut off";
 }
-
-// ---- record / trace reconstruction ----------------------------------------
-
-TEST(Reconstruct, ScenarioRecordRoundTrips) {
-  cebinae::exp::ExperimentJob job;
-  job.label = "qdisc=Cebinae trial=0";
-  cebinae::exp::RunRecord rec;
-  rec.seed = 0xABCDEF0123456789ull;
-  rec.wall_seconds = 1.25;
-  rec.result.goodput_Bps = {1234.5, 6789.25};
-  rec.result.tail_goodput_Bps = {1200.0, 6700.0};
-  rec.result.throughput_Bps = {9999.75};
-  rec.result.total_goodput_Bps = 8023.75;
-  rec.result.jfi = 0.97531;
-
-  const cebinae::exp::JsonObject row =
-      cebinae::exp::result_row(job, /*job_index=*/7, /*base_seed=*/42, rec);
-  const auto parsed = parse_row(row.str());
-  ASSERT_TRUE(parsed.has_value());
-  const cebinae::exp::RunRecord back = record_from_row(*parsed, /*custom=*/false);
-
-  EXPECT_EQ(back.seed, rec.seed);
-  EXPECT_EQ(back.result.goodput_Bps, rec.result.goodput_Bps);
-  EXPECT_EQ(back.result.tail_goodput_Bps, rec.result.tail_goodput_Bps);
-  EXPECT_EQ(back.result.throughput_Bps, rec.result.throughput_Bps);
-  EXPECT_EQ(back.result.total_goodput_Bps, rec.result.total_goodput_Bps);
-  EXPECT_EQ(back.result.jfi, rec.result.jfi);
-  EXPECT_TRUE(back.extra.empty()) << "scenario rows must not invent extras";
-}
-
-TEST(Reconstruct, CustomRecordRestoresExtrasInOrder) {
-  cebinae::exp::ExperimentJob job;
-  job.label = "model trial=0";
-  job.custom = [](std::uint64_t) {
-    return std::vector<std::pair<std::string, double>>{};
-  };
-  cebinae::exp::RunRecord rec;
-  rec.seed = 3;
-  rec.wall_seconds = 0.5;
-  rec.extra = {{"occupancy", 0.125}, {"rotations", 17.0}, {"drop_pct", 2.5}};
-
-  const cebinae::exp::JsonObject row = cebinae::exp::result_row(job, 0, 1, rec);
-  const auto parsed = parse_row(row.str());
-  ASSERT_TRUE(parsed.has_value());
-  const cebinae::exp::RunRecord back = record_from_row(*parsed, /*custom=*/true);
-  ASSERT_EQ(back.extra.size(), 3u);
-  EXPECT_EQ(back.extra[0], (std::pair<std::string, double>{"occupancy", 0.125}));
-  EXPECT_EQ(back.extra[1], (std::pair<std::string, double>{"rotations", 17.0}));
-  EXPECT_EQ(back.extra[2], (std::pair<std::string, double>{"drop_pct", 2.5}));
-}
-
-TEST(Reconstruct, TraceRowRoundTripsScalarsArraysAndNaN) {
-  cebinae::obs::TraceRow row(12.5);
-  row.set("jfi", 0.875);
-  row.set("stalled", std::nan(""));  // serialized as null
-  row.set("tput_Bps", std::vector<double>{100.5, 200.25});
-
-  cebinae::exp::ExperimentJob job;
-  job.label = "qdisc=FIFO";
-  const cebinae::exp::JsonObject json = cebinae::exp::trace_row(job, 4, 99, row);
-  const auto parsed = parse_row(json.str());
-  ASSERT_TRUE(parsed.has_value());
-  const cebinae::obs::TraceRow back = trace_from_row(*parsed);
-
-  EXPECT_EQ(back.t_s(), 12.5);
-  EXPECT_EQ(back.scalar("jfi"), 0.875);
-  EXPECT_TRUE(std::isnan(back.scalar("stalled")));
-  const std::vector<double>* arr = back.array("tput_Bps");
-  ASSERT_NE(arr, nullptr);
-  EXPECT_EQ(*arr, (std::vector<double>{100.5, 200.25}));
-  // Job-context fields must NOT leak into the reconstructed row.
-  EXPECT_TRUE(std::isnan(back.scalar("job_index")));
-  EXPECT_TRUE(std::isnan(back.scalar("seed")));
-  // Serializing the reconstruction again reproduces the identical bytes —
-  // the resumed --trace-out contract.
-  const cebinae::exp::JsonObject again = cebinae::exp::trace_row(job, 4, 99, back);
-  EXPECT_EQ(json.str(), again.str());
-}
-
-// ---- committed-prefix loader ----------------------------------------------
-
-using cebinae::exp::ExperimentJob;
-using cebinae::exp::RunRecord;
 
 // Three custom jobs; row i of a run from base seed 1 is committed_row(i).
 std::vector<ExperimentJob> custom_grid() {
@@ -233,10 +64,7 @@ std::vector<ExperimentJob> custom_grid() {
 }
 
 std::string committed_row(const std::vector<ExperimentJob>& jobs, std::size_t i) {
-  RunRecord rec;
-  rec.seed = cebinae::exp::derive_seed(1, i);
-  rec.extra = jobs[i].custom(rec.seed);
-  return cebinae::exp::result_row(jobs[i], i, 1, rec).str();
+  return cebinae::exp::ExperimentRunner({}).run(jobs)[i].row.str();
 }
 
 TEST(CompletedJobIndices, ParsesCompleteRowsOnly) {
@@ -248,15 +76,19 @@ TEST(CompletedJobIndices, ParsesCompleteRowsOnly) {
   std::istringstream killed(r0 + "\n" + r1 + "\n" + r2.substr(0, r2.size() / 2));
   const auto prefix = cebinae::exp::load_resume_prefix(jobs, 1, killed, nullptr);
   ASSERT_EQ(prefix.records.size(), 2u);  // torn row 2 reruns
-  EXPECT_EQ(prefix.records[1].seed, cebinae::exp::derive_seed(1, 1));
-  EXPECT_EQ(prefix.records[1].extra, jobs[1].custom(0));
+  EXPECT_EQ(prefix.records[1].row.str(), r1);
+  EXPECT_EQ(prefix.records[1].row.u64("seed"), cebinae::exp::derive_seed(1, 1));
   EXPECT_EQ(prefix.out_bytes, r0.size() + r1.size() + 2);
 
   // A complete final row without its newline is a write the process died in.
   std::istringstream no_newline(r0 + "\n" + r1);
   EXPECT_EQ(cebinae::exp::load_resume_prefix(jobs, 1, no_newline, nullptr).records.size(), 1u);
 
-  // Only the last line may be torn; anything else is not this run's file.
+  // Only the last line may be torn, and no line may be malformed; anything
+  // else is not this run's file.
+  std::istringstream torn_inside(r0 + "\n" + r1.substr(0, r1.size() / 2) + "\n" + r1 + "\n");
+  EXPECT_THROW((void)cebinae::exp::load_resume_prefix(jobs, 1, torn_inside, nullptr),
+               std::runtime_error);
   std::istringstream garbled(r0 + "\nnot json at all\n" + r1 + "\n");
   EXPECT_THROW((void)cebinae::exp::load_resume_prefix(jobs, 1, garbled, nullptr),
                std::runtime_error);
@@ -302,7 +134,7 @@ std::string strip_wall(const std::string& jsonl) {
 }
 
 // A 3-job grid: a plain scenario, a traced scenario and a custom job whose
-// extras include a NaN. The report prints every metric mean, so stdout
+// metrics include a NaN. The report prints every metric mean, so stdout
 // shows any record drift.
 cebinae::exp::ExperimentSpec resume_spec(std::vector<RunRecord>* sink) {
   cebinae::exp::ExperimentSpec spec;
@@ -343,13 +175,16 @@ cebinae::exp::ExperimentSpec resume_spec(std::vector<RunRecord>* sink) {
 }
 
 // Everything a record carries except its wall clock, serialized.
-std::string record_text(const ExperimentJob& job, std::size_t i, RunRecord rec) {
-  rec.wall_seconds = 0.0;
-  std::string text = cebinae::exp::result_row(job, i, 1, rec).str();
-  for (const cebinae::obs::TraceRow& row : rec.trace) {
-    text += "\n" + cebinae::exp::trace_row(job, i, rec.seed, row).str();
-  }
+std::string record_text(const RunRecord& rec) {
+  std::string text = strip_wall(rec.row.str());
+  for (const JsonObject& row : rec.trace) text += "\n" + row.str();
   return text;
+}
+
+JsonObject parsed(const std::string& line) {
+  JsonObject row;
+  EXPECT_EQ(JsonObject::parse(line, row), JsonObject::Parse::kOk) << line;
+  return row;
 }
 
 struct RunOutput {
@@ -389,7 +224,7 @@ TEST(ResumeCutPoints, EveryKillPointResumesToTheUninterruptedRun) {
   ASSERT_GE(trace_lines.size(), 2u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     for (const std::string& line : trace_lines) {
-      if (parse_row(line.substr(0, line.size() - 1))->u64("job_index") == i) {
+      if (parsed(line.substr(0, line.size() - 1)).u64("job_index") == i) {
         writes.emplace_back(true, line);
       }
     }
@@ -431,7 +266,7 @@ TEST(ResumeCutPoints, EveryKillPointResumesToTheUninterruptedRun) {
     EXPECT_EQ(got.stdout_text, ref.stdout_text);
     ASSERT_EQ(got.records.size(), ref.records.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(record_text(jobs[i], i, got.records[i]), record_text(jobs[i], i, ref.records[i]));
+      EXPECT_EQ(record_text(got.records[i]), record_text(ref.records[i]));
     }
     const std::string got_results = read_file(resume.out);
     EXPECT_EQ(strip_wall(got_results), strip_wall(results));
@@ -441,7 +276,7 @@ TEST(ResumeCutPoints, EveryKillPointResumesToTheUninterruptedRun) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < cut.committed; ++i) {
       kept += result_lines[i].size();
-      EXPECT_EQ(got.records[i].wall_seconds, ref.records[i].wall_seconds);
+      EXPECT_EQ(got.records[i].row.num("wall_s"), ref.records[i].row.num("wall_s"));
     }
     EXPECT_EQ(got_results.substr(0, kept), results.substr(0, kept));
   }
@@ -483,6 +318,34 @@ TEST(ResumeMismatch, AnotherExperimentOrSeedExitsTwoAndLeavesFilesUntouched) {
 
   std::remove(opts.out.c_str());
   std::remove(opts.trace_out.c_str());
+}
+
+TEST(ResumeMismatch, MalformedFinalLineExitsTwoAndLeavesFilesUntouched) {
+  // A killed write leaves a prefix of a row, which resume cuts off. A final
+  // line that no prefix of a row can be is not a torn write: resume refuses
+  // the file instead of cutting the line off.
+  const std::string dir = ::testing::TempDir();
+  cebinae::exp::RunOptions opts;
+  opts.out = dir + "cebinae_resume_malformed.jsonl";
+  ASSERT_EQ(run_resume_spec(opts).status, 0);
+  const std::string results = read_file(opts.out);
+  const std::string first = results.substr(0, results.find('\n') + 1);
+  const std::string second = results.substr(first.size(), results.find('\n', first.size()) -
+                                                              first.size());
+
+  opts.resume = true;
+  for (const std::string& last : {std::string(R"({"a":x)"), std::string(R"({"a":1}})"),
+                                  second + "}", second + "\n" + "x"}) {
+    SCOPED_TRACE(last);
+    write_file(opts.out, first + last);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_resume_spec(opts).status, 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(opts.out + " line "), std::string::npos) << err;
+    EXPECT_NE(err.find(" is not a JSON row"), std::string::npos) << err;
+    EXPECT_EQ(read_file(opts.out), first + last);
+  }
+  std::remove(opts.out.c_str());
 }
 
 }  // namespace

@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "control/packet_generator.hpp"
-#include "exp/row_parse.hpp"
+#include "exp/json_row.hpp"
 #include "metrics/jfi.hpp"
 
 namespace cebinae {
@@ -174,14 +174,12 @@ TEST(ScenarioIntegration, ProbesFireDuringRun) {
 }
 
 // Scalar column names of a trace row, in serialization order.
-std::vector<std::string> scalar_names(const obs::TraceRow& row) {
-  exp::JsonObject obj;
-  row.write_fields(obj);
-  const std::optional<exp::ParsedRow> parsed = exp::parse_row(obj.str());
+std::vector<std::string> scalar_names(const exp::JsonObject& row) {
   std::vector<std::string> names;
-  if (!parsed) return names;
-  for (const auto& [name, field] : parsed->fields) {
-    if (name != "t_s" && field.kind != exp::JsonField::Kind::kArray) names.push_back(name);
+  for (const auto& [name, value] : row.fields()) {
+    if (name != "t_s" && !std::holds_alternative<std::vector<double>>(value)) {
+      names.push_back(name);
+    }
   }
   return names;
 }
@@ -190,13 +188,13 @@ std::vector<std::string> scalar_names(const obs::TraceRow& row) {
 // row's network and TCP counts are the sums over the scenario's
 // components. The check fires right after the trace tick at the same
 // time, with no event in between. Returns the last row.
-obs::TraceRow run_and_check_trace_sums(const ScenarioConfig& cfg, Time period) {
+exp::JsonObject run_and_check_trace_sums(const ScenarioConfig& cfg, Time period) {
   Scenario scenario(cfg);
   scenario.enable_trace(period);
   Network& net = scenario.network();
   int ticks = 0;
   PacketGenerator check(net.scheduler(), period, [&] {
-    const obs::TraceRow& row = scenario.trace().back();
+    const exp::JsonObject& row = scenario.trace().back();
     std::uint64_t tx_bytes = 0, tx_packets = 0;
     for (NodeId n = 0; n < net.node_count(); ++n) {
       for (std::size_t d = 0; d < net.node(n).device_count(); ++d) {
@@ -210,11 +208,11 @@ obs::TraceRow run_and_check_trace_sums(const ScenarioConfig& cfg, Time period) {
       rtos += scenario.sender(i).rto_count();
       fast_retransmits += scenario.sender(i).fast_retransmit_count();
     }
-    EXPECT_EQ(row.scalar("net.tx_bytes"), static_cast<double>(tx_bytes));
-    EXPECT_EQ(row.scalar("net.tx_packets"), static_cast<double>(tx_packets));
-    EXPECT_EQ(row.scalar("tcp.retransmits"), static_cast<double>(retransmits));
-    EXPECT_EQ(row.scalar("tcp.rtos"), static_cast<double>(rtos));
-    EXPECT_EQ(row.scalar("tcp.fast_retransmits"), static_cast<double>(fast_retransmits));
+    EXPECT_EQ(row.num("net.tx_bytes"), static_cast<double>(tx_bytes));
+    EXPECT_EQ(row.num("net.tx_packets"), static_cast<double>(tx_packets));
+    EXPECT_EQ(row.num("tcp.retransmits"), static_cast<double>(retransmits));
+    EXPECT_EQ(row.num("tcp.rtos"), static_cast<double>(rtos));
+    EXPECT_EQ(row.num("tcp.fast_retransmits"), static_cast<double>(fast_retransmits));
     ++ticks;
   });
   check.start(period);
@@ -229,14 +227,14 @@ TEST(ScenarioTrace, ScalarColumnsAreInOrderAndSumEveryComponent) {
   ceb.duration = Seconds(2);
   ceb.buffer_bytes = 32ull * kMtuBytes;
   ceb.flows = flows_of(CcaType::kNewReno, 3, Milliseconds(20));
-  const obs::TraceRow ceb_last = run_and_check_trace_sums(ceb, Milliseconds(250));
+  const exp::JsonObject ceb_last = run_and_check_trace_sums(ceb, Milliseconds(250));
   EXPECT_EQ(scalar_names(ceb_last),
             (std::vector<std::string>{
                 "jfi", "qdisc.sojourn_s.l0.n", "qdisc.sojourn_s.l0.mean",
                 "qdisc.sojourn_s.l0.max", "net.tx_bytes", "net.tx_packets", "tcp.retransmits",
                 "tcp.rtos", "tcp.fast_retransmits", "tcp.srtt_s.n", "tcp.srtt_s.mean",
                 "tcp.srtt_s.max"}));
-  EXPECT_GT(ceb_last.scalar("tcp.retransmits"), 0.0);
+  EXPECT_GT(ceb_last.num("tcp.retransmits"), 0.0);
 
   // Three FIFO links: every link's sojourn columns come before net.*.
   ScenarioConfig fifo = base_config(QdiscKind::kFifo);
@@ -246,7 +244,7 @@ TEST(ScenarioTrace, ScalarColumnsAreInOrderAndSumEveryComponent) {
   fifo.flows = flows_of(CcaType::kNewReno, 3, Milliseconds(20));
   fifo.flows[1].enter = 1;
   fifo.flows[2].enter = 2;
-  const obs::TraceRow fifo_last = run_and_check_trace_sums(fifo, Milliseconds(250));
+  const exp::JsonObject fifo_last = run_and_check_trace_sums(fifo, Milliseconds(250));
   EXPECT_EQ(scalar_names(fifo_last),
             (std::vector<std::string>{
                 "jfi", "qdisc.sojourn_s.l0.n", "qdisc.sojourn_s.l0.mean",
@@ -255,7 +253,7 @@ TEST(ScenarioTrace, ScalarColumnsAreInOrderAndSumEveryComponent) {
                 "qdisc.sojourn_s.l2.max", "net.tx_bytes", "net.tx_packets", "tcp.retransmits",
                 "tcp.rtos", "tcp.fast_retransmits", "tcp.srtt_s.n", "tcp.srtt_s.mean",
                 "tcp.srtt_s.max"}));
-  EXPECT_GT(fifo_last.scalar("tcp.fast_retransmits"), 0.0);
+  EXPECT_GT(fifo_last.num("tcp.fast_retransmits"), 0.0);
 }
 
 TEST(ScenarioIntegration, TailGoodputIsTheSecondHalfOfASubSecondRun) {
@@ -268,7 +266,7 @@ TEST(ScenarioIntegration, TailGoodputIsTheSecondHalfOfASubSecondRun) {
   scenario.enable_trace(Milliseconds(150));
   const ScenarioResult r = scenario.run();
   ASSERT_EQ(scenario.trace().size(), 2u);
-  const std::vector<double>& tput = *scenario.trace()[1].array("tput_Bps");
+  const std::vector<double>& tput = scenario.trace()[1].arr("tput_Bps");
   ASSERT_EQ(r.tail_goodput_Bps.size(), tput.size());
   for (std::size_t i = 0; i < tput.size(); ++i) {
     EXPECT_GT(tput[i], 0.0);

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "runner/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -77,10 +76,10 @@ TEST(Sojourn, ScenarioTraceExportsSojournHistogram) {
 
     const auto& rows = scenario.trace();
     ASSERT_FALSE(rows.empty()) << to_string(kind);
-    const obs::TraceRow& last = rows.back();
-    const double n = last.scalar("qdisc.sojourn_s.l0.n");
-    const double mean = last.scalar("qdisc.sojourn_s.l0.mean");
-    const double max = last.scalar("qdisc.sojourn_s.l0.max");
+    const exp::JsonObject& last = rows.back();
+    const double n = last.num("qdisc.sojourn_s.l0.n");
+    const double mean = last.num("qdisc.sojourn_s.l0.mean");
+    const double max = last.num("qdisc.sojourn_s.l0.max");
     EXPECT_FALSE(std::isnan(n)) << to_string(kind);
     EXPECT_GT(n, 0.0) << to_string(kind);
     EXPECT_FALSE(std::isnan(mean)) << to_string(kind);

@@ -7,75 +7,24 @@
 namespace cebinae {
 namespace {
 
-struct UdpHarness {
+TEST(UdpApp, SinkCountsPayloadBytes) {
   Network net;
   Node& a = net.add_node();
   Node& b = net.add_node();
+  net.link(a, b, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+  net.build_routes();
   UdpSink sink{b, 9};
-
-  UdpHarness() {
-    net.link(a, b, 1'000'000'000, Microseconds(10), nullptr, nullptr);
-    net.build_routes();
+  for (int i = 0; i < 5; ++i) {
+    Packet p;
+    p.flow = FlowId{a.id(), b.id(), 1, 9};
+    p.kind = Packet::Kind::kUdp;
+    p.size_bytes = 1000;
+    p.payload_bytes = 1000 - kHeaderBytes;
+    a.send(std::move(p));
   }
-
-  OnOffUdpSender::Spec spec(double rate_bps) {
-    OnOffUdpSender::Spec s;
-    s.flow = FlowId{a.id(), b.id(), 1, 9};
-    s.rate_bps = rate_bps;
-    return s;
-  }
-};
-
-TEST(UdpApp, CbrRateIsAccurate) {
-  UdpHarness h;
-  OnOffUdpSender sender(h.net.scheduler(), h.a, h.spec(12'000'000));  // 1000 pkt/s
-  sender.start();
-  h.net.scheduler().run_until(Seconds(1));
-  EXPECT_NEAR(static_cast<double>(sender.packets_sent()), 1000.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(h.sink.packets()), 1000.0, 2.0);
-}
-
-TEST(UdpApp, OnOffDutyCycleHalvesVolume) {
-  UdpHarness h;
-  auto on_off = h.spec(12'000'000);
-  on_off.on_duration = Milliseconds(100);
-  on_off.off_duration = Milliseconds(100);
-  OnOffUdpSender sender(h.net.scheduler(), h.a, on_off);
-  sender.start();
-  h.net.scheduler().run_until(Seconds(1));
-  EXPECT_NEAR(static_cast<double>(sender.packets_sent()), 500.0, 30.0);
-}
-
-TEST(UdpApp, StartTimeRespected) {
-  UdpHarness h;
-  auto s = h.spec(12'000'000);
-  s.start_time = Milliseconds(500);
-  OnOffUdpSender sender(h.net.scheduler(), h.a, s);
-  sender.start();
-  h.net.scheduler().run_until(Milliseconds(499));
-  EXPECT_EQ(sender.packets_sent(), 0u);
-  h.net.scheduler().run_until(Seconds(1));
-  EXPECT_NEAR(static_cast<double>(sender.packets_sent()), 500.0, 2.0);
-}
-
-TEST(UdpApp, StopTimeHaltsSending) {
-  UdpHarness h;
-  auto s = h.spec(12'000'000);
-  s.stop_time = Milliseconds(200);
-  OnOffUdpSender sender(h.net.scheduler(), h.a, s);
-  sender.start();
-  h.net.scheduler().run_until(Seconds(1));
-  EXPECT_NEAR(static_cast<double>(sender.packets_sent()), 200.0, 3.0);
-}
-
-TEST(UdpApp, SinkCountsPayloadBytes) {
-  UdpHarness h;
-  auto s = h.spec(12'000'000);
-  s.packet_bytes = 1000;
-  OnOffUdpSender sender(h.net.scheduler(), h.a, s);
-  sender.start();
-  h.net.scheduler().run_until(Milliseconds(100));
-  EXPECT_EQ(h.sink.bytes(), h.sink.packets() * (1000 - kHeaderBytes));
+  net.scheduler().run();
+  EXPECT_EQ(sink.packets(), 5u);
+  EXPECT_EQ(sink.bytes(), sink.packets() * (1000 - kHeaderBytes));
 }
 
 }  // namespace
