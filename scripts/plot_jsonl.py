@@ -3,8 +3,10 @@
 sidecars) as a labeled line or CDF figure.
 
 Pure standard library: renders SVG directly, so it works in the bare build
-container. When matplotlib happens to be installed, --format=png is also
-available; otherwise SVG is the (default) output.
+container. Rows are read by the rule `cebinae_bench --resume` uses: a last
+line that ends inside its row, or lacks its newline, is a write the process
+died in and is skipped; any other line that is not a JSON row is an error
+that names the line.
 
 Examples
 --------
@@ -26,6 +28,7 @@ Field selectors accept `name` (scalar) or `name[i]` (array element). With
 import argparse
 import json
 import math
+import string
 import sys
 
 
@@ -33,18 +36,45 @@ import sys
 # data access
 
 
+def truncated(line, err):
+    """True when `line` ends inside its row rather than at a byte no row can
+    contain: every prefix of a row is truncated."""
+    rest = line[err.pos:]
+    if not rest or err.msg.startswith("Unterminated string"):
+        return True
+    if err.msg.startswith("Invalid \\uXXXX escape"):
+        return len(rest) < 5 and all(c in string.hexdigits for c in rest[1:])
+    # A row ends with '}', so a line that ends in a number or a literal was
+    # cut in it.
+    return set(rest) <= set("0123456789+-.eE") or any(
+        word.startswith(rest) for word in ("true", "false", "null"))
+
+
 def load_rows(path):
-    """Parse a JSONL file, silently skipping torn lines (crashed writers)."""
-    rows = []
+    """Parse a JSONL file by the rule --resume uses: only the last line may
+    be torn (truncated, or without its newline), and is then skipped."""
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # truncated final line from a killed run
+        text = f.read()
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()  # the empty string after the final newline
+    decoder = json.JSONDecoder(strict=False)
+    rows = []
+    for n, line in enumerate(lines, 1):
+        last = n == len(lines)
+        try:
+            row = decoder.decode(line)
+        except json.JSONDecodeError as err:
+            if not truncated(line, err):
+                raise SystemExit(f"error: {path} line {n} is not a JSON row")
+            if not last:
+                raise SystemExit(f"error: {path} line {n} is torn but not the last line")
+            break
+        if not isinstance(row, dict):
+            raise SystemExit(f"error: {path} line {n} is not a JSON row")
+        if last and not text.endswith("\n"):
+            break
+        rows.append(row)
     return rows
 
 
@@ -201,24 +231,6 @@ def escape(s):
     return (str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def render_matplotlib(series, title, xlabel, ylabel, out_path):
-    import matplotlib
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-    fig, ax = plt.subplots(figsize=(7.2, 4.4))
-    for k, (label, pts) in enumerate(series):
-        pts = sorted(pts)
-        ax.plot([x for x, _ in pts], [y for _, y in pts],
-                label=label, color=PALETTE[k % len(PALETTE)], linewidth=1.8)
-    ax.set_title(title)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
-    ax.grid(True, color="#e3e3e8")
-    ax.legend(frameon=False)
-    fig.tight_layout()
-    fig.savefig(out_path, dpi=144)
-
-
 # --------------------------------------------------------------------------
 
 
@@ -239,9 +251,10 @@ def main():
     ap.add_argument("--title", default=None)
     ap.add_argument("--xlabel", default=None)
     ap.add_argument("--ylabel", default=None)
-    ap.add_argument("--out", default="plot.svg",
-                    help="output path; .svg is dependency-free, .png needs matplotlib")
+    ap.add_argument("--out", default="plot.svg", help="output .svg path")
     args = ap.parse_args()
+    if not args.out.lower().endswith(".svg"):
+        raise SystemExit(f"error: --out must name an .svg file, got '{args.out}'")
 
     rows = load_rows(args.jsonl)
     if not rows:
@@ -272,14 +285,8 @@ def main():
         ylabel = args.ylabel or ylist
     title = args.title or f"{ylist} — {args.jsonl}"
 
-    if args.out.lower().endswith(".png"):
-        try:
-            render_matplotlib(series, title, xlabel, ylabel, args.out)
-        except ImportError:
-            raise SystemExit("error: PNG output needs matplotlib; use a .svg path")
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(render_svg(series, title, xlabel, ylabel))
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write(render_svg(series, title, xlabel, ylabel))
     total = sum(len(p) for _, p in series)
     print(f"wrote {args.out}: {len(series)} series, {total} points", file=sys.stderr)
 

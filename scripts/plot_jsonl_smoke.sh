@@ -3,7 +3,9 @@
 # JSONL formats outside C++. It must render README's two example plots from
 # fresh --smoke output — a jfi CDF per qdisc from fig07's results, and both
 # flows' goodput over time from fig01's trace sidecar — exit 0, write the
-# SVG and report the expected number of series and points.
+# SVG and report the expected number of series and points. It reads rows by
+# the rule --resume uses: a torn last line is skipped, and a malformed line
+# before it fails, naming the line.
 #
 # Usage: scripts/plot_jsonl_smoke.sh [path-to-cebinae_bench] [python3]
 set -euo pipefail
@@ -41,4 +43,22 @@ check "2 series, 6 points" "$tmpdir/fig01.svg" \
   "$tmpdir/fig01.trace.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
   --filter label='qdisc=Cebinae'
 
-echo "plot smoke: both plots render" >&2
+# A killed writer's torn last line is skipped: the same plot as without it.
+{ cat "$tmpdir/fig07.jsonl"; head -n 1 "$tmpdir/fig07.jsonl" | head -c 40; } \
+  > "$tmpdir/torn.jsonl"
+check "2 series, 2 points" "$tmpdir/torn.svg" \
+  "$tmpdir/torn.jsonl" --y jfi --cdf --group-by qdisc
+
+# A malformed line before the last fails and names its line.
+{ head -n 1 "$tmpdir/fig07.jsonl"; echo '{"jfi":x}'; tail -n +2 "$tmpdir/fig07.jsonl"; } \
+  > "$tmpdir/malformed.jsonl"
+status=0
+err="$("$PYTHON" "$PLOT" "$tmpdir/malformed.jsonl" --y jfi --out "$tmpdir/malformed.svg" 2>&1)" ||
+  status=$?
+if [[ "$status" -eq 0 || "$err" != "error: $tmpdir/malformed.jsonl line 2 is not a JSON row" ]]; then
+  echo "error: a malformed line 2 exited $status, said '$err'" >&2
+  exit 1
+fi
+echo "== malformed line 2: fails ==" >&2
+
+echo "plot smoke: both plots render, a torn last line is skipped, a malformed line fails" >&2

@@ -9,6 +9,7 @@ CebinaeAgent::CebinaeAgent(Scheduler& sched, CebinaeQueueDisc& qdisc)
       qdisc_(qdisc),
       params_(qdisc.params()),
       capacity_Bps_(static_cast<double>(qdisc.capacity_bps()) / 8.0),
+      port_(qdisc.capacity_bps(), params_.delta_port),
       rotate_gen_(sched, params_.dt, [this] { on_rotate(); }) {}
 
 void CebinaeAgent::start() { rotate_gen_.start(params_.dt); }
@@ -44,14 +45,14 @@ void CebinaeAgent::recompute() {
   const Time interval = params_.dt * params_.p_rounds;
 
   // Fig. 4 lines 8-13: port utilization from the transmit byte counter.
-  const bool saturated = qdisc_.port().sample(interval);
+  const bool saturated = port_.sample(qdisc_.stats().dequeued_bytes, interval);
 
   // Fig. 4 line 10: the cache is polled and reset every interval regardless
   // of saturation, so counters never span multiple intervals.
   const std::vector<FlowCache::Entry> entries = qdisc_.cache().poll_and_reset();
 
   snapshot_.saturated = saturated;
-  snapshot_.utilization = qdisc_.port().last_utilization();
+  snapshot_.utilization = port_.last_utilization();
   snapshot_.top_flows.clear();
 
   if (!saturated || entries.empty()) {

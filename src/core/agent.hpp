@@ -3,10 +3,11 @@
 //
 // Every dT the data plane rotates queue priorities (driven by the packet
 // generator). Every P rotations the agent samples the port's transmit byte
-// counter, polls-and-resets the heavy-hitter cache, classifies ⊤ flows
-// (within δf of the maximum), and computes taxed rate allocations; all
-// changes commit at t0 + vdT + L — the window in which the drained queue is
-// guaranteed empty, so membership moves cannot reorder packets.
+// counter (the queue disc's stats().dequeued_bytes), polls-and-resets the
+// heavy-hitter cache, classifies ⊤ flows (within δf of the maximum), and
+// computes taxed rate allocations; all changes commit at t0 + vdT + L — the
+// window in which the drained queue is guaranteed empty, so membership
+// moves cannot reorder packets.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "control/packet_generator.hpp"
 #include "core/cebinae_queue_disc.hpp"
 #include "core/params.hpp"
+#include "core/port_saturation.hpp"
 #include "sim/scheduler.hpp"
 
 namespace cebinae {
@@ -49,6 +51,7 @@ class CebinaeAgent {
   CebinaeQueueDisc& qdisc_;
   CebinaeParams params_;
   double capacity_Bps_;
+  PortSaturationDetector port_;  // control-plane state (§4.1)
   PacketGenerator rotate_gen_;  // models the hardware ROTATE packet source
 
   std::uint64_t rotations_ = 0;

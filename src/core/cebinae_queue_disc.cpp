@@ -9,8 +9,7 @@ CebinaeQueueDisc::CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
       buffer_bytes_(buffer_bytes),
       params_(params),
       lbf_(params, capacity_bps),
-      cache_(params.cache_stages, params.cache_slots),
-      port_(capacity_bps, params.delta_port) {}
+      cache_(params.cache_stages, params.cache_slots) {}
 
 bool CebinaeQueueDisc::enqueue(Packet pkt) {
   // Shared physical buffer: the LBF's guarantees assume the whole buffer is
@@ -29,10 +28,7 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
       return reject(pkt);
     case LeakyBucketFilter::Queue::kTail:
       ++delayed_packets_;
-      if (d.mark_ecn && pkt.ect) {
-        pkt.ce = true;
-        ++stats_.ecn_marked_packets;
-      }
+      if (d.mark_ecn) mark_ce(pkt);
       break;
     case LeakyBucketFilter::Queue::kHead:
       break;
@@ -40,10 +36,7 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
 
   const int q = d.queue == LeakyBucketFilter::Queue::kHead ? lbf_.head_index()
                                                            : 1 - lbf_.head_index();
-  qbytes_[q] += pkt.size_bytes;
-  ++stats_.enqueued_packets;
-  PacketSlab& slab = PacketSlab::local();
-  q_[q].push_back(slab, slab.alloc(pkt, sojourn_now()));
+  q_[q].push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
   return true;
 }
 
@@ -54,13 +47,10 @@ PacketSlab::Slot CebinaeQueueDisc::dequeue_slot() {
     PacketSlab& slab = PacketSlab::local();
     const PacketSlab::Slot s = q_[q].pop_front(slab);
     const Packet& pkt = slab[s].pkt;
-    qbytes_[q] -= pkt.size_bytes;
 
-    // Egress pipeline: per-port byte counter and heavy-hitter cache see
-    // transmitted traffic only.
-    port_.on_transmit(pkt.size_bytes);
+    // Egress pipeline: the heavy-hitter cache and the port's transmit
+    // counter (stats().dequeued_bytes) see transmitted traffic only.
     cache_.add(pkt.flow, pkt.size_bytes);
-
     account_dequeue(slab[s]);
     return s;
   }

@@ -1,7 +1,8 @@
 // Cebinae's per-port data plane: two physical queues with priority given by
-// the LBF's head index, the egress heavy-hitter cache, the port saturation
-// counter, and the ⊤-flow membership table (exact-match, so hash collisions
-// can never tax an innocent flow).
+// the LBF's head index, the egress heavy-hitter cache, and the ⊤-flow
+// membership table (exact-match, so hash collisions can never tax an
+// innocent flow). The port's monotone transmit byte counter is
+// stats().dequeued_bytes; the agent samples it.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 #include "core/flow_cache.hpp"
 #include "core/lbf.hpp"
 #include "core/params.hpp"
-#include "core/port_saturation.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
 
@@ -25,13 +25,9 @@ class CebinaeQueueDisc final : public QueueDisc {
   bool enqueue(Packet pkt) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t byte_count() const override { return qbytes_[0] + qbytes_[1]; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return q_[0].size() + q_[1].size(); }
-
   // Data-plane components (driven by the control-plane agent).
   [[nodiscard]] LeakyBucketFilter& lbf() { return lbf_; }
   [[nodiscard]] FlowCache& cache() { return cache_; }
-  [[nodiscard]] PortSaturationDetector& port() { return port_; }
 
   // ROTATE: flip queue priorities and drain the LBF accounting.
   void rotate();
@@ -62,11 +58,9 @@ class CebinaeQueueDisc final : public QueueDisc {
 
   LeakyBucketFilter lbf_;
   FlowCache cache_;
-  PortSaturationDetector port_;
   std::unordered_set<FlowId, FlowIdHash> top_flows_;
 
   SlotFifo q_[2];
-  std::uint64_t qbytes_[2] = {0, 0};
 
   std::uint64_t delayed_packets_ = 0;
   std::uint64_t lbf_dropped_packets_ = 0;

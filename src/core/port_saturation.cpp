@@ -2,9 +2,9 @@
 
 namespace cebinae {
 
-bool PortSaturationDetector::sample(Time interval) {
-  const std::uint64_t delta = tx_bytes_ - last_sample_;
-  last_sample_ = tx_bytes_;
+bool PortSaturationDetector::sample(std::uint64_t tx_bytes, Time interval) {
+  const std::uint64_t delta = tx_bytes - last_sample_;
+  last_sample_ = tx_bytes;
 
   const double capacity_bytes =
       static_cast<double>(capacity_bps_) / 8.0 * interval.seconds();

@@ -7,7 +7,7 @@ namespace cebinae {
 Afq::Afq(AfqParams params) : params_(params), queues_(params.num_queues) {}
 
 bool Afq::enqueue(Packet pkt) {
-  if (bytes_ + pkt.size_bytes > params_.buffer_bytes) return reject(pkt);
+  if (byte_count() + pkt.size_bytes > params_.buffer_bytes) return reject(pkt);
 
   // Bid: the round in which the flow's cumulative bytes would depart under
   // ideal fair queueing. Flows idle past the current round restart there
@@ -26,11 +26,7 @@ bool Afq::enqueue(Packet pkt) {
 
   fb += pkt.size_bytes;
   const std::size_t slot = (head_slot_ + ahead) % params_.num_queues;
-  bytes_ += pkt.size_bytes;
-  ++packets_;
-  ++stats_.enqueued_packets;
-  PacketSlab& slab = PacketSlab::local();
-  queues_[slot].push_back(slab, slab.alloc(pkt, sojourn_now()));
+  queues_[slot].push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
   return true;
 }
 
@@ -42,8 +38,6 @@ PacketSlab::Slot Afq::dequeue_slot() {
     if (!q.empty()) {
       PacketSlab& slab = PacketSlab::local();
       const PacketSlab::Slot s = q.pop_front(slab);
-      bytes_ -= slab[s].pkt.size_bytes;
-      --packets_;
       account_dequeue(slab[s]);
       return s;
     }

@@ -35,9 +35,6 @@ class Afq final : public QueueDisc {
   bool enqueue(Packet pkt) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return packets_; }
-
   [[nodiscard]] std::uint64_t current_round() const { return current_round_; }
   [[nodiscard]] std::uint64_t horizon_drops() const { return horizon_drops_; }
 
@@ -46,8 +43,6 @@ class Afq final : public QueueDisc {
   std::vector<SlotFifo> queues_;  // ring of calendar slots
   std::size_t head_slot_ = 0;
   std::uint64_t current_round_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t packets_ = 0;
   std::uint64_t horizon_drops_ = 0;
 
   // Exact per-flow departure-round state, aged by round like AFQ's sketch.

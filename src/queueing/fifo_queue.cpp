@@ -3,11 +3,8 @@
 namespace cebinae {
 
 bool FifoQueue::enqueue(Packet pkt) {
-  if (bytes_ + pkt.size_bytes > limit_bytes_) return reject(pkt);
-  bytes_ += pkt.size_bytes;
-  ++stats_.enqueued_packets;
-  PacketSlab& slab = PacketSlab::local();
-  q_.push_back(slab, slab.alloc(pkt, sojourn_now()));
+  if (byte_count() + pkt.size_bytes > limit_bytes_) return reject(pkt);
+  q_.push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
   return true;
 }
 
@@ -15,7 +12,6 @@ PacketSlab::Slot FifoQueue::dequeue_slot() {
   if (q_.empty()) return PacketSlab::kNone;
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot s = q_.pop_front(slab);
-  bytes_ -= slab[s].pkt.size_bytes;
   account_dequeue(slab[s]);
   return s;
 }

@@ -20,12 +20,8 @@ class FifoQueue final : public QueueDisc {
   bool enqueue(Packet pkt) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return q_.size(); }
-
  private:
   std::uint64_t limit_bytes_;
-  std::uint64_t bytes_ = 0;
   SlotFifo q_;
 };
 

@@ -1,16 +1,21 @@
 #include "queueing/fq_codel.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <cmath>
 
 namespace cebinae {
+
+namespace {
+// CoDel's control law: the next drop is interval/sqrt(count) after `t`.
+Time control_law(Time t, std::uint32_t count) {
+  return t + Time(static_cast<std::int64_t>(static_cast<double>(FqCoDel::kInterval.ns()) /
+                                            std::sqrt(static_cast<double>(count))));
+}
+}  // namespace
 
 FqCoDel::FlowQueue& FqCoDel::queue_for(const Packet& pkt) {
   const std::uint64_t key = FlowIdHash{}(pkt.flow);
   auto it = queues_.find(key);
-  if (it == queues_.end()) {
-    it = queues_.emplace(key, std::make_unique<FlowQueue>(params_.codel)).first;
-  }
+  if (it == queues_.end()) it = queues_.emplace(key, std::make_unique<FlowQueue>()).first;
   return *it->second;
 }
 
@@ -24,32 +29,84 @@ void FqCoDel::drop_from_fattest() {
   // standing queue rather than the arriving packet.
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot victim = fattest->q.pop_front(slab);
-  const std::uint32_t size = slab[victim].pkt.size_bytes;
-  slab.release(victim);
-  fattest->bytes -= size;
-  bytes_ -= size;
-  --packets_;
-  ++stats_.dropped_packets;
-  stats_.dropped_bytes += size;
+  fattest->bytes -= slab[victim].pkt.size_bytes;
+  drop(victim);
 }
 
 bool FqCoDel::enqueue(Packet pkt) {
   FlowQueue& fq = queue_for(pkt);
-  const std::uint32_t size = pkt.size_bytes;
-  PacketSlab& slab = PacketSlab::local();
-  fq.q.push_back(slab, slab.alloc(pkt, sched_.now()));
-  fq.bytes += size;
-  bytes_ += size;
-  ++packets_;
-  ++stats_.enqueued_packets;
+  fq.q.push_back(PacketSlab::local(), admit(pkt, sched_.now()));
+  fq.bytes += pkt.size_bytes;
 
   if (!fq.in_new && !fq.in_old) {
     fq.deficit = kMtuBytes;
     new_flows_.push_back(&fq);
     fq.in_new = true;
   }
-  while (bytes_ > params_.limit_bytes) drop_from_fattest();
+  while (byte_count() > params_.limit_bytes) drop_from_fattest();
   return true;
+}
+
+PacketSlab::Slot FqCoDel::codel_pop(FlowQueue& fq, Time now, bool& ok_to_drop) {
+  ok_to_drop = false;
+  if (fq.q.empty()) {
+    fq.first_above_time = Time::zero();
+    return PacketSlab::kNone;
+  }
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Slot s = fq.q.pop_front(slab);
+  const PacketSlab::Entry& e = slab[s];
+  fq.bytes -= e.pkt.size_bytes;
+
+  if (now - e.stamp < kTarget || fq.bytes < kMtuBytes) {
+    fq.first_above_time = Time::zero();
+  } else if (fq.first_above_time == Time::zero()) {
+    fq.first_above_time = now + kInterval;
+  } else if (now >= fq.first_above_time) {
+    ok_to_drop = true;
+  }
+  return s;
+}
+
+PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
+  PacketSlab& slab = PacketSlab::local();
+  bool ok_to_drop = false;
+  PacketSlab::Slot s = codel_pop(fq, now, ok_to_drop);
+  if (fq.dropping) {
+    if (!ok_to_drop) {
+      fq.dropping = false;
+    } else {
+      while (fq.dropping && s != PacketSlab::kNone && now >= fq.drop_next) {
+        ++fq.count;
+        if (mark_ce(slab[s].pkt)) {
+          fq.drop_next = control_law(fq.drop_next, fq.count);
+          break;  // marked packets are still delivered
+        }
+        drop(s);
+        s = codel_pop(fq, now, ok_to_drop);
+        if (!ok_to_drop) {
+          fq.dropping = false;
+        } else {
+          fq.drop_next = control_law(fq.drop_next, fq.count);
+        }
+      }
+    }
+  } else if (ok_to_drop) {
+    // Enter dropping state.
+    if (!mark_ce(slab[s].pkt)) {
+      drop(s);
+      s = codel_pop(fq, now, ok_to_drop);
+    }
+    fq.dropping = true;
+    // Start closer to the previous rate if we were recently dropping.
+    if (fq.count > 2 && now - fq.drop_next < kInterval) {
+      fq.count -= 2;
+    } else {
+      fq.count = 1;
+    }
+    fq.drop_next = control_law(now, fq.count);
+  }
+  return s;
 }
 
 PacketSlab::Slot FqCoDel::dequeue_slot() {
@@ -70,14 +127,7 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
       continue;
     }
 
-    const std::uint64_t bytes_before = fq->bytes;
-    const std::size_t pkts_before = fq->q.size();
-    const PacketSlab::Slot s =
-        fq->codel.dequeue(fq->q, slab, fq->bytes, sched_.now(), stats_, sojourn_hist());
-    // CoDel may have consumed several packets (drops plus the returned one).
-    bytes_ -= bytes_before - fq->bytes;
-    packets_ -= pkts_before - fq->q.size();
-
+    const PacketSlab::Slot s = codel_dequeue(*fq, sched_.now());
     if (s == PacketSlab::kNone) {
       // Queue is empty: a new queue gets one pass through old before being
       // retired (RFC 8290 §4.2); an old empty queue is removed.
@@ -92,10 +142,8 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
       continue;
     }
 
-    const std::uint32_t size = slab[s].pkt.size_bytes;
-    fq->deficit -= size;
-    ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += size;
+    fq->deficit -= slab[s].pkt.size_bytes;
+    account_dequeue(slab[s]);
     return s;
   }
   return PacketSlab::kNone;

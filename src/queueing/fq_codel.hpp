@@ -1,7 +1,8 @@
 // FQ-CoDel (RFC 8290): DRR fair queueing across per-flow queues, each
-// managed by a CoDel controller. This is the paper's "FQ" comparison point;
+// managed by CoDel (RFC 8289). This is the paper's "FQ" comparison point;
 // following the paper's methodology, the flow-queue count is unbounded
-// (ideal per-flow queueing) rather than 1024.
+// (ideal per-flow queueing) rather than 1024. Packets from ECN-capable
+// transports (ECT) are marked CE instead of dropped by CoDel.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +10,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "queueing/codel.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
 
@@ -19,18 +19,20 @@ namespace cebinae {
 // configuration), and the DRR quantum is one MTU.
 struct FqCoDelParams {
   std::uint64_t limit_bytes = 4 * 1024 * 1024;
-  CodelParams codel;
 };
 
 class FqCoDel final : public QueueDisc {
  public:
+  // CoDel's RFC 8289 defaults: the acceptable standing-queue sojourn, and
+  // the sliding window over which the sojourn must stay above it.
+  static constexpr Time kTarget = Milliseconds(5);
+  static constexpr Time kInterval = Milliseconds(100);
+
   FqCoDel(Scheduler& sched, FqCoDelParams params) : sched_(sched), params_(params) {}
 
   bool enqueue(Packet pkt) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return packets_; }
   [[nodiscard]] std::size_t flow_queue_count() const { return queues_.size(); }
 
  private:
@@ -38,15 +40,23 @@ class FqCoDel final : public QueueDisc {
     SlotFifo q;
     std::uint64_t bytes = 0;
     std::int64_t deficit = 0;
-    CodelController codel;
     bool in_new = false;  // linked on new_flows_
     bool in_old = false;  // linked on old_flows_
-
-    explicit FlowQueue(CodelParams p) : codel(p) {}
+    // CoDel control-law state.
+    Time first_above_time = Time::zero();
+    Time drop_next = Time::zero();
+    std::uint32_t count = 0;
+    bool dropping = false;
   };
 
   FlowQueue& queue_for(const Packet& pkt);
   void drop_from_fattest();
+  // CoDel at dequeue time: drops or marks packets of `fq` per the control
+  // law and returns the slot to transmit, or PacketSlab::kNone.
+  PacketSlab::Slot codel_dequeue(FlowQueue& fq, Time now);
+  // Pops the head of `fq` (kNone when empty) and sets `ok_to_drop` when its
+  // sojourn has stayed above kTarget for kInterval.
+  static PacketSlab::Slot codel_pop(FlowQueue& fq, Time now, bool& ok_to_drop);
 
   Scheduler& sched_;
   FqCoDelParams params_;
@@ -54,8 +64,6 @@ class FqCoDel final : public QueueDisc {
   std::unordered_map<std::uint64_t, std::unique_ptr<FlowQueue>> queues_;
   std::list<FlowQueue*> new_flows_;
   std::list<FlowQueue*> old_flows_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t packets_ = 0;
 };
 
 }  // namespace cebinae

@@ -36,8 +36,10 @@ StrawmanQueueDisc::StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bp
 void StrawmanQueueDisc::on_tick() {
   const double capacity_bytes =
       static_cast<double>(capacity_bps_) / 8.0 * params_.interval.seconds();
+  const std::uint64_t interval_tx = stats().dequeued_bytes - tick_dequeued_bytes_;
+  tick_dequeued_bytes_ = stats().dequeued_bytes;
   const bool saturated =
-      static_cast<double>(interval_tx_) >= capacity_bytes * (1.0 - params_.delta_port);
+      static_cast<double>(interval_tx) >= capacity_bytes * (1.0 - params_.delta_port);
 
   if (saturated) {
     // Freeze every flow at the maximal observed per-flow rate: the
@@ -61,7 +63,6 @@ void StrawmanQueueDisc::on_tick() {
   }
 
   interval_bytes_.clear();
-  interval_tx_ = 0;
   sched_.schedule(params_.interval, [this] { on_tick(); });
 }
 
@@ -82,11 +83,8 @@ bool StrawmanQueueDisc::enqueue(Packet pkt) {
     }
   }
 
-  if (bytes_ + pkt.size_bytes > buffer_bytes_) return reject(pkt);
-  bytes_ += pkt.size_bytes;
-  ++stats_.enqueued_packets;
-  PacketSlab& slab = PacketSlab::local();
-  q_.push_back(slab, slab.alloc(pkt, sojourn_now()));
+  if (byte_count() + pkt.size_bytes > buffer_bytes_) return reject(pkt);
+  q_.push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
   return true;
 }
 
@@ -95,9 +93,7 @@ PacketSlab::Slot StrawmanQueueDisc::dequeue_slot() {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot s = q_.pop_front(slab);
   const Packet& pkt = slab[s].pkt;
-  bytes_ -= pkt.size_bytes;
   interval_bytes_[pkt.flow] += pkt.size_bytes;
-  interval_tx_ += pkt.size_bytes;
   account_dequeue(slab[s]);
   return s;
 }

@@ -55,9 +55,6 @@ class StrawmanQueueDisc final : public QueueDisc {
   bool enqueue(Packet pkt) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t byte_count() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t packet_count() const override { return q_.size(); }
-
   [[nodiscard]] bool limiting() const { return limiting_; }
   [[nodiscard]] double frozen_rate_Bps() const { return frozen_rate_Bps_; }
   [[nodiscard]] std::uint64_t limited_drops() const { return limited_drops_; }
@@ -71,11 +68,12 @@ class StrawmanQueueDisc final : public QueueDisc {
   StrawmanParams params_;
 
   SlotFifo q_;
-  std::uint64_t bytes_ = 0;
 
   // Measurement (the strawman is not resource-constrained: exact state).
+  // The port's transmitted bytes in an interval are the growth of
+  // stats().dequeued_bytes since the last tick.
   std::unordered_map<FlowId, std::uint64_t, FlowIdHash> interval_bytes_;
-  std::uint64_t interval_tx_ = 0;
+  std::uint64_t tick_dequeued_bytes_ = 0;
 
   // Enforcement.
   bool limiting_ = false;

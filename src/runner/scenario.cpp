@@ -65,7 +65,7 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
     }
     case QdiscKind::kStrawman:
       disc = std::make_unique<StrawmanQueueDisc>(net_->scheduler(), cfg_.bottleneck_bps,
-                                                 cfg_.buffer_bytes, cfg_.strawman);
+                                                 cfg_.buffer_bytes, StrawmanParams{});
       break;
   }
   // Per-link sojourn-time histogram: dequeue − enqueue of every delivered

@@ -47,7 +47,6 @@ struct ScenarioConfig {
 
   FqCoDelParams fq;  // limit_bytes is overridden with buffer_bytes
   AfqParams afq;     // buffer_bytes is overridden with buffer_bytes
-  StrawmanParams strawman;
 
   double access_rate_factor = 4.0;
   Time duration = Seconds(30);

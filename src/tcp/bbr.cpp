@@ -62,7 +62,7 @@ void Bbr::update_state(const AckEvent& ev) {
       break;
     case Mode::kProbeRtt:
       if (probe_rtt_done_stamp_ == Time::zero() &&
-          ev.bytes_in_flight <= 4ull * mss_) {
+          ev.bytes_in_flight <= 4ull * kMssBytes) {
         probe_rtt_done_stamp_ = ev.now + kProbeRttDuration;
         probe_rtt_round_done_ = false;
       } else if (probe_rtt_done_stamp_ != Time::zero()) {
@@ -110,14 +110,14 @@ void Bbr::update_control(const AckEvent& ev) {
   if (bw > 0) pacing_rate_ = pacing_gain_ * bw;
 
   if (mode_ == Mode::kProbeRtt) {
-    cwnd_ = 4ull * mss_;
+    cwnd_ = 4ull * kMssBytes;
     return;
   }
 
-  const std::uint64_t target = std::max<std::uint64_t>(bdp_bytes(cwnd_gain_), 4ull * mss_);
+  const std::uint64_t target = std::max<std::uint64_t>(bdp_bytes(cwnd_gain_), 4ull * kMssBytes);
   if (bw == 0 || min_rtt_ == Time::max()) {
     // No model yet: exponential growth like slow start.
-    cwnd_ += std::min<std::uint64_t>(ev.acked_bytes, 2 * mss_);
+    cwnd_ += std::min<std::uint64_t>(ev.acked_bytes, 2 * kMssBytes);
   } else if (cwnd_ < target) {
     // Grow toward the target at most one acked-byte batch at a time.
     cwnd_ = std::min(cwnd_ + ev.acked_bytes, target);
@@ -140,7 +140,7 @@ void Bbr::on_loss(Time /*now*/, std::uint64_t /*bytes_in_flight*/) {
 void Bbr::on_rto(Time /*now*/) {
   // Conservation after a timeout; the next ACK restores the model-driven
   // window.
-  cwnd_ = mss_;
+  cwnd_ = kMssBytes;
 }
 
 }  // namespace cebinae

@@ -4,8 +4,6 @@
 // BBR as the canonical loss-agnostic aggressor (Table 2, Fig. 8a).
 #pragma once
 
-#include <memory>
-
 #include "net/packet.hpp"
 #include "tcp/congestion_control.hpp"
 #include "tcp/windowed_filter.hpp"
@@ -16,11 +14,6 @@ class Bbr final : public CongestionControl {
  public:
   enum class Mode { kStartup, kDrain, kProbeBw, kProbeRtt };
 
-  explicit Bbr(std::uint32_t mss = kMssBytes)
-      : mss_(mss),
-        cwnd_(static_cast<std::uint64_t>(mss) * 10),
-        btl_bw_filter_(kBwWindowRounds) {}
-
   [[nodiscard]] std::string_view name() const override { return "bbr"; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] double pacing_rate_Bps() const override { return pacing_rate_; }
@@ -29,10 +22,6 @@ class Bbr final : public CongestionControl {
   void on_ack(const AckEvent& ev) override;
   void on_loss(Time now, std::uint64_t bytes_in_flight) override;
   void on_rto(Time now) override;
-
-  static std::unique_ptr<CongestionControl> make(std::uint32_t mss) {
-    return std::make_unique<Bbr>(mss);
-  }
 
   // Exposed for unit tests.
   [[nodiscard]] Mode mode() const { return mode_; }
@@ -55,12 +44,12 @@ class Bbr final : public CongestionControl {
   [[nodiscard]] std::uint64_t bdp_bytes(double gain) const;
   void enter_probe_bw(Time now);
 
-  std::uint32_t mss_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = 10ull * kMssBytes;
   double pacing_rate_ = 0.0;
 
   Mode mode_ = Mode::kStartup;
-  WindowedFilter<double, std::int64_t, MaxCompare> btl_bw_filter_;  // keyed by round count
+  // Keyed by round count.
+  WindowedFilter<double, std::int64_t, MaxCompare> btl_bw_filter_{kBwWindowRounds};
   std::int64_t round_count_ = 0;
 
   Time min_rtt_ = Time::max();

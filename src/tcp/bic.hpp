@@ -2,21 +2,13 @@
 // Cubic's predecessor; appears in the paper's Table 2 and Fig. 11 workloads.
 #pragma once
 
-#include <memory>
-
 #include "tcp/window_cc.hpp"
 
 namespace cebinae {
 
 class Bic final : public WindowCc {
  public:
-  explicit Bic(std::uint32_t mss = kMssBytes) : WindowCc(mss) {}
-
   [[nodiscard]] std::string_view name() const override { return "bic"; }
-
-  static std::unique_ptr<CongestionControl> make(std::uint32_t mss) {
-    return std::make_unique<Bic>(mss);
-  }
 
   [[nodiscard]] double w_max_segments() const { return w_max_; }
 

@@ -15,18 +15,18 @@ namespace cebinae {
 
 enum class CcaType { kNewReno, kCubic, kBic, kVegas, kBbr };
 
-inline std::unique_ptr<CongestionControl> make_cc(CcaType type, std::uint32_t mss = kMssBytes) {
+inline std::unique_ptr<CongestionControl> make_cc(CcaType type) {
   switch (type) {
     case CcaType::kNewReno:
-      return NewReno::make(mss);
+      return std::make_unique<NewReno>();
     case CcaType::kCubic:
-      return Cubic::make(mss);
+      return std::make_unique<Cubic>();
     case CcaType::kBic:
-      return Bic::make(mss);
+      return std::make_unique<Bic>();
     case CcaType::kVegas:
-      return Vegas::make(mss);
+      return std::make_unique<Vegas>();
     case CcaType::kBbr:
-      return Bbr::make(mss);
+      return std::make_unique<Bbr>();
   }
   throw std::invalid_argument("unknown CCA type");
 }

@@ -14,7 +14,7 @@ void Cubic::on_slow_start_ack(const AckEvent& ev) {
     hystart_curr_min_ = std::min(hystart_curr_min_, ev.rtt);
     ++hystart_samples_;
   }
-  if (cwnd_ < 16ull * mss_ || hystart_last_min_ == Time::max() ||
+  if (cwnd_ < 16ull * kMssBytes || hystart_last_min_ == Time::max() ||
       hystart_curr_min_ == Time::max() || hystart_samples_ < 3) {
     return;
   }
@@ -26,7 +26,7 @@ void Cubic::on_slow_start_ack(const AckEvent& ev) {
 }
 
 void Cubic::congestion_avoidance(const AckEvent& ev) {
-  const double cwnd_seg = static_cast<double>(cwnd_) / mss_;
+  const double cwnd_seg = static_cast<double>(cwnd_) / kMssBytes;
   if (ev.rtt > Time::zero()) min_rtt_ = ev.min_rtt;
 
   if (epoch_start_ == Time::zero()) {
@@ -42,7 +42,7 @@ void Cubic::congestion_avoidance(const AckEvent& ev) {
     w_est_ = cwnd_seg;
   }
 
-  ack_cnt_ += static_cast<double>(ev.acked_bytes) / mss_;
+  ack_cnt_ += static_cast<double>(ev.acked_bytes) / kMssBytes;
 
   // Cubic window at one RTT in the future (so growth anticipates the curve).
   const double t = (ev.now - epoch_start_).seconds() + min_rtt_.seconds();
@@ -59,21 +59,21 @@ void Cubic::congestion_avoidance(const AckEvent& ev) {
   // one ACKed window adds 3(1-beta)/(1+beta) segments per RTT) and never run
   // slower than it.
   w_est_ += 3.0 * (1.0 - kBeta) / (1.0 + kBeta) *
-            (static_cast<double>(ev.acked_bytes) / mss_) / std::max(cwnd_seg, 1.0);
+            (static_cast<double>(ev.acked_bytes) / kMssBytes) / std::max(cwnd_seg, 1.0);
   if (w_est_ > cwnd_seg && cwnd_seg / (w_est_ - cwnd_seg) < cnt) {
     cnt = cwnd_seg / (w_est_ - cwnd_seg);
   }
 
   cnt = std::max(cnt, 0.01);
-  const double increment = static_cast<double>(mss_) / cnt *
-                           (static_cast<double>(ev.acked_bytes) / mss_);
+  const double increment = static_cast<double>(kMssBytes) / cnt *
+                           (static_cast<double>(ev.acked_bytes) / kMssBytes);
   // Never grow faster than slow start would (Linux bounds the same way);
   // this tames jumbo cumulative ACKs after recovery.
   cwnd_ += std::min<std::uint64_t>(static_cast<std::uint64_t>(increment), ev.acked_bytes);
 }
 
 void Cubic::reduce(Time /*now*/) {
-  const double cwnd_seg = static_cast<double>(cwnd_) / mss_;
+  const double cwnd_seg = static_cast<double>(cwnd_) / kMssBytes;
   // Fast convergence: release extra bandwidth when the window shrank since
   // the last loss event (another flow is ramping up).
   if (cwnd_seg < w_max_) {
@@ -82,13 +82,13 @@ void Cubic::reduce(Time /*now*/) {
     w_max_ = cwnd_seg;
   }
   epoch_start_ = Time::zero();
-  ssthresh_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(cwnd_ * kBeta), 2 * mss_);
+  ssthresh_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(cwnd_ * kBeta), 2 * kMssBytes);
   cwnd_ = ssthresh_;
 }
 
 void Cubic::on_timeout_reset(Time /*now*/) {
   epoch_start_ = Time::zero();
-  w_max_ = static_cast<double>(cwnd_) / mss_;
+  w_max_ = static_cast<double>(cwnd_) / kMssBytes;
 }
 
 }  // namespace cebinae

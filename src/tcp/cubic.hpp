@@ -2,21 +2,13 @@
 // Windows Server, and the paper's representative aggressive loss-based CCA.
 #pragma once
 
-#include <memory>
-
 #include "tcp/window_cc.hpp"
 
 namespace cebinae {
 
 class Cubic final : public WindowCc {
  public:
-  explicit Cubic(std::uint32_t mss = kMssBytes) : WindowCc(mss) {}
-
   [[nodiscard]] std::string_view name() const override { return "cubic"; }
-
-  static std::unique_ptr<CongestionControl> make(std::uint32_t mss) {
-    return std::make_unique<Cubic>(mss);
-  }
 
   // Exposed for unit tests of the window curve.
   [[nodiscard]] double w_max_segments() const { return w_max_; }

@@ -2,21 +2,13 @@
 // loss-based algorithm.
 #pragma once
 
-#include <memory>
-
 #include "tcp/window_cc.hpp"
 
 namespace cebinae {
 
 class NewReno final : public WindowCc {
  public:
-  explicit NewReno(std::uint32_t mss = kMssBytes) : WindowCc(mss) {}
-
   [[nodiscard]] std::string_view name() const override { return "newreno"; }
-
-  static std::unique_ptr<CongestionControl> make(std::uint32_t mss) {
-    return std::make_unique<NewReno>(mss);
-  }
 
  private:
   void congestion_avoidance(const AckEvent& ev) override;

@@ -29,7 +29,7 @@ void RttEstimator::backoff() {
 }
 
 void RttEstimator::clamp_rto() {
-  rto_ = std::clamp(rto_, params_.min_rto, params_.max_rto);
+  rto_ = std::clamp(rto_, kMinRto, kMaxRto);
 }
 
 }  // namespace cebinae

@@ -7,14 +7,9 @@ namespace cebinae {
 
 class RttEstimator {
  public:
-  struct Params {
-    Time initial_rto = Seconds(1);
-    Time min_rto = Milliseconds(200);  // Linux-style floor
-    Time max_rto = Seconds(60);
-  };
-
-  RttEstimator() : RttEstimator(Params()) {}
-  explicit RttEstimator(Params params) : params_(params), rto_(params.initial_rto) {}
+  static constexpr Time kInitialRto = Seconds(1);
+  static constexpr Time kMinRto = Milliseconds(200);  // Linux-style floor
+  static constexpr Time kMaxRto = Seconds(60);
 
   void on_sample(Time rtt);
 
@@ -30,11 +25,10 @@ class RttEstimator {
  private:
   void clamp_rto();
 
-  Params params_;
   Time srtt_ = Time::zero();
   Time rttvar_ = Time::zero();
   Time min_rtt_ = Time::max();
-  Time rto_;
+  Time rto_ = kInitialRto;
   bool has_sample_ = false;
 };
 

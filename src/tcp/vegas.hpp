@@ -4,7 +4,6 @@
 #pragma once
 
 #include <limits>
-#include <memory>
 
 #include "net/packet.hpp"
 #include "tcp/congestion_control.hpp"
@@ -13,9 +12,6 @@ namespace cebinae {
 
 class Vegas final : public CongestionControl {
  public:
-  explicit Vegas(std::uint32_t mss = kMssBytes)
-      : mss_(mss), cwnd_(static_cast<std::uint64_t>(mss) * 10) {}
-
   [[nodiscard]] std::string_view name() const override { return "vegas"; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] bool in_slow_start() const override { return cwnd_ < ssthresh_; }
@@ -23,10 +19,6 @@ class Vegas final : public CongestionControl {
   void on_ack(const AckEvent& ev) override;
   void on_loss(Time now, std::uint64_t bytes_in_flight) override;
   void on_rto(Time now) override;
-
-  static std::unique_ptr<CongestionControl> make(std::uint32_t mss) {
-    return std::make_unique<Vegas>(mss);
-  }
 
   // Exposed for unit tests.
   [[nodiscard]] Time base_rtt() const { return base_rtt_; }
@@ -39,8 +31,7 @@ class Vegas final : public CongestionControl {
 
   void round_update();
 
-  std::uint32_t mss_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = 10ull * kMssBytes;
   std::uint64_t ssthresh_ = std::numeric_limits<std::uint64_t>::max();
 
   Time base_rtt_ = Time::max();   // lifetime minimum RTT (propagation estimate)

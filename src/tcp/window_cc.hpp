@@ -30,7 +30,7 @@ class WindowCc : public CongestionControl {
     if (in_slow_start()) {
       on_slow_start_ack(ev);  // may exit slow start (e.g., HyStart)
       if (in_slow_start()) {
-        cwnd_ += std::min<std::uint64_t>(ev.acked_bytes, 2 * mss_);
+        cwnd_ += std::min<std::uint64_t>(ev.acked_bytes, 2 * kMssBytes);
         clamp();
         return;
       }
@@ -47,15 +47,12 @@ class WindowCc : public CongestionControl {
 
   void on_rto(Time now) override {
     last_reduction_ = now;
-    ssthresh_ = std::max<std::uint64_t>(cwnd_ / 2, 2 * mss_);
-    cwnd_ = mss_;
+    ssthresh_ = std::max<std::uint64_t>(cwnd_ / 2, 2 * kMssBytes);
+    cwnd_ = kMssBytes;
     on_timeout_reset(now);
   }
 
  protected:
-  explicit WindowCc(std::uint32_t mss, std::uint32_t initial_window_segments = 10)
-      : mss_(mss), cwnd_(static_cast<std::uint64_t>(mss) * initial_window_segments) {}
-
   // Additive-increase step while cwnd >= ssthresh.
   virtual void congestion_avoidance(const AckEvent& ev) = 0;
 
@@ -69,7 +66,7 @@ class WindowCc : public CongestionControl {
   // Extra state reset after an RTO (e.g., Cubic clears its epoch).
   virtual void on_timeout_reset(Time /*now*/) {}
 
-  void clamp() { cwnd_ = std::max<std::uint64_t>(cwnd_, 2 * mss_); }
+  void clamp() { cwnd_ = std::max<std::uint64_t>(cwnd_, 2 * kMssBytes); }
 
   [[nodiscard]] bool can_reduce(const AckEvent& ev) const {
     // At most one reduction per RTT so a burst of marks is a single signal.
@@ -77,8 +74,7 @@ class WindowCc : public CongestionControl {
     return ev.now - last_reduction_ >= guard;
   }
 
-  std::uint32_t mss_;
-  std::uint64_t cwnd_;
+  std::uint64_t cwnd_ = 10ull * kMssBytes;  // initial window: 10 segments
   std::uint64_t ssthresh_ = std::numeric_limits<std::uint64_t>::max();
   Time last_reduction_ = Time::zero();
 };

@@ -33,7 +33,7 @@ Time run_startup_to_drain(Bbr& cc, double bw_Bps, Time rtt, Time start) {
 }
 
 TEST(Bbr, StartsInStartupWithHighGain) {
-  Bbr cc(kMss);
+  Bbr cc;
   EXPECT_EQ(cc.mode(), Bbr::Mode::kStartup);
   EXPECT_TRUE(cc.in_slow_start());
   EXPECT_EQ(cc.cwnd_bytes(), 10ull * kMss);
@@ -41,7 +41,7 @@ TEST(Bbr, StartsInStartupWithHighGain) {
 }
 
 TEST(Bbr, LearnsBandwidthAndMinRtt) {
-  Bbr cc(kMss);
+  Bbr cc;
   cc.on_ack(bbr_ack(Seconds(1), Milliseconds(50), 1e6, true, 10 * kMss));
   EXPECT_DOUBLE_EQ(cc.btl_bw_Bps(), 1e6);
   EXPECT_EQ(cc.min_rtt(), Milliseconds(50));
@@ -51,19 +51,19 @@ TEST(Bbr, LearnsBandwidthAndMinRtt) {
 }
 
 TEST(Bbr, PacingRateIsGainTimesBandwidth) {
-  Bbr cc(kMss);
+  Bbr cc;
   cc.on_ack(bbr_ack(Seconds(1), Milliseconds(50), 1e6, true, 10 * kMss));
   EXPECT_NEAR(cc.pacing_rate_Bps(), 2.885 * 1e6, 1e3);
 }
 
 TEST(Bbr, ExitsStartupWhenBandwidthPlateaus) {
-  Bbr cc(kMss);
+  Bbr cc;
   run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   EXPECT_NE(cc.mode(), Bbr::Mode::kStartup);
 }
 
 TEST(Bbr, StaysInStartupWhileBandwidthGrows) {
-  Bbr cc(kMss);
+  Bbr cc;
   double bw = 1e6;
   Time now = Seconds(1);
   for (int round = 0; round < 10; ++round) {
@@ -75,7 +75,7 @@ TEST(Bbr, StaysInStartupWhileBandwidthGrows) {
 }
 
 TEST(Bbr, DrainEndsWhenInflightReachesBdp) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   ASSERT_EQ(cc.mode(), Bbr::Mode::kDrain);
   // BDP = 1e7 B/s * 0.05 s = 500 kB; report inflight below that.
@@ -84,7 +84,7 @@ TEST(Bbr, DrainEndsWhenInflightReachesBdp) {
 }
 
 TEST(Bbr, ProbeBwCyclesGains) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   ASSERT_EQ(cc.mode(), Bbr::Mode::kProbeBw);
@@ -103,7 +103,7 @@ TEST(Bbr, ProbeBwCyclesGains) {
 }
 
 TEST(Bbr, CwndTargetsTwoBdpInProbeBw) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   ASSERT_EQ(cc.mode(), Bbr::Mode::kProbeBw);
@@ -117,7 +117,7 @@ TEST(Bbr, CwndTargetsTwoBdpInProbeBw) {
 }
 
 TEST(Bbr, EntersProbeRttWhenMinRttStale) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   ASSERT_EQ(cc.mode(), Bbr::Mode::kProbeBw);
@@ -130,7 +130,7 @@ TEST(Bbr, EntersProbeRttWhenMinRttStale) {
 }
 
 TEST(Bbr, LeavesProbeRttAfterDwell) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   now += Seconds(11);
@@ -147,7 +147,7 @@ TEST(Bbr, LeavesProbeRttAfterDwell) {
 }
 
 TEST(Bbr, IgnoresLoss) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   const std::uint64_t cwnd = cc.cwnd_bytes();
@@ -158,7 +158,7 @@ TEST(Bbr, IgnoresLoss) {
 }
 
 TEST(Bbr, RtoConservesThenRecovers) {
-  Bbr cc(kMss);
+  Bbr cc;
   Time now = run_startup_to_drain(cc, 1e7, Milliseconds(50), Seconds(1));
   cc.on_ack(bbr_ack(now, Milliseconds(50), 1e7, false, 100 * kMss));
   cc.on_rto(now);

@@ -16,14 +16,14 @@ void grow_to(Bic& cc, std::uint64_t target_bytes) {
 }
 
 TEST(Bic, SlowStartDoubles) {
-  Bic cc(kMss);
+  Bic cc;
   const std::uint64_t before = cc.cwnd_bytes();
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   EXPECT_EQ(cc.cwnd_bytes(), 2 * before);
 }
 
 TEST(Bic, LossReducesByBeta08) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 100ull * kMss);
   const std::uint64_t before = cc.cwnd_bytes();
   cc.on_loss(Seconds(2), before);
@@ -32,7 +32,7 @@ TEST(Bic, LossReducesByBeta08) {
 }
 
 TEST(Bic, BinarySearchHalvesDistancePerRound) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 100ull * kMss);
   cc.on_loss(Seconds(2), cc.cwnd_bytes());  // w_max=100, cwnd=80
   const double w_max = cc.w_max_segments();
@@ -49,7 +49,7 @@ TEST(Bic, BinarySearchHalvesDistancePerRound) {
 }
 
 TEST(Bic, ConvergesToWmax) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 100ull * kMss);
   cc.on_loss(Seconds(2), cc.cwnd_bytes());
   const double w_max = cc.w_max_segments();
@@ -61,7 +61,7 @@ TEST(Bic, ConvergesToWmax) {
 }
 
 TEST(Bic, IncrementCappedAtSmax) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 400ull * kMss);
   cc.on_loss(Seconds(2), cc.cwnd_bytes());  // distance to w_max = 80 segments
   const std::uint64_t before = cc.cwnd_bytes();
@@ -72,7 +72,7 @@ TEST(Bic, IncrementCappedAtSmax) {
 }
 
 TEST(Bic, MaxProbingBeyondWmax) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 100ull * kMss);
   cc.on_loss(Seconds(2), cc.cwnd_bytes());
   const double w_max = cc.w_max_segments();
@@ -83,7 +83,7 @@ TEST(Bic, MaxProbingBeyondWmax) {
 }
 
 TEST(Bic, FastConvergenceReducesWmax) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 100ull * kMss);
   cc.on_loss(Seconds(2), cc.cwnd_bytes());
   const double w_max_1 = cc.w_max_segments();
@@ -92,7 +92,7 @@ TEST(Bic, FastConvergenceReducesWmax) {
 }
 
 TEST(Bic, SmallWindowsGrowLikeReno) {
-  Bic cc(kMss);
+  Bic cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());  // 10 -> 8 segments, below low_window
   const std::uint64_t before = cc.cwnd_bytes();
   Time now = Seconds(2);
@@ -102,7 +102,7 @@ TEST(Bic, SmallWindowsGrowLikeReno) {
 }
 
 TEST(Bic, RtoCollapses) {
-  Bic cc(kMss);
+  Bic cc;
   grow_to(cc, 50ull * kMss);
   cc.on_rto(Seconds(5));
   EXPECT_EQ(cc.cwnd_bytes(), kMss);

@@ -22,11 +22,6 @@ TEST(CcFactory, NamesMatchAlgorithms) {
   EXPECT_EQ(make_cc(CcaType::kBbr)->name(), "bbr");
 }
 
-TEST(CcFactory, CustomMssPropagates) {
-  auto cc = make_cc(CcaType::kNewReno, 500);
-  EXPECT_EQ(cc->cwnd_bytes(), 5000u);  // 10 segments of the custom MSS
-}
-
 TEST(CcFactory, InstancesAreIndependent) {
   auto a = make_cc(CcaType::kNewReno);
   auto b = make_cc(CcaType::kNewReno);

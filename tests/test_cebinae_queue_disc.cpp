@@ -68,7 +68,7 @@ TEST(CebinaeQueueDisc, DequeueFeedsCacheAndPortCounter) {
   q.enqueue(pkt(2, 500));
   (void)q.dequeue();
   (void)q.dequeue();
-  EXPECT_EQ(q.port().tx_bytes(), kMtuBytes + 500u);
+  EXPECT_EQ(q.stats().dequeued_bytes, kMtuBytes + 500u);
   EXPECT_EQ(q.cache().bytes_for(FlowId{1, 1000, 5000, 5000}),
             std::optional<std::uint64_t>(kMtuBytes));
   EXPECT_EQ(q.cache().bytes_for(FlowId{2, 1000, 5000, 5000}),
@@ -84,7 +84,7 @@ TEST(CebinaeQueueDisc, DroppedPacketsNotCounted) {
   while (q.dequeue().has_value()) {
   }
   // Egress counters reflect transmitted traffic only.
-  EXPECT_EQ(q.port().tx_bytes(), 2ull * kMtuBytes);
+  EXPECT_EQ(q.stats().dequeued_bytes, 2ull * kMtuBytes);
   EXPECT_EQ(q.cache().bytes_for(FlowId{1, 1000, 5000, 5000}),
             std::optional<std::uint64_t>(2ull * kMtuBytes));
 }

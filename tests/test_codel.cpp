@@ -1,6 +1,6 @@
 // CoDel control-law tests. They run through FqCoDel: every test packet has
 // the same (default) FlowId, so there is one flow queue and every packet
-// passes through its CodelController.
+// passes through its CoDel state.
 #include "queueing/fq_codel.hpp"
 
 #include <gtest/gtest.h>

@@ -23,7 +23,7 @@ void settle_at(Cubic& cc, double segments) {
 }
 
 TEST(Cubic, SlowStartLikeReno) {
-  Cubic cc(kMss);
+  Cubic cc;
   EXPECT_TRUE(cc.in_slow_start());
   const std::uint64_t before = cc.cwnd_bytes();
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
@@ -31,7 +31,7 @@ TEST(Cubic, SlowStartLikeReno) {
 }
 
 TEST(Cubic, LossReducesByBeta) {
-  Cubic cc(kMss);
+  Cubic cc;
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   const std::uint64_t before = cc.cwnd_bytes();
   cc.on_loss(Seconds(2), before);
@@ -41,7 +41,7 @@ TEST(Cubic, LossReducesByBeta) {
 }
 
 TEST(Cubic, KMatchesAnalyticFormula) {
-  Cubic cc(kMss);
+  Cubic cc;
   settle_at(cc, 70.0);
   const double w_max = cc.w_max_segments();
   const double cwnd_seg = static_cast<double>(cc.cwnd_bytes()) / kMss;
@@ -51,7 +51,7 @@ TEST(Cubic, KMatchesAnalyticFormula) {
 }
 
 TEST(Cubic, ConcaveGrowthApproachesWmax) {
-  Cubic cc(kMss);
+  Cubic cc;
   settle_at(cc, 70.0);
   const double w_max = cc.w_max_segments();
 
@@ -65,7 +65,7 @@ TEST(Cubic, ConcaveGrowthApproachesWmax) {
 }
 
 TEST(Cubic, GrowthIsSlowNearWmaxFastBeyond) {
-  Cubic cc(kMss);
+  Cubic cc;
   settle_at(cc, 100.0);
   Time now = Seconds(10);
   const Time rtt = Milliseconds(50);
@@ -93,7 +93,7 @@ TEST(Cubic, GrowthIsSlowNearWmaxFastBeyond) {
 }
 
 TEST(Cubic, FastConvergenceLowersWmax) {
-  Cubic cc(kMss);
+  Cubic cc;
   settle_at(cc, 100.0);
   const double w_max_1 = cc.w_max_segments();
   // Second loss while cwnd < w_max: fast convergence sets
@@ -106,7 +106,7 @@ TEST(Cubic, FastConvergenceLowersWmax) {
 }
 
 TEST(Cubic, NeverBelowTwoSegments) {
-  Cubic cc(kMss);
+  Cubic cc;
   for (int i = 0; i < 30; ++i) cc.on_loss(Seconds(i + 1), cc.cwnd_bytes());
   EXPECT_GE(cc.cwnd_bytes(), 2ull * kMss);
 }
@@ -114,7 +114,7 @@ TEST(Cubic, NeverBelowTwoSegments) {
 TEST(Cubic, TcpFriendlyRegionDominatesAtSmallWindows) {
   // At small windows and large RTT, the Reno estimate grows faster than the
   // cubic curve; Cubic must at least keep Reno-rate growth.
-  Cubic cc(kMss);
+  Cubic cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());  // 10 -> 7 segments, CA mode
   const std::uint64_t before = cc.cwnd_bytes();
   Time now = Seconds(2);

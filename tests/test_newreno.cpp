@@ -10,20 +10,20 @@ namespace {
 constexpr std::uint32_t kMss = kMssBytes;
 
 TEST(NewReno, InitialWindowIsTenSegments) {
-  NewReno cc(kMss);
+  NewReno cc;
   EXPECT_EQ(cc.cwnd_bytes(), 10ull * kMss);
   EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(NewReno, SlowStartDoublesPerRound) {
-  NewReno cc(kMss);
+  NewReno cc;
   const std::uint64_t before = cc.cwnd_bytes();
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   EXPECT_EQ(cc.cwnd_bytes(), 2 * before);
 }
 
 TEST(NewReno, LossHalvesWindowAndExitsSlowStart) {
-  NewReno cc(kMss);
+  NewReno cc;
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   const std::uint64_t before = cc.cwnd_bytes();
   cc.on_loss(Seconds(2), before);
@@ -32,7 +32,7 @@ TEST(NewReno, LossHalvesWindowAndExitsSlowStart) {
 }
 
 TEST(NewReno, CongestionAvoidanceAddsOneMssPerRound) {
-  NewReno cc(kMss);
+  NewReno cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());  // force CA at 5 segments
   const std::uint64_t before = cc.cwnd_bytes();
   feed_round(cc, Seconds(2), Milliseconds(100), kMss);
@@ -42,7 +42,7 @@ TEST(NewReno, CongestionAvoidanceAddsOneMssPerRound) {
 }
 
 TEST(NewReno, RtoCollapsesToOneSegment) {
-  NewReno cc(kMss);
+  NewReno cc;
   for (int i = 0; i < 3; ++i) feed_round(cc, Seconds(i + 1), Milliseconds(100), kMss);
   const std::uint64_t before = cc.cwnd_bytes();
   cc.on_rto(Seconds(10));
@@ -57,13 +57,13 @@ TEST(NewReno, RtoCollapsesToOneSegment) {
 }
 
 TEST(NewReno, WindowNeverBelowTwoSegments) {
-  NewReno cc(kMss);
+  NewReno cc;
   for (int i = 0; i < 20; ++i) cc.on_loss(Seconds(i + 1), cc.cwnd_bytes());
   EXPECT_GE(cc.cwnd_bytes(), 2ull * kMss);
 }
 
 TEST(NewReno, EceReducesLikeLoss) {
-  NewReno cc(kMss);
+  NewReno cc;
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   const std::uint64_t before = cc.cwnd_bytes();
   AckEvent ev = make_ack(Seconds(5), kMss, Milliseconds(100));
@@ -73,7 +73,7 @@ TEST(NewReno, EceReducesLikeLoss) {
 }
 
 TEST(NewReno, EceReductionAtMostOncePerRtt) {
-  NewReno cc(kMss);
+  NewReno cc;
   feed_round(cc, Seconds(1), Milliseconds(100), kMss);
   AckEvent ev = make_ack(Seconds(5), kMss, Milliseconds(100));
   ev.ece = true;
@@ -86,7 +86,7 @@ TEST(NewReno, EceReductionAtMostOncePerRtt) {
 }
 
 TEST(NewReno, SlowStartIncrementCappedAtTwoMssPerAck) {
-  NewReno cc(kMss);
+  NewReno cc;
   const std::uint64_t before = cc.cwnd_bytes();
   // A jumbo cumulative ACK (e.g., after reordering) must not explode cwnd.
   cc.on_ack(make_ack(Seconds(1), 100ull * kMss, Milliseconds(100)));

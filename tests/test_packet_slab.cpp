@@ -110,6 +110,20 @@ class SlabScenario : public ::testing::TestWithParam<QdiscKind> {
     std::uint64_t on_wire = 0;   // frames serializing or propagating
   };
 
+  // The transmitter's own counts equal its queue disc's dequeue counts on
+  // every device: each dequeued packet starts serializing at once.
+  static void assert_tx_equals_dequeued(Network& net) {
+    for (NodeId n = 0; n < net.node_count(); ++n) {
+      Node& node = net.node(n);
+      for (std::size_t d = 0; d < node.device_count(); ++d) {
+        const Device& dev = node.device(d);
+        const QueueDiscStats& s = dev.qdisc().stats();
+        ASSERT_EQ(dev.tx_packets(), s.dequeued_packets) << "node " << n << " device " << d;
+        ASSERT_EQ(dev.tx_bytes(), s.dequeued_bytes) << "node " << n << " device " << d;
+      }
+    }
+  }
+
   static Totals totals(Network& net) {
     Totals t;
     for (NodeId n = 0; n < net.node_count(); ++n) {
@@ -147,6 +161,7 @@ TEST_P(SlabScenario, LiveSlotsAreQueuedOrOnTheWire) {
   PacketGenerator check(net.scheduler(), Milliseconds(10), [&] {
     const Totals t = totals(net);
     ASSERT_EQ(slab.live() - before, t.queued + t.on_wire);
+    ASSERT_NO_FATAL_FAILURE(assert_tx_equals_dequeued(net));
     max_queued = std::max(max_queued, t.queued);
     ++ticks;
   });

@@ -12,51 +12,47 @@ constexpr std::uint64_t kIntervalBytes = 1'250'000;
 
 TEST(PortSaturation, FullUtilizationIsSaturated) {
   PortSaturationDetector det(kRate, 0.01);
-  det.on_transmit(kIntervalBytes);
-  EXPECT_TRUE(det.sample(kInterval));
+  EXPECT_TRUE(det.sample(kIntervalBytes, kInterval));
   EXPECT_NEAR(det.last_utilization(), 1.0, 1e-9);
 }
 
 TEST(PortSaturation, IdlePortIsUnsaturated) {
   PortSaturationDetector det(kRate, 0.01);
-  EXPECT_FALSE(det.sample(kInterval));
+  EXPECT_FALSE(det.sample(0, kInterval));
   EXPECT_DOUBLE_EQ(det.last_utilization(), 0.0);
 }
 
 TEST(PortSaturation, ThresholdBoundaryExact) {
   PortSaturationDetector det(kRate, 0.01);
   // Exactly (1 - delta_p) of capacity: counts as saturated (>=).
-  det.on_transmit(static_cast<std::uint64_t>(kIntervalBytes * 0.99));
-  EXPECT_TRUE(det.sample(kInterval));
+  EXPECT_TRUE(det.sample(static_cast<std::uint64_t>(kIntervalBytes * 0.99), kInterval));
 }
 
 TEST(PortSaturation, JustBelowThresholdUnsaturated) {
   PortSaturationDetector det(kRate, 0.01);
-  det.on_transmit(static_cast<std::uint64_t>(kIntervalBytes * 0.985));
-  EXPECT_FALSE(det.sample(kInterval));
+  EXPECT_FALSE(det.sample(static_cast<std::uint64_t>(kIntervalBytes * 0.985), kInterval));
 }
 
 TEST(PortSaturation, DeltaIsDifferencedNotReset) {
   PortSaturationDetector det(kRate, 0.01);
-  det.on_transmit(kIntervalBytes);
-  EXPECT_TRUE(det.sample(kInterval));
+  EXPECT_TRUE(det.sample(kIntervalBytes, kInterval));
   // No new traffic: the monotone counter's delta is zero.
-  EXPECT_FALSE(det.sample(kInterval));
+  EXPECT_FALSE(det.sample(kIntervalBytes, kInterval));
   EXPECT_DOUBLE_EQ(det.last_utilization(), 0.0);
-  // Counter keeps its absolute value.
-  EXPECT_EQ(det.tx_bytes(), kIntervalBytes);
+  // A full interval more on top of the absolute value is saturated again.
+  EXPECT_TRUE(det.sample(2 * kIntervalBytes, kInterval));
 }
 
 TEST(PortSaturation, AccumulatesAcrossManyTransmits) {
   PortSaturationDetector det(kRate, 0.01);
-  for (int i = 0; i < 1000; ++i) det.on_transmit(kIntervalBytes / 1000);
-  EXPECT_TRUE(det.sample(kInterval));
+  std::uint64_t tx_bytes = 0;
+  for (int i = 0; i < 1000; ++i) tx_bytes += kIntervalBytes / 1000;
+  EXPECT_TRUE(det.sample(tx_bytes, kInterval));
 }
 
 TEST(PortSaturation, LargerDeltaLowersBar) {
   PortSaturationDetector det(kRate, 0.20);
-  det.on_transmit(static_cast<std::uint64_t>(kIntervalBytes * 0.85));
-  EXPECT_TRUE(det.sample(kInterval));
+  EXPECT_TRUE(det.sample(static_cast<std::uint64_t>(kIntervalBytes * 0.85), kInterval));
 }
 
 class PortSaturationSweep : public ::testing::TestWithParam<double> {};
@@ -64,12 +60,12 @@ class PortSaturationSweep : public ::testing::TestWithParam<double> {};
 TEST_P(PortSaturationSweep, SaturationExactlyAtOneMinusDelta) {
   const double delta = GetParam();
   PortSaturationDetector det(kRate, delta);
-  det.on_transmit(static_cast<std::uint64_t>(kIntervalBytes * (1.0 - delta) * 1.001));
-  EXPECT_TRUE(det.sample(kInterval));
+  EXPECT_TRUE(
+      det.sample(static_cast<std::uint64_t>(kIntervalBytes * (1.0 - delta) * 1.001), kInterval));
 
   PortSaturationDetector det2(kRate, delta);
-  det2.on_transmit(static_cast<std::uint64_t>(kIntervalBytes * (1.0 - delta) * 0.98));
-  EXPECT_FALSE(det2.sample(kInterval));
+  EXPECT_FALSE(
+      det2.sample(static_cast<std::uint64_t>(kIntervalBytes * (1.0 - delta) * 0.98), kInterval));
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, PortSaturationSweep,

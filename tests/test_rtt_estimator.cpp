@@ -45,16 +45,16 @@ TEST(RttEstimator, MinRtoFloorApplies) {
 }
 
 TEST(RttEstimator, BackoffDoublesAndClamps) {
-  RttEstimator::Params params;
-  params.max_rto = Seconds(4);
-  RttEstimator est(params);
+  RttEstimator est;
   EXPECT_EQ(est.rto(), Seconds(1));
+  for (int s : {2, 4, 8, 16, 32}) {
+    est.backoff();
+    EXPECT_EQ(est.rto(), Seconds(s));
+  }
   est.backoff();
-  EXPECT_EQ(est.rto(), Seconds(2));
+  EXPECT_EQ(est.rto(), Seconds(60));  // 64 s clamped to the ceiling
   est.backoff();
-  EXPECT_EQ(est.rto(), Seconds(4));
-  est.backoff();
-  EXPECT_EQ(est.rto(), Seconds(4));  // clamped at max
+  EXPECT_EQ(est.rto(), Seconds(60));
 }
 
 TEST(RttEstimator, TracksMinimumRtt) {

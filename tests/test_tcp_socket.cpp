@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,7 @@ struct TcpHarness {
     TcpSender::Config cfg;
     cfg.flow = flow;
     cfg.bytes_to_send = bytes_to_send;
-    sender = std::make_unique<TcpSender>(net.scheduler(), src, NewReno::make(kMssBytes), cfg);
+    sender = std::make_unique<TcpSender>(net.scheduler(), src, std::make_unique<NewReno>(), cfg);
     receiver = std::make_unique<TcpReceiver>(net.scheduler(), dst, flow);
   }
 };
@@ -110,7 +111,7 @@ TEST(TcpSocket, StopTimeHaltsNewData) {
   TcpSender::Config cfg;
   cfg.flow = FlowId{h.src.id(), h.dst.id(), 6000, 6000};
   cfg.stop_time = Seconds(1);
-  TcpSender sender(h.net.scheduler(), h.src, NewReno::make(kMssBytes), cfg);
+  TcpSender sender(h.net.scheduler(), h.src, std::make_unique<NewReno>(), cfg);
   TcpReceiver receiver(h.net.scheduler(), h.dst, cfg.flow);
   sender.start();
   h.net.scheduler().run_until(Seconds(3));
@@ -126,7 +127,7 @@ TEST(TcpSocket, StartTimeDelaysFirstSegment) {
   TcpSender::Config cfg;
   cfg.flow = FlowId{h.src.id(), h.dst.id(), 6000, 6000};
   cfg.start_time = Seconds(2);
-  TcpSender sender(h.net.scheduler(), h.src, NewReno::make(kMssBytes), cfg);
+  TcpSender sender(h.net.scheduler(), h.src, std::make_unique<NewReno>(), cfg);
   TcpReceiver receiver(h.net.scheduler(), h.dst, cfg.flow);
   sender.start();
   h.net.scheduler().run_until(Seconds(2) - Nanoseconds(1));

@@ -19,7 +19,7 @@ Time vegas_round(Vegas& cc, Time now, Time rtt) {
 }
 
 TEST(Vegas, TracksBaseRtt) {
-  Vegas cc(kMss);
+  Vegas cc;
   cc.on_ack(make_ack(Seconds(1), kMss, Milliseconds(120)));
   cc.on_ack(make_ack(Seconds(1), kMss, Milliseconds(80)));
   cc.on_ack(make_ack(Seconds(1), kMss, Milliseconds(100)));
@@ -27,7 +27,7 @@ TEST(Vegas, TracksBaseRtt) {
 }
 
 TEST(Vegas, IncreasesWhenDiffBelowAlpha) {
-  Vegas cc(kMss);
+  Vegas cc;
   // Force out of slow start with a loss, then run rounds at base RTT
   // (diff = 0 < alpha): +1 MSS per round.
   cc.on_loss(Seconds(1), cc.cwnd_bytes());
@@ -39,7 +39,7 @@ TEST(Vegas, IncreasesWhenDiffBelowAlpha) {
 }
 
 TEST(Vegas, DecreasesWhenDiffAboveBeta) {
-  Vegas cc(kMss);
+  Vegas cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());  // CA at 5 segments
   Time now = Seconds(2);
   now = vegas_round(cc, now, Milliseconds(100));  // base = 100 ms
@@ -52,7 +52,7 @@ TEST(Vegas, DecreasesWhenDiffAboveBeta) {
 }
 
 TEST(Vegas, HoldsInsideAlphaBetaBand) {
-  Vegas cc(kMss);
+  Vegas cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());
   Time now = Seconds(2);
   now = vegas_round(cc, now, Milliseconds(100));
@@ -67,7 +67,7 @@ TEST(Vegas, HoldsInsideAlphaBetaBand) {
 }
 
 TEST(Vegas, SlowStartDoublesEveryOtherRound) {
-  Vegas cc(kMss);
+  Vegas cc;
   const std::uint64_t w0 = cc.cwnd_bytes();
   Time now = Seconds(1);
   // Two rounds at base RTT: only one of them grows the window.
@@ -79,7 +79,7 @@ TEST(Vegas, SlowStartDoublesEveryOtherRound) {
 }
 
 TEST(Vegas, ExitsSlowStartOnQueueBuildup) {
-  Vegas cc(kMss);
+  Vegas cc;
   Time now = Seconds(1);
   now = vegas_round(cc, now, Milliseconds(100));  // learn base
   EXPECT_TRUE(cc.in_slow_start());
@@ -91,20 +91,20 @@ TEST(Vegas, ExitsSlowStartOnQueueBuildup) {
 }
 
 TEST(Vegas, LossFallsBackToRenoHalving) {
-  Vegas cc(kMss);
+  Vegas cc;
   const std::uint64_t before = cc.cwnd_bytes();
   cc.on_loss(Seconds(1), before);
   EXPECT_EQ(cc.cwnd_bytes(), before / 2);
 }
 
 TEST(Vegas, RtoCollapsesToOneSegment) {
-  Vegas cc(kMss);
+  Vegas cc;
   cc.on_rto(Seconds(1));
   EXPECT_EQ(cc.cwnd_bytes(), kMss);
 }
 
 TEST(Vegas, NeedsThreeSamplesPerRound) {
-  Vegas cc(kMss);
+  Vegas cc;
   cc.on_loss(Seconds(1), cc.cwnd_bytes());
   const std::uint64_t before = cc.cwnd_bytes();
   // Rounds with fewer than 3 samples make no adjustment.
