@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values and a
-# failed results or perf-summary write must exit 2, results written to a
-# target that cannot be fsynced (/dev/null, a pipe) must not, and a
+# failed results, perf-summary or stdout write must exit 2, results written
+# to a target that cannot be fsynced (/dev/null, a pipe) must not, and a
 # representative subset must produce byte-identical stdout at --jobs=1 and
 # --jobs=4 (the registry's determinism contract: reports render only from
 # aggregated records, progress goes to stderr). That every experiment
@@ -28,16 +28,22 @@ for flag in --seed=abc --seed=-1 --trials=2x --trials= --jobs=x1 --jobs=+4 \
   fi
 done
 
-# A write that fails after the file opened (a full disk) is an error too,
-# for the results file and for the perf summary alike.
-for flag in --out=/dev/full --perf-out=/dev/full; do
-  status=0
-  err="$("$BENCH" --experiment=table3 --smoke "$flag" 2>&1 >/dev/null)" || status=$?
+# A write that fails after the file opened (a full disk) is an error too:
+# for the results file, for the perf summary, and for stdout, whether it
+# takes the report alone or the results rows too (--out=-).
+# Usage: expect_write_error <stdout target> [flag]
+expect_write_error() {
+  local status=0 err
+  err="$("$BENCH" --experiment=table3 --smoke ${2:+"$2"} 2>&1 >"$1")" || status=$?
   if [[ "$status" -ne 2 ]] || ! grep -q '^error: ' <<<"$err"; then
-    echo "error: $flag exited $status (want 2 with an 'error:' line)" >&2
+    echo "error: stdout $1 ${2:-} exited $status (want 2 with an 'error:' line)" >&2
     exit 1
   fi
-done
+}
+expect_write_error /dev/null --out=/dev/full
+expect_write_error /dev/null --perf-out=/dev/full
+expect_write_error /dev/full
+expect_write_error /dev/full --out=-
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

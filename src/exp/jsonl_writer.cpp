@@ -30,11 +30,6 @@ JsonlWriter::~JsonlWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::size_t JsonlWriter::rows_written() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rows_;
-}
-
 void JsonlWriter::write(const JsonObject& row) {
   if (!enabled()) return;
   const std::string line = row.str();
@@ -42,6 +37,7 @@ void JsonlWriter::write(const JsonObject& row) {
   if (out_ != nullptr) {
     *out_ << line << '\n';
     out_->flush();
+    if (!*out_) throw std::runtime_error("JsonlWriter: write to stdout failed");
   } else {
     // One write(2) per row, then fsync: a crash truncates at most the final
     // line, and every acknowledged row survives the process. `--resume`
@@ -68,7 +64,6 @@ void JsonlWriter::write(const JsonObject& row) {
                                std::strerror(errno));
     }
   }
-  ++rows_;
 }
 
 }  // namespace cebinae::exp

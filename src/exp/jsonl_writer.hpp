@@ -27,7 +27,8 @@ class JsonlWriter {
   // Empty path disables the writer (write() becomes a no-op); "-" streams to
   // stdout. A file keeps its first `keep_bytes` bytes (a resumed run's
   // committed rows) and the rest is truncated; rows are appended after them.
-  // Throws std::runtime_error if the file cannot be opened.
+  // Throws std::runtime_error if the file cannot be opened; write() throws
+  // if a row cannot be written (to a file or to stdout).
   explicit JsonlWriter(std::string path, std::uint64_t keep_bytes = 0);
   ~JsonlWriter();
 
@@ -35,18 +36,14 @@ class JsonlWriter {
   JsonlWriter& operator=(const JsonlWriter&) = delete;
 
   [[nodiscard]] bool enabled() const { return out_ != nullptr || fd_ >= 0; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::size_t rows_written() const;
 
   void write(const JsonObject& row);
 
  private:
-
   std::string path_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::ostream* out_ = nullptr;  // stdout ("-"); files go through fd_
   int fd_ = -1;                  // owned POSIX fd for file paths
-  std::size_t rows_ = 0;
 };
 
 }  // namespace cebinae::exp

@@ -237,6 +237,12 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   if (spec.report) {
     spec.report(opts, aggregate_rows(jobs, records, spec.metrics));
   }
+  // The report is the run's output: a stdout that cannot take it (a full
+  // disk, a closed pipe) fails the run like a failed results write.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "error: write to stdout failed\n");
+    return 2;
+  }
   return 0;
 }
 

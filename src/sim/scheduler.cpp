@@ -15,7 +15,7 @@ constexpr std::size_t kArity = 4;
 
 EventId Scheduler::schedule(Time delay, Callback cb) {
   assert(delay >= Time::zero() && "events cannot be scheduled in the past");
-  return schedule_at(now_ + delay, std::move(cb));
+  return push_event(now_ + delay, next_seq_++, std::move(cb));
 }
 
 std::uint32_t Scheduler::acquire_slot() {
@@ -30,7 +30,7 @@ std::uint32_t Scheduler::acquire_slot() {
 
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.cb.reset();
+  s.cb = nullptr;
   // The generation bump is what invalidates every outstanding EventId that
   // still names this slot.
   ++s.gen;
@@ -102,7 +102,9 @@ EventId Scheduler::schedule_reserved(Time when, std::uint64_t seq, Callback cb) 
 EventId Scheduler::push_event(Time when, std::uint64_t seq, Callback&& cb) {
   assert(when >= now_ && "events cannot be scheduled in the past");
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
+  // The slot's callback is empty: a swap fills it without the temporary
+  // std::function that a move-assignment builds and destroys.
+  slots_[slot].cb.swap(cb);
   push_entry(Entry{when, seq, slot});
   return EventId(slot, slots_[slot].gen);
 }

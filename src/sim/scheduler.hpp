@@ -6,9 +6,10 @@
 // determinism of the experiment harness depends on this promise.
 //
 // Hot-path design (see DESIGN.md §11):
-//   - Callbacks are InlineFunction<kEventInlineBytes>: captures up to 48
-//     bytes live inside the event slot, so scheduling costs no allocation
-//     once the slot/heap vectors reach their high-water marks.
+//   - Callbacks are std::function<void()>. Every simulator event captures
+//     only `this`, which libstdc++ stores inside the std::function itself,
+//     so scheduling costs no allocation once the slot/heap vectors reach
+//     their high-water marks (tests/test_alloc_budget.cpp checks this).
 //   - The ready queue is a 4-ary heap of 24-byte POD entries (when, seq,
 //     slot); sift operations never move callbacks, only entries.
 //   - Callbacks live in a slot table recycled through a free list. Each
@@ -20,19 +21,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace cebinae {
-
-// Inline capture budget for scheduled callbacks. Large enough for every
-// simulator event (in-flight frames wait in their device's delay line, so
-// the link-arrival event captures only a Device pointer); a larger capture
-// falls back to one heap allocation rather than failing, so this is a perf
-// knob, not a limit.
-inline constexpr std::size_t kEventInlineBytes = 48;
 
 // Handle used to cancel a pending event. The handle names a slot and the
 // generation the slot had when the event was scheduled, so stale handles
@@ -53,7 +47,7 @@ class EventId {
 
 class Scheduler {
  public:
-  using Callback = InlineFunction<kEventInlineBytes>;
+  using Callback = std::function<void()>;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;

@@ -1,0 +1,115 @@
+// Allocation budget of the event core (DESIGN.md §11, "Allocation budget per
+// packet hop"). This binary replaces the global operator new with a counting
+// version, so it is built apart from cebinae_tests: the replacement applies
+// to the whole program it is linked into.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "runner/scenario.hpp"
+#include "sim/scheduler.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+// Every form that allocates through malloc, and every delete that may free
+// what they return.
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace cebinae {
+namespace {
+
+// Schedules kEvents events in the capture shapes the simulator uses:
+// `[this]`, one reference, and two pointers.
+struct Burst {
+  static constexpr int kEvents = 10'000;
+  Scheduler& sched;
+  std::uint64_t sum = 0;
+
+  void run() {
+    std::uint64_t local = 0;
+    for (int i = 0; i < kEvents; ++i) {
+      const Time at = sched.now() + Nanoseconds(i % 97);
+      switch (i % 3) {
+        case 0: sched.schedule_at(at, [this] { ++sum; }); break;
+        case 1: sched.schedule_at(at, [&local] { ++local; }); break;
+        default: sched.schedule_at(at, [this, &local] { sum += local; }); break;
+      }
+    }
+    sched.run();
+  }
+};
+
+TEST(AllocBudget, SmallCapturesScheduleWithoutAllocating) {
+  Scheduler sched;
+  Burst burst{sched};
+  burst.run();  // warms the slot table and the heap to kEvents
+  const std::uint64_t before = allocations();
+  burst.run();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(sched.executed_events(), 2u * Burst::kEvents);
+}
+
+// 32 NewReno + 8 Cubic flows over a 100 Mbps, 5 ms, 420-MTU bottleneck for
+// 2 s, counted from the half-way point to the end of the run. What remains
+// is mostly TCP senders' std::deque blocks: about 9e-3 per event.
+void expect_steady_state_budget(QdiscKind qdisc) {
+  constexpr double kMaxAllocsPerEvent = 0.02;
+  ScenarioConfig cfg;
+  cfg.qdisc = qdisc;
+  cfg.bottleneck_bps = 100'000'000;
+  cfg.buffer_bytes = 420ull * kMtuBytes;
+  cfg.duration = Seconds(2);
+  cfg.flows = flows_of(CcaType::kNewReno, 32, Milliseconds(5));
+  for (const FlowSpec& f : flows_of(CcaType::kCubic, 8, Milliseconds(5))) cfg.flows.push_back(f);
+  Scenario scenario(cfg);
+  Scheduler& sched = scenario.network().scheduler();
+  std::uint64_t allocs_at_half = 0;
+  std::uint64_t events_at_half = 0;
+  sched.schedule_at(cfg.duration / 2, [&] {
+    allocs_at_half = allocations();
+    events_at_half = sched.executed_events();
+  });
+  (void)scenario.run();
+  const std::uint64_t allocs = allocations() - allocs_at_half;
+  const std::uint64_t events = sched.executed_events() - events_at_half;
+  ASSERT_GT(events, 50'000u);
+  EXPECT_LT(static_cast<double>(allocs), kMaxAllocsPerEvent * static_cast<double>(events))
+      << allocs << " allocations in " << events << " events";
+}
+
+TEST(AllocBudget, FifoScenarioSteadyState) { expect_steady_state_budget(QdiscKind::kFifo); }
+
+TEST(AllocBudget, CebinaeScenarioSteadyState) {
+  expect_steady_state_budget(QdiscKind::kCebinae);
+}
+
+}  // namespace
+}  // namespace cebinae

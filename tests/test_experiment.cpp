@@ -93,8 +93,7 @@ TEST(JsonlWriter, DisabledWriterIsANoop) {
   EXPECT_FALSE(w.enabled());
   JsonObject row;
   row.set("x", 1);
-  w.write(row);
-  EXPECT_EQ(w.rows_written(), 0u);
+  w.write(row);  // must not throw or write anywhere
 }
 
 TEST(JsonlWriter, WritesOneLinePerRow) {
@@ -108,7 +107,6 @@ TEST(JsonlWriter, WritesOneLinePerRow) {
     b.set("i", 1);
     w.write(a);
     w.write(b);
-    EXPECT_EQ(w.rows_written(), 2u);
   }
   std::ifstream in(path);
   std::string line;

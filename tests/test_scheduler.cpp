@@ -9,6 +9,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -203,8 +204,8 @@ TEST(Scheduler, CancelPendingEventFromInsideCallback) {
 }
 
 TEST(Scheduler, LargeCaptureStillWorks) {
-  // Captures past the inline budget take the heap fallback; behavior (not
-  // allocation count) must be identical.
+  // A 128-byte capture is too large for std::function's inline storage and
+  // takes its heap path; behaviour (not allocation count) must be identical.
   Scheduler s;
   std::array<std::uint64_t, 16> big{};
   big[15] = 42;
@@ -212,6 +213,29 @@ TEST(Scheduler, LargeCaptureStillWorks) {
   s.schedule(Milliseconds(1), [big, &seen] { seen = big[15]; });
   s.run();
   EXPECT_EQ(seen, 42u);
+}
+
+TEST(Scheduler, EveryCaptureIsDestroyedExactlyOnce) {
+  // Each event holds one reference to `token`; use_count() counts the
+  // captures still alive. Firing and cancel() free a capture at once, and
+  // ~Scheduler frees the ones still pending.
+  auto token = std::make_shared<int>(0);
+  {
+    Scheduler s;
+    s.schedule(Milliseconds(1), [token] { ++*token; });
+    const EventId cancelled = s.schedule(Milliseconds(2), [token] { ++*token; });
+    s.schedule(Milliseconds(3), [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 4);
+
+    s.cancel(cancelled);
+    EXPECT_EQ(token.use_count(), 3);
+    s.run_until(Milliseconds(2));
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(s.pending_events(), 1u);
+  }
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Scheduler, ScheduleAtAbsoluteTime) {
