@@ -3,8 +3,10 @@
 # reports must reproduce, byte for byte, the --smoke stdout and --out= JSONL
 # digests checked in under tests/golden/<experiment>.sha256. The experiments
 # in QUICK (each under ~2 s at quick scale on 4 cores) also pin their
-# quick-scale output. The host-timed JSONL field wall_s is removed before
-# hashing; every other field (event counts, goodputs, JFIs, ...) is pinned.
+# quick-scale output, and every experiment pins the stdout of a
+# --smoke --trials=2 run, whose reports print mean±stddev columns. The
+# host-timed JSONL field wall_s is removed before hashing; every other field
+# (event counts, goodputs, JFIs, ...) is pinned.
 # Experiments that trace also pin their --trace-out= sidecar.
 # A digest whose experiment `--list` no longer reports fails the gate too,
 # so a stale digest cannot linger. A run that exits non-zero fails it with
@@ -75,6 +77,7 @@ for name in $names; do
   {
     digest "$name" smoke --smoke
     if [[ "$QUICK" == *" $name "* ]]; then digest "$name" quick; fi
+    digest "$name" trials2 --smoke --trials=2 | grep ' stdout$'
   } >"$tmpdir/$name.sha256"
 
   if [[ $update -eq 1 ]]; then
