@@ -61,13 +61,13 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
     const exp::ResultRow& afq128 = rows[i * n_schemes + 3];
     const exp::ResultRow& ceb = rows[i * n_schemes + 4];
     auto afq_col = [](const exp::ResultRow& r) {
-      return exp::pm(*r.metric("goodput_mbps"), 1) + " (" + exp::pm(*r.metric("jfi"), 2) +
-             ")";
+      return exp::pm(exp::over(r, exp::goodput_mbps), 1) + " (" +
+             exp::pm(exp::over(r, "jfi"), 2) + ")";
     };
     std::printf("%-8.0f | %9s Mb | %20s %20s %20s | %9s Mb\n", kRttsMs[i],
-                exp::pm(*fifo.metric("goodput_mbps"), 1).c_str(), afq_col(afq8).c_str(),
+                exp::pm(exp::over(fifo, exp::goodput_mbps), 1).c_str(), afq_col(afq8).c_str(),
                 afq_col(afq32).c_str(), afq_col(afq128).c_str(),
-                exp::pm(*ceb.metric("goodput_mbps"), 1).c_str());
+                exp::pm(exp::over(ceb, exp::goodput_mbps), 1).c_str());
     std::fflush(stdout);
   }
   std::printf("\n(AFQ numbers show goodput with JFI in parens: with too few queues the\n"
@@ -80,7 +80,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Ablation: AFQ calendar requirements vs RTT (Equation 1)",
     "AFQ queue-count scaling vs RTT against FIFO and Cebinae",
     make_jobs,
-    nullptr,
     report,
 }};
 

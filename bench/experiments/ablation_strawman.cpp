@@ -6,6 +6,7 @@
 // modern stand-in for the paper's hypothetical 6x-aggressive variant), the
 // strawman can stop the aggressor growing further but cannot return its
 // excess; Cebinae's tax ratchets it down and redistributes.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -37,17 +38,22 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
       .build();
 }
 
-// Measure the converged tail (final half) rather than the whole run.
-void tail_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
-                  std::vector<std::pair<std::string, double>>& out) {
+// Each trial is measured over its converged tail (final half) rather than
+// the whole run: flow 0 is the incumbent, the others the joiners.
+double incumbent_mbps(const exp::RunRecord& rec) {
   const std::vector<double>& tail = rec.row.arr("tail_goodput_Bps");
-  if (tail.empty()) return;
-  out.emplace_back("incumbent_mbps", exp::to_mbps(tail[0]));
+  return tail.empty() ? std::nan("") : exp::to_mbps(tail[0]);
+}
+
+double joiner_avg_mbps(const exp::RunRecord& rec) {
+  const std::vector<double>& tail = rec.row.arr("tail_goodput_Bps");
   double joiners = 0;
   for (std::size_t i = 1; i < tail.size(); ++i) joiners += tail[i];
-  out.emplace_back("joiner_avg_mbps",
-                   exp::to_mbps(joiners / static_cast<double>(tail.size() - 1)));
-  out.emplace_back("tail_jfi", jain_index(tail));
+  return exp::to_mbps(joiners / static_cast<double>(tail.size() - 1));
+}
+
+double tail_jfi(const exp::RunRecord& rec) {
+  return jain_index(rec.row.arr("tail_goodput_Bps"));
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
@@ -55,14 +61,11 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   std::printf("%-10s %18s %18s %12s\n", "scheme", "incumbent[Mbps]", "joiner avg[Mbps]",
               "JFI");
   for (const exp::ResultRow& r : rows) {
-    const exp::Aggregate* inc = r.metric("incumbent_mbps");
-    const exp::Aggregate* join = r.metric("joiner_avg_mbps");
-    const exp::Aggregate* jfi = r.metric("tail_jfi");
-    if (inc == nullptr || join == nullptr || jfi == nullptr || r.job == nullptr) continue;
     std::printf("%-10s %18s %18s %12s\n",
                 std::string(to_string(r.job->config.qdisc)).c_str(),
-                exp::pm(*inc, 2).c_str(), exp::pm(*join, 2).c_str(),
-                exp::pm(*jfi, 3).c_str());
+                exp::pm(exp::over(r, incumbent_mbps), 2).c_str(),
+                exp::pm(exp::over(r, joiner_avg_mbps), 2).c_str(),
+                exp::pm(exp::over(r, tail_jfi), 3).c_str());
   }
   std::printf("\n(the strawman cannot make an already-unfair allocation fair;\n"
               " Cebinae's tax actively redistributes the incumbent's excess)\n");
@@ -73,7 +76,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Ablation: strawman freeze-at-max vs Cebinae tax (paper 3.2)",
     "entrenched BBR vs late NewReno joiners under FIFO/Strawman/Cebinae",
     make_jobs,
-    tail_metrics,
     report,
 }};
 

@@ -41,10 +41,11 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
                 exp::to_mbps(fifo_flows[i]), exp::to_mbps(ceb_flows[i]));
   }
   std::printf("\nJFI:     FIFO %s   Cebinae %s\n",
-              exp::pm(*fifo.metric("jfi"), 3).c_str(), exp::pm(*ceb.metric("jfi"), 3).c_str());
+              exp::pm(exp::over(fifo, "jfi"), 3).c_str(),
+              exp::pm(exp::over(ceb, "jfi"), 3).c_str());
   std::printf("Goodput: FIFO %s Mbps   Cebinae %s Mbps\n",
-              exp::pm(*fifo.metric("goodput_mbps"), 1).c_str(),
-              exp::pm(*ceb.metric("goodput_mbps"), 1).c_str());
+              exp::pm(exp::over(fifo, exp::goodput_mbps), 1).c_str(),
+              exp::pm(exp::over(ceb, exp::goodput_mbps), 1).c_str());
 }
 
 const exp::Registration registration{exp::ExperimentSpec{
@@ -52,7 +53,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Figure 7: 16 Vegas vs 1 NewReno over 100 Mbps",
     "per-flow goodput, 16 Vegas + 1 NewReno, FIFO vs Cebinae",
     make_jobs,
-    nullptr,
     report,
 }};
 

@@ -8,7 +8,6 @@
 // the minority-share summary lines aggregate per trial (mean ± stddev).
 #include <algorithm>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "exp/registry.hpp"
@@ -53,18 +52,22 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
       .build();
 }
 
-void minority_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
-                      std::vector<std::pair<std::string, double>>& out) {
+// The minority flows' summed goodput in one trial.
+double minority_Bps(const exp::RunRecord& rec) {
   const std::vector<double>& g = rec.row.arr("goodput_Bps");
-  if (g.size() <= kMajorityFlows) return;
   double minority = 0.0;
   for (std::size_t i = kMajorityFlows; i < g.size(); ++i) minority += g[i];
-  const double n = static_cast<double>(g.size() - kMajorityFlows);
-  const double total = rec.row.num("total_goodput_Bps");
-  if (total > 0.0) {
-    out.emplace_back("minority_share_pct", 100.0 * minority / total);
-  }
-  out.emplace_back("minority_mean_mbps", exp::to_mbps(minority / n));
+  return minority;
+}
+
+double minority_share_pct(const exp::RunRecord& rec) {
+  return 100.0 * minority_Bps(rec) / rec.row.num("total_goodput_Bps");
+}
+
+double minority_mean_mbps(const exp::RunRecord& rec) {
+  const std::size_t flows = rec.row.arr("goodput_Bps").size();
+  const double n = static_cast<double>(flows > kMajorityFlows ? flows - kMajorityFlows : 0);
+  return exp::to_mbps(minority_Bps(rec) / n);
 }
 
 // Per-flow goodputs of every trial, pooled into one sample set.
@@ -94,22 +97,21 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   // Grid order: mix outermost, qdisc inner, so rows are
   // [bbr/FIFO, bbr/Ceb, vegas/FIFO, vegas/Ceb].
   if (rows.size() < 4) return;
-  auto line = [](const char* what, const exp::ResultRow& fifo, const exp::ResultRow& ceb,
-                 const char* metric, const char* unit, int prec) {
-    const exp::Aggregate* f = fifo.metric(metric);
-    const exp::Aggregate* c = ceb.metric(metric);
-    if (f == nullptr || c == nullptr) return;
-    std::printf("%s: FIFO %s%s  Cebinae %s%s\n", what, exp::pm(*f, prec).c_str(), unit,
-                exp::pm(*c, prec).c_str(), unit);
+  auto line = [](const char* what, const exp::Aggregate& fifo, const exp::Aggregate& ceb,
+                 const char* unit, int prec) {
+    std::printf("%s: FIFO %s%s  Cebinae %s%s\n", what, exp::pm(fifo, prec).c_str(), unit,
+                exp::pm(ceb, prec).c_str(), unit);
   };
 
   print_cdf("(a) 128 NewReno vs 2 BBR", pooled_goodputs(rows[0]), pooled_goodputs(rows[1]));
-  line("BBR aggregate share", rows[0], rows[1], "minority_share_pct", "%", 1);
-  line("JFI", rows[0], rows[1], "jfi", "", 3);
+  line("BBR aggregate share", exp::over(rows[0], minority_share_pct),
+       exp::over(rows[1], minority_share_pct), "%", 1);
+  line("JFI", exp::over(rows[0], "jfi"), exp::over(rows[1], "jfi"), "", 3);
 
   print_cdf("(b) 128 NewReno vs 4 Vegas", pooled_goodputs(rows[2]), pooled_goodputs(rows[3]));
-  line("Vegas mean goodput", rows[2], rows[3], "minority_mean_mbps", " Mbps", 3);
-  line("JFI", rows[2], rows[3], "jfi", "", 3);
+  line("Vegas mean goodput", exp::over(rows[2], minority_mean_mbps),
+       exp::over(rows[3], minority_mean_mbps), " Mbps", 3);
+  line("JFI", exp::over(rows[2], "jfi"), exp::over(rows[3], "jfi"), "", 3);
 }
 
 const exp::Registration registration{exp::ExperimentSpec{
@@ -117,7 +119,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Figure 8: goodput CDFs, aggressive/starved CCA mixes at 1 Gbps",
     "goodput CDFs for 128 NewReno vs 2 BBR / 4 Vegas at 1 Gbps",
     make_jobs,
-    minority_metrics,
     report,
 }};
 

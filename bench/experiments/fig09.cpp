@@ -36,10 +36,9 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
       .build();
 }
 
-void mbyte_metrics(const exp::ExperimentJob&, const exp::RunRecord& rec,
-                   std::vector<std::pair<std::string, double>>& out) {
-  // The paper's y-axis is MBps, not Mbps.
-  out.emplace_back("goodput_MBps", rec.row.num("total_goodput_Bps") / 1e6);
+// The paper's y-axis is MBps, not Mbps.
+double goodput_MBps(const exp::RunRecord& rec) {
+  return rec.row.num("total_goodput_Bps") / 1e6;
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
@@ -50,11 +49,12 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
     const exp::ResultRow& fq = rows[i * 3 + 1];
     const exp::ResultRow& ceb = rows[i * 3 + 2];
     std::printf("%-8.0f | %10s %10s %10s | %14s %14s %14s\n", kRttsMs[i],
-                exp::pm(*fifo.metric("jfi"), 3).c_str(), exp::pm(*fq.metric("jfi"), 3).c_str(),
-                exp::pm(*ceb.metric("jfi"), 3).c_str(),
-                exp::pm(*fifo.metric("goodput_MBps"), 1).c_str(),
-                exp::pm(*fq.metric("goodput_MBps"), 1).c_str(),
-                exp::pm(*ceb.metric("goodput_MBps"), 1).c_str());
+                exp::pm(exp::over(fifo, "jfi"), 3).c_str(),
+                exp::pm(exp::over(fq, "jfi"), 3).c_str(),
+                exp::pm(exp::over(ceb, "jfi"), 3).c_str(),
+                exp::pm(exp::over(fifo, goodput_MBps), 1).c_str(),
+                exp::pm(exp::over(fq, goodput_MBps), 1).c_str(),
+                exp::pm(exp::over(ceb, goodput_MBps), 1).c_str());
     std::fflush(stdout);
   }
   std::printf("\n(goodput in MBps, matching the paper's y-axis)\n");
@@ -65,7 +65,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Figure 9: RTT asymmetry (4+4 Cubic, 400 Mbps, 3 MB buffer)",
     "RTT asymmetry sweep, 4 fixed + 4 swept Cubic, FIFO/FQ/Cebinae",
     make_jobs,
-    mbyte_metrics,
     report,
 }};
 

@@ -53,17 +53,17 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (rows.size() < 2 + kThresholdsPct.size()) return;
   std::printf("references: FIFO JFI %s goodput %s Mbps | FQ JFI %s goodput %s Mbps\n\n",
-              exp::pm(*rows[0].metric("jfi"), 3).c_str(),
-              exp::pm(*rows[0].metric("goodput_mbps"), 1).c_str(),
-              exp::pm(*rows[1].metric("jfi"), 3).c_str(),
-              exp::pm(*rows[1].metric("goodput_mbps"), 1).c_str());
+              exp::pm(exp::over(rows[0], "jfi"), 3).c_str(),
+              exp::pm(exp::over(rows[0], exp::goodput_mbps), 1).c_str(),
+              exp::pm(exp::over(rows[1], "jfi"), 3).c_str(),
+              exp::pm(exp::over(rows[1], exp::goodput_mbps), 1).c_str());
 
   std::printf("%-14s %14s %18s\n", "thresholds[%]", "JFI", "Goodput[Mbps]");
   for (std::size_t i = 0; i < kThresholdsPct.size(); ++i) {
     const exp::ResultRow& r = rows[2 + i];
     std::printf("%-14.0f %14s %18s\n", kThresholdsPct[i],
-                exp::pm(*r.metric("jfi"), 3).c_str(),
-                exp::pm(*r.metric("goodput_mbps"), 1).c_str());
+                exp::pm(exp::over(r, "jfi"), 3).c_str(),
+                exp::pm(exp::over(r, exp::goodput_mbps), 1).c_str());
   }
   std::printf("\n(expected shape: fairness comparable to FQ at small thresholds; goodput\n"
               " decays as thresholds grow and collapses once they cross the fair share)\n");
@@ -74,7 +74,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Figure 12: threshold sensitivity (16 NewReno + 1 Cubic, 100 Mbps)",
     "delta_p/delta_f/tau sweep 1-100% vs FIFO and FQ references",
     make_jobs,
-    nullptr,
     report,
 }};
 

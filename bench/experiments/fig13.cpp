@@ -178,8 +178,8 @@ void report(const exp::RunOptions& opts, const std::vector<exp::ResultRow>& rows
     for (std::uint32_t stages : kStages) {
       if (r >= rows.size()) return;
       std::printf("%-14d %10u %16s %12s\n", ms, stages,
-                  exp::pm(*rows[r].metric("fpr_1e4"), 3).c_str(),
-                  exp::pm(*rows[r].metric("fnr"), 3).c_str());
+                  exp::pm(exp::over(rows[r], "fpr_1e4"), 3).c_str(),
+                  exp::pm(exp::over(rows[r], "fnr"), 3).c_str());
       ++r;
     }
     std::fflush(stdout);
@@ -191,8 +191,8 @@ void report(const exp::RunOptions& opts, const std::vector<exp::ResultRow>& rows
     for (std::uint32_t stages : kStages) {
       if (r >= rows.size()) return;
       std::printf("%-10u %10u %16s %12s\n", slots, stages,
-                  exp::pm(*rows[r].metric("fpr_1e4"), 3).c_str(),
-                  exp::pm(*rows[r].metric("fnr"), 3).c_str());
+                  exp::pm(exp::over(rows[r], "fpr_1e4"), 3).c_str(),
+                  exp::pm(exp::over(rows[r], "fnr"), 3).c_str());
       ++r;
     }
     std::fflush(stdout);
@@ -204,7 +204,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Figure 13: flow-cache FPR/FNR on synthetic backbone traces",
     "flow-cache FPR/FNR vs round interval, slots, and stages",
     make_jobs,
-    nullptr,
     report,
 }};
 

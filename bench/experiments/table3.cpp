@@ -47,17 +47,18 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   std::printf("%-12s %-10s %-8s %-10s %-10s %-8s %-8s\n", "Cache stages", "Pipe stages",
               "PHV", "SRAM[KB]", "TCAM[KB]", "VLIW", "Queues");
   for (std::size_t i = 0; i < rows.size() && i < kStages.size(); ++i) {
-    const exp::ResultRow& r = rows[i];
+    auto mean = [&r = rows[i]](std::string_view field) { return exp::over(r, field).mean; };
     std::printf("%-12u %-10.0f %.0fb    %-10.0f %-10.0f %-8.0f %-8.0f%s\n", kStages[i],
-                r.mean("pipeline_stages"), r.mean("phv_bits"), r.mean("sram_kb"),
-                r.mean("tcam_kb"), r.mean("vliw_instructions"), r.mean("queues"),
+                mean("pipeline_stages"), mean("phv_bits"), mean("sram_kb"), mean("tcam_kb"),
+                mean("vliw_instructions"), mean("queues"),
                 kStages[i] > 2 ? "  (extrapolated)" : "");
   }
 
   std::printf("\nfractions of chip budget (approximate public Tofino-1 specs):\n");
   for (std::size_t i = 0; i < rows.size() && kStages[i] <= 2; ++i) {
     std::printf("  %u-stage: PHV %.1f%%, SRAM %.1f%%, TCAM %.1f%%\n", kStages[i],
-                rows[i].mean("phv_pct"), rows[i].mean("sram_pct"), rows[i].mean("tcam_pct"));
+                exp::over(rows[i], "phv_pct").mean, exp::over(rows[i], "sram_pct").mean,
+                exp::over(rows[i], "tcam_pct").mean);
   }
   std::printf("\n(paper: all resource types < ~25%% of the chip; queues = 2 per port —\n"
               " the provable minimum for delay injection without recirculation)\n");
@@ -68,7 +69,6 @@ const exp::Registration registration{exp::ExperimentSpec{
     "Table 3: Tofino data-plane resource usage (analytic model)",
     "analytic Tofino resource model for 1/2/4 cache stages",
     make_jobs,
-    nullptr,
     report,
 }};
 
