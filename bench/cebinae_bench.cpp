@@ -15,7 +15,8 @@
 //   --out=PATH       stream one JSONL result row per job ("-" = stdout)
 //   --trace-out=PATH stream trace time-series rows of traced jobs
 //   --resume         continue a killed run: rebuild the jobs committed in
-//                    --out/--trace-out, run the rest, print the full report
+//                    --out=FILE/--trace-out, run the rest, print the full
+//                    report
 //   --perf-out[=P]   write a BENCH_<name>.json perf summary
 #include <algorithm>
 #include <charconv>

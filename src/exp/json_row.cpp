@@ -341,6 +341,12 @@ std::string JsonObject::str() const {
   return out;
 }
 
+std::string JsonObject::str(const Value& v) {
+  std::string out;
+  append_value(out, v);
+  return out;
+}
+
 const JsonObject::Value* JsonObject::find(std::string_view key) const {
   for (const auto& [k, v] : fields_) {
     if (k == key) return &v;
