@@ -27,7 +27,7 @@ TEST(MetricsRegistry, HistogramIsGetOrCreate) {
 TEST(MetricsRegistry, CellAddressesSurviveLaterRegistrations) {
   MetricsRegistry reg;
   Histogram& first = reg.histogram("h0");
-  for (int i = 0; i < 100; ++i) reg.histogram("h" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) reg.histogram(std::string("h").append(std::to_string(i)));
   first.observe(1.0);
   EXPECT_EQ(&reg.histogram("h0"), &first);  // node-based map, no realloc
   EXPECT_EQ(reg.histogram("h0").count(), 1u);
