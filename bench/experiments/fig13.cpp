@@ -129,6 +129,8 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
       }
       job.label += " stages=" + std::to_string(stages);
       job.params.set("stages", static_cast<std::uint64_t>(stages));
+      // The trace length is what the scale changes; --resume compares it.
+      job.params.set("trace_ms", duration / Milliseconds(1));
       if (trials > 1) {
         job.label += " trial=" + std::to_string(t);
         job.params.set("trial", t);

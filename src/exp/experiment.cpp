@@ -227,10 +227,18 @@ void expect_job(const RowReader& reader, const JsonObject& row,
   }
 }
 
-// Throws unless a Scenario job's result row echoes the config that job i
-// runs: a row of the same grid run at another scale is not this run's row.
+// Throws unless a result row echoes the params and, for a Scenario job, the
+// config that job i runs: a row of the same grid run at another scale is
+// not this run's row. A custom job puts what its scale changes into params.
 void expect_config(const RowReader& reader, const JsonObject& row,
                    const std::vector<ExperimentJob>& jobs, std::uint64_t i) {
+  const JsonObject::Value* params = row.find("params");
+  const std::string params_text = params == nullptr ? "none" : JsonObject::str(*params);
+  const std::string want_params = jobs[i].params.empty() ? "none" : jobs[i].params.str();
+  if (params_text != want_params) {
+    reader.fail("has params " + params_text + " but job " + std::to_string(i) + " has " +
+                want_params);
+  }
   if (jobs[i].custom) return;
   const JsonObject echo = config_echo(jobs[i].config);
   for (const auto& [name, want] : echo.fields()) {

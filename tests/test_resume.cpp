@@ -316,11 +316,14 @@ TEST(ResumeMismatch, AnotherExperimentOrSeedExitsTwoAndLeavesFilesUntouched) {
   };
   // Another experiment (same shape, other labels), and the same grid at
   // another scale (as --smoke, then --resume at quick scale): labels and
-  // seeds match, the config echo does not.
+  // seeds match, the config echo does not. A custom job has no config echo;
+  // what its scale changes is in params (fig13's trace_ms), so a grid whose
+  // params differ is another scale too.
   const std::pair<cebinae::exp::ExperimentSpec, std::string> foreign[] = {
       {edited([](ExperimentJob& job) { job.label = "other " + job.label; }), "is labelled"},
       {edited([](ExperimentJob& job) { job.config.duration = cebinae::Seconds(30); }),
-       "has duration_s"}};
+       "has duration_s"},
+      {edited([](ExperimentJob& job) { job.params.set("trace_ms", 2000); }), "has params"}};
   for (const auto& [spec, why] : foreign) {
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(cebinae::exp::run_experiment(spec, opts), 2);
