@@ -77,18 +77,10 @@ TEST(AllocBudget, SmallCapturesScheduleWithoutAllocating) {
   EXPECT_EQ(sched.executed_events(), 2u * Burst::kEvents);
 }
 
-// 32 NewReno + 8 Cubic flows over a 100 Mbps, 5 ms, 420-MTU bottleneck for
-// 2 s, counted from the half-way point to the end of the run. What remains
-// is mostly TCP senders' std::deque blocks: about 9e-3 per event.
-void expect_steady_state_budget(QdiscKind qdisc) {
+// Counts allocations from the half-way point of `cfg`'s run to its end,
+// which must stay under 0.02 per executed event.
+void expect_steady_state_budget(const ScenarioConfig& cfg) {
   constexpr double kMaxAllocsPerEvent = 0.02;
-  ScenarioConfig cfg;
-  cfg.qdisc = qdisc;
-  cfg.bottleneck_bps = 100'000'000;
-  cfg.buffer_bytes = 420ull * kMtuBytes;
-  cfg.duration = Seconds(2);
-  cfg.flows = flows_of(CcaType::kNewReno, 32, Milliseconds(5));
-  for (const FlowSpec& f : flows_of(CcaType::kCubic, 8, Milliseconds(5))) cfg.flows.push_back(f);
   Scenario scenario(cfg);
   Scheduler& sched = scenario.network().scheduler();
   std::uint64_t allocs_at_half = 0;
@@ -105,10 +97,41 @@ void expect_steady_state_budget(QdiscKind qdisc) {
       << allocs << " allocations in " << events << " events";
 }
 
-TEST(AllocBudget, FifoScenarioSteadyState) { expect_steady_state_budget(QdiscKind::kFifo); }
+// 32 NewReno + 8 Cubic flows over a 100 Mbps, 5 ms, 420-MTU bottleneck for
+// 2 s. What remains is mostly TCP senders' std::deque blocks: about 9e-3
+// per event.
+ScenarioConfig short_rtt_mix(QdiscKind qdisc) {
+  ScenarioConfig cfg;
+  cfg.qdisc = qdisc;
+  cfg.bottleneck_bps = 100'000'000;
+  cfg.buffer_bytes = 420ull * kMtuBytes;
+  cfg.duration = Seconds(2);
+  cfg.flows = flows_of(CcaType::kNewReno, 32, Milliseconds(5));
+  for (const FlowSpec& f : flows_of(CcaType::kCubic, 8, Milliseconds(5))) cfg.flows.push_back(f);
+  return cfg;
+}
+
+TEST(AllocBudget, FifoScenarioSteadyState) {
+  expect_steady_state_budget(short_rtt_mix(QdiscKind::kFifo));
+}
 
 TEST(AllocBudget, CebinaeScenarioSteadyState) {
-  expect_steady_state_budget(QdiscKind::kCebinae);
+  expect_steady_state_budget(short_rtt_mix(QdiscKind::kCebinae));
+}
+
+// SACK-heavy: 32 NewReno + 2 BBR flows over a 100 Mbps, 100 ms, 835-MTU
+// FIFO for 4 s, where windows of hundreds of segments recover from many
+// holes at once. Guards the sender's SACK scoreboard against allocating
+// per ACK; about 8e-3 per event, again mostly deque blocks.
+TEST(AllocBudget, SackHeavyScenarioSteadyState) {
+  ScenarioConfig cfg;
+  cfg.qdisc = QdiscKind::kFifo;
+  cfg.bottleneck_bps = 100'000'000;
+  cfg.buffer_bytes = 835ull * kMtuBytes;
+  cfg.duration = Seconds(4);
+  cfg.flows = flows_of(CcaType::kNewReno, 32, Milliseconds(100));
+  for (const FlowSpec& f : flows_of(CcaType::kBbr, 2, Milliseconds(100))) cfg.flows.push_back(f);
+  expect_steady_state_budget(cfg);
 }
 
 }  // namespace
