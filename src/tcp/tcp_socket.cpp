@@ -110,49 +110,81 @@ void TcpSender::start() {
   });
 }
 
+std::size_t TcpSender::first_seg_from(std::uint64_t seq) const {
+  if (unacked_.empty()) return 0;
+  // unacked_ is contiguous, and every segment but a finite stream's last is
+  // kMssBytes long: segment k starts at k * kMssBytes.
+  const std::uint64_t k = (seq + kMssBytes - 1) / kMssBytes;
+  const std::uint64_t front = unacked_.front().seq / kMssBytes;
+  const std::size_t i =
+      k <= front ? 0 : static_cast<std::size_t>(std::min<std::uint64_t>(k - front, unacked_.size()));
+  assert(i == unacked_.size() || unacked_[i].seq >= seq);
+  assert(i == 0 || unacked_[i - 1].seq < seq);
+  return i;
+}
+
+std::size_t TcpSender::tag_sacked(std::size_t i) {
+  SegMeta& m = unacked_[i];
+  assert(!m.sacked);
+  m.sacked = true;
+  sacked_bytes_ += m.len;
+  // SACKed bytes are delivered bytes (Linux counts them in tp->delivered at
+  // SACK time, which keeps rate samples honest when a later cumulative ACK
+  // jumps over them).
+  delivered_ += m.len;
+  delivered_stamp_ = sched_.now();
+  if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += m.len;
+  if (m.counted_lost) {
+    m.counted_lost = false;
+    lost_bytes_ -= m.len;
+  }
+  // unacked_[i - 1] ends the run on the left, unacked_[i + 1] starts the
+  // one on the right.
+  const std::uint32_t left = i > 0 && unacked_[i - 1].sacked ? unacked_[i - 1].sacked_run : 0;
+  const std::uint32_t right =
+      i + 1 < unacked_.size() && unacked_[i + 1].sacked ? unacked_[i + 1].sacked_run : 0;
+  const std::uint32_t run = left + 1 + right;
+  unacked_[i - left].sacked_run = run;
+  unacked_[i + right].sacked_run = run;
+  return i + right + 1;
+}
+
 void TcpSender::process_sack(const Packet& ack) {
   if (ack.sack_count == 0) return;
   for (std::uint8_t b = 0; b < ack.sack_count; ++b) {
     const auto& block = ack.sack[b];
-    // unacked_ is sorted by seq; locate the first segment of the block that
-    // is not yet tagged. Segments inside the cached block are; a segment
-    // straddling the cached end is not skipped, whatever its alignment.
-    const bool in_cache = block.begin >= sack_cache_.begin && block.begin < sack_cache_.end;
-    const std::uint64_t tagged_end = in_cache ? sack_cache_.end : 0;
-    auto it = std::lower_bound(unacked_.begin(), unacked_.end(), block.begin,
-                               [tagged_end](const SegMeta& m, std::uint64_t begin) {
-                                 return m.seq < begin || m.seq + m.len <= tagged_end;
-                               });
-    for (; it != unacked_.end() && it->seq + it->len <= block.end; ++it) {
-      if (!it->sacked) {
-        it->sacked = true;
-        sacked_bytes_ += it->len;
-        // SACKed bytes are delivered bytes (Linux counts them in
-        // tp->delivered at SACK time, which keeps rate samples honest when a
-        // later cumulative ACK jumps over them).
-        delivered_ += it->len;
-        delivered_stamp_ = sched_.now();
-        if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += it->len;
-        if (it->counted_lost) {
-          it->counted_lost = false;
-          lost_bytes_ -= it->len;
-        }
+    // Tag the segments wholly inside the block, walking only the untagged
+    // ones: a tagged run is skipped by its length. The segment before a
+    // receiver's island is a hole, so the block's first segment is untagged
+    // or starts a run.
+    std::size_t i = first_seg_from(block.begin);
+    if (i < unacked_.size() && unacked_[i].sacked) {
+      if (i > 0 && unacked_[i - 1].sacked) {
+        // Only a hand-made ACK starts a block inside a run: step to the
+        // run's end.
+        while (i < unacked_.size() && unacked_[i].sacked) ++i;
+      } else {
+        const std::uint32_t run = unacked_[i].sacked_run;
+        assert(run > 0 && unacked_[i + run - 1].sacked_run == run &&
+               (i + run == unacked_.size() || !unacked_[i + run].sacked));
+        i += run;
       }
+    }
+    while (i < unacked_.size() && unacked_[i].seq + unacked_[i].len <= block.end) {
+      i = tag_sacked(i);
     }
     highest_sacked_ = std::max(highest_sacked_, block.end);
   }
-  sack_cache_ = ack.sack[0];
 
   // Mark newly revealed holes as lost: unSACKed segments below the highest
   // SACK have (with no reordering in this network) left the network.
   if (highest_sacked_ > lost_scan_seq_) {
-    const std::uint64_t from = std::max(lost_scan_seq_, snd_una_);
-    auto it = std::lower_bound(unacked_.begin(), unacked_.end(), from,
-                               [](const SegMeta& m, std::uint64_t seq) { return m.seq < seq; });
-    for (; it != unacked_.end() && it->seq + it->len <= highest_sacked_; ++it) {
-      if (!it->sacked && !it->retransmitted && !it->counted_lost) {
-        it->counted_lost = true;
-        lost_bytes_ += it->len;
+    for (std::size_t i = first_seg_from(std::max(lost_scan_seq_, snd_una_));
+         i < unacked_.size() && unacked_[i].seq + unacked_[i].len <= highest_sacked_; ++i) {
+      SegMeta& m = unacked_[i];
+      if (!m.sacked && !m.retransmitted && !m.counted_lost) {
+        m.counted_lost = true;
+        lost_bytes_ += m.len;
       }
     }
     lost_scan_seq_ = highest_sacked_;
@@ -276,7 +308,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
   if (loss_mode_ == LossMode::kFastRecovery) prr_out_ += len;
   if (!is_retransmission) {
     unacked_.push_back(
-        SegMeta{seq, len, sched_.now(), delivered_, delivered_stamp_, false, false, false});
+        SegMeta{seq, len, 0, sched_.now(), delivered_, delivered_stamp_, false, false, false});
   }
   if (!rto_timer_.valid()) arm_rto();
   local_.send(std::move(pkt));
@@ -326,6 +358,10 @@ void TcpSender::on_new_ack(const Packet& ack) {
     const SegMeta& m = unacked_.front();
     if (m.sacked) {
       sacked_bytes_ -= m.len;  // already counted as delivered at SACK time
+      // The rest of m's run, if any, starts at the next segment.
+      if (m.sacked_run > 1) {
+        unacked_[1].sacked_run = unacked_[m.sacked_run - 1].sacked_run = m.sacked_run - 1;
+      }
     } else {
       delivered_ += m.len;
       delivered_stamp_ = now;

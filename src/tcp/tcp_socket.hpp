@@ -111,6 +111,9 @@ class TcpSender final : public PacketSink {
   struct SegMeta {
     std::uint64_t seq = 0;
     std::uint32_t len = 0;
+    // Boundary tag of a run of consecutive SACKed segments in unacked_: the
+    // run's length, kept at its first and its last segment (stale inside).
+    std::uint32_t sacked_run = 0;
     Time sent_time;
     std::uint64_t delivered_at_send = 0;
     Time delivered_stamp_at_send;  // time of the last delivery event at send
@@ -118,6 +121,8 @@ class TcpSender final : public PacketSink {
     bool sacked = false;
     bool counted_lost = false;  // deducted from the pipe estimate
   };
+  // The run tag lives in the padding after `len`.
+  static_assert(sizeof(SegMeta) == 48);
 
   void try_send();
   void send_segment(std::uint64_t seq, std::uint32_t len, bool is_retransmission);
@@ -130,6 +135,11 @@ class TcpSender final : public PacketSink {
   // Retransmit holes while the pipe estimate leaves window headroom.
   void repair_holes();
   void process_sack(const Packet& ack);
+  // Index in unacked_ of the first segment starting at or after `seq`.
+  [[nodiscard]] std::size_t first_seg_from(std::uint64_t seq) const;
+  // Tags unacked_[i] SACKed and joins it with the tagged runs on either
+  // side; returns the index just past the joined run.
+  std::size_t tag_sacked(std::size_t i);
   // RTO: mark every unSACKed outstanding segment lost (CA_Loss semantics).
   void mark_all_lost();
   void on_new_ack(const Packet& ack);
@@ -156,10 +166,6 @@ class TcpSender final : public PacketSink {
   // next hole resumes here. Shifts down on pop_front; mark_all_lost, which
   // clears the retransmitted marks, resets it to 0.
   std::size_t retx_hint_ = 0;
-  // The first SACK block of the previous ACK (Linux's recv_sack_cache):
-  // every segment of unacked_ inside [begin, end) is already tagged SACKed,
-  // so a block starting inside it is walked only from its end.
-  Packet::SackBlock sack_cache_{};
 
   std::uint32_t dup_acks_ = 0;
   bool pending_ece_ = false;
