@@ -64,7 +64,12 @@ void Device::arm_head(PacketSlab& slab) {
 void Device::arrive() {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot s = wire_.pop_front(slab);
-  if (!wire_.empty()) arm_head(slab);
+  if (!wire_.empty()) {
+    arm_head(slab);
+    // arm_head has just read the new head; the frame after it is the next
+    // arrival's.
+    slab.prefetch(slab[wire_.front()].next);
+  }
   peer_->owner().receive(slab[s].pkt);
   slab.release(s);
 }

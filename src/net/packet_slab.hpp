@@ -102,6 +102,18 @@ class PacketSlab {
     return chunks_[s >> kChunkBits][s & (kChunkSlots - 1)];
   }
 
+  // Starts loading slot s (kNone: nothing) into the cache ahead of a read.
+  // A frame is read a queueing or propagation delay after it was written,
+  // by when the slab has usually left the cache (DESIGN.md §11).
+  void prefetch(Slot s) {
+    if (s == kNone) return;
+    constexpr std::uintptr_t kLine = 64;
+    const auto begin = reinterpret_cast<std::uintptr_t>(&(*this)[s]);
+    for (std::uintptr_t line = begin & ~(kLine - 1); line < begin + sizeof(Entry); line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
   // Slots allocated and not yet released.
   [[nodiscard]] std::uint64_t live() const { return live_; }
   // Slots ever allocated (one per admitted packet per hop).
@@ -178,11 +190,13 @@ class SlotFifo {
   }
 
   // Unlinks and returns the head slot; the caller owns it. Requires !empty().
+  // Prefetches the new head, which the next pop reads.
   Slot pop_front(PacketSlab& slab) {
     assert(size_ != 0);
     const Slot s = head_;
     head_ = slab[s].next;
     --size_;
+    slab.prefetch(head_);
     return s;
   }
 
