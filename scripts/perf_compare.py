@@ -10,8 +10,11 @@ prints each end-to-end metric's median and quartiles per side. Exits 1 when
 this tree fails an outcome check or a larger share of simulations, or when
 a median is worse than the base's by more than the metric's `bound` in
 BENCHMARK.json; 2 on a usage error or a ref it cannot extract. A metric
-whose base runs spread wider than its bound reads `unresolved`, not `ok`,
-unless every run of this tree beats every run of the base.
+reads `gain` when this tree wins at least 9 of 10 pairs and its median
+beats the base's by more than the base's interquartile range: only then
+does a run show an improvement. Otherwise a metric whose base runs spread
+wider than its bound reads `unresolved`, not `ok`, unless every run of
+this tree beats every run of the base.
 """
 
 import json
@@ -24,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SECONDS = 3
+GAIN_WINS = 0.9  # share of pairs a change must win for a `gain` verdict
 
 
 def run_bench(tree, workload):
@@ -82,6 +86,8 @@ def compare(end_to_end, workload, base, change):
             verdict = "FAIL"
             failures.append(f"{workload} {name}: median {cmed:.4g} is {100 * worse:.1f}% "
                             f"worse than base {bmed:.4g} (bound {100 * bound:.0f}%)")
+        elif pairs and wins >= GAIN_WINS * len(pairs) and -sign * (cmed - bmed) > bq3 - bq1:
+            verdict = "gain"
         elif (bq3 - bq1) / bmed > bound and not all(sign * (y - x) < 0 for x in b for y in c):
             verdict = "unresolved"
         else:

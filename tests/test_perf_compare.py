@@ -59,7 +59,39 @@ class Compare(unittest.TestCase):
         lines, failures = perf_compare.compare(END_TO_END, "w", runs(BASE_WALLS),
                                                runs(BASE_WALLS, 0.5))
         self.assertEqual(failures, [])
-        self.assertTrue(all(" 10/10  ok" in line for line in lines), lines)
+        self.assertTrue(all(" 10/10  gain" in line for line in lines), lines)
+
+    def test_gain_needs_nine_of_ten_pairs(self):
+        # 15% faster in the median, but two pairs lost: no gain.
+        change = runs(BASE_WALLS, 0.85)
+        change[0] = run(1.5, 10.0 / 1.5)
+        change[1] = run(1.5, 10.0 / 1.5)
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(BASE_WALLS), change)
+        self.assertEqual(failures, [])
+        self.assertEqual(verdicts(lines), {"wall_s": "ok", "sim_per_wall": "ok"})
+        # One pair lost is still a gain.
+        change[1] = run(0.85, 10.0 / 0.85)
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(BASE_WALLS), change)
+        self.assertEqual(failures, [])
+        self.assertEqual(verdicts(lines), {"wall_s": "gain", "sim_per_wall": "gain"})
+        self.assertTrue(all(" 9/10  gain" in line for line in lines), lines)
+
+    def test_gain_needs_a_lead_beyond_the_base_quartiles(self):
+        # Every pair won, but by less than the base's interquartile range.
+        spread = [0.90, 1.10, 0.92, 1.08, 0.94, 1.06, 0.96, 1.04, 0.98, 1.02]
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(spread),
+                                               runs(spread, 0.95))
+        self.assertEqual(failures, [])
+        self.assertEqual(verdicts(lines), {"wall_s": "ok", "sim_per_wall": "ok"})
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(spread),
+                                               runs(spread, 0.85))
+        self.assertEqual(verdicts(lines), {"wall_s": "gain", "sim_per_wall": "gain"})
+
+    def test_slower_change_is_never_a_gain(self):
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(BASE_WALLS),
+                                               runs(BASE_WALLS, 1.2))
+        self.assertEqual(failures, [])
+        self.assertEqual(verdicts(lines), {"wall_s": "ok", "sim_per_wall": "ok"})
 
     def test_wide_base_spread_is_unresolved(self):
         wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.6, 1.4, 0.9, 1.1]
@@ -68,11 +100,17 @@ class Compare(unittest.TestCase):
         self.assertEqual(failures, [])
         self.assertEqual(verdicts(lines), {"wall_s": "unresolved",
                                            "sim_per_wall": "unresolved"})
-        # Unless every run of the change beats every run of the base.
+        # Unless every run of the change beats every run of the base (here
+        # by less than the base's quartiles on wall_s: not a gain).
+        faster = [0.50, 0.59, 0.51, 0.58, 0.52, 0.57, 0.53, 0.56, 0.54, 0.55]
+        lines, failures = perf_compare.compare(END_TO_END, "w", runs(wide), runs(faster))
+        self.assertEqual(failures, [])
+        self.assertEqual(verdicts(lines)["wall_s"], "ok")
+        # A lead beyond the base's quartiles in 9 of 10 pairs is a gain.
         lines, failures = perf_compare.compare(END_TO_END, "w", runs(wide),
                                                runs(wide, 0.4))
         self.assertEqual(failures, [])
-        self.assertEqual(verdicts(lines), {"wall_s": "ok", "sim_per_wall": "ok"})
+        self.assertEqual(verdicts(lines), {"wall_s": "gain", "sim_per_wall": "gain"})
 
     def test_more_failed_runs_fail(self):
         change = runs(BASE_WALLS)
