@@ -297,6 +297,8 @@ ScenarioResult Scenario::run() {
                                cfg_.duration.seconds());
   }
   r.jfi = jain_index(r.goodput_Bps);
+  r.events = net_->scheduler().executed_events();
+  r.event_digest = net_->scheduler().event_digest();
   return r;
 }
 

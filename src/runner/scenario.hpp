@@ -67,6 +67,9 @@ struct ScenarioResult {
   double total_goodput_Bps = 0.0;
   std::vector<double> throughput_Bps;   // per chain link (wire bytes)
   double jfi = 1.0;
+  // The scheduler's executed event count and (when, seq) digest at the end.
+  std::uint64_t events = 0;
+  std::uint64_t event_digest = 0;
 };
 
 class Scenario {
