@@ -5,22 +5,21 @@ namespace cebinae {
 void PacketGenerator::start(Time first_delay) {
   if (running_) return;
   running_ = true;
-  pending_ = sched_.schedule(first_delay, [this] { fire(); });
+  timer_.arm_after(first_delay);
 }
 
 void PacketGenerator::stop() {
   if (!running_) return;
   running_ = false;
-  sched_.cancel(pending_);
-  pending_ = EventId();
+  timer_.cancel();
 }
 
 void PacketGenerator::fire() {
   if (!running_) return;
   ++fired_;
-  // Schedule the next tick before running the callback so a slow callback
+  // Arm the next tick before running the callback so a slow callback
   // cannot skew the period (the hardware generator never drifts).
-  pending_ = sched_.schedule(period_, [this] { fire(); });
+  timer_.arm_after(period_);
   on_fire_();
 }
 

@@ -15,9 +15,8 @@ namespace cebinae {
 class PacketGenerator {
  public:
   PacketGenerator(Scheduler& sched, Time period, std::function<void()> on_fire)
-      : sched_(sched), period_(period), on_fire_(std::move(on_fire)) {}
+      : period_(period), on_fire_(std::move(on_fire)), timer_(sched, [this] { fire(); }) {}
 
-  ~PacketGenerator() { stop(); }
   PacketGenerator(const PacketGenerator&) = delete;
   PacketGenerator& operator=(const PacketGenerator&) = delete;
 
@@ -32,10 +31,9 @@ class PacketGenerator {
  private:
   void fire();
 
-  Scheduler& sched_;
   Time period_;
   std::function<void()> on_fire_;
-  EventId pending_;
+  Timer timer_;
   bool running_ = false;
   std::uint64_t fired_ = 0;
 };

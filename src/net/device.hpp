@@ -9,8 +9,8 @@
 // disc, it links the slot into the device's delay line, a SlotFifo, instead
 // of scheduling one event per frame. The delay is constant and the
 // transmitter serializes one frame at a time, so frames arrive in the order
-// they were sent: a FIFO with at most one armed event, for its head. Each
-// slot keeps the (arrival, seq) key reserved when its frame was sent (see
+// they were sent: a FIFO with one timer, armed for its head. Each slot
+// keeps the (arrival, seq) key reserved when its frame was sent (see
 // Scheduler::reserve_seq), so the global event order is the same as with
 // one propagation event per frame (DESIGN.md §11). The arrival hands the
 // packet to the peer node by reference and releases the slot once the node
@@ -66,8 +66,8 @@ class Device {
  private:
   void try_transmit();
   void arm_head(PacketSlab& slab);
-  // Arrival event of the head frame: pops it, re-arms for the next head,
-  // delivers to the peer node and releases the slot.
+  // Arrival of the head frame: pops it, re-arms for the next head, delivers
+  // to the peer node and releases the slot.
   void arrive();
 
   Scheduler& sched_;
@@ -82,6 +82,8 @@ class Device {
   // Delay line: frames on the wire, oldest first. Each slot's `stamp` is its
   // arrival time and `seq` the arrival's reserved scheduler seq.
   SlotFifo wire_;
+  Timer tx_done_;  // end of the current frame's serialization
+  Timer arrival_;  // the delay line's head reaches the peer
 };
 
 }  // namespace cebinae

@@ -28,9 +28,9 @@ double TokenBucket::tokens(Time now) const {
 
 StrawmanQueueDisc::StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
                                      std::uint64_t buffer_bytes, StrawmanParams params)
-    : sched_(sched), capacity_bps_(capacity_bps), buffer_bytes_(buffer_bytes),
-      params_(params) {
-  sched_.schedule(params_.interval, [this] { on_tick(); });
+    : sched_(sched), tick_(sched, [this] { on_tick(); }), capacity_bps_(capacity_bps),
+      buffer_bytes_(buffer_bytes), params_(params) {
+  tick_.arm_after(params_.interval);
 }
 
 void StrawmanQueueDisc::on_tick() {
@@ -63,7 +63,7 @@ void StrawmanQueueDisc::on_tick() {
   }
 
   interval_bytes_.clear();
-  sched_.schedule(params_.interval, [this] { on_tick(); });
+  tick_.arm_after(params_.interval);
 }
 
 bool StrawmanQueueDisc::enqueue(Packet pkt) {

@@ -63,6 +63,7 @@ class StrawmanQueueDisc final : public QueueDisc {
   void on_tick();
 
   Scheduler& sched_;
+  Timer tick_;
   std::uint64_t capacity_bps_;
   std::uint64_t buffer_bytes_;
   StrawmanParams params_;

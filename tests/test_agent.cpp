@@ -40,12 +40,13 @@ struct AgentHarness {
       }
     }
     for (int i = 0; i < 9; ++i) (void)qdisc.dequeue();
-    sched.schedule(agent_params().dt, [this] { feed_tick(); });
+    feed.arm_after(agent_params().dt);
   }
+  Timer feed{sched, [this] { feed_tick(); }};
 
   void start() {
     agent.start();
-    sched.schedule(Microseconds(200), [this] { feed_tick(); });
+    feed.arm_after(Microseconds(200));
   }
 };
 
@@ -143,16 +144,16 @@ TEST(CebinaeAgent, BothFlowsTopWhenEqual) {
   // Alternate which flow leads each tick so admission cutoffs do not
   // systematically favor one of them.
   int parity = 0;
-  std::function<void()> tick = [&] {
+  Timer tick(sched, [&] {
     for (int i = 0; i < 15; ++i) {
       q.enqueue(pkt(parity == 0 ? 1 : 2));
       q.enqueue(pkt(parity == 0 ? 2 : 1));
     }
     parity ^= 1;
     for (int i = 0; i < 10; ++i) (void)q.dequeue();
-    sched.schedule(agent_params().dt, tick);
-  };
-  sched.schedule(Microseconds(200), tick);
+    tick.arm_after(agent_params().dt);
+  });
+  tick.arm_after(Microseconds(200));
   sched.run_until(agent_params().dt * 9);
   EXPECT_TRUE(agent.snapshot().saturated);
   EXPECT_EQ(agent.snapshot().top_flows.size(), 2u);

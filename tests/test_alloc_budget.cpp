@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "runner/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -46,31 +48,48 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace cebinae {
 namespace {
 
-// Schedules kEvents events in the capture shapes the simulator uses:
-// `[this]`, one reference, and two pointers.
+// kTimers timers, built once, fire kEvents times in all: each firing
+// re-arms its own timer while events are left, and every fourth one also
+// cancels and re-arms its neighbour if armed (the RTO pattern).
 struct Burst {
-  static constexpr int kEvents = 10'000;
+  static constexpr std::size_t kTimers = 256;
+  static constexpr std::size_t kEvents = 10'000;
   Scheduler& sched;
-  std::uint64_t sum = 0;
+  std::size_t left = 0;
+  std::uint64_t fired = 0;
+  std::vector<std::unique_ptr<Timer>> timers;
+
+  explicit Burst(Scheduler& s) : sched(s) {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<Timer>(s, [this, i] { fire(i); }));
+    }
+  }
+
+  void fire(std::size_t i) {
+    ++fired;
+    if (left == 0) return;
+    --left;
+    timers[i]->arm_after(Nanoseconds(static_cast<std::int64_t>(fired * 7 % 97)));
+    Timer& next = *timers[(i + 1) % kTimers];
+    if (fired % 4 == 0 && next.armed()) {
+      next.cancel();
+      next.arm_after(Nanoseconds(static_cast<std::int64_t>(fired % 89)));
+    }
+  }
 
   void run() {
-    std::uint64_t local = 0;
-    for (int i = 0; i < kEvents; ++i) {
-      const Time at = sched.now() + Nanoseconds(i % 97);
-      switch (i % 3) {
-        case 0: sched.schedule_at(at, [this] { ++sum; }); break;
-        case 1: sched.schedule_at(at, [&local] { ++local; }); break;
-        default: sched.schedule_at(at, [this, &local] { sum += local; }); break;
-      }
+    left = kEvents - kTimers;
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers[i]->arm_after(Nanoseconds(static_cast<std::int64_t>(i % 97)));
     }
     sched.run();
   }
 };
 
-TEST(AllocBudget, SmallCapturesScheduleWithoutAllocating) {
+TEST(AllocBudget, WarmTimerArmsAndFiresWithoutAllocating) {
   Scheduler sched;
-  Burst burst{sched};
-  burst.run();  // warms the slot table and the heap to kEvents
+  Burst burst(sched);
+  burst.run();  // warms the heap to its high-water mark
   const std::uint64_t before = allocations();
   burst.run();
   EXPECT_EQ(allocations() - before, 0u);
@@ -85,10 +104,11 @@ void expect_steady_state_budget(const ScenarioConfig& cfg) {
   Scheduler& sched = scenario.network().scheduler();
   std::uint64_t allocs_at_half = 0;
   std::uint64_t events_at_half = 0;
-  sched.schedule_at(cfg.duration / 2, [&] {
+  Timer half(sched, [&] {
     allocs_at_half = allocations();
     events_at_half = sched.executed_events();
   });
+  half.arm_at(cfg.duration / 2);
   (void)scenario.run();
   const std::uint64_t allocs = allocations() - allocs_at_half;
   const std::uint64_t events = sched.executed_events() - events_at_half;

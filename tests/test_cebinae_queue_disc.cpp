@@ -135,7 +135,8 @@ TEST(CebinaeQueueDisc, RotateDelegatesToLbf) {
   Scheduler sched;
   CebinaeQueueDisc q(sched, kRate, 100 * kMtuBytes, params());
   EXPECT_EQ(q.lbf().head_index(), 0);
-  sched.schedule(params().dt, [&] { q.rotate(); });
+  Timer rotate(sched, [&] { q.rotate(); });
+  rotate.arm_after(params().dt);
   sched.run();
   EXPECT_EQ(q.lbf().head_index(), 1);
 }

@@ -134,13 +134,15 @@ TEST(Device, BackToBackFramesArriveFifoAtTxPlusProp) {
   }
   // Same timestamp as frame 2's arrival, scheduled before frame 2 started
   // serializing (its key was reserved at 1 ms): fires first.
-  sched.schedule_at(Milliseconds(7), [&] { log.arrivals.emplace_back(sched.now(), 100); });
+  Timer at7(sched, [&] { log.arrivals.emplace_back(sched.now(), 100); });
+  Timer at8(sched, [&] { log.arrivals.emplace_back(sched.now(), 200); });
+  at7.arm_at(Milliseconds(7));
   sched.run_until(Milliseconds(4));
   // All three frames are on the wire behind one armed arrival event.
   EXPECT_EQ(h.devs.ab.frames_on_wire(), 3u);
   EXPECT_EQ(sched.pending_events(), 2u);  // head arrival + the 7 ms marker
   // Same timestamp as frame 3's arrival, scheduled after it was sent.
-  sched.schedule_at(Milliseconds(8), [&] { log.arrivals.emplace_back(sched.now(), 200); });
+  at8.arm_at(Milliseconds(8));
   sched.run();
   EXPECT_EQ(log.arrivals, (std::vector<std::pair<Time, std::uint64_t>>{
                               {Milliseconds(6), 1},

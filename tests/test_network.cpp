@@ -84,7 +84,8 @@ TEST(Network, BuildRoutesIsIdempotent) {
 TEST(Network, SchedulerIsShared) {
   Network net;
   bool fired = false;
-  net.scheduler().schedule(Milliseconds(1), [&] { fired = true; });
+  Timer t(net.scheduler(), [&] { fired = true; });
+  t.arm_after(Milliseconds(1));
   net.scheduler().run();
   EXPECT_TRUE(fired);
 }

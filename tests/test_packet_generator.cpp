@@ -33,7 +33,8 @@ TEST(PacketGenerator, StopCancelsFutureFirings) {
   int count = 0;
   PacketGenerator gen(sched, Milliseconds(10), [&] { ++count; });
   gen.start(Milliseconds(10));
-  sched.schedule(Milliseconds(25), [&] { gen.stop(); });
+  Timer stop(sched, [&] { gen.stop(); });
+  stop.arm_after(Milliseconds(25));
   sched.run_until(Seconds(1));
   EXPECT_EQ(count, 2);
   EXPECT_FALSE(gen.running());

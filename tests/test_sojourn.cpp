@@ -27,11 +27,15 @@ TEST(Sojourn, FifoRecordsDequeueMinusEnqueue) {
   FifoQueue q(FifoQueue::unlimited());
   q.instrument_sojourn(sched, hist);
 
-  sched.schedule(Time::zero(), [&] { q.enqueue(pkt(100)); });
-  sched.schedule(Milliseconds(5), [&] { q.enqueue(pkt(100)); });
+  Timer enqueue_a(sched, [&] { q.enqueue(pkt(100)); });
+  Timer enqueue_b(sched, [&] { q.enqueue(pkt(100)); });
+  Timer dequeue_a(sched, [&] { q.dequeue(); });
+  Timer dequeue_b(sched, [&] { q.dequeue(); });
+  enqueue_a.arm_at(Time::zero());
+  enqueue_b.arm_at(Milliseconds(5));
   // First packet waits 10 ms, second waits 15 ms.
-  sched.schedule(Milliseconds(10), [&] { q.dequeue(); });
-  sched.schedule(Milliseconds(20), [&] { q.dequeue(); });
+  dequeue_a.arm_at(Milliseconds(10));
+  dequeue_b.arm_at(Milliseconds(20));
   sched.run();
 
   EXPECT_EQ(hist.count(), 2u);

@@ -93,16 +93,16 @@ TEST(TcpSocket, PipeNeverExceedsWindow) {
   TcpHarness h(10'000'000, Milliseconds(10), 64 * kMtuBytes);
   h.sender->start();
   bool violated = false;
-  std::function<void()> probe = [&] {
+  Timer probe(h.net.scheduler(), [&] {
     // During recovery the pipe may transiently exceed the freshly-halved
     // window while PRR drains it; outside recovery the gate must hold.
     const std::uint64_t wnd = h.sender->cc().cwnd_bytes() + 4 * kMssBytes;
     if (!h.sender->in_recovery() && h.sender->pipe_bytes() > wnd) violated = true;
     if (h.net.scheduler().now() < Seconds(5)) {
-      h.net.scheduler().schedule(Milliseconds(10), probe);
+      probe.arm_after(Milliseconds(10));
     }
-  };
-  h.net.scheduler().schedule(Milliseconds(10), probe);
+  });
+  probe.arm_after(Milliseconds(10));
   h.net.scheduler().run_until(Seconds(5));
   EXPECT_FALSE(violated);
 }

@@ -58,13 +58,13 @@ TEST(Strawman, FreezesAtMaxRateWhenSaturated) {
   Scheduler sched;
   StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes);
   // Saturate: flow 1 carries 2/3, flow 2 carries 1/3 of ~line rate.
-  std::function<void()> feed = [&] {
+  Timer feed(sched, [&] {
     for (int i = 0; i < 6; ++i) q.enqueue(pkt(1));
     for (int i = 0; i < 3; ++i) q.enqueue(pkt(2));
     for (int i = 0; i < 9; ++i) (void)q.dequeue();
-    sched.schedule(Milliseconds(1), feed);
-  };
-  sched.schedule(Milliseconds(1), feed);
+    feed.arm_after(Milliseconds(1));
+  });
+  feed.arm_after(Milliseconds(1));
   sched.run_until(Milliseconds(250));
   EXPECT_TRUE(q.limiting());
   // Frozen at the larger flow's rate: 6 MTU/ms = 72 Mbps.
@@ -75,14 +75,14 @@ TEST(Strawman, ReleasesWhenDemandDrops) {
   Scheduler sched;
   StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes);
   bool feeding = true;
-  std::function<void()> feed = [&] {
+  Timer feed(sched, [&] {
     if (feeding) {
       for (int i = 0; i < 9; ++i) q.enqueue(pkt(1));
       for (int i = 0; i < 9; ++i) (void)q.dequeue();
     }
-    sched.schedule(Milliseconds(1), feed);
-  };
-  sched.schedule(Milliseconds(1), feed);
+    feed.arm_after(Milliseconds(1));
+  });
+  feed.arm_after(Milliseconds(1));
   sched.run_until(Milliseconds(250));
   ASSERT_TRUE(q.limiting());
   feeding = false;
@@ -98,13 +98,13 @@ TEST(Strawman, LimitsDropNonconformingTraffic) {
   params.burst_factor = 0.5;
   StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes, params);
   bool ramped = false;
-  std::function<void()> feed = [&] {
+  Timer feed(sched, [&] {
     for (int i = 0; i < (ramped ? 9 : 5); ++i) q.enqueue(pkt(1));
     for (int i = 0; i < 4; ++i) q.enqueue(pkt(2));
     for (int i = 0; i < 9; ++i) (void)q.dequeue();
-    sched.schedule(Milliseconds(1), feed);
-  };
-  sched.schedule(Milliseconds(1), feed);
+    feed.arm_after(Milliseconds(1));
+  });
+  feed.arm_after(Milliseconds(1));
   sched.run_until(Milliseconds(300));
   ASSERT_TRUE(q.limiting());
   const double frozen = q.frozen_rate_Bps() * 8 / 1e6;
@@ -122,7 +122,7 @@ TEST(Strawman, CannotRepairExistingUnfairness) {
   StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes);
   std::uint64_t got1 = 0;
   std::uint64_t got2 = 0;
-  std::function<void()> feed = [&] {
+  Timer feed(sched, [&] {
     for (int i = 0; i < 6; ++i) q.enqueue(pkt(1));
     for (int i = 0; i < 3; ++i) q.enqueue(pkt(2));
     for (int i = 0; i < 9; ++i) {
@@ -130,9 +130,9 @@ TEST(Strawman, CannotRepairExistingUnfairness) {
       if (!p) break;
       (p->flow.src == 1 ? got1 : got2) += p->size_bytes;
     }
-    sched.schedule(Milliseconds(1), feed);
-  };
-  sched.schedule(Milliseconds(1), feed);
+    feed.arm_after(Milliseconds(1));
+  });
+  feed.arm_after(Milliseconds(1));
   sched.run_until(Seconds(2));
   // Ratio stays near the offered 2:1 (within 25%): no redistribution.
   EXPECT_NEAR(static_cast<double>(got1) / static_cast<double>(got2), 2.0, 0.5);
