@@ -287,6 +287,71 @@ bool wait_until(const std::function<bool()>& done) {
   return true;
 }
 
+// Scenario jobs of unequal cost (flows × rate × duration) around custom
+// jobs. Expected claim order: 5 (4 flows, 40 Mbps), then 0 and 3 (equal
+// cost, grid order), then 2 (shorter), then the custom jobs 1 and 4.
+std::vector<ExperimentJob> uneven_batch(const std::function<void(int)>& custom_body) {
+  std::vector<ExperimentJob> jobs = custom_jobs(6, custom_body);
+  auto scenario = [&jobs](std::size_t i, int flows, std::uint64_t bps, Time duration) {
+    jobs[i].custom = nullptr;
+    jobs[i].config = tiny_base();
+    jobs[i].config.flows = flows_of(CcaType::kNewReno, flows, Milliseconds(10));
+    jobs[i].config.bottleneck_bps = bps;
+    jobs[i].config.duration = duration;
+  };
+  scenario(0, 2, 20'000'000, Milliseconds(300));
+  scenario(2, 2, 20'000'000, Milliseconds(150));
+  scenario(3, 4, 10'000'000, Milliseconds(300));
+  scenario(5, 4, 40'000'000, Milliseconds(300));
+  return jobs;
+}
+
+TEST(ExperimentRunner, ClaimsLongestJobFirstAndWritesRowsInGridOrder) {
+  const std::vector<ExperimentJob> jobs = uneven_batch([](int) {});
+  EXPECT_EQ(claim_order(jobs), (std::vector<std::size_t>{5, 0, 3, 2, 1, 4}));
+  // Resumed jobs are not claimed again.
+  EXPECT_EQ(claim_order(jobs, 3), (std::vector<std::size_t>{5, 3, 4}));
+
+  // One worker runs the jobs in claim order: each custom job sees how many
+  // jobs finished before it started.
+  std::vector<std::size_t> done_before(6, 0);
+  std::size_t done = 0;
+  ExperimentRunner::Options opts;
+  opts.jobs = 1;
+  opts.base_seed = 7;
+  opts.on_progress = [&done](std::size_t d, std::size_t) { done = d; };
+  const std::string p1 = ::testing::TempDir() + "cebinae_ljf_j1.jsonl";
+  const std::string p4 = ::testing::TempDir() + "cebinae_ljf_j4.jsonl";
+  {
+    JsonlWriter w1(p1);
+    opts.writer = &w1;
+    (void)ExperimentRunner(opts)
+        .run(uneven_batch([&](int i) { done_before[static_cast<std::size_t>(i)] = done; }));
+  }
+  EXPECT_EQ(done_before[1], 4u);
+  EXPECT_EQ(done_before[4], 5u);
+  {
+    JsonlWriter w4(p4);
+    opts.jobs = 4;
+    opts.writer = &w4;
+    opts.on_progress = nullptr;
+    (void)ExperimentRunner(opts).run(uneven_batch([](int) {}));
+  }
+  std::ifstream in1(p1), in4(p4);
+  std::string l1, l4;
+  std::size_t rows = 0;
+  while (std::getline(in1, l1)) {
+    ASSERT_TRUE(std::getline(in4, l4));
+    EXPECT_EQ(strip_wall(l1), strip_wall(l4)) << "row " << rows;
+    EXPECT_NE(l1.find("\"job_index\":" + std::to_string(rows)), std::string::npos);
+    ++rows;
+  }
+  EXPECT_FALSE(std::getline(in4, l4));
+  EXPECT_EQ(rows, 6u);
+  std::remove(p1.c_str());
+  std::remove(p4.c_str());
+}
+
 TEST(ExperimentRunner, FailedJobEndsTheRowsButEveryJobRuns) {
   for (const std::set<int>& failing : {std::set<int>{2}, std::set<int>{2, 4}}) {
     std::atomic<int> ran{0};
