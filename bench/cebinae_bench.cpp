@@ -12,11 +12,10 @@
 //   --jobs=N         worker threads (0 = all hardware threads); results and
 //                    stdout are byte-identical for any N
 //   --seed=S         base seed; per-job seeds derive from (S, job index)
-//   --out=PATH       stream one JSONL result row per job ("-" = stdout)
-//   --trace-out=PATH stream trace time-series rows of traced jobs
+//   --out=PATH       stream one JSONL result row per job ("-" = stdout); a
+//                    traced job's time series is the row's trace list
 //   --resume         continue a killed run: rebuild the jobs committed in
-//                    --out=FILE/--trace-out, run the rest, print the full
-//                    report
+//                    --out=FILE, run the rest, print the full report
 //   --perf-out[=P]   write a BENCH_<name>.json perf summary
 #include <algorithm>
 #include <charconv>
@@ -38,8 +37,8 @@ using cebinae::exp::RunOptions;
 int usage(FILE* out) {
   std::fprintf(out,
                "usage: cebinae_bench --experiment=<name> [--full|--smoke] [--trials=N]\n"
-               "                     [--jobs=N] [--seed=S] [--out=PATH] [--trace-out=PATH]\n"
-               "                     [--resume] [--perf-out[=PATH]]\n"
+               "                     [--jobs=N] [--seed=S] [--out=PATH] [--resume]\n"
+               "                     [--perf-out[=PATH]]\n"
                "       cebinae_bench --list\n\nexperiments:\n");
   for (const ExperimentSpec* spec : ExperimentRegistry::instance().all()) {
     std::fprintf(out, "  %-22s %s\n", spec->name.c_str(), spec->description.c_str());
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
       if (!parse_count(arg, UINT64_MAX, opts.base_seed)) return 2;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       opts.out = arg + 6;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      opts.trace_out = arg + 12;
     } else if (std::strcmp(arg, "--resume") == 0) {
       opts.resume = true;
     } else if (std::strcmp(arg, "--perf-out") == 0) {

@@ -40,20 +40,20 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 
 // Each trial is measured over its converged tail (final half) rather than
 // the whole run: flow 0 is the incumbent, the others the joiners.
-double incumbent_mbps(const exp::RunRecord& rec) {
-  const std::vector<double>& tail = rec.row.arr("tail_goodput_Bps");
+double incumbent_mbps(const exp::JsonObject& trial) {
+  const std::vector<double>& tail = trial.arr("tail_goodput_Bps");
   return tail.empty() ? std::nan("") : exp::to_mbps(tail[0]);
 }
 
-double joiner_avg_mbps(const exp::RunRecord& rec) {
-  const std::vector<double>& tail = rec.row.arr("tail_goodput_Bps");
+double joiner_avg_mbps(const exp::JsonObject& trial) {
+  const std::vector<double>& tail = trial.arr("tail_goodput_Bps");
   double joiners = 0;
   for (std::size_t i = 1; i < tail.size(); ++i) joiners += tail[i];
   return exp::to_mbps(joiners / static_cast<double>(tail.size() - 1));
 }
 
-double tail_jfi(const exp::RunRecord& rec) {
-  return jain_index(rec.row.arr("tail_goodput_Bps"));
+double tail_jfi(const exp::JsonObject& trial) {
+  return jain_index(trial.arr("tail_goodput_Bps"));
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {

@@ -2,7 +2,7 @@
 // 40 ms sharing one bottleneck, under FIFO and under Cebinae, along with
 // Cebinae's port state (unsaturated / which flow is bottlenecked).
 //
-// The per-second series come from the scenario's trace rows
+// The per-second series come from each job row's trace list
 // (tput_Bps / ceb_saturated / top_flow). With --trials=N the table shows
 // trial 0 and the steady-state ratio line aggregates across trials.
 #include <algorithm>
@@ -34,8 +34,8 @@ double flow_mbps(const exp::JsonObject& row, std::size_t flow) {
 
 // Short-RTT over long-RTT goodput, averaged over the second half of a
 // trial's trace.
-double tail_ratio(const exp::RunRecord& rec) {
-  const std::vector<exp::JsonObject>& trace = rec.trace;
+double tail_ratio(const exp::JsonObject& trial) {
+  const std::vector<exp::JsonObject>& trace = trial.list("trace");
   if (trace.empty()) return 0.0;
   double f0 = 0, f1 = 0;
   for (std::size_t i = trace.size() / 2; i < trace.size(); ++i) {
@@ -65,8 +65,8 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   if (rows.size() < 2) return;
-  const std::vector<exp::JsonObject>& fifo = rows[0].trials[0]->trace;
-  const std::vector<exp::JsonObject>& ceb = rows[1].trials[0]->trace;
+  const std::vector<exp::JsonObject>& fifo = rows[0].trials[0]->list("trace");
+  const std::vector<exp::JsonObject>& ceb = rows[1].trials[0]->list("trace");
   if (fifo.empty() || ceb.empty()) return;
 
   std::printf("%4s  %14s %14s   %14s %14s  %s\n", "t[s]", "FIFO rtt20[Mb]",

@@ -53,28 +53,28 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 }
 
 // The minority flows' summed goodput in one trial.
-double minority_Bps(const exp::RunRecord& rec) {
-  const std::vector<double>& g = rec.row.arr("goodput_Bps");
+double minority_Bps(const exp::JsonObject& trial) {
+  const std::vector<double>& g = trial.arr("goodput_Bps");
   double minority = 0.0;
   for (std::size_t i = kMajorityFlows; i < g.size(); ++i) minority += g[i];
   return minority;
 }
 
-double minority_share_pct(const exp::RunRecord& rec) {
-  return 100.0 * minority_Bps(rec) / rec.row.num("total_goodput_Bps");
+double minority_share_pct(const exp::JsonObject& trial) {
+  return 100.0 * minority_Bps(trial) / trial.num("total_goodput_Bps");
 }
 
-double minority_mean_mbps(const exp::RunRecord& rec) {
-  const std::size_t flows = rec.row.arr("goodput_Bps").size();
+double minority_mean_mbps(const exp::JsonObject& trial) {
+  const std::size_t flows = trial.arr("goodput_Bps").size();
   const double n = static_cast<double>(flows > kMajorityFlows ? flows - kMajorityFlows : 0);
-  return exp::to_mbps(minority_Bps(rec) / n);
+  return exp::to_mbps(minority_Bps(trial) / n);
 }
 
 // Per-flow goodputs of every trial, pooled into one sample set.
 std::vector<double> pooled_goodputs(const exp::ResultRow& row) {
   std::vector<double> out;
-  for (const exp::RunRecord* rec : row.trials) {
-    const std::vector<double>& g = rec->row.arr("goodput_Bps");
+  for (const exp::JsonObject* trial : row.trials) {
+    const std::vector<double>& g = trial->arr("goodput_Bps");
     out.insert(out.end(), g.begin(), g.end());
   }
   return out;

@@ -37,8 +37,8 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 }
 
 // The paper's y-axis is MBps, not Mbps.
-double goodput_MBps(const exp::RunRecord& rec) {
-  return rec.row.num("total_goodput_Bps") / 1e6;
+double goodput_MBps(const exp::JsonObject& trial) {
+  return trial.num("total_goodput_Bps") / 1e6;
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {

@@ -3,7 +3,7 @@
 // in-network help the system slides into persistent unfairness; Cebinae
 // pushes it back toward fair.
 //
-// Each qdisc runs traced; the JFI series is the trace rows' "jfi" scalar
+// Each qdisc runs traced; the JFI series is the trace list's "jfi" scalar
 // (computed over flows active for a full sample window). With --trials=N
 // the per-second table shows trial 0 and the final-quarter summary
 // aggregates across trials — the per-trial Cebinae tail list at the
@@ -54,8 +54,8 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
 }
 
 // One trial's final-quarter mean of its per-second JFI series.
-double tail_jfi(const exp::RunRecord& rec) {
-  return tail_quarter_mean(exp::series_of(rec.trace, "jfi"));
+double tail_jfi(const exp::JsonObject& trial) {
+  return tail_quarter_mean(exp::series_of(trial.list("trace"), "jfi"));
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
@@ -65,10 +65,10 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   const exp::ResultRow& ceb = rows[2];
 
   // Per-second table from each qdisc's first trial.
-  const std::vector<exp::JsonObject>& fifo_trace = fifo.trials[0]->trace;
+  const std::vector<exp::JsonObject>& fifo_trace = fifo.trials[0]->list("trace");
   const std::vector<double> f = exp::series_of(fifo_trace, "jfi");
-  const std::vector<double> q = exp::series_of(fq.trials[0]->trace, "jfi");
-  const std::vector<double> c = exp::series_of(ceb.trials[0]->trace, "jfi");
+  const std::vector<double> q = exp::series_of(fq.trials[0]->list("trace"), "jfi");
+  const std::vector<double> c = exp::series_of(ceb.trials[0]->list("trace"), "jfi");
   if (f.empty() || q.empty() || c.empty()) return;
 
   std::printf("%5s %10s %10s %10s\n", "t[s]", "FIFO", "FQ", "Cebinae");
@@ -86,8 +86,8 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
   // means it depends on join phasing.
   if (ceb.trials.size() > 1) {
     std::printf("\nper-trial Cebinae tail JFI:");
-    for (const exp::RunRecord* rec : ceb.trials) {
-      std::printf(" %.3f", tail_jfi(*rec));
+    for (const exp::JsonObject* trial : ceb.trials) {
+      std::printf(" %.3f", tail_jfi(*trial));
     }
     std::printf("\n");
   }

@@ -70,8 +70,8 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
                 exp::to_mbps(ceb_flows[i]));
   }
   // The ideal depends on the topology and flows only, not on the qdisc.
-  auto norm_jfi = [&ideal](const exp::RunRecord& rec) {
-    return normalized_jain_index(rec.row.arr("goodput_Bps"), ideal);
+  auto norm_jfi = [&ideal](const exp::JsonObject& trial) {
+    return normalized_jain_index(trial.arr("goodput_Bps"), ideal);
   };
   std::printf("\nnormalized JFI (distance to max-min ideal): FIFO %s -> Cebinae %s\n",
               exp::pm(exp::over(fifo, norm_jfi), 3).c_str(),

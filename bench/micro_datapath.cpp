@@ -200,7 +200,7 @@ void BM_FqCoDelEnqueueDequeue(benchmark::State& state) {
 BENCHMARK(BM_FqCoDelEnqueueDequeue)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_TraceRowToJson(benchmark::State& state) {
-  // Serialization cost of one sidecar row (runner-side, off the sim path).
+  // Serialization cost of one trace row (runner-side, off the sim path).
   exp::JsonObject row;
   row.set("t_s", 12.0);
   row.set("jfi", 0.987654321);

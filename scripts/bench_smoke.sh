@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values,
-# --resume without a results file, and a failed results, perf-summary or
-# stdout write must exit 2, results written to a target that cannot be
-# fsynced (/dev/null, a pipe) must not, and a representative subset must
-# produce byte-identical stdout at --jobs=1 and --jobs=4 (the registry's
-# determinism contract: reports render only from the jobs' records, which
-# come back in job order; progress goes to stderr). That every experiment
+# Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values, a
+# removed flag, --resume without a results file, and a failed results,
+# perf-summary or stdout write must exit 2, results written to a target that
+# cannot be fsynced (/dev/null, a pipe) must not, and a representative
+# subset must produce byte-identical stdout at --jobs=1 and --jobs=4 (the
+# registry's determinism contract: reports render only from the jobs' rows,
+# which come back in job order; progress goes to stderr). That every experiment
 # completes a --smoke run is golden_smoke's check (scripts/golden_smoke.sh).
 #
 # Usage: scripts/bench_smoke.sh [path-to-cebinae_bench]
@@ -19,9 +19,10 @@ fi
 
 # Malformed numeric flags must be rejected (exit 2, "error:"), not read as
 # their numeric prefix, and so must --resume without a results file to
-# continue (it would re-run every job). Each entry is split into its flags.
+# continue (it would re-run every job) and the removed --trace-out (a traced
+# job's time series is in its --out row). Each entry is split into its flags.
 for flags in --seed=abc --seed=-1 --trials=2x --trials= --jobs=x1 --jobs=+4 \
-             --seed=18446744073709551616 --resume "--resume --out=-"; do
+             --seed=18446744073709551616 --resume "--resume --out=-" --trace-out=x; do
   status=0
   err="$("$BENCH" --experiment=fig12 --smoke $flags 2>&1 >/dev/null)" || status=$?
   if [[ "$status" -ne 2 || "$err" != error:* ]]; then

@@ -6,8 +6,7 @@
 # quick-scale output, and every experiment pins the stdout of a
 # --smoke --trials=2 run, whose reports print mean±stddev columns. The
 # host-timed JSONL field wall_s is removed before hashing; every other field
-# (event counts, goodputs, JFIs, ...) is pinned.
-# Experiments that trace also pin their --trace-out= sidecar.
+# (event counts, goodputs, JFIs, a traced job's trace list, ...) is pinned.
 # A digest whose experiment `--list` no longer reports fails the gate too,
 # so a stale digest cannot linger. A run that exits non-zero fails it with
 # `error: <name> <scale> run exited <status>`; this is the check that every
@@ -43,14 +42,13 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 mkdir -p "$GOLDEN"
 
-# digest <name> <scale-label> [scale flag]: prints the stdout, the JSONL
-# and (for a traced experiment) the trace sidecar digest lines of one run.
-# A failed run ends the gate.
+# digest <name> <scale-label> [scale flag]: prints the stdout and the JSONL
+# digest lines of one run. A failed run ends the gate.
 digest() {
   local name="$1" label="$2" out="$tmpdir/$1.$2" status=0
   shift 2
   "$BENCH" --experiment="$name" "$@" --jobs="$JOBS" --out="$out.raw.jsonl" \
-    --trace-out="$out.trace.jsonl" 2>/dev/null >"$out.stdout" || status=$?
+    2>/dev/null >"$out.stdout" || status=$?
   if [[ $status -ne 0 ]]; then
     echo "error: $name $label run exited $status" >&2
     exit 1
@@ -58,9 +56,6 @@ digest() {
   sed -E 's/,"wall_s":[-+0-9.eE]+//g' "$out.raw.jsonl" >"$out.jsonl"
   echo "$(sha256sum <"$out.stdout" | cut -d' ' -f1)  $label stdout"
   echo "$(sha256sum <"$out.jsonl" | cut -d' ' -f1)  $label jsonl"
-  if [[ -s "$out.trace.jsonl" ]]; then
-    echo "$(sha256sum <"$out.trace.jsonl" | cut -d' ' -f1)  $label trace"
-  fi
 }
 
 failed=0

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Plot any cebinae_bench JSONL stream (--out= results or --trace-out=
-sidecars) as a labeled line or CDF figure.
+"""Plot a cebinae_bench results stream (--out=) as a labeled line or CDF
+figure.
 
 Pure standard library: renders SVG directly, so it works in the bare build
 container. Rows are read by the rule `cebinae_bench --resume` uses: a last
 line that ends inside its row, or lacks its newline, is a write the process
 died in and is skipped; any other line that is not a JSON row is an error
-that names the line.
+that names the line. A traced job's row is read as its time series: its
+`trace` list becomes one row per tick, which carries the job's label,
+job_index, seed and params.
 
 Examples
 --------
-Fig. 1-style goodput time series from a trace sidecar (one line per flow of
-one job):
+Fig. 1-style goodput time series from a traced experiment's results (one
+line per flow of one job):
 
-  scripts/plot_jsonl.py trace.jsonl --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
+  scripts/plot_jsonl.py results.jsonl --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
       --filter label='qdisc=Cebinae trial=0' --out fig01.svg
 
 Fig. 8-style goodput CDF from a results file, one curve per qdisc:
@@ -76,6 +78,20 @@ def load_rows(path):
             break
         rows.append(row)
     return rows
+
+
+def expand_traces(rows):
+    """Replace each row that has a `trace` list by one row per tick, each
+    prefixed with the job's context fields."""
+    out = []
+    for row in rows:
+        trace = row.get("trace")
+        if not isinstance(trace, list):
+            out.append(row)
+            continue
+        context = {k: row[k] for k in ("label", "job_index", "seed", "params") if k in row}
+        out.extend({**context, **tick} for tick in trace)
+    return out
 
 
 def select(row, field):
@@ -237,7 +253,7 @@ def escape(s):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("jsonl", help="results (--out=) or trace (--trace-out=) JSONL file")
+    ap.add_argument("jsonl", help="results JSONL file (--out=)")
     ap.add_argument("--x", default=None,
                     help="x field selector (default: t_s if present, else row index)")
     ap.add_argument("--y", action="append", required=True,
@@ -256,7 +272,7 @@ def main():
     if not args.out.lower().endswith(".svg"):
         raise SystemExit(f"error: --out must name an .svg file, got '{args.out}'")
 
-    rows = load_rows(args.jsonl)
+    rows = expand_traces(load_rows(args.jsonl))
     if not rows:
         raise SystemExit(f"error: no parseable rows in {args.jsonl}")
 

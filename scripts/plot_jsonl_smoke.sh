@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Plot smoke gate (tier-1): scripts/plot_jsonl.py is the one reader of the
-# JSONL formats outside C++. It must render README's two example plots from
+# results format outside C++. It must render README's two example plots from
 # fresh --smoke output — a jfi CDF per qdisc from fig07's results, and both
-# flows' goodput over time from fig01's trace sidecar — exit 0, write the
-# SVG and report the expected number of series and points. It reads rows by
-# the rule --resume uses: a torn last line is skipped, and a malformed line
-# before it fails, naming the line.
+# flows' goodput over time from the trace lists in fig01's results — exit 0,
+# write the SVG and report the expected number of series and points. It
+# reads rows by the rule --resume uses: a torn last line is skipped, and a
+# malformed line before it fails, naming the line.
 #
 # Usage: scripts/plot_jsonl_smoke.sh [path-to-cebinae_bench] [python3]
 set -euo pipefail
@@ -22,7 +22,7 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 "$BENCH" --experiment=fig07 --smoke --out="$tmpdir/fig07.jsonl" >/dev/null 2>&1
-"$BENCH" --experiment=fig01 --smoke --trace-out="$tmpdir/fig01.trace.jsonl" >/dev/null 2>&1
+"$BENCH" --experiment=fig01 --smoke --out="$tmpdir/fig01.jsonl" >/dev/null 2>&1
 
 # check <want> <svg> <plot args...>: plot_jsonl.py must exit 0, write <svg>
 # and report "<want>" (series and point counts) on stderr.
@@ -40,7 +40,7 @@ check() {
 check "2 series, 2 points" "$tmpdir/jfi_cdf.svg" \
   "$tmpdir/fig07.jsonl" --y jfi --cdf --group-by qdisc
 check "2 series, 6 points" "$tmpdir/fig01.svg" \
-  "$tmpdir/fig01.trace.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
+  "$tmpdir/fig01.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
   --filter label='qdisc=Cebinae'
 
 # A killed writer's torn last line is skipped: the same plot as without it.

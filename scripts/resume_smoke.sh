@@ -5,9 +5,9 @@
 #   * table2 --smoke at --jobs=4 is SIGKILLed once --out holds >= 10 rows,
 #     then resumed at --jobs=1: stdout and JSONL (minus wall_s) must match
 #     an uninterrupted --jobs=1 run.
-#   * fig01 --trace-out is cut between job 1's trace rows and its result row
-#     (the job was running when the process died): the resumed stdout and
-#     trace sidecar must match byte for byte.
+#   * fig01 --out is torn inside job 1's row, within its trace list (the job
+#     was being written when the process died): the resumed stdout must
+#     match byte for byte, and the JSONL minus wall_s.
 #
 # Usage: scripts/resume_smoke.sh [path-to-cebinae_bench]
 set -euo pipefail
@@ -57,25 +57,22 @@ if ! diff -u <(strip_wall "$tmpdir/ref.jsonl") <(strip_wall "$tmpdir/res.jsonl")
   exit 1
 fi
 
-# ---- fig01: killed between job 1's trace rows and its result row ------------
-echo "== fig01 --trace-out: cut before job 1's result row, then --resume ==" >&2
+# ---- fig01: torn inside job 1's row ----------------------------------------
+echo "== fig01 --out: torn inside job 1's trace list, then --resume ==" >&2
 "$BENCH" --experiment=fig01 --smoke --jobs=1 --out="$tmpdir/ref01.jsonl" \
-  --trace-out="$tmpdir/ref01.trace.jsonl" >"$tmpdir/ref01.stdout" 2>/dev/null
+  >"$tmpdir/ref01.stdout" 2>/dev/null
 head -n 1 "$tmpdir/ref01.jsonl" >"$tmpdir/res01.jsonl"
-cp "$tmpdir/ref01.trace.jsonl" "$tmpdir/res01.trace.jsonl"
-if ! grep -q '"job_index":1,' "$tmpdir/res01.trace.jsonl"; then
-  echo "error: fig01 wrote no trace rows for job 1" >&2
+row1="$(sed -n 2p "$tmpdir/ref01.jsonl")"
+if [[ "$row1" != *'"job_index":1,'*'"trace":[{'* ]]; then
+  echo "error: fig01 wrote no trace list for job 1" >&2
   exit 1
 fi
+printf '%s' "${row1%%\"trace\":\[*}\"trace\":[{\"t_s\":" >>"$tmpdir/res01.jsonl"
 
 "$BENCH" --experiment=fig01 --smoke --jobs=1 --resume --out="$tmpdir/res01.jsonl" \
-  --trace-out="$tmpdir/res01.trace.jsonl" >"$tmpdir/res01.stdout" 2>/dev/null
+  >"$tmpdir/res01.stdout" 2>/dev/null
 if ! diff -u "$tmpdir/ref01.stdout" "$tmpdir/res01.stdout"; then
   echo "error: resumed fig01 stdout differs from the uninterrupted run" >&2
-  exit 1
-fi
-if ! cmp "$tmpdir/ref01.trace.jsonl" "$tmpdir/res01.trace.jsonl"; then
-  echo "error: resumed fig01 trace sidecar differs from the uninterrupted run" >&2
   exit 1
 fi
 if ! diff -u <(strip_wall "$tmpdir/ref01.jsonl") <(strip_wall "$tmpdir/res01.jsonl"); then
@@ -83,4 +80,4 @@ if ! diff -u <(strip_wall "$tmpdir/ref01.jsonl") <(strip_wall "$tmpdir/res01.jso
   exit 1
 fi
 
-echo "resume smoke: killed table2 and cut fig01 resume to the uninterrupted output" >&2
+echo "resume smoke: killed table2 and torn fig01 resume to the uninterrupted output" >&2

@@ -37,11 +37,11 @@ JsonObject config_echo(const ScenarioConfig& cfg) {
   return echo;
 }
 
-// Job i's result row, in the schema of RunRecord: the job context, the
-// Scenario's config echo and results or the custom job's metrics, and the
-// host wall clock of the run.
+// Job i's result row, in the schema of experiment.hpp: the job context, the
+// Scenario's config echo and results (and trace, for a traced job) or the
+// custom job's metrics, and the host wall clock of the run.
 JsonObject result_row(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed,
-                      const ScenarioResult& result,
+                      const ScenarioResult& result, std::vector<JsonObject> trace,
                       const std::vector<std::pair<std::string, double>>& metrics,
                       double wall_s) {
   JsonObject row;
@@ -59,6 +59,7 @@ JsonObject result_row(const ExperimentJob& job, std::size_t job_index, std::uint
     row.set("jfi", result.jfi);
     row.set("events", result.events);
     row.set("event_digest", result.event_digest);
+    if (job.trace_period > Time::zero()) row.set("trace", std::move(trace));
   }
   for (const auto& [name, value] : metrics) row.set(name, value);
   row.set("wall_s", wall_s);
@@ -66,11 +67,11 @@ JsonObject result_row(const ExperimentJob& job, std::size_t job_index, std::uint
 }
 
 // Execute job i with its derived seed: the unit of work of a worker.
-RunRecord run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed) {
+JsonObject run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed) {
   const std::uint64_t seed = derive_seed(base_seed, job_index);
   ScenarioResult result;
+  std::vector<JsonObject> trace;
   std::vector<std::pair<std::string, double>> metrics;
-  RunRecord rec;
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -86,17 +87,9 @@ RunRecord run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_t
     if (job.trace_period > Time::zero()) scenario.enable_trace(job.trace_period);
     result = scenario.run();
     wall_s = elapsed();
-    for (const JsonObject& tick : scenario.trace()) {
-      JsonObject row;
-      row.set("label", job.label);
-      row.set("job_index", static_cast<std::uint64_t>(job_index));
-      row.set("seed", seed);
-      row.append(tick);
-      rec.trace.push_back(std::move(row));
-    }
+    trace = std::move(scenario.trace());
   }
-  rec.row = result_row(job, job_index, base_seed, result, metrics, wall_s);
-  return rec;
+  return result_row(job, job_index, base_seed, result, std::move(trace), metrics, wall_s);
 }
 
 // Expected cost of a job, in flow-bits: the unit is arbitrary, only the
@@ -119,11 +112,11 @@ std::vector<std::size_t> claim_order(const std::vector<ExperimentJob>& jobs, std
   return order;
 }
 
-std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& jobs) {
+std::vector<JsonObject> ExperimentRunner::run(const std::vector<ExperimentJob>& jobs) {
   const std::size_t total = jobs.size();
   const std::size_t first = std::min(opts_.resumed.size(), total);
-  std::vector<RunRecord> records(opts_.resumed.begin(), opts_.resumed.begin() + first);
-  records.resize(total);
+  std::vector<JsonObject> rows(opts_.resumed.begin(), opts_.resumed.begin() + first);
+  rows.resize(total);
 
   // In-order JSONL emission: rows are buffered until every lower-index job
   // has been written, so the output file is byte-stable across thread
@@ -135,21 +128,16 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
   std::size_t completed = first;
 
   auto run_one = [&](std::size_t i) {
-    records[i] = run_job(jobs[i], i, opts_.base_seed);
+    rows[i] = run_job(jobs[i], i, opts_.base_seed);
 
     std::lock_guard<std::mutex> lock(emit_mu);
     done[i] = true;
     ++completed;
     while (next_to_emit < total && done[next_to_emit]) {
-      const std::size_t j = next_to_emit;
       try {
-        // Trace rows first: the result row commits the job for --resume.
-        if (opts_.trace_writer != nullptr) {
-          for (const JsonObject& row : records[j].trace) opts_.trace_writer->write(row);
-        }
-        if (opts_.writer != nullptr) opts_.writer->write(records[j].row);
+        if (opts_.writer != nullptr) opts_.writer->write(rows[next_to_emit]);
       } catch (...) {
-        // A failed write ends the files: no later job may write a row, or
+        // A failed write ends the file: no later job may write a row, or
         // retry this one, after it.
         next_to_emit = total;
         throw;
@@ -189,7 +177,7 @@ std::vector<RunRecord> ExperimentRunner::run(const std::vector<ExperimentJob>& j
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
-  return records;
+  return rows;
 }
 
 namespace {
@@ -231,96 +219,68 @@ class RowReader {
   std::size_t line_no_ = 0;
 };
 
-// Throws unless `row` names job i of this grid, run from `base_seed`.
-void expect_job(const RowReader& reader, const JsonObject& row,
+// Throws unless `row` is job i's row of this grid, run from `base_seed` at
+// this scale: its job context, its params and, for a Scenario job, the
+// config echo and a trace list exactly when the job is traced. A row of the
+// same grid run at another scale is not this run's row; a custom job puts
+// what its scale changes into params.
+void expect_row(const RowReader& reader, const JsonObject& row,
                 const std::vector<ExperimentJob>& jobs, std::uint64_t base_seed,
                 std::uint64_t i) {
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  if (row.u64("job_index", kNone) != i) {
+    reader.fail("has job_index " + std::to_string(row.u64("job_index", kNone)) +
+                ", expected " + std::to_string(i));
+  }
+  if (row.u64("base_seed") != base_seed) {
+    reader.fail("has base_seed " + std::to_string(row.u64("base_seed")) + " but --seed is " +
+                std::to_string(base_seed));
+  }
   if (i >= jobs.size()) {
     reader.fail("is job " + std::to_string(i) + " but this grid has " +
                 std::to_string(jobs.size()) + " jobs");
   }
-  if (row.text("label") != jobs[i].label) {
-    reader.fail("is labelled \"" + std::string(row.text("label")) + "\" but job " +
-                std::to_string(i) + " is \"" + jobs[i].label + "\"");
+  const ExperimentJob& job = jobs[i];
+  const std::string job_name = "job " + std::to_string(i);
+  if (row.text("label") != job.label) {
+    reader.fail("is labelled \"" + std::string(row.text("label")) + "\" but " + job_name +
+                " is \"" + job.label + "\"");
   }
   if (row.u64("seed") != derive_seed(base_seed, i)) {
-    reader.fail("has seed " + std::to_string(row.u64("seed")) + " but job " +
-                std::to_string(i) + " runs with seed " +
-                std::to_string(derive_seed(base_seed, i)));
+    reader.fail("has seed " + std::to_string(row.u64("seed")) + " but " + job_name +
+                " runs with seed " + std::to_string(derive_seed(base_seed, i)));
   }
-}
-
-// Throws unless a result row echoes the params and, for a Scenario job, the
-// config that job i runs: a row of the same grid run at another scale is
-// not this run's row. A custom job puts what its scale changes into params.
-void expect_config(const RowReader& reader, const JsonObject& row,
-                   const std::vector<ExperimentJob>& jobs, std::uint64_t i) {
   const JsonObject::Value* params = row.find("params");
   const std::string params_text = params == nullptr ? "none" : JsonObject::str(*params);
-  const std::string want_params = jobs[i].params.empty() ? "none" : jobs[i].params.str();
+  const std::string want_params = job.params.empty() ? "none" : job.params.str();
   if (params_text != want_params) {
-    reader.fail("has params " + params_text + " but job " + std::to_string(i) + " has " +
-                want_params);
+    reader.fail("has params " + params_text + " but " + job_name + " has " + want_params);
   }
-  if (jobs[i].custom) return;
-  const JsonObject echo = config_echo(jobs[i].config);
+  if (job.custom) return;
+  const JsonObject echo = config_echo(job.config);
   for (const auto& [name, want] : echo.fields()) {
     const JsonObject::Value* got = row.find(name);
     const std::string got_text = got == nullptr ? "none" : JsonObject::str(*got);
     if (got_text != JsonObject::str(want)) {
-      reader.fail("has " + name + " " + got_text + " but job " + std::to_string(i) +
-                  " has " + JsonObject::str(want));
+      reader.fail("has " + name + " " + got_text + " but " + job_name + " has " +
+                  JsonObject::str(want));
     }
+  }
+  const bool traced = job.trace_period > Time::zero();
+  if ((row.find("trace") != nullptr) != traced) {
+    reader.fail(traced ? "has no trace but " + job_name + " is traced"
+                       : "has a trace but " + job_name + " is not traced");
   }
 }
 
+// Every complete row, each checked against its job.
 ResumePrefix load_prefix(const std::vector<ExperimentJob>& jobs, std::uint64_t base_seed,
-                         RowReader out, std::optional<RowReader> sidecar) {
-  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+                         RowReader out) {
   ResumePrefix prefix;
-  std::optional<JsonObject> pending;  // next trace row not yet given to a job
-  if (sidecar) pending = sidecar->next();
-
-  // Every complete result row is checked against the grid; the prefix stops
-  // at the first traced job whose trace rows are missing.
-  bool accepting = true;
-  for (std::uint64_t i = 0;; ++i) {
-    std::optional<JsonObject> row = out.next();
-    if (!row) break;
-    if (row->u64("job_index", kNone) != i) {
-      out.fail("has job_index " + std::to_string(row->u64("job_index", kNone)) +
-               ", expected " + std::to_string(i));
-    }
-    if (row->u64("base_seed") != base_seed) {
-      out.fail("has base_seed " + std::to_string(row->u64("base_seed")) + " but --seed is " +
-               std::to_string(base_seed));
-    }
-    expect_job(out, *row, jobs, base_seed, i);
-    expect_config(out, *row, jobs, i);
-    if (!accepting) continue;
-
-    RunRecord rec{std::move(*row), {}};
-    if (jobs[i].trace_period > Time::zero()) {
-      while (pending && pending->u64("job_index", kNone) == i) {
-        expect_job(*sidecar, *pending, jobs, base_seed, i);
-        rec.trace.push_back(std::move(*pending));
-        prefix.trace_bytes = sidecar->offset();
-        pending = sidecar->next();
-      }
-      if (rec.trace.empty()) {
-        accepting = false;
-        continue;
-      }
-    }
-    prefix.records.push_back(std::move(rec));
+  for (std::optional<JsonObject> row; (row = out.next());) {
+    expect_row(out, *row, jobs, base_seed, prefix.rows.size());
+    prefix.rows.push_back(std::move(*row));
     prefix.out_bytes = out.offset();
-  }
-
-  // Trace rows past the prefix come from the job that was running; they
-  // must still belong to this grid.
-  while (pending) {
-    expect_job(*sidecar, *pending, jobs, base_seed, pending->u64("job_index", kNone));
-    pending = sidecar->next();
   }
   return prefix;
 }
@@ -328,23 +288,15 @@ ResumePrefix load_prefix(const std::vector<ExperimentJob>& jobs, std::uint64_t b
 }  // namespace
 
 ResumePrefix load_resume_prefix(const std::vector<ExperimentJob>& jobs,
-                                std::uint64_t base_seed, std::istream& results,
-                                std::istream* trace) {
-  std::optional<RowReader> sidecar;
-  if (trace != nullptr) sidecar.emplace(*trace, "trace");
-  return load_prefix(jobs, base_seed, RowReader(results, "results"), std::move(sidecar));
+                                std::uint64_t base_seed, std::istream& results) {
+  return load_prefix(jobs, base_seed, RowReader(results, "results"));
 }
 
 ResumePrefix load_resume_prefix_file(const std::vector<ExperimentJob>& jobs,
-                                     std::uint64_t base_seed, const std::string& out_path,
-                                     const std::string& trace_path) {
+                                     std::uint64_t base_seed, const std::string& out_path) {
   // A file that cannot be opened reads as empty.
   std::ifstream results(out_path);
-  std::ifstream trace;
-  if (!trace_path.empty() && trace_path != "-") trace.open(trace_path);
-  std::optional<RowReader> sidecar;
-  if (trace.is_open()) sidecar.emplace(trace, trace_path);
-  return load_prefix(jobs, base_seed, RowReader(results, out_path), std::move(sidecar));
+  return load_prefix(jobs, base_seed, RowReader(results, out_path));
 }
 
 }  // namespace cebinae::exp

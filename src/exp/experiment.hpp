@@ -33,8 +33,7 @@ struct ExperimentJob {
   JsonObject params;  // sweep-axis echo, nested into the JSONL row
 
   // Telemetry: a positive period records the scenario's trace rows
-  // (Scenario::enable_trace); they land in RunRecord::trace (and, when
-  // Options::trace_writer is set, the sidecar JSONL file).
+  // (Scenario::enable_trace) into the result row's `trace` list.
   Time trace_period = Time::zero();
 
   // Non-Scenario jobs (analytic models, FlowCache traces, ...): when set,
@@ -44,24 +43,19 @@ struct ExperimentJob {
   std::function<std::vector<std::pair<std::string, double>>(std::uint64_t seed)> custom;
 };
 
-// What one job produced, in the shape it is written in: its result row
-// (--out) and, for a traced job, its trace rows (--trace-out), in sample
-// order. A resumed job's record is those rows read back from the files.
+// A job's record is the one row it writes (--out); a resumed job's record
+// is that row read back from the file.
 //
 // Result row schema (stable keys, documented in DESIGN.md §8):
 //   label, params{...}, job_index, base_seed, seed, then for a Scenario job
 //   qdisc, n_flows, chain_links, bottleneck_bps, buffer_bytes, duration_s,
 //   goodput_Bps[...], total_goodput_Bps, tail_goodput_Bps[...],
 //   throughput_Bps[...], jfi, events, event_digest, or a custom job's
-//   metrics; then wall_s.
-// Trace row schema: label, job_index, seed, then the fields of
-// Scenario::trace_row — t_s, scalars (jfi, qdisc.sojourn_s.l<k>.*, net.tx_*,
-// tcp.*) and arrays (tput_Bps[...], q_bytes[...], cwnd_bytes[...],
-// srtt_s[...], ceb_*, top_flow[...]; see DESIGN.md §9).
-struct RunRecord {
-  JsonObject row;
-  std::vector<JsonObject> trace;
-};
+//   metrics; for a traced job trace[...]; then wall_s.
+// Each element of trace is one Scenario::trace_row, in sample order — t_s,
+// scalars (jfi, qdisc.sojourn_s.l<k>.*, net.tx_*, tcp.*) and arrays
+// (tput_Bps[...], q_bytes[...], cwnd_bytes[...], srtt_s[...], ceb_*,
+// top_flow[...]; see DESIGN.md §9).
 
 class ExperimentRunner {
  public:
@@ -69,15 +63,10 @@ class ExperimentRunner {
     int jobs = 1;                    // worker threads; <1 clamps to 1
     std::uint64_t base_seed = 1;     // per-job seeds derive from this
     JsonlWriter* writer = nullptr;   // optional JSONL sink (not owned)
-    // Optional sidecar sink for time-series rows of traced jobs (not owned).
-    // Rows are emitted in job order, and within a job in sample-time order,
-    // so the sidecar is byte-stable across worker counts. A job's trace rows
-    // precede its result row: the result row commits the job.
-    JsonlWriter* trace_writer = nullptr;
-    // Resume: records of jobs [0, resumed.size()), rebuilt from a previous
-    // run's files (load_resume_prefix). Those jobs are neither run nor
-    // re-emitted; run() returns their records as given.
-    std::vector<RunRecord> resumed;
+    // Resume: rows of jobs [0, resumed.size()), read back from a previous
+    // run's results file (load_resume_prefix). Those jobs are neither run
+    // nor re-emitted; run() returns their rows as given.
+    std::vector<JsonObject> resumed;
     // Called after each job finishes, serialized, in completion order —
     // progress reporting only; use the returned vector for results.
     std::function<void(std::size_t done, std::size_t total)> on_progress;
@@ -86,13 +75,13 @@ class ExperimentRunner {
   explicit ExperimentRunner(Options opts) : opts_(std::move(opts)) {}
 
   // Runs every job on min(jobs, jobs left) worker threads, never on the
-  // caller, and returns records in job order. Workers claim jobs in
+  // caller, and returns their rows in job order. Workers claim jobs in
   // claim_order, longest first. If a writer is configured,
   // rows are ALSO emitted in job order (buffered until all preceding jobs
   // finish) so JSONL files diff cleanly across runs. A job that throws does
   // not stop the others; after they all finish, run() rethrows the
   // exception of the lowest failing job index.
-  std::vector<RunRecord> run(const std::vector<ExperimentJob>& jobs);
+  std::vector<JsonObject> run(const std::vector<ExperimentJob>& jobs);
 
  private:
   Options opts_;
@@ -107,30 +96,26 @@ class ExperimentRunner {
                                                    std::size_t first = 0);
 
 // What a killed run of the same job grid left on disk: the longest prefix of
-// committed jobs, and where each file ends after that prefix.
+// committed rows, and where the file ends after it.
 struct ResumePrefix {
-  std::vector<RunRecord> records;  // jobs [0, records.size()), from their rows
-  std::uint64_t out_bytes = 0;     // end of the last accepted result row
-  std::uint64_t trace_bytes = 0;   // end of the accepted jobs' trace rows
+  std::vector<JsonObject> rows;  // jobs [0, rows.size())
+  std::uint64_t out_bytes = 0;   // end of the last accepted row
 };
 
-// Read back a previous run's results and (optional) trace sidecar. Row i is
-// accepted while it is complete and matches the grid (job_index i,
-// jobs[i].label, base_seed, derive_seed(base_seed, i), jobs[i].params, a
-// Scenario job's config echo); a traced job also needs its trace rows, which
-// precede its result row. Only the final line of a file may be truncated
-// (JsonObject::parse), or lack its newline; it is cut off. Throws
+// Read back a previous run's results. Row i is accepted while it is complete
+// and matches the grid (job_index i, jobs[i].label, base_seed,
+// derive_seed(base_seed, i), jobs[i].params, a Scenario job's config echo,
+// and a trace list exactly when job i is traced). Only the final line may be
+// truncated (JsonObject::parse), or lack its newline; it is cut off. Throws
 // std::runtime_error naming the line when a line is malformed, or a complete
 // row belongs to another grid, seed or scale.
 [[nodiscard]] ResumePrefix load_resume_prefix(const std::vector<ExperimentJob>& jobs,
                                               std::uint64_t base_seed,
-                                              std::istream& results, std::istream* trace);
+                                              std::istream& results);
 
-// File convenience: a missing file reads as empty, and an empty or "-"
-// trace path means there is no sidecar to read.
+// File convenience: a missing file reads as empty.
 [[nodiscard]] ResumePrefix load_resume_prefix_file(const std::vector<ExperimentJob>& jobs,
                                                    std::uint64_t base_seed,
-                                                   const std::string& out_path,
-                                                   const std::string& trace_path);
+                                                   const std::string& out_path);
 
 }  // namespace cebinae::exp

@@ -74,12 +74,12 @@ std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs, int
 }
 
 std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& jobs,
-                                      const std::vector<RunRecord>& records) {
+                                      const std::vector<JsonObject>& job_rows) {
   std::vector<ResultRow> rows;
-  for (std::size_t i = 0; i < jobs.size() && i < records.size(); ++i) {
+  for (std::size_t i = 0; i < jobs.size() && i < job_rows.size(); ++i) {
     std::string key = strip_trial(jobs[i].label);
     if (rows.empty() || rows.back().label != key) rows.push_back({std::move(key), &jobs[i], {}});
-    rows.back().trials.push_back(&records[i]);
+    rows.back().trials.push_back(&job_rows[i]);
   }
   return rows;
 }
@@ -96,17 +96,17 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   ResumePrefix prefix;
   if (opts.resume) {
     try {
-      prefix = load_resume_prefix_file(jobs, opts.base_seed, opts.out, opts.trace_out);
+      prefix = load_resume_prefix_file(jobs, opts.base_seed, opts.out);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: --resume: %s\n", e.what());
       return 2;
     }
-    if (!prefix.records.empty()) {
+    if (!prefix.rows.empty()) {
       std::fprintf(stderr, "[exp] resume: %zu/%zu jobs already complete in %s\n",
-                   prefix.records.size(), jobs.size(), opts.out.c_str());
+                   prefix.rows.size(), jobs.size(), opts.out.c_str());
     }
   }
-  const std::size_t resumed = prefix.records.size();
+  const std::size_t resumed = prefix.rows.size();
 
   std::printf("=== %s (%s run) ===\n", spec.title.c_str(),
               opts.smoke ? "smoke" : (opts.full ? "full paper-scale" : "quick"));
@@ -114,21 +114,18 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   ExperimentRunner::Options ro;
   ro.jobs = opts.jobs;
   ro.base_seed = opts.base_seed;
-  ro.resumed = std::move(prefix.records);
+  ro.resumed = std::move(prefix.rows);
 
   std::optional<JsonlWriter> writer;
-  std::optional<JsonlWriter> trace_writer;
   try {
-    // Each file keeps the accepted prefix; a torn final line and the trace
-    // rows of an uncommitted job are cut off before anything is appended.
+    // The file keeps the accepted prefix; a torn final line is cut off
+    // before anything is appended.
     writer.emplace(opts.out, prefix.out_bytes);
-    trace_writer.emplace(opts.trace_out, prefix.trace_bytes);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   ro.writer = writer->enabled() ? &*writer : nullptr;
-  ro.trace_writer = trace_writer->enabled() ? &*trace_writer : nullptr;
   // Progress goes to stderr so stdout stays byte-identical across --jobs.
   ro.on_progress = [](std::size_t done, std::size_t total) {
     std::fprintf(stderr, "\r[exp] %zu/%zu scenarios done", done, total);
@@ -136,11 +133,11 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<RunRecord> records;
+  std::vector<JsonObject> rows;
   try {
     // A failed job or results write ends the run; every job committed
     // before it stays resumable.
-    records = ExperimentRunner(ro).run(jobs);
+    rows = ExperimentRunner(ro).run(jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -152,11 +149,11 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
     JsonObject o;
     o.set("bench", spec.name);
     o.set("jobs", opts.jobs);
-    o.set("scenarios", static_cast<std::uint64_t>(records.size()));
+    o.set("scenarios", static_cast<std::uint64_t>(rows.size()));
     o.set("skipped", static_cast<std::uint64_t>(resumed));
     o.set("wall_s", wall_s);
     o.set("scenarios_per_sec",
-          wall_s > 0.0 ? static_cast<double>(records.size() - resumed) / wall_s : 0.0);
+          wall_s > 0.0 ? static_cast<double>(rows.size() - resumed) / wall_s : 0.0);
     std::ofstream f(opts.perf_out, std::ios::out | std::ios::trunc);
     f << o.str() << '\n';
     f.close();
@@ -168,7 +165,7 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   }
 
   if (spec.report) {
-    spec.report(opts, aggregate_rows(jobs, records));
+    spec.report(opts, aggregate_rows(jobs, rows));
   }
   // The report is the run's output: a stdout that cannot take it (a full
   // disk, a closed pipe) fails the run like a failed results write.

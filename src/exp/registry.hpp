@@ -1,13 +1,13 @@
 // Declarative experiment registry: each paper figure/table registers an
 // ExperimentSpec (name, job builder, reporter) and the one `cebinae_bench`
 // CLI drives any of them with a uniform flag set
-// (--jobs/--out/--trace-out/--resume/--trials/--perf-out/--smoke).
+// (--jobs/--out/--resume/--trials/--perf-out/--smoke).
 //
 // Execution model: make_jobs(opts) expands the spec into an ordered job
 // list (SweepGrid or hand-built; trials innermost), ExperimentRunner runs
 // it with per-job seeds derived from (base_seed, job index), and
-// aggregate_rows() groups the records into one ResultRow per distinct
-// label-minus-trial. Reporters render from those rows' records, read by
+// aggregate_rows() groups the job rows into one ResultRow per distinct
+// label-minus-trial. Reporters render from those job rows, read by
 // name and summarised with exp::over (report.hpp) — never from live
 // Scenario state — which is what makes `--trials=N` a one-flag feature for
 // every experiment and keeps stdout byte-identical across `--jobs` values.
@@ -30,10 +30,9 @@ struct RunOptions {
   int trials = 0;      // replicate every grid point; 0 = experiment default
   std::uint64_t base_seed = 1;
   int jobs = 1;
-  std::string out;        // results JSONL; "" = disabled, "-" = stdout
-  std::string trace_out;  // trace time-series sidecar JSONL; "" = disabled
-  bool resume = false;    // continue after the jobs already committed in `out`
-  std::string perf_out;   // BENCH perf summary JSON; "" = disabled
+  std::string out;       // results JSONL; "" = disabled, "-" = stdout
+  bool resume = false;   // continue after the jobs already committed in `out`
+  std::string perf_out;  // BENCH perf summary JSON; "" = disabled
 
   [[nodiscard]] int trials_or(int dflt) const { return trials > 0 ? trials : dflt; }
 
@@ -54,7 +53,7 @@ struct RunOptions {
 struct ResultRow {
   std::string label;                   // job label minus the trial token
   const ExperimentJob* job = nullptr;  // first trial's job (config echo)
-  std::vector<const RunRecord*> trials;
+  std::vector<const JsonObject*> trials;  // each trial's job row
 };
 
 struct ExperimentSpec {
@@ -102,12 +101,12 @@ struct Registration {
 [[nodiscard]] std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs,
                                                           int n);
 
-// Group the records of consecutive jobs that share strip_trial(label).
+// Group the rows of consecutive jobs that share strip_trial(label).
 [[nodiscard]] std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& jobs,
-                                                    const std::vector<RunRecord>& records);
+                                                    const std::vector<JsonObject>& job_rows);
 
 // Drive one experiment end to end: build jobs, print the header, run the
-// batch (honoring JSONL/trace/resume/perf options uniformly), group,
+// batch (honoring JSONL/resume/perf options uniformly), group,
 // and render the report. Returns a process exit code.
 int run_experiment(const ExperimentSpec& spec, const RunOptions& opts);
 

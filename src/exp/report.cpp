@@ -22,18 +22,18 @@ Aggregate aggregate(const std::vector<double>& samples) {
 Aggregate over(const ResultRow& row, const PerTrial& value) {
   std::vector<double> samples;
   samples.reserve(row.trials.size());
-  for (const RunRecord* rec : row.trials) samples.push_back(value(*rec));
+  for (const JsonObject* trial : row.trials) samples.push_back(value(*trial));
   return aggregate(samples);
 }
 
 Aggregate over(const ResultRow& row, std::string_view field) {
-  return over(row, [field](const RunRecord& rec) { return rec.row.num(field); });
+  return over(row, [field](const JsonObject& trial) { return trial.num(field); });
 }
 
-double goodput_mbps(const RunRecord& rec) { return to_mbps(rec.row.num("total_goodput_Bps")); }
+double goodput_mbps(const JsonObject& row) { return to_mbps(row.num("total_goodput_Bps")); }
 
-double throughput_mbps(const RunRecord& rec) {
-  const std::vector<double>& throughput = rec.row.arr("throughput_Bps");
+double throughput_mbps(const JsonObject& row) {
+  const std::vector<double>& throughput = row.arr("throughput_Bps");
   return throughput.empty() ? std::nan("") : to_mbps(throughput[0]);
 }
 
@@ -48,11 +48,11 @@ std::string pm(const Aggregate& a, int precision) {
   return buf;
 }
 
-std::vector<double> mean_array(const std::vector<const RunRecord*>& trials,
+std::vector<double> mean_array(const std::vector<const JsonObject*>& trials,
                                std::string_view field) {
   std::vector<double> sum;
-  for (const RunRecord* rec : trials) {
-    const std::vector<double>& v = rec->row.arr(field);
+  for (const JsonObject* trial : trials) {
+    const std::vector<double>& v = trial->arr(field);
     if (v.size() > sum.size()) sum.resize(v.size(), 0.0);
     for (std::size_t i = 0; i < v.size(); ++i) sum[i] += v[i];
   }

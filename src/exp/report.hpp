@@ -28,13 +28,13 @@ struct Aggregate {
 // `value` over the row's trials: a per-trial function, or the name of a
 // numeric result-row field (NaN where a row lacks it), e.g. over(row,
 // "jfi") or over(row, goodput_mbps).
-using PerTrial = std::function<double(const RunRecord&)>;
+using PerTrial = std::function<double(const JsonObject&)>;
 [[nodiscard]] Aggregate over(const ResultRow& row, const PerTrial& value);
 [[nodiscard]] Aggregate over(const ResultRow& row, std::string_view field);
 
 // A Scenario row's total goodput and first link's throughput, in Mbps.
-[[nodiscard]] double goodput_mbps(const RunRecord& rec);
-[[nodiscard]] double throughput_mbps(const RunRecord& rec);
+[[nodiscard]] double goodput_mbps(const JsonObject& row);
+[[nodiscard]] double throughput_mbps(const JsonObject& row);
 
 // "12.34" for a single sample, "12.34±0.56" once several trials contributed.
 [[nodiscard]] std::string pm(const Aggregate& a, int precision = 2);
@@ -42,7 +42,7 @@ using PerTrial = std::function<double(const RunRecord&)>;
 // Elementwise mean of a per-flow (or per-link) array field of the trials'
 // result rows, e.g. "goodput_Bps". Arrays shorter than the longest
 // contribute zeros beyond their length.
-[[nodiscard]] std::vector<double> mean_array(const std::vector<const RunRecord*>& trials,
+[[nodiscard]] std::vector<double> mean_array(const std::vector<const JsonObject*>& trials,
                                              std::string_view field);
 
 }  // namespace cebinae::exp

@@ -175,7 +175,7 @@ std::vector<ExperimentJob> mini_batch() {
       .build();
 }
 
-std::vector<RunRecord> run_with_jobs(int jobs, JsonlWriter* writer = nullptr) {
+std::vector<JsonObject> run_with_jobs(int jobs, JsonlWriter* writer = nullptr) {
   ExperimentRunner::Options opts;
   opts.jobs = jobs;
   opts.base_seed = 7;
@@ -184,12 +184,12 @@ std::vector<RunRecord> run_with_jobs(int jobs, JsonlWriter* writer = nullptr) {
 }
 
 TEST(ExperimentRunner, ParallelRunIsBitIdenticalToSerialRun) {
-  const std::vector<RunRecord> serial = run_with_jobs(1);
-  const std::vector<RunRecord> parallel = run_with_jobs(4);
+  const std::vector<JsonObject> serial = run_with_jobs(1);
+  const std::vector<JsonObject> parallel = run_with_jobs(4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const JsonObject& s = serial[i].row;
-    const JsonObject& p = parallel[i].row;
+    const JsonObject& s = serial[i];
+    const JsonObject& p = parallel[i];
     EXPECT_EQ(s.u64("seed"), p.u64("seed")) << "job " << i;
     EXPECT_EQ(s.u64("seed"), derive_seed(7, i));
     const std::vector<double>& goodputs = s.arr("goodput_Bps");
@@ -205,11 +205,11 @@ TEST(ExperimentRunner, ParallelRunIsBitIdenticalToSerialRun) {
 }
 
 TEST(ExperimentRunner, TrialsDifferButAreIndividuallyDeterministic) {
-  const std::vector<RunRecord> records = run_with_jobs(2);
+  const std::vector<JsonObject> rows = run_with_jobs(2);
   // trial=0 and trial=1 of the same point run different seeds -> different
   // start jitter -> (almost surely) different goodputs.
-  EXPECT_NE(records[0].row.u64("seed"), records[1].row.u64("seed"));
-  EXPECT_NE(records[0].row.arr("goodput_Bps"), records[1].row.arr("goodput_Bps"));
+  EXPECT_NE(rows[0].u64("seed"), rows[1].u64("seed"));
+  EXPECT_NE(rows[0].arr("goodput_Bps"), rows[1].arr("goodput_Bps"));
 }
 
 // Strips the (intentionally non-deterministic) wall-clock field.

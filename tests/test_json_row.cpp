@@ -1,8 +1,8 @@
 // exp::JsonObject, the one row type: building and serializing rows, the
 // parser (exact round trips, and truncated lines told apart from malformed
 // ones), lookups by name, and the rows a real ExperimentRunner batch
-// writes — each parses back to its own bytes and reads the same as the row
-// it was written from.
+// writes — each parses back to its own bytes, trace list included, and reads
+// the same as the row it was written from.
 #include "exp/json_row.hpp"
 
 #include <gtest/gtest.h>
@@ -54,6 +54,10 @@ void expect_same_reads(const JsonObject& fresh, const JsonObject& back) {
     EXPECT_TRUE(same_array(fresh.arr(name), back.arr(name)));
     ASSERT_EQ(fresh.obj(name) == nullptr, back.obj(name) == nullptr);
     if (fresh.obj(name) != nullptr) expect_same_reads(*fresh.obj(name), *back.obj(name));
+    ASSERT_EQ(fresh.list(name).size(), back.list(name).size());
+    for (std::size_t k = 0; k < fresh.list(name).size(); ++k) {
+      expect_same_reads(fresh.list(name)[k], back.list(name)[k]);
+    }
   }
 }
 
@@ -71,6 +75,8 @@ TEST(TraceRow, AccessorsAndAbsenceSentinels) {
   EXPECT_EQ(row.find("absent"), nullptr);
   EXPECT_EQ(row.text("jfi"), "");
   EXPECT_EQ(row.obj("jfi"), nullptr);
+  EXPECT_TRUE(row.list("tput_Bps").empty());  // an array of numbers is not a list
+  EXPECT_TRUE(row.list("absent").empty());
   EXPECT_EQ(row.u64("absent", 9), 9u);
 }
 
@@ -85,6 +91,16 @@ TEST(TraceRow, SerializesExactlyInInsertionOrder) {
   context.set("label", "x").set("job_index", std::uint64_t{4});
   EXPECT_EQ(context.append(row).str(),
             R"({"label":"x","job_index":4,"t_s":2,"jfi":0.5,"drops":3,"tput_Bps":[1,0.25]})");
+  // A list of objects nests each element as it serializes alone.
+  JsonObject tick;
+  tick.set("t_s", 3.0);
+  JsonObject job;
+  job.set("jfi", 1.0).set("trace", std::vector<JsonObject>{row, tick});
+  EXPECT_EQ(job.str(),
+            R"({"jfi":1,"trace":[{"t_s":2,"jfi":0.5,"drops":3,"tput_Bps":[1,0.25]},{"t_s":3}]})");
+  ASSERT_EQ(job.list("trace").size(), 2u);
+  EXPECT_DOUBLE_EQ(job.list("trace")[1].num("t_s"), 3.0);
+  EXPECT_TRUE(std::isnan(job.num("trace")));  // a list is not a number
 }
 
 TEST(TraceRow, SeriesOfExtractsOneScalarPerRow) {
@@ -120,6 +136,7 @@ TEST(RowParse, ParsesTheShapesJsonObjectEmits) {
   o.set("bad", std::nan(""));  // serialized as null
   o.set("goodput_Bps", std::vector<double>{1.5, 2.5e9, 0.0, kInf});
   o.set("empty", std::vector<double>{});
+  o.set("trace", std::vector<JsonObject>{params, JsonObject().set("t_s", 1.5)});
 
   const std::string line = o.str();
   const JsonObject row = parsed(line);
@@ -141,6 +158,10 @@ TEST(RowParse, ParsesTheShapesJsonObjectEmits) {
   EXPECT_EQ(p->text("qdisc"), "Cebinae");
   EXPECT_EQ(p->u64("trial"), 2u);
   EXPECT_EQ(p->str(), params.str());
+  // So does each element of a list of objects.
+  ASSERT_EQ(row.list("trace").size(), 2u);
+  EXPECT_EQ(row.list("trace")[0].str(), params.str());
+  EXPECT_DOUBLE_EQ(row.list("trace")[1].num("t_s"), 1.5);
   expect_same_reads(o, row);
 }
 
@@ -165,14 +186,18 @@ TEST(RowParse, RejectsMalformedAndTruncated) {
        {"", "{", R"({"a":1)", R"({"a":[1,2)", R"({"a":"unterminated)", R"({"a":1,"b":)",
         R"({"a":tr)", R"({"a":nul)", R"({"a":1e)", R"({"a":-)", R"({"s":"\)", R"({"s":"\u00)",
         // A cut just after a nested '}' leaves a line that ends in '}'.
-        R"({"a":1,"params":{"x":2})", R"({"label":"open{string)"}) {
+        R"({"a":1,"params":{"x":2})", R"({"label":"open{string)",
+        R"({"trace":[{"t_s":1},)", R"({"trace":[{"t_s":1}])"}) {
     EXPECT_EQ(JsonObject::parse(line, row), Parse::kTruncated) << line;
   }
   // Lines that no prefix of a row can be.
   for (const char* line :
        {"not json", R"("a":1})", R"({"a":1}garbage)", R"({"a":1}})", R"({"a":x)",
         R"({"a":1,})", R"({"a":[1,]})", R"({"a":1 "b":2})", R"({"s":"\q"})", R"({"a":trux})",
-        R"({"a":1.2.3})", R"({"s":"\u00zz"})", "{\"a\":1}\n"}) {
+        R"({"a":1.2.3})", R"({"s":"\u00zz"})", "{\"a\":1}\n",
+        // A list holds numbers or objects, never both.
+        R"({"a":[{"a":1},2]})", R"({"a":[1,{"a":1}]})", R"({"a":[{"a":1},null]})",
+        R"({"a":[{"a":1},]})", R"({"a":[{"a":1}{"b":2}]})"}) {
     EXPECT_EQ(JsonObject::parse(line, row), Parse::kMalformed) << line;
   }
   EXPECT_TRUE(row.empty()) << "a failed parse leaves the row as it was";
@@ -202,25 +227,28 @@ TEST(RowParse, EveryPrefixOfARowIsTruncated) {
   o.set("label", "a \"b\"\n").set("params", params).set("seed", ~std::uint64_t{0});
   o.set("x", -1.25e-7).set("ok", true).set("none", std::nan(""));
   o.set("arr", std::vector<double>{1, std::nan(""), -3.5e300});
-  const std::string line = o.str();
   JsonObject row;
-  for (std::size_t n = 0; n < line.size(); ++n) {
-    EXPECT_EQ(JsonObject::parse(line.substr(0, n), row), Parse::kTruncated)
-        << line.substr(0, n);
+  for (const std::string& line :
+       {o.str(), std::string(R"({"trace":[{"t_s":1,"a":[1,2]},{"t_s":2}]})"),
+        std::string(R"({"a":[],"trace":[{"p":{"q":[]}},{}],"z":"]}"})")}) {
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      EXPECT_EQ(JsonObject::parse(line.substr(0, n), row), Parse::kTruncated)
+          << line.substr(0, n);
+    }
+    ASSERT_EQ(JsonObject::parse(line, row), Parse::kOk) << line;
+    EXPECT_EQ(row.str(), line);
   }
-  EXPECT_EQ(JsonObject::parse(line, row), Parse::kOk);
 }
 
 // ---- the rows a batch writes -------------------------------------------------
 
 // A plain Scenario job, a traced Cebinae job and a custom job with
 // non-finite metrics, run once per test process; the lines are what the
-// runner wrote to its files.
+// runner wrote to its results file.
 struct Batch {
   std::vector<ExperimentJob> jobs;
-  std::vector<RunRecord> records;
+  std::vector<JsonObject> rows;
   std::vector<std::string> result_lines;
-  std::vector<std::string> trace_lines;
 };
 
 std::vector<std::string> lines_of(const std::string& path) {
@@ -256,20 +284,15 @@ const Batch& batch() {
     const std::string stem = ::testing::TempDir() + "cebinae_json_row_" +
                              ::testing::UnitTest::GetInstance()->current_test_info()->name();
     const std::string results = stem + ".jsonl";
-    const std::string trace = stem + ".trace.jsonl";
     {
       JsonlWriter writer(results);
-      JsonlWriter trace_writer(trace);
       ExperimentRunner::Options opts;
       opts.jobs = 2;
       opts.writer = &writer;
-      opts.trace_writer = &trace_writer;
-      out.records = ExperimentRunner(opts).run(out.jobs);
+      out.rows = ExperimentRunner(opts).run(out.jobs);
     }
     out.result_lines = lines_of(results);
-    out.trace_lines = lines_of(trace);
     std::remove(results.c_str());
-    std::remove(trace.c_str());
     return out;
   }();
   return b;
@@ -277,39 +300,39 @@ const Batch& batch() {
 
 TEST(Reconstruct, ScenarioRecordRoundTrips) {
   const Batch& b = batch();
-  ASSERT_EQ(b.result_lines.size(), b.records.size());
-  for (std::size_t i = 0; i < b.records.size(); ++i) {
+  ASSERT_EQ(b.result_lines.size(), b.rows.size());
+  for (std::size_t i = 0; i < b.rows.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
     const std::string& line = b.result_lines[i];
-    EXPECT_EQ(line, b.records[i].row.str());
+    EXPECT_EQ(line, b.rows[i].str());
     const JsonObject back = parsed(line);
     EXPECT_EQ(back.str(), line);
-    expect_same_reads(b.records[i].row, back);
+    expect_same_reads(b.rows[i], back);
   }
-  const JsonObject& plain = b.records[0].row;
+  const JsonObject& plain = b.rows[0];
   EXPECT_EQ(plain.obj("params")->text("qdisc"), "FIFO");
   EXPECT_EQ(plain.u64("seed"), derive_seed(1, 0));
   EXPECT_EQ(plain.arr("goodput_Bps").size(), 2u);
-  EXPECT_EQ(b.records[1].row.text("qdisc"), "Cebinae");
-  EXPECT_TRUE(std::isnan(b.records[2].row.num("undefined")));
+  EXPECT_EQ(b.rows[1].text("qdisc"), "Cebinae");
+  EXPECT_TRUE(std::isnan(b.rows[2].num("undefined")));
   EXPECT_TRUE(std::isnan(parsed(b.result_lines[2]).num("overflow")));
 }
 
 TEST(Reconstruct, ReadBackRowsSummariseLikeFreshOnes) {
-  // The report reads a resumed record the way it reads a fresh one: every
+  // The report reads a resumed row the way it reads a fresh one: every
   // numeric field, and the Mbps readers, summarise to the same values.
   const Batch& b = batch();
-  ASSERT_EQ(b.result_lines.size(), b.records.size());
-  std::vector<RunRecord> back(b.records.size());
-  for (std::size_t i = 0; i < back.size(); ++i) back[i].row = parsed(b.result_lines[i]);
-  const std::vector<ResultRow> fresh_rows = aggregate_rows(b.jobs, b.records);
+  ASSERT_EQ(b.result_lines.size(), b.rows.size());
+  std::vector<JsonObject> back(b.rows.size());
+  for (std::size_t i = 0; i < back.size(); ++i) back[i] = parsed(b.result_lines[i]);
+  const std::vector<ResultRow> fresh_rows = aggregate_rows(b.jobs, b.rows);
   const std::vector<ResultRow> back_rows = aggregate_rows(b.jobs, back);
   ASSERT_EQ(fresh_rows.size(), back_rows.size());
   for (std::size_t r = 0; r < fresh_rows.size(); ++r) {
     SCOPED_TRACE(fresh_rows[r].label);
     const ResultRow& fresh = fresh_rows[r];
     const ResultRow& read = back_rows[r];
-    for (const auto& [name, value] : fresh.trials[0]->row.fields()) {
+    for (const auto& [name, value] : fresh.trials[0]->fields()) {
       if (!JsonObject::number(value)) continue;
       EXPECT_TRUE(same_number(over(fresh, name).mean, over(read, name).mean)) << name;
     }
@@ -327,27 +350,31 @@ TEST(Reconstruct, ReadBackRowsSummariseLikeFreshOnes) {
 
 TEST(Reconstruct, TraceRowRoundTripsScalarsArraysAndNaN) {
   const Batch& b = batch();
-  const std::vector<JsonObject>& trace = b.records[1].trace;
+  const std::vector<JsonObject>& trace = b.rows[1].list("trace");
   ASSERT_EQ(trace.size(), 3u);
-  ASSERT_EQ(b.trace_lines.size(), trace.size());
-  EXPECT_TRUE(b.records[0].trace.empty());
+  EXPECT_EQ(b.rows[0].find("trace"), nullptr) << "only a traced job has a trace";
+  EXPECT_EQ(b.rows[2].find("trace"), nullptr);
+  // The trace is the row's last field before its wall clock.
+  const std::vector<JsonObject::Field>& fields = b.rows[1].fields();
+  ASSERT_GE(fields.size(), 2u);
+  EXPECT_EQ(fields[fields.size() - 2].first, "trace");
+  EXPECT_EQ(fields.back().first, "wall_s");
+  const JsonObject row_back = parsed(b.result_lines[1]);
+  const std::vector<JsonObject>& back = row_back.list("trace");
+  ASSERT_EQ(back.size(), trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
     SCOPED_TRACE("tick " + std::to_string(k));
-    const std::string& line = b.trace_lines[k];
-    EXPECT_EQ(line, trace[k].str());
-    const JsonObject back = parsed(line);
-    EXPECT_EQ(back.str(), line);
-    expect_same_reads(trace[k], back);
-    EXPECT_EQ(back.text("label"), "traced");
-    EXPECT_EQ(back.u64("job_index"), 1u);
-    EXPECT_EQ(back.fields()[3].first, "t_s");
+    expect_same_reads(trace[k], back[k]);
+    EXPECT_EQ(back[k].str(), trace[k].str());
+    EXPECT_EQ(back[k].fields()[0].first, "t_s") << "no job context is repeated";
+    EXPECT_EQ(back[k].find("label"), nullptr);
   }
   // A scalar that is not finite reads as NaN, fresh and parsed alike.
   JsonObject tick = trace[0];
   tick.set("stalled", std::nan(""));
-  const JsonObject back = parsed(tick.str());
-  EXPECT_TRUE(std::isnan(back.num("stalled")));
-  expect_same_reads(tick, back);
+  const JsonObject tick_back = parsed(tick.str());
+  EXPECT_TRUE(std::isnan(tick_back.num("stalled")));
+  expect_same_reads(tick, tick_back);
 }
 
 }  // namespace

@@ -126,28 +126,28 @@ TEST(ReplicateTrials, AppendsTrialTokensInnermost) {
 }
 
 TEST(AggregateRows, GroupsConsecutiveTrials) {
-  // Two grid points of two trials each; record i's row has metric = i.
+  // Two grid points of two trials each; job i's row has metric = i.
   std::vector<ExperimentJob> jobs(4);
-  std::vector<RunRecord> records(4);
+  std::vector<JsonObject> job_rows(4);
   for (int i = 0; i < 4; ++i) {
     jobs[i].label =
         std::string(i < 2 ? "point=a" : "point=b") + " trial=" + std::to_string(i % 2);
-    records[i].row.set("metric", static_cast<double>(i));
+    job_rows[i].set("metric", static_cast<double>(i));
   }
-  const auto rows = aggregate_rows(jobs, records);
+  const auto rows = aggregate_rows(jobs, job_rows);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].label, "point=a");
   EXPECT_EQ(rows[1].label, "point=b");
   EXPECT_EQ(rows[1].job, &jobs[2]);
-  EXPECT_EQ(rows[0].trials, (std::vector<const RunRecord*>{&records[0], &records[1]}));
-  EXPECT_EQ(rows[1].trials, (std::vector<const RunRecord*>{&records[2], &records[3]}));
+  EXPECT_EQ(rows[0].trials, (std::vector<const JsonObject*>{&job_rows[0], &job_rows[1]}));
+  EXPECT_EQ(rows[1].trials, (std::vector<const JsonObject*>{&job_rows[2], &job_rows[3]}));
 
   // exp::over summarises a field, or a per-trial value, over a row's trials.
   const Aggregate a = over(rows[0], "metric");
   EXPECT_EQ(a.n, 2);
   EXPECT_DOUBLE_EQ(a.mean, 0.5);
   EXPECT_DOUBLE_EQ(a.stddev, 0.5);
-  auto twice = [](const RunRecord& r) { return 2 * r.row.num("metric"); };
+  auto twice = [](const JsonObject& r) { return 2 * r.num("metric"); };
   EXPECT_DOUBLE_EQ(over(rows[1], twice).mean, 5.0);
   // A field a row lacks reads as NaN, so the summary shows it missing.
   EXPECT_TRUE(std::isnan(over(rows[0], "absent").mean));

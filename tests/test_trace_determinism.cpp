@@ -1,7 +1,7 @@
-// Telemetry determinism contract: the trace sidecar produced by a traced
-// batch is byte-identical for any --jobs count and across same-seed reruns,
-// and a resumed sweep completes killed files without disturbing the rows
-// already committed.
+// Telemetry determinism contract: the trace lists a traced batch writes into
+// its result rows are byte-identical for any --jobs count and across
+// same-seed reruns, and a resumed sweep completes a killed results file,
+// traces included, without disturbing the rows already committed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,32 +34,51 @@ std::vector<ExperimentJob> traced_batch() {
   return jobs;
 }
 
-std::string run_traced(int workers, const std::string& path,
-                       std::vector<RunRecord>* records_out = nullptr) {
-  {
-    JsonlWriter trace_writer(path);
-    ExperimentRunner::Options opts;
-    opts.jobs = workers;
-    opts.base_seed = 11;
-    opts.trace_writer = &trace_writer;
-    std::vector<RunRecord> records = ExperimentRunner(opts).run(traced_batch());
-    if (records_out != nullptr) *records_out = std::move(records);
-  }
+std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream content;
   content << in.rdbuf();
   return content.str();
 }
 
-TEST(TraceDeterminism, SidecarIsByteIdenticalAcrossWorkerCountsAndReruns) {
+// Drops every `"wall_s":<number>` field, the one host-dependent value.
+std::string strip_wall(const std::string& jsonl) {
+  std::string out;
+  std::size_t pos = 0;
+  for (std::size_t at; (at = jsonl.find(",\"wall_s\":", pos)) != std::string::npos;) {
+    out.append(jsonl, pos, at - pos);
+    pos = jsonl.find('}', at);
+  }
+  return out + jsonl.substr(pos);
+}
+
+// Runs the traced batch and returns its results file; `resumed` is the
+// prefix a previous run left in `path`.
+std::string run_traced(int workers, const std::string& path,
+                       std::vector<JsonObject>* rows_out = nullptr,
+                       const ResumePrefix& resumed = {}) {
+  {
+    JsonlWriter writer(path, resumed.out_bytes);
+    ExperimentRunner::Options opts;
+    opts.jobs = workers;
+    opts.base_seed = 11;
+    opts.writer = &writer;
+    opts.resumed = resumed.rows;
+    std::vector<JsonObject> rows = ExperimentRunner(opts).run(traced_batch());
+    if (rows_out != nullptr) *rows_out = std::move(rows);
+  }
+  return read_file(path);
+}
+
+TEST(TraceDeterminism, TraceListsAreByteIdenticalAcrossWorkerCountsAndReruns) {
   const std::string p1 = ::testing::TempDir() + "cebinae_trace_j1.jsonl";
   const std::string p4 = ::testing::TempDir() + "cebinae_trace_j4.jsonl";
   const std::string p1b = ::testing::TempDir() + "cebinae_trace_j1b.jsonl";
-  const std::string serial = run_traced(1, p1);
-  const std::string parallel = run_traced(4, p4);
-  const std::string rerun = run_traced(1, p1b);
-  ASSERT_FALSE(serial.empty());
-  // Trace rows carry no wall-clock field, so whole files compare equal.
+  const std::string serial = strip_wall(run_traced(1, p1));
+  const std::string parallel = strip_wall(run_traced(4, p4));
+  const std::string rerun = strip_wall(run_traced(1, p1b));
+  ASSERT_NE(serial.find(",\"trace\":[{\"t_s\":"), std::string::npos);
+  // wall_s is the rows' only wall-clock field; without it whole files match.
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, rerun);
   std::remove(p1.c_str());
@@ -69,105 +88,70 @@ TEST(TraceDeterminism, SidecarIsByteIdenticalAcrossWorkerCountsAndReruns) {
 
 TEST(TraceDeterminism, RecordsCarrySampledRowsWithTheDocumentedSchema) {
   const std::string path = ::testing::TempDir() + "cebinae_trace_schema.jsonl";
-  std::vector<RunRecord> records;
-  (void)run_traced(2, path, &records);
+  std::vector<JsonObject> rows;
+  (void)run_traced(2, path, &rows);
   std::remove(path.c_str());
 
-  ASSERT_EQ(records.size(), 2u);
-  for (const RunRecord& rec : records) {
+  ASSERT_EQ(rows.size(), 2u);
+  for (const JsonObject& row : rows) {
+    const std::vector<JsonObject>& trace = row.list("trace");
     // 400 ms at a 100 ms period: ticks at 0.1..0.4 (run_until is inclusive).
-    ASSERT_EQ(rec.trace.size(), 4u);
-    EXPECT_DOUBLE_EQ(rec.trace[0].num("t_s"), 0.1);
-    EXPECT_DOUBLE_EQ(rec.trace[3].num("t_s"), 0.4);
-    for (const JsonObject& row : rec.trace) {
-      EXPECT_EQ(row.text("label"), rec.row.text("label"));
-      EXPECT_EQ(row.u64("seed"), rec.row.u64("seed"));
-      EXPECT_GE(row.num("jfi"), 0.0);
-      EXPECT_EQ(row.arr("tput_Bps").size(), 2u);  // one slot per flow
-      EXPECT_EQ(row.arr("q_bytes").size(), 1u);   // one slot per bottleneck
-      EXPECT_EQ(row.arr("cwnd_bytes").size(), 2u);
-      EXPECT_EQ(row.arr("srtt_s").size(), 2u);
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_DOUBLE_EQ(trace[0].num("t_s"), 0.1);
+    EXPECT_DOUBLE_EQ(trace[3].num("t_s"), 0.4);
+    for (const JsonObject& tick : trace) {
+      // Each tick starts at t_s: the job context is the row's, not repeated.
+      EXPECT_EQ(tick.fields()[0].first, "t_s");
+      EXPECT_EQ(tick.find("label"), nullptr);
+      EXPECT_GE(tick.num("jfi"), 0.0);
+      EXPECT_EQ(tick.arr("tput_Bps").size(), 2u);  // one slot per flow
+      EXPECT_EQ(tick.arr("q_bytes").size(), 1u);   // one slot per bottleneck
+      EXPECT_EQ(tick.arr("cwnd_bytes").size(), 2u);
+      EXPECT_EQ(tick.arr("srtt_s").size(), 2u);
       // Network-wide counts are summed over the components at the tick.
-      EXPECT_GT(row.num("net.tx_bytes"), 0.0);
+      EXPECT_GT(tick.num("net.tx_bytes"), 0.0);
     }
   }
-  // Cebinae-only arrays appear only on the Cebinae job's rows.
-  EXPECT_EQ(records[0].trace[0].find("ceb_rotations"), nullptr);
-  EXPECT_EQ(records[1].trace[0].arr("ceb_rotations").size(), 1u);
-  EXPECT_EQ(records[1].trace[0].arr("top_flow").size(), 2u);
+  // Cebinae-only arrays appear only on the Cebinae job's ticks.
+  EXPECT_EQ(rows[0].list("trace")[0].find("ceb_rotations"), nullptr);
+  EXPECT_EQ(rows[1].list("trace")[0].arr("ceb_rotations").size(), 1u);
+  EXPECT_EQ(rows[1].list("trace")[0].arr("top_flow").size(), 2u);
 }
 
 // --- resumable sweeps -----------------------------------------------------
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
-// Strips the (intentionally non-deterministic) wall-clock field.
-std::string strip_wall(const std::string& line) {
-  const std::size_t pos = line.find(",\"wall_s\":");
-  return pos == std::string::npos ? line : line.substr(0, pos);
-}
-
 TEST(ResumableSweep, SkipsCompletedJobsAndCompletesTheFile) {
   const std::string full_path = ::testing::TempDir() + "cebinae_resume_full.jsonl";
-  const std::string full_trace = ::testing::TempDir() + "cebinae_resume_full.trace.jsonl";
   const std::string part_path = ::testing::TempDir() + "cebinae_resume_part.jsonl";
-  const std::string part_trace = ::testing::TempDir() + "cebinae_resume_part.trace.jsonl";
 
-  const std::vector<ExperimentJob> jobs = traced_batch();
-  auto run = [&jobs](const std::string& out, const std::string& trace,
-                     const ResumePrefix& prefix) {
-    JsonlWriter writer(out, prefix.out_bytes);
-    JsonlWriter trace_writer(trace, prefix.trace_bytes);
-    ExperimentRunner::Options opts;
-    opts.jobs = 2;
-    opts.base_seed = 11;
-    opts.writer = &writer;
-    opts.trace_writer = &trace_writer;
-    opts.resumed = prefix.records;
-    return ExperimentRunner(opts).run(jobs);
-  };
-
-  const std::vector<RunRecord> full = run(full_path, full_trace, {});
-  const std::string full_rows = read_file(full_path);
-  const std::string full_trace_rows = read_file(full_trace);
+  std::vector<JsonObject> full;
+  const std::string full_rows = run_traced(2, full_path, &full);
   const std::size_t row0_end = full_rows.find('\n') + 1;
-  // Job 0's 4 trace rows, then job 1's: job 1 starts at the 5th line.
-  std::size_t trace0_end = 0;
-  for (int i = 0; i < 4; ++i) trace0_end = full_trace_rows.find('\n', trace0_end) + 1;
 
-  // Simulate a sweep killed while job 1 was writing its trace rows.
-  {
-    std::ofstream(part_path) << full_rows.substr(0, row0_end);
-    std::ofstream(part_trace) << full_trace_rows.substr(0, trace0_end + 10);
-  }
-  const ResumePrefix prefix = load_resume_prefix_file(jobs, 11, part_path, part_trace);
-  ASSERT_EQ(prefix.records.size(), 1u);
-  EXPECT_EQ(prefix.records[0].row.u64("seed"), derive_seed(11, 0));
-  EXPECT_EQ(prefix.records[0].trace.size(), 4u);
+  // Simulate a sweep killed while job 1 was writing its row: the cut lands
+  // inside job 1's trace list.
+  const std::size_t cut = full_rows.find("\"t_s\"", full_rows.find("\"trace\"", row0_end));
+  ASSERT_NE(cut, std::string::npos);
+  std::ofstream(part_path) << full_rows.substr(0, cut);
+  const ResumePrefix prefix = load_resume_prefix_file(traced_batch(), 11, part_path);
+  ASSERT_EQ(prefix.rows.size(), 1u);
+  EXPECT_EQ(prefix.rows[0].u64("seed"), derive_seed(11, 0));
+  EXPECT_EQ(prefix.rows[0].list("trace").size(), 4u);
   EXPECT_EQ(prefix.out_bytes, row0_end);
-  EXPECT_EQ(prefix.trace_bytes, trace0_end);
 
-  const std::vector<RunRecord> records = run(part_path, part_trace, prefix);
-  // Job 0 was rebuilt from its rows, not re-run; job 1 ran.
-  EXPECT_EQ(records[0].row.num("wall_s"), prefix.records[0].row.num("wall_s"));
-  EXPECT_EQ(records[0].row.arr("goodput_Bps"), full[0].row.arr("goodput_Bps"));
-  EXPECT_EQ(records[1].trace.size(), 4u);
+  std::vector<JsonObject> rows;
+  const std::string part_rows = run_traced(2, part_path, &rows, prefix);
+  // Job 0 was rebuilt from its row, trace and all, not re-run; job 1 ran.
+  EXPECT_EQ(rows[0].str(), full[0].str());
+  EXPECT_EQ(rows[1].list("trace").size(), 4u);
 
-  // The resumed files hold the original job-0 rows plus fresh job-1 rows
+  // The resumed file holds the original job-0 row plus a fresh job-1 row
   // equal (modulo wall clock) to the full run's.
-  const std::string part_rows = read_file(part_path);
   EXPECT_EQ(part_rows.substr(0, row0_end), full_rows.substr(0, row0_end));
-  EXPECT_EQ(strip_wall(part_rows.substr(row0_end)), strip_wall(full_rows.substr(row0_end)));
-  EXPECT_EQ(read_file(part_trace), full_trace_rows);
+  EXPECT_EQ(strip_wall(part_rows), strip_wall(full_rows));
 
-  for (const std::string& path : {full_path, full_trace, part_path, part_trace}) {
-    std::remove(path.c_str());
-  }
+  std::remove(full_path.c_str());
+  std::remove(part_path.c_str());
 }
 
 }  // namespace
