@@ -28,20 +28,13 @@ double TokenBucket::tokens(Time now) const {
 
 StrawmanQueueDisc::StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
                                      std::uint64_t buffer_bytes, StrawmanParams params)
-    : sched_(sched), tick_(sched, [this] { on_tick(); }), capacity_bps_(capacity_bps),
-      buffer_bytes_(buffer_bytes), params_(params) {
+    : sched_(sched), tick_(sched, [this] { on_tick(); }), buffer_bytes_(buffer_bytes),
+      params_(params), saturation_(capacity_bps, params.delta_port) {
   tick_.arm_after(params_.interval);
 }
 
 void StrawmanQueueDisc::on_tick() {
-  const double capacity_bytes =
-      static_cast<double>(capacity_bps_) / 8.0 * params_.interval.seconds();
-  const std::uint64_t interval_tx = stats().dequeued_bytes - tick_dequeued_bytes_;
-  tick_dequeued_bytes_ = stats().dequeued_bytes;
-  const bool saturated =
-      static_cast<double>(interval_tx) >= capacity_bytes * (1.0 - params_.delta_port);
-
-  if (saturated) {
+  if (saturation_.sample(stats().dequeued_bytes, params_.interval)) {
     // Freeze every flow at the maximal observed per-flow rate: the
     // strawman's "token-bucket rate limit on all flows of the maximal
     // size". Re-armed every interval while saturation persists so the limit
@@ -55,7 +48,7 @@ void StrawmanQueueDisc::on_tick() {
       for (auto& [flow, bucket] : buckets_) bucket.set_rate(rate);
       limiting_ = true;
     }
-  } else if (!saturated && limiting_) {
+  } else if (limiting_) {
     // Aggregate demand dropped below capacity: release all limits.
     limiting_ = false;
     buckets_.clear();

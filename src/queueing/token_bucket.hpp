@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "core/port_saturation.hpp"
 #include "queueing/queue_disc.hpp"
 #include "sim/scheduler.hpp"
 
@@ -64,17 +65,15 @@ class StrawmanQueueDisc final : public QueueDisc {
 
   Scheduler& sched_;
   Timer tick_;
-  std::uint64_t capacity_bps_;
   std::uint64_t buffer_bytes_;
   StrawmanParams params_;
 
   SlotFifo q_;
 
   // Measurement (the strawman is not resource-constrained: exact state).
-  // The port's transmitted bytes in an interval are the growth of
-  // stats().dequeued_bytes since the last tick.
+  // The detector samples the port's stats().dequeued_bytes every tick.
   std::unordered_map<FlowId, std::uint64_t, FlowIdHash> interval_bytes_;
-  std::uint64_t tick_dequeued_bytes_ = 0;
+  PortSaturationDetector saturation_;
 
   // Enforcement.
   bool limiting_ = false;
