@@ -3,8 +3,11 @@
 // the number of flows, unlike per-flow-queue schemes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -99,6 +102,94 @@ void BM_SchedulerPropagationEvent(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerPropagationEvent);
+
+void BM_SchedulerNearFarMix(benchmark::State& state) {
+  // The shape of a recorded benchmark run: 128 chains of device-like
+  // timers, each re-armed from its own callback with a short delay (a
+  // fixed mix: about 15% ~128 ns, 8% ~512 ns, 17% 2-4 us, 45% 8-16 us and
+  // the rest 20-200 us), and one RTO-style 200 ms cancel and re-arm per 8
+  // events, spread over 16 RTO timers that never fire.
+  constexpr std::size_t kChains = 128;
+  constexpr std::size_t kRtos = 16;
+  struct Mix {
+    Scheduler sched;
+    std::vector<std::unique_ptr<Timer>> chains;
+    std::vector<std::unique_ptr<Timer>> rtos;
+    std::array<Time, 64> delays{};
+    std::size_t next_delay = 0;
+    std::uint64_t events = 0;
+
+    Mix() {
+      std::mt19937_64 rng(1);
+      auto within = [&rng](std::int64_t lo, std::int64_t hi) {
+        const std::uint64_t span = static_cast<std::uint64_t>(hi - lo);
+        return Nanoseconds(lo + static_cast<std::int64_t>(rng() % span));
+      };
+      for (std::size_t i = 0; i < delays.size(); ++i) {
+        const std::size_t pct = i * 100 / delays.size();
+        delays[i] = pct < 15   ? within(100, 160)
+                    : pct < 23 ? within(480, 560)
+                    : pct < 40 ? within(2'000, 4'000)
+                    : pct < 85 ? within(8'000, 16'000)
+                               : within(20'000, 200'000);
+      }
+      std::shuffle(delays.begin(), delays.end(), rng);
+      for (std::size_t c = 0; c < kChains; ++c) {
+        chains.push_back(std::make_unique<Timer>(sched, [this, c] { fire(c); }));
+        chains.back()->arm_after(delays[c % delays.size()]);
+      }
+      for (std::size_t r = 0; r < kRtos; ++r) {
+        rtos.push_back(std::make_unique<Timer>(sched, [] {}));
+        rtos.back()->arm_after(Milliseconds(200));
+      }
+    }
+
+    void fire(std::size_t c) {
+      chains[c]->arm_after(delays[next_delay++ % delays.size()]);
+      if (++events % 8 == 0) {
+        Timer& rto = *rtos[(events / 8) % kRtos];
+        rto.cancel();
+        rto.arm_after(Milliseconds(200));
+      }
+    }
+  };
+  Mix mix;
+  Time until = Time::zero();
+  for (auto _ : state) {
+    until += Microseconds(100);
+    mix.sched.run_until(until);
+  }
+  benchmark::DoNotOptimize(mix.events);
+  state.SetItemsProcessed(static_cast<std::int64_t>(mix.sched.executed_events()));
+}
+BENCHMARK(BM_SchedulerNearFarMix);
+
+void BM_SchedulerSameInstantBurst(benchmark::State& state) {
+  // 1000 timers armed within one 1024-ns wheel bucket, then run. Step 0:
+  // all at one instant, which the bucket keeps in arming order. Step -1:
+  // the first at the bucket's first instant and each later one 1 ns before
+  // the last, so each lands behind the first and ahead of all the others:
+  // the worst order for the bucket's sorted insert.
+  constexpr int kTimers = 1000;
+  const std::int64_t step = state.range(0);
+  Scheduler sched;
+  int sink = 0;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Timer>(sched, [&sink] { ++sink; }));
+  }
+  for (auto _ : state) {
+    const std::int64_t bucket = (sched.now().ns() / 1024 + 1) * 1024;
+    timers[0]->arm_at(Nanoseconds(bucket));
+    for (int i = 1; i < kTimers; ++i) {
+      timers[static_cast<std::size_t>(i)]->arm_at(Nanoseconds(bucket - step * (kTimers - i)));
+    }
+    sched.run();
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * kTimers);
+}
+BENCHMARK(BM_SchedulerSameInstantBurst)->ArgName("step_ns")->Arg(0)->Arg(-1);
 
 void BM_IntervalSetLossPattern(benchmark::State& state) {
   // The receiver-side reassembly pattern under periodic loss: grow a small

@@ -8,22 +8,32 @@
 // The unit of scheduling is a Timer that its owner keeps: a device's tx-done
 // and arrival, a TCP sender's start, pacing and RTO, a periodic generator.
 // Each fires the same callback every time, so the timer binds it once, at
-// construction, and arming only puts a key into the queue (DESIGN.md §11):
-//   - The ready queue is a 4-ary heap of 24-byte POD entries (when, seq,
-//     timer). Sifts move entries, never callbacks.
-//   - A timer records its entry's heap index, so cancel() removes the entry
-//     at once in O(log pending): no tombstones, and the heap holds exactly
-//     the armed timers.
+// construction, and arming only files its key (DESIGN.md §11):
+//   - Almost every timer is armed a few microseconds ahead. A timer due in
+//     one of the 4096 buckets of 1024 ns that start at now()'s goes into a
+//     timer wheel: a list, sorted by (when, seq), that runs through the
+//     timers of its bucket. An occupancy bitmap finds the first non-empty
+//     bucket with two ctz. Arming appends to the bucket or becomes its head
+//     in O(1) unless the key falls between the two, and then walks back
+//     from the tail; cancelling and popping unlink in O(1).
+//   - Later timers (RTOs) go into a 4-ary heap of 24-byte POD entries
+//     (when, seq, timer), and stay there until they fire or are cancelled.
+//     A pop fires the wheel's first timer unless the heap's root is earlier.
+//   - A timer records where it is (heap index, or wheel bucket), so cancel()
+//     removes it at once: no tombstones, and the two tiers hold exactly the
+//     armed timers.
 //   - Firing disarms the timer and calls its callback in place. Nothing is
 //     created, moved or destroyed per event, so arming a timer allocates
-//     nothing once the heap has reached its high-water mark
-//     (tests/test_alloc_budget.cpp checks this).
+//     nothing once the heap has reached its high-water mark and the wheel's
+//     bucket array exists (tests/test_alloc_budget.cpp checks this).
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -34,7 +44,7 @@ namespace cebinae {
 class Scheduler;
 
 // A persistent event source bound to one callback. Armed, it holds one
-// entry in its scheduler's queue; it fires at most once per arming, and
+// place in its scheduler's queue; it fires at most once per arming, and
 // may be re-armed or cancelled from anywhere, its own callback included.
 // A timer is neither copied nor moved (the queue points at it), and
 // destroying an armed timer cancels it. The callback must not destroy its
@@ -68,9 +78,20 @@ class Timer {
   friend class Scheduler;
   static constexpr std::uint32_t kUnarmed = std::numeric_limits<std::uint32_t>::max();
 
+  // pos_ of a timer in the wheel: this bit, or'ed with its bucket.
+  static constexpr std::uint32_t kInWheel = std::uint32_t{1} << 31;
+
   Scheduler& sched_;
   Callback cb_;
-  std::uint32_t pos_ = kUnarmed;  // index of this timer's entry in the heap
+  // The key of the pending firing, while armed.
+  Time when_;
+  std::uint64_t seq_ = 0;
+  // Links of its wheel bucket's list, in (when, seq) order: next_ ends in
+  // nullptr at the tail, and the head's prev_ points at the tail.
+  Timer* prev_ = nullptr;
+  Timer* next_ = nullptr;
+  // kUnarmed, the index of its entry in the heap, or kInWheel | bucket.
+  std::uint32_t pos_ = kUnarmed;
 };
 
 class Scheduler {
@@ -96,7 +117,7 @@ class Scheduler {
   // Run events with timestamp <= `until`; afterwards now() == until.
   void run_until(Time until);
 
-  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size() + wheel_size_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   // Running hash of the (when, seq) key of every executed event, in order:
   // equal digests mean the same executed event sequence.
@@ -105,6 +126,16 @@ class Scheduler {
  private:
   friend class Timer;
 
+  // Wheel shape (DESIGN.md §11 has the measurements): bucket b holds the
+  // timers with (when >> kWheelShift) % kWheelBuckets == b, and the wheel
+  // takes a timer only if its bucket is one of the kWheelBuckets that start
+  // at now()'s, so each bucket holds one 1024-ns range at a time and the
+  // buckets in circular order from now()'s are in time order.
+  static constexpr int kWheelShift = 10;
+  static constexpr std::size_t kWheelBuckets = 4096;
+  static constexpr std::size_t kWords = kWheelBuckets / 64;
+  static_assert(kWords == 64, "the summary word has one bit per occupancy word");
+
   // 4-ary heap entry ordered by (when, seq).
   struct Entry {
     Time when;
@@ -112,12 +143,25 @@ class Scheduler {
     Timer* timer;
   };
 
+  [[nodiscard]] static bool earlier(Time a_when, std::uint64_t a_seq, Time b_when,
+                                    std::uint64_t b_seq) {
+    return a_when != b_when ? a_when < b_when : a_seq < b_seq;
+  }
   [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    return earlier(a.when, a.seq, b.when, b.seq);
+  }
+  [[nodiscard]] static bool earlier(const Timer& a, const Timer& b) {
+    return earlier(a.when_, a.seq_, b.when_, b.seq_);
+  }
+  [[nodiscard]] static std::int64_t wheel_slot(Time when) { return when.ns() >> kWheelShift; }
+  [[nodiscard]] static std::size_t bucket_of(Time when) {
+    return static_cast<std::size_t>(wheel_slot(when)) % kWheelBuckets;
   }
 
   void arm(Timer& t, Time when, std::uint64_t seq);
   void cancel(Timer& t);
+
+  // Far tier: the heap.
   void remove_at(std::size_t i);
   // Place `e` into the hole at heap index `i`, moving it toward the root
   // (sift_up) or the leaves (sift_down) until the heap order holds.
@@ -128,6 +172,14 @@ class Scheduler {
     heap_[i] = e;
     e.timer->pos_ = static_cast<std::uint32_t>(i);
   }
+
+  // Near tier: the wheel.
+  void wheel_insert(Timer& t);
+  void wheel_unlink(Timer& t);
+  // The first non-empty bucket in circular order from now()'s; the wheel
+  // must not be empty.
+  [[nodiscard]] std::size_t first_bucket() const;
+
   bool pop_one(Time limit);
 
   Time now_ = Time::zero();
@@ -135,6 +187,12 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   std::vector<Entry> heap_;
+  // Each bucket's earliest timer; allocated on the first wheel arm, so that
+  // building a scheduler stays cheap.
+  std::unique_ptr<Timer*[]> buckets_;
+  std::array<std::uint64_t, kWords> occupied_{};  // bit b % 64 of word b / 64: bucket b
+  std::uint64_t summary_ = 0;                     // bit w: occupied_[w] != 0
+  std::size_t wheel_size_ = 0;
 };
 
 inline Timer::~Timer() { cancel(); }

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <vector>
@@ -407,15 +408,49 @@ TEST(Scheduler, ReservedKeysInterleaveInWhenSeqOrder) {
   EXPECT_EQ(s.executed_events(), 6u);
 }
 
+// The scheduler's wheel shape (sim/scheduler.hpp): a timer goes into the
+// wheel when its 1024-ns bucket is one of the 4096 that start at now()'s,
+// and into the far heap otherwise.
+constexpr std::int64_t kBucketNs = 1024;
+constexpr std::int64_t kWheelBuckets = 4096;
+constexpr std::int64_t kWheelSpanNs = kBucketNs * kWheelBuckets;
+
+bool goes_to_wheel(Time now, Time when) {
+  return when.ns() / kBucketNs - now.ns() / kBucketNs < kWheelBuckets;
+}
+
 // Differential test: a seeded random mix of every timer operation, checked
 // against a reference model that keeps the armed timers in a sorted map
 // keyed by (when, seq). The model mirrors the scheduler's sequence counter
 // (arm_after, arm_at and reserve_seq consume a number; arm_reserved and
 // cancel do not), so it predicts the exact firing order; pending_events()
 // must equal the model's size after every operation, also inside callbacks.
+// Delays cover both tiers and the edges between them: the last bucket the
+// wheel takes and the first it does not, the wheel's wrap from bucket 4095
+// to 0, far timers that come due among near ones and keys that share an
+// instant across the tiers.
 class SchedulerDifferential {
  public:
   explicit SchedulerDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  // Destroys the scheduler after `ops` operations, with timers still armed
+  // in both tiers: it disarms them, fires none, and the timers, destroyed
+  // later, do not reach back into it.
+  void abandon(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      step();
+      check_pending();
+    }
+    bool near = false;
+    bool far = false;
+    for (const auto& [key, i] : model_) (far_[i] ? far : near) = true;
+    EXPECT_TRUE(near && far) << "want timers in both tiers";
+    const std::size_t fired = fired_.size();
+    owner_.reset();
+    for (const auto& t : timers_) EXPECT_FALSE(t->armed());
+    EXPECT_EQ(fired_.size(), fired);
+    EXPECT_EQ(fired_, want_);
+  }
 
   void run(int ops) {
     for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
@@ -432,6 +467,8 @@ class SchedulerDifferential {
 
   std::size_t fired() const { return fired_.size(); }
   std::size_t max_pending() const { return max_pending_; }
+  std::size_t far_fired() const { return far_fired_; }
+  std::size_t same_instant_across_tiers() const { return same_instant_across_tiers_; }
 
  private:
   struct Key {
@@ -441,9 +478,41 @@ class SchedulerDifferential {
   };
 
   std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
-  // Half the delays are short, so many timers share a timestamp; the rest
-  // spread out far enough that the heap grows several levels deep.
-  Time delay() { return Microseconds(static_cast<std::int64_t>(pick(2) == 0 ? pick(8) : pick(2048))); }
+  std::int64_t pick_ns(std::int64_t n) {
+    return static_cast<std::int64_t>(pick(static_cast<std::uint64_t>(n)));
+  }
+
+  // Four in ten delays are short, so many timers share a timestamp, and
+  // four in ten spread over half the wheel. One in ten lands on an edge of
+  // the wheel, and one in ten goes to the far heap, due within three spans
+  // so that it comes due among near timers.
+  Time delay() {
+    const std::int64_t now = s_.now().ns();
+    const std::int64_t bucket = now / kBucketNs;
+    switch (pick(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        return Microseconds(pick_ns(8));
+      case 4:
+      case 5:
+      case 6:
+      case 7:
+        return Microseconds(pick_ns(2048));
+      case 8: {
+        // The first instant past the wheel's last bucket, or 1 ns before
+        // it; a span after now(), or 1 ns less; the next wrap of the
+        // bucket index from 4095 to 0, or 1 ns before it.
+        const std::int64_t past_last = (bucket + kWheelBuckets) * kBucketNs;
+        const std::int64_t wrap = (bucket / kWheelBuckets + 1) * kWheelSpanNs;
+        const std::array<std::int64_t, 3> edges{past_last, now + kWheelSpanNs, wrap};
+        return Nanoseconds(edges[pick(edges.size())] - now - pick_ns(2));
+      }
+      default:
+        return Nanoseconds(kWheelSpanNs + pick_ns(3 * kWheelSpanNs));
+    }
+  }
 
   void check_pending() { ASSERT_EQ(s_.pending_events(), model_.size()); }
 
@@ -457,6 +526,7 @@ class SchedulerDifferential {
     if (idle_.empty() || (timers_.size() < 600 && pick(4) == 0)) {
       timers_.push_back(make_timer(timers_.size()));
       keys_.emplace_back();
+      far_.push_back(false);
       return timers_.size() - 1;
     }
     const std::size_t k = pick(idle_.size());
@@ -488,8 +558,19 @@ class SchedulerDifferential {
   }
 
   void track(std::size_t i, const Key& key) {
-    model_.emplace(key, i);
+    const auto [at, inserted] = model_.emplace(key, i);
+    EXPECT_TRUE(inserted);
     keys_[i] = key;
+    far_[i] = !goes_to_wheel(s_.now(), Nanoseconds(key.when));
+    // An armed timer in the other tier with the same instant: the order
+    // between the tiers is decided by seq alone.
+    for (auto it = std::next(at); it != model_.end() && it->first.when == key.when; ++it) {
+      if (far_[it->second] != far_[i]) ++same_instant_across_tiers_;
+    }
+    for (auto it = at; it != model_.begin() && std::prev(it)->first.when == key.when;) {
+      --it;
+      if (far_[it->second] != far_[i]) ++same_instant_across_tiers_;
+    }
     newest_ = i;
   }
 
@@ -506,13 +587,40 @@ class SchedulerDifferential {
     untrack(i);
   }
 
+  // Destroys armed timer i; a fresh one takes its place.
+  void destroy_live(std::size_t i) {
+    timers_[i] = make_timer(i);
+    untrack(i);
+  }
+
+  // Arms an idle timer at the instant of a random armed one, through
+  // arm_at (a later seq) or arm_reserved (maybe an earlier one). Once
+  // now() has moved on, the new key goes to the wheel while the old one
+  // may still be in the far heap.
+  void arm_same_instant() {
+    if (model_.empty()) return;
+    const std::int64_t when = keys_[random_live()]->when;
+    const std::size_t i = idle_timer();
+    Key key{when, 0};
+    if (!reserved_.empty() && pick(2) == 0) {
+      const std::size_t r = pick(reserved_.size());
+      key.seq = reserved_[r];
+      reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(r));
+      timers_[i]->arm_reserved(Nanoseconds(when), key.seq);
+    } else {
+      key.seq = next_seq_++;
+      timers_[i]->arm_at(Nanoseconds(when));
+    }
+    track(i, key);
+  }
+
   std::size_t random_live() {
     return std::next(model_.begin(), static_cast<std::ptrdiff_t>(pick(model_.size())))->second;
   }
 
   void step() {
-    // Grow the heap to a few hundred entries, then let run_until drain it.
-    const std::uint64_t op = pick(model_.size() > 300 ? 30 : 21);
+    // Grow the queue to a few hundred timers, then let run_until drain it.
+    const std::uint64_t op = pick(model_.size() > 300 ? 32 : 23);
     switch (op) {
       case 0:
       case 1:
@@ -558,11 +666,18 @@ class SchedulerDifferential {
           timers_[i]->cancel();
         }
         break;
-      case 17:  // destroy an armed timer; a fresh one takes its place
-        if (!model_.empty()) {
-          const std::size_t i = random_live();
-          timers_[i] = make_timer(i);
-          untrack(i);
+      case 17:  // destroy an armed timer
+        if (!model_.empty()) destroy_live(random_live());
+        break;
+      case 18:
+        arm_same_instant();
+        break;
+      case 19:
+        // Jump several spans: every timer due by then fires, and the
+        // scheduler idles across the rest, wheel revolutions included.
+        if (pick(32) == 0) {
+          const std::int64_t spans = 2 + pick_ns(3);
+          s_.run_until(s_.now() + Nanoseconds(kWheelSpanNs * spans + pick_ns(kWheelSpanNs)));
         }
         break;
       default:
@@ -581,8 +696,9 @@ class SchedulerDifferential {
     }
     EXPECT_FALSE(timers_[i]->armed());
     EXPECT_EQ(s_.now().ns(), keys_[i]->when);
+    if (far_[i]) ++far_fired_;
     untrack(i);
-    switch (pick(7)) {
+    switch (pick(9)) {
       case 0:
         timers_[i]->cancel();
         break;
@@ -597,17 +713,26 @@ class SchedulerDifferential {
       case 4:
         arm(idle_timer(), static_cast<int>(pick(3)));
         break;
+      case 5:  // destroy another armed timer
+        if (!model_.empty()) destroy_live(random_live());
+        break;
+      case 6:
+        arm_same_instant();
+        break;
       default:
         break;
     }
     check_pending();
   }
 
-  Scheduler s_;
+  // Destroyed by abandon(); the timers outlive it.
+  std::unique_ptr<Scheduler> owner_ = std::make_unique<Scheduler>();
+  Scheduler& s_ = *owner_;
   std::mt19937_64 rng_;
   std::uint64_t next_seq_ = 1;  // mirrors the scheduler's counter
   std::vector<std::unique_ptr<Timer>> timers_;
   std::vector<std::optional<Key>> keys_;  // timer -> its pending key
+  std::vector<bool> far_;                 // timer -> armed into the far heap
   std::vector<std::size_t> idle_;         // unarmed timers
   std::size_t newest_ = 0;
   std::map<Key, std::size_t> model_;  // armed timers in firing order
@@ -615,6 +740,8 @@ class SchedulerDifferential {
   std::vector<std::size_t> fired_;
   std::vector<std::size_t> want_;
   std::size_t max_pending_ = 0;
+  std::size_t far_fired_ = 0;
+  std::size_t same_instant_across_tiers_ = 0;
 };
 
 TEST(Scheduler, DifferentialAgainstSortedModel) {
@@ -622,10 +749,39 @@ TEST(Scheduler, DifferentialAgainstSortedModel) {
     SCOPED_TRACE(seed);
     SchedulerDifferential d(seed);
     d.run(20'000);
-    // Enough traffic, and a heap several levels deep.
+    // Enough traffic, a queue over a hundred deep, far timers that fire
+    // and instants shared across the tiers.
     EXPECT_GT(d.fired(), 3'000u);
     EXPECT_GT(d.max_pending(), 100u);
+    EXPECT_GT(d.far_fired(), 100u);
+    EXPECT_GT(d.same_instant_across_tiers(), 10u);
   }
+  for (std::uint64_t seed = 9; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    SchedulerDifferential(seed).abandon(5'000);
+  }
+}
+
+TEST(Scheduler, SameInstantBurstFiresInSeqOrder) {
+  // 1000 timers at one instant fire in the order they were armed: the first
+  // 500 while the instant is beyond the wheel (far heap), the rest once it
+  // is near (wheel), in shuffled timer order each time.
+  constexpr int kTimers = 1000;
+  Scheduler s;
+  std::vector<int> order;
+  auto t = logging_timers(s, kTimers, order);
+  std::vector<int> arm_order(kTimers);
+  std::iota(arm_order.begin(), arm_order.end(), 0);
+  std::shuffle(arm_order.begin(), arm_order.end(), std::mt19937_64(7));
+  const Time instant = Milliseconds(10);
+  auto arm = [&](std::size_t k) { t[static_cast<std::size_t>(arm_order[k])]->arm_at(instant); };
+  for (std::size_t k = 0; k < kTimers / 2; ++k) arm(k);
+  s.run_until(instant - Microseconds(1));
+  for (std::size_t k = kTimers / 2; k < kTimers; ++k) arm(k);
+  EXPECT_EQ(s.pending_events(), static_cast<std::size_t>(kTimers));
+  s.run();
+  EXPECT_EQ(order, arm_order);
+  EXPECT_EQ(s.now(), instant);
 }
 
 TEST(Scheduler, CancelRearmChurnKeepsHeapAtLiveCount) {
