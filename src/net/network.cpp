@@ -1,6 +1,6 @@
 #include "net/network.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <utility>
 
 #include "queueing/fifo_queue.hpp"
@@ -30,11 +30,12 @@ Network::LinkDevices Network::link(Node& a, Node& b, std::uint64_t rate_bps, Tim
 
 void Network::build_routes() {
   const std::size_t n = nodes_.size();
-  // Adjacency: for each node, (neighbor, egress device toward neighbor).
+  // Adjacency: for each node, (neighbor, the neighbor's egress device back
+  // toward this node).
   std::vector<std::vector<std::pair<NodeId, Device*>>> adj(n);
   for (const Edge& e : edges_) {
-    adj[e.a].emplace_back(e.b, e.ab);
-    adj[e.b].emplace_back(e.a, e.ba);
+    adj[e.a].emplace_back(e.b, e.ba);
+    adj[e.b].emplace_back(e.a, e.ab);
   }
 
   // Size every table once: growing them destination by destination leaves
@@ -42,26 +43,21 @@ void Network::build_routes() {
   for (auto& node : nodes_) node->size_routes(n);
 
   // BFS from every destination; the tree edge used to reach a node is that
-  // node's first hop toward the destination.
+  // node's first hop toward the destination. Of parallel links, the first
+  // one linked is the first in both nodes' lists, so it carries the route.
   std::vector<int> dist(n);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
   for (NodeId dst = 0; dst < static_cast<NodeId>(n); ++dst) {
     std::fill(dist.begin(), dist.end(), -1);
     dist[dst] = 0;
-    std::deque<NodeId> frontier{dst};
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (const auto& [nbr, toward_nbr] : adj[cur]) {
-        (void)toward_nbr;
+    frontier.assign(1, dst);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId cur = frontier[head];
+      for (const auto& [nbr, back] : adj[cur]) {
         if (dist[nbr] != -1) continue;
         dist[nbr] = dist[cur] + 1;
-        // Find nbr's device toward cur.
-        for (const auto& [nn, dev] : adj[nbr]) {
-          if (nn == cur) {
-            nodes_[nbr]->set_route(dst, *dev);
-            break;
-          }
-        }
+        nodes_[nbr]->set_route(dst, *back);
         frontier.push_back(nbr);
       }
     }

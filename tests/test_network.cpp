@@ -81,6 +81,33 @@ TEST(Network, BuildRoutesIsIdempotent) {
   EXPECT_EQ(&first->peer_node(), &b);
 }
 
+TEST(Network, EqualCostPathsKeepBfsDiscoveryOrder) {
+  // A square a-b-c-d-a plus a second a-b link. Between opposite corners
+  // both ways are two hops; BFS from the destination reaches the neighbour
+  // linked to it first, so a reaches c through b and b reaches d through c.
+  // Of the two a-b links, the first one linked carries the route both ways.
+  Network net;
+  Node& a = net.add_node();
+  Node& b = net.add_node();
+  Node& c = net.add_node();
+  Node& d = net.add_node();
+  auto ab = net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(b, c, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(c, d, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  auto da = net.link(d, a, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.build_routes();
+  ASSERT_NE(a.route_to(c.id()), nullptr);
+  EXPECT_EQ(a.route_to(c.id()), &ab.ab);
+  ASSERT_NE(b.route_to(d.id()), nullptr);
+  EXPECT_EQ(&b.route_to(d.id())->peer_node(), &c);
+  EXPECT_EQ(c.route_to(a.id())->peer_node().id(), b.id());
+  EXPECT_EQ(d.route_to(b.id()), &da.ab);
+  EXPECT_EQ(a.route_to(b.id()), &ab.ab);
+  EXPECT_EQ(b.route_to(a.id()), &ab.ba);
+  EXPECT_EQ(a.route_to(a.id()), nullptr);
+}
+
 TEST(Network, SchedulerIsShared) {
   Network net;
   bool fired = false;
