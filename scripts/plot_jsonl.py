@@ -6,9 +6,12 @@ Pure standard library: renders SVG directly, so it works in the bare build
 container. Rows are read by the rule `cebinae_bench --resume` uses: a last
 line that ends inside its row, or lacks its newline, is a write the process
 died in and is skipped; any other line that is not a JSON row is an error
-that names the line. A traced job's row is read as its time series: its
-`trace` list becomes one row per tick, which carries the job's label,
-job_index, seed and params.
+that names the line. A traced job's row is read as its time series when a
+field selector (--x, --y, --group-by or a --filter key) names a field that
+only its ticks carry, such as `t_s`: its `trace` list then becomes one row
+per tick, which carries the job's label, job_index, seed and params.
+Otherwise the row stays one row, so `--y jfi` plots each job's whole-run
+`jfi`.
 
 Examples
 --------
@@ -80,13 +83,16 @@ def load_rows(path):
     return rows
 
 
-def expand_traces(rows):
+def expand_traces(rows, fields):
     """Replace each row that has a `trace` list by one row per tick, each
-    prefixed with the job's context fields."""
+    prefixed with the job's context fields, when one of `fields` resolves
+    in its ticks but not in the row itself."""
     out = []
     for row in rows:
         trace = row.get("trace")
-        if not isinstance(trace, list):
+        if not isinstance(trace, list) or not any(
+                select(row, f) is None and any(select(tick, f) is not None for tick in trace)
+                for f in fields):
             out.append(row)
             continue
         context = {k: row[k] for k in ("label", "job_index", "seed", "params") if k in row}
@@ -272,14 +278,16 @@ def main():
     if not args.out.lower().endswith(".svg"):
         raise SystemExit(f"error: --out must name an .svg file, got '{args.out}'")
 
-    rows = expand_traces(load_rows(args.jsonl))
-    if not rows:
-        raise SystemExit(f"error: no parseable rows in {args.jsonl}")
-
     for f in args.filter:
         if "=" not in f:
             raise SystemExit(f"error: --filter wants KEY=VALUE, got '{f}'")
-        key, want = f.split("=", 1)
+    filters = [f.split("=", 1) for f in args.filter]
+    fields = [f for f in (args.x, args.group_by) if f] + args.y + [key for key, _ in filters]
+    rows = expand_traces(load_rows(args.jsonl), fields)
+    if not rows:
+        raise SystemExit(f"error: no parseable rows in {args.jsonl}")
+
+    for key, want in filters:
         rows = [r for r in rows if str(select(r, key)) == want]
     if not rows:
         raise SystemExit("error: --filter removed every row")

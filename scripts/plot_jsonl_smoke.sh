@@ -3,9 +3,11 @@
 # results format outside C++. It must render README's two example plots from
 # fresh --smoke output — a jfi CDF per qdisc from fig07's results, and both
 # flows' goodput over time from the trace lists in fig01's results — exit 0,
-# write the SVG and report the expected number of series and points. It
-# reads rows by the rule --resume uses: a torn last line is skipped, and a
-# malformed line before it fails, naming the line.
+# write the SVG and report the expected number of series and points. A
+# traced job's own result fields plot one point per job (fig10's whole-run
+# jfi per qdisc), not one per tick. It reads rows by the rule --resume uses:
+# a torn last line is skipped, and a malformed line before it fails, naming
+# the line.
 #
 # Usage: scripts/plot_jsonl_smoke.sh [path-to-cebinae_bench] [python3]
 set -euo pipefail
@@ -23,6 +25,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 "$BENCH" --experiment=fig07 --smoke --out="$tmpdir/fig07.jsonl" >/dev/null 2>&1
 "$BENCH" --experiment=fig01 --smoke --out="$tmpdir/fig01.jsonl" >/dev/null 2>&1
+"$BENCH" --experiment=fig10 --smoke --out="$tmpdir/fig10.jsonl" >/dev/null 2>&1
 
 # check <want> <svg> <plot args...>: plot_jsonl.py must exit 0, write <svg>
 # and report "<want>" (series and point counts) on stderr.
@@ -43,6 +46,10 @@ check "2 series, 6 points" "$tmpdir/fig01.svg" \
   "$tmpdir/fig01.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
   --filter label='qdisc=Cebinae'
 
+# fig10's jobs are traced; their rows' own jfi, one per qdisc.
+check "3 series, 3 points" "$tmpdir/fig10_jfi_cdf.svg" \
+  "$tmpdir/fig10.jsonl" --y jfi --cdf --group-by qdisc
+
 # A killed writer's torn last line is skipped: the same plot as without it.
 { cat "$tmpdir/fig07.jsonl"; head -n 1 "$tmpdir/fig07.jsonl" | head -c 40; } \
   > "$tmpdir/torn.jsonl"
@@ -61,4 +68,4 @@ if [[ "$status" -eq 0 || "$err" != "error: $tmpdir/malformed.jsonl line 2 is not
 fi
 echo "== malformed line 2: fails ==" >&2
 
-echo "plot smoke: both plots render, a torn last line is skipped, a malformed line fails" >&2
+echo "plot smoke: the plots render, a traced job plots its own row, a torn last line is skipped, a malformed line fails" >&2
