@@ -15,11 +15,13 @@
 #include "core/lbf.hpp"
 #include "exp/json_row.hpp"
 #include "metrics/jfi.hpp"
+#include "net/network.hpp"
 #include "queueing/fifo_queue.hpp"
 #include "queueing/fq_codel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/interval_set.hpp"
+#include "topology/topology.hpp"
 
 namespace {
 
@@ -289,6 +291,23 @@ void BM_FqCoDelEnqueueDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FqCoDelEnqueueDequeue)->Arg(16)->Arg(1024)->Arg(65536);
+
+void BM_BuildRoutesDumbbell(benchmark::State& state) {
+  // Routing setup of a dumbbell with one host pair per flow (130 flows is
+  // table2 r16, 1,026 is r12), rebuilt in place on each iteration.
+  Network net;
+  ChainTopology topo = build_chain(net, 1, 1'000'000'000, Milliseconds(1),
+                                   [](int) -> std::unique_ptr<QueueDisc> { return nullptr; });
+  for (int f = 0; f < state.range(0); ++f) {
+    (void)attach_hosts(net, topo, 0, 1, 1'000'000'000, Milliseconds(1), Milliseconds(1));
+  }
+  for (auto _ : state) {
+    net.build_routes();
+    benchmark::ClobberMemory();
+  }
+  state.counters["nodes"] = static_cast<double>(net.node_count());
+}
+BENCHMARK(BM_BuildRoutesDumbbell)->ArgName("flows")->Arg(130)->Arg(1026)->Unit(benchmark::kMicrosecond);
 
 void BM_TraceRowToJson(benchmark::State& state) {
   // Serialization cost of one trace row (runner-side, off the sim path).

@@ -85,8 +85,9 @@ def load_rows(path):
 
 def expand_traces(rows, fields):
     """Replace each row that has a `trace` list by one row per tick, each
-    prefixed with the job's context fields, when one of `fields` resolves
-    in its ticks but not in the row itself."""
+    prefixed with the job's context fields and the row's top-level string
+    fields (such as `qdisc`; a tick's own fields win), when one of `fields`
+    resolves in its ticks but not in the row itself."""
     out = []
     for row in rows:
         trace = row.get("trace")
@@ -95,7 +96,8 @@ def expand_traces(rows, fields):
                 for f in fields):
             out.append(row)
             continue
-        context = {k: row[k] for k in ("label", "job_index", "seed", "params") if k in row}
+        context = {k: v for k, v in row.items()
+                   if k in ("job_index", "seed", "params") or isinstance(v, str)}
         out.extend({**context, **tick} for tick in trace)
     return out
 

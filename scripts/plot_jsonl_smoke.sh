@@ -5,7 +5,8 @@
 # flows' goodput over time from the trace lists in fig01's results — exit 0,
 # write the SVG and report the expected number of series and points. A
 # traced job's own result fields plot one point per job (fig10's whole-run
-# jfi per qdisc), not one per tick. It reads rows by the rule --resume uses:
+# jfi per qdisc), not one per tick, and its ticks group by the row's string
+# fields (fig10's windowed jfi over time per qdisc). It reads rows by the rule --resume uses:
 # a torn last line is skipped, and a malformed line before it fails, naming
 # the line.
 #
@@ -49,6 +50,9 @@ check "2 series, 6 points" "$tmpdir/fig01.svg" \
 # fig10's jobs are traced; their rows' own jfi, one per qdisc.
 check "3 series, 3 points" "$tmpdir/fig10_jfi_cdf.svg" \
   "$tmpdir/fig10.jsonl" --y jfi --cdf --group-by qdisc
+# Their ticks' windowed jfi over time, grouped by the row's qdisc.
+check "3 series, 9 points" "$tmpdir/fig10_jfi_t.svg" \
+  "$tmpdir/fig10.jsonl" --x t_s --y jfi --group-by qdisc
 
 # A killed writer's torn last line is skipped: the same plot as without it.
 { cat "$tmpdir/fig07.jsonl"; head -n 1 "$tmpdir/fig07.jsonl" | head -c 40; } \

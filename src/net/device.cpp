@@ -12,6 +12,9 @@ Device::Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_
     : sched_(sched),
       owner_(owner),
       rate_bps_(rate_bps),
+      ns_per_byte_(rate_bps > 0 && 8'000'000'000 % rate_bps == 0
+                       ? static_cast<std::int64_t>(8'000'000'000 / rate_bps)
+                       : 0),
       prop_delay_(prop_delay),
       qdisc_(std::move(qdisc)),
       tx_done_(sched,

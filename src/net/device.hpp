@@ -48,6 +48,8 @@ class Device {
   [[nodiscard]] Time prop_delay() const { return prop_delay_; }
   [[nodiscard]] Node& owner() { return owner_; }
   [[nodiscard]] Node& peer_node();
+  // The other half of this device's link; nullptr before set_peer.
+  [[nodiscard]] Device* peer() const { return peer_; }
 
   // Bytes of every frame the transmitter has started to serialize onto the
   // wire (the paper's per-port egress transmit counter). A frame counts when
@@ -59,6 +61,7 @@ class Device {
   [[nodiscard]] std::size_t frames_on_wire() const { return wire_.size(); }
 
   [[nodiscard]] Time serialization_delay(std::uint32_t bytes) const {
+    if (ns_per_byte_ != 0) return Time(static_cast<std::int64_t>(bytes) * ns_per_byte_);
     return Time(static_cast<std::int64_t>(bytes) * 8 * 1'000'000'000 /
                 static_cast<std::int64_t>(rate_bps_));
   }
@@ -73,6 +76,9 @@ class Device {
   Scheduler& sched_;
   Node& owner_;
   std::uint64_t rate_bps_;
+  // 8e9 / rate_bps_ when that divides exactly (1 and 4 Gbps: 8 and 2 ns),
+  // so a frame's serialization costs a multiply; 0 keeps the division.
+  std::int64_t ns_per_byte_;
   Time prop_delay_;
   std::unique_ptr<QueueDisc> qdisc_;
   bool busy_ = false;

@@ -38,8 +38,12 @@ class Network {
   LinkDevices link(Node& a, Node& b, std::uint64_t rate_bps, Time delay,
                    std::unique_ptr<QueueDisc> q_ab, std::unique_ptr<QueueDisc> q_ba);
 
-  // Populate every node's routing table with shortest-path (hop count)
-  // first-hop devices via per-destination BFS. Call after topology is built.
+  // Install shortest-path (hop count) first hops on every node. Call after
+  // the topology is built, and again after linking more. A host is a node
+  // with exactly one link whose far end has two or more; it routes through
+  // that link and keeps no table. Every other node is a switch: its table
+  // comes from a BFS per switch destination, and for a host it copies its
+  // first hop toward the host's switch (DESIGN.md §11 "Forwarding").
   void build_routes();
 
  private:

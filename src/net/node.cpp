@@ -10,9 +10,16 @@ Device& Node::add_device(std::unique_ptr<Device> dev) {
   return *devices_.back();
 }
 
-void Node::set_route(NodeId dst, Device& egress) {
-  if (dst >= routes_.size()) routes_.resize(dst + 1, nullptr);
-  routes_[dst] = &egress;
+void Node::set_routes(std::vector<Device*> table) {
+  routes_ = std::move(table);
+  uplink_ = nullptr;
+  gateway_ = nullptr;
+}
+
+void Node::set_uplink(Device& uplink) {
+  std::vector<Device*>().swap(routes_);
+  uplink_ = &uplink;
+  gateway_ = &uplink.peer_node();
 }
 
 PacketSink* Node::sink_for(std::uint16_t port) const {

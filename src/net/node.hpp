@@ -1,8 +1,9 @@
 // A network node: host or switch.
 //
-// Nodes forward packets via a static routing table (destination node ->
-// egress device) and deliver locally-addressed packets to the sink
-// registered on the destination port.
+// Switches forward packets via a static routing table (destination node ->
+// egress device); a host sends through its one link whatever its switch can
+// route. Both deliver locally-addressed packets to the sink registered on
+// the destination port.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +29,18 @@ class Node {
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
   [[nodiscard]] Device& device(std::size_t i) { return *devices_.at(i); }
 
-  // Static routing: packets destined to `dst` leave through `egress`.
-  void set_route(NodeId dst, Device& egress);
-  // Size the routing table for `n` destinations at once; set_route alone
-  // grows it one destination at a time.
-  void size_routes(std::size_t n) {
-    if (routes_.size() < n) routes_.resize(n, nullptr);
-  }
-  // Hot path: NodeIds are dense (assigned sequentially by Network), so the
-  // table is a flat vector indexed by destination — one bounds check and one
-  // load per forwarded packet instead of a hash lookup.
+  // Static routing, installed by Network::build_routes. A switch (any node
+  // that is not a host) keeps a flat table indexed by destination NodeId:
+  // one bounds check and one load per forwarded packet. A host keeps no
+  // table: everything it can reach leaves through its one link, and it can
+  // reach exactly what its switch can reach, plus the switch itself.
+  void set_routes(std::vector<Device*> table);
+  void set_uplink(Device& uplink);
   [[nodiscard]] Device* route_to(NodeId dst) const {
-    return dst < routes_.size() ? routes_[dst] : nullptr;
+    if (uplink_ == nullptr) return table_route(dst);
+    return dst != id_ && (dst == gateway_->id_ || gateway_->table_route(dst) != nullptr)
+               ? uplink_
+               : nullptr;
   }
 
   // Register/unregister the local sink for a destination port.
@@ -60,10 +61,15 @@ class Node {
 
  private:
   [[nodiscard]] PacketSink* sink_for(std::uint16_t port) const;
+  [[nodiscard]] Device* table_route(NodeId dst) const {
+    return dst < routes_.size() ? routes_[dst] : nullptr;
+  }
 
   NodeId id_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<Device*> routes_;  // indexed by destination NodeId
+  std::vector<Device*> routes_;  // a switch's table, indexed by destination NodeId
+  Device* uplink_ = nullptr;     // a host's one link; nullptr on a switch
+  const Node* gateway_ = nullptr;  // the switch at the far end of uplink_
   // A node binds a handful of ports; a scanned flat vector beats a hash map
   // on the delivery path and keeps iteration deterministic.
   std::vector<std::pair<std::uint16_t, PacketSink*>> sinks_;

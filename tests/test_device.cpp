@@ -35,6 +35,24 @@ struct Harness {
   }
 };
 
+TEST(Device, SerializationDelayEqualsDivisionFormula) {
+  // Rates dividing 8e9 multiply by a precomputed ns per byte; the rest
+  // divide. Both must give the division's result.
+  Network net;
+  Node& a = net.add_node();
+  for (const std::uint64_t rate : {1'000'000ull, 100'000'000ull, 400'000'000ull,
+                                   1'000'000'000ull, 3'000'000'000ull, 4'000'000'000ull,
+                                   10'000'000'000ull, 40'000'000'000ull}) {
+    Device dev(net.scheduler(), a, rate, Milliseconds(1),
+               std::make_unique<FifoQueue>(FifoQueue::unlimited()));
+    for (std::uint32_t bytes = 1; bytes <= 9000; ++bytes) {
+      const Time want(static_cast<std::int64_t>(bytes) * 8 * 1'000'000'000 /
+                      static_cast<std::int64_t>(rate));
+      ASSERT_EQ(dev.serialization_delay(bytes), want) << rate << " bps, " << bytes << " B";
+    }
+  }
+}
+
 TEST(Device, SerializationDelayMatchesRate) {
   Harness h(8'000'000);  // 1 byte/us
   EXPECT_EQ(h.devs.ab.serialization_delay(1000), Microseconds(1000));

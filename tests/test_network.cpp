@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "queueing/fifo_queue.hpp"
+#include "topology/topology.hpp"
 
 namespace cebinae {
 namespace {
@@ -106,6 +109,133 @@ TEST(Network, EqualCostPathsKeepBfsDiscoveryOrder) {
   EXPECT_EQ(a.route_to(b.id()), &ab.ab);
   EXPECT_EQ(b.route_to(a.id()), &ab.ba);
   EXPECT_EQ(a.route_to(a.id()), nullptr);
+}
+
+// The all-pairs search build_routes replaced, kept as the reference: a BFS
+// from every node, each node's neighbours in link order, writing every
+// node's first hop toward the destination.
+std::vector<std::vector<Device*>> all_pairs_routes(Network& net) {
+  const std::size_t n = net.node_count();
+  std::vector<std::vector<Device*>> route(n);
+  for (auto& table : route) table.assign(n, nullptr);
+  for (NodeId dst = 0; dst < n; ++dst) {
+    std::vector<bool> seen(n, false);
+    seen[dst] = true;
+    std::vector<NodeId> frontier{dst};
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      Node& cur = net.node(frontier[head]);
+      for (std::size_t i = 0; i < cur.device_count(); ++i) {
+        Device& out = cur.device(i);
+        const NodeId nbr = out.peer_node().id();
+        if (seen[nbr]) continue;
+        seen[nbr] = true;
+        route[nbr][dst] = out.peer();
+        frontier.push_back(nbr);
+      }
+    }
+  }
+  return route;
+}
+
+// Every (src, dst) pair, dst == src and two ids past the last node included.
+void expect_all_pairs_routes(Network& net) {
+  net.build_routes();
+  const auto want = all_pairs_routes(net);
+  const NodeId n = static_cast<NodeId>(net.node_count());
+  for (NodeId src = 0; src < n; ++src) {
+    for (NodeId dst = 0; dst < n + 2; ++dst) {
+      EXPECT_EQ(net.node(src).route_to(dst), dst < n ? want[src][dst] : nullptr)
+          << "src " << src << " dst " << dst;
+    }
+  }
+}
+
+Node& add_host(Network& net, Node& sw) {
+  Node& h = net.add_node();
+  net.link(h, sw, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  return h;
+}
+
+ChainTopology chain_with_hosts(Network& net, int links,
+                               const std::vector<std::pair<int, int>>& paths) {
+  ChainTopology topo = build_chain(net, links, 1'000'000, Milliseconds(1),
+                                   [](int) -> std::unique_ptr<QueueDisc> { return nullptr; });
+  for (const auto& [enter, exit] : paths) {
+    (void)attach_hosts(net, topo, enter, exit, 1'000'000, Milliseconds(1), Milliseconds(1));
+  }
+  return topo;
+}
+
+TEST(Network, RoutesMatchAllPairsBfsOnDumbbell) {
+  Network net;
+  (void)chain_with_hosts(net, 1, {{0, 1}, {0, 1}, {0, 1}});
+  expect_all_pairs_routes(net);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsOnParkingLot) {
+  Network net;
+  (void)chain_with_hosts(net, 3, {{0, 3}, {0, 1}, {1, 2}, {2, 3}, {1, 3}});
+  expect_all_pairs_routes(net);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsOnSquareWithHosts) {
+  Network net;
+  Node& a = net.add_node();
+  Node& b = net.add_node();
+  Node& c = net.add_node();
+  Node& d = net.add_node();
+  net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(b, c, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(c, d, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(d, a, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  for (Node* corner : {&a, &b, &c, &d}) (void)add_host(net, *corner);
+  expect_all_pairs_routes(net);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsOnTwoNodes) {
+  // Each node's one link ends at a node with one link: neither is a host.
+  Network net;
+  Node& a = net.add_node();
+  Node& b = net.add_node();
+  auto ab = net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  expect_all_pairs_routes(net);
+  EXPECT_EQ(a.route_to(b.id()), &ab.ab);
+  EXPECT_EQ(b.route_to(a.id()), &ab.ba);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsWithParallelAccessLinks) {
+  // A node with two links to its switch is no host.
+  Network net;
+  ChainTopology topo = chain_with_hosts(net, 1, {{0, 1}});
+  Node& h = net.add_node();
+  auto first = net.link(h, *topo.switches[0], 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(h, *topo.switches[0], 1'000'000, Milliseconds(1), nullptr, nullptr);
+  expect_all_pairs_routes(net);
+  EXPECT_EQ(h.route_to(topo.switches[1]->id()), &first.ab);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsAcrossComponents) {
+  Network net;
+  (void)chain_with_hosts(net, 1, {{0, 1}, {0, 1}});
+  (void)chain_with_hosts(net, 1, {{0, 1}, {0, 1}});
+  expect_all_pairs_routes(net);
+}
+
+TEST(Network, RoutesMatchAllPairsBfsAfterRebuild) {
+  // Linking again turns a host into a switch (the dumbbell's first sender)
+  // and a node into a host (a, once its neighbour b gains a second link).
+  Network net;
+  ChainTopology topo = chain_with_hosts(net, 1, {{0, 1}});
+  const HostPair pair =
+      attach_hosts(net, topo, 0, 1, 1'000'000, Milliseconds(1), Milliseconds(1));
+  Node& a = net.add_node();
+  Node& b = net.add_node();
+  net.link(a, b, 1'000'000, Milliseconds(1), nullptr, nullptr);
+  expect_all_pairs_routes(net);
+  net.link(*pair.src, *topo.switches[1], 1'000'000, Milliseconds(1), nullptr, nullptr);
+  net.link(b, *topo.switches[0], 1'000'000, Milliseconds(1), nullptr, nullptr);
+  expect_all_pairs_routes(net);
 }
 
 TEST(Network, SchedulerIsShared) {

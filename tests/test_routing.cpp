@@ -68,6 +68,26 @@ TEST(Routing, UnroutableDestinationCountsDrop) {
   EXPECT_EQ(a.routing_drops(), 1u);
 }
 
+TEST(Routing, HostToOtherComponentCountsDropAtHost) {
+  // h0 - s1 - h2, and apart from them x - y. The host h0 keeps no table;
+  // its switch cannot reach x, so h0 drops the packet before sending it.
+  Network net;
+  Node& h0 = net.add_node();
+  Node& s1 = net.add_node();
+  Node& h2 = net.add_node();
+  Node& x = net.add_node();
+  Node& y = net.add_node();
+  auto up = net.link(h0, s1, 1'000'000, Microseconds(1), nullptr, nullptr);
+  net.link(s1, h2, 1'000'000, Microseconds(1), nullptr, nullptr);
+  net.link(x, y, 1'000'000, Microseconds(1), nullptr, nullptr);
+  net.build_routes();
+  h0.send(udp_packet(h0.id(), x.id(), 9));
+  net.scheduler().run();
+  EXPECT_EQ(h0.routing_drops(), 1u);
+  EXPECT_EQ(up.ab.tx_packets(), 0u);
+  EXPECT_EQ(s1.routing_drops(), 0u);
+}
+
 TEST(Routing, UnboundPortIsDiscardedAtDestination) {
   Network net;
   Node& a = net.add_node();
