@@ -22,6 +22,7 @@
 #include "sim/scheduler.hpp"
 #include "tcp/interval_set.hpp"
 #include "topology/topology.hpp"
+#include "workload/udp_app.hpp"
 
 namespace {
 
@@ -308,6 +309,36 @@ void BM_BuildRoutesDumbbell(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(net.node_count());
 }
 BENCHMARK(BM_BuildRoutesDumbbell)->ArgName("flows")->Arg(130)->Arg(1026)->Unit(benchmark::kMicrosecond);
+
+void BM_ForwardFrameThreeHops(benchmark::State& state) {
+  // One data segment from host to host across two switches over idle links
+  // (FIFO everywhere): the sender's encode, three enqueue/transmit/arrive
+  // hops and the destination's decode.
+  Network net;
+  Node& h0 = net.add_node();
+  Node& s1 = net.add_node();
+  Node& s2 = net.add_node();
+  Node& h3 = net.add_node();
+  net.link(h0, s1, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+  net.link(s1, s2, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+  net.link(s2, h3, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+  net.build_routes();
+  UdpSink sink(h3, 9);
+  Packet p;
+  p.flow = FlowId{h0.id(), h3.id(), 1, 9};
+  p.kind = Packet::Kind::kTcpData;
+  p.size_bytes = kMtuBytes;
+  p.payload_bytes = kMssBytes;
+  for (auto _ : state) {
+    p.seq += kMssBytes;
+    p.ts_sent = net.scheduler().now();
+    h0.send(p);
+    net.scheduler().run();
+  }
+  benchmark::DoNotOptimize(sink.packets());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ForwardFrameThreeHops);
 
 void BM_TraceRowToJson(benchmark::State& state) {
   // Serialization cost of one trace row (runner-side, off the sim path).

@@ -14,7 +14,9 @@ reads `gain` when this tree wins at least 9 of 10 pairs and its median
 beats the base's by more than the base's interquartile range: only then
 does a run show an improvement. Otherwise a metric whose base runs spread
 wider than its bound reads `unresolved`, not `ok`, unless every run of
-this tree beats every run of the base.
+this tree beats every run of the base. It also prints the net change in
+src/ lines from the base to this tree (tracked files, `git diff --numstat`),
+the size half of each change's report.
 """
 
 import json
@@ -99,6 +101,28 @@ def compare(end_to_end, workload, base, change):
     return lines, failures
 
 
+def src_lines(numstat):
+    """(added, removed) lines summed over `git diff --numstat` output. Binary
+    files, listed with "-" counts, add none."""
+    added = removed = 0
+    for line in numstat.splitlines():
+        a, r, _ = line.split("\t", 2)
+        if a != "-":
+            added += int(a)
+            removed += int(r)
+    return added, removed
+
+
+def src_line_report(ref):
+    """One line: src/ lines added and removed from `ref` to this tree."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "diff", "--numstat", ref, "--", "src"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return f"src/ lines vs {ref}: unavailable ({proc.stderr.strip()})"
+    added, removed = src_lines(proc.stdout)
+    return f"src/ lines vs {ref}: +{added} -{removed}, net {added - removed:+d}"
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: scripts/perf_compare.py <base-ref>", file=sys.stderr)
@@ -133,6 +157,7 @@ def main():
         lines, fails = compare(spec["end_to_end"], w, *runs[w])
         print("\n".join(lines))
         failures += fails
+    print(src_line_report(ref))
     for f in failures:
         print(f"FAIL {f}")
     print("perf compare: " + ("regressed" if failures else "ok"))

@@ -11,24 +11,26 @@ CebinaeQueueDisc::CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
       lbf_(params, capacity_bps),
       cache_(params.cache_stages, params.cache_slots) {}
 
-bool CebinaeQueueDisc::enqueue(Packet pkt) {
+bool CebinaeQueueDisc::enqueue_slot(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  PacketSlab::Entry& frame = slab[s];
   // Shared physical buffer: the LBF's guarantees assume the whole buffer is
   // available to whichever queue needs it (paper §4.4).
-  if (byte_count() + pkt.size_bytes > buffer_bytes_) {
+  if (byte_count() + frame.size_bytes > buffer_bytes_) {
     ++buffer_dropped_packets_;
-    return reject(pkt);
+    return reject(s);
   }
 
-  const FlowGroup group = is_top(pkt.flow) ? FlowGroup::kTop : FlowGroup::kBottom;
-  const LeakyBucketFilter::Decision d = lbf_.admit(group, pkt.size_bytes, sched_.now());
+  const FlowGroup group = is_top(frame.flow) ? FlowGroup::kTop : FlowGroup::kBottom;
+  const LeakyBucketFilter::Decision d = lbf_.admit(group, frame.size_bytes, sched_.now());
 
   switch (d.queue) {
     case LeakyBucketFilter::Queue::kDrop:
       ++lbf_dropped_packets_;
-      return reject(pkt);
+      return reject(s);
     case LeakyBucketFilter::Queue::kTail:
       ++delayed_packets_;
-      if (d.mark_ecn) mark_ce(pkt);
+      if (d.mark_ecn) mark_ce(frame);
       break;
     case LeakyBucketFilter::Queue::kHead:
       break;
@@ -36,7 +38,7 @@ bool CebinaeQueueDisc::enqueue(Packet pkt) {
 
   const int q = d.queue == LeakyBucketFilter::Queue::kHead ? lbf_.head_index()
                                                            : 1 - lbf_.head_index();
-  q_[q].push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
+  q_[q].push_back(slab, admit(s, sojourn_now()));
   return true;
 }
 
@@ -46,12 +48,12 @@ PacketSlab::Slot CebinaeQueueDisc::dequeue_slot() {
     if (q_[q].empty()) continue;
     PacketSlab& slab = PacketSlab::local();
     const PacketSlab::Slot s = q_[q].pop_front(slab);
-    const Packet& pkt = slab[s].pkt;
+    const PacketSlab::Entry& frame = slab[s];
 
     // Egress pipeline: the heavy-hitter cache and the port's transmit
     // counter (stats().dequeued_bytes) see transmitted traffic only.
-    cache_.add(pkt.flow, pkt.size_bytes);
-    account_dequeue(slab[s]);
+    cache_.add(frame.flow, frame.size_bytes);
+    account_dequeue(frame);
     return s;
   }
   return PacketSlab::kNone;

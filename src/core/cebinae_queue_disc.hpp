@@ -22,7 +22,7 @@ class CebinaeQueueDisc final : public QueueDisc {
   CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps, std::uint64_t buffer_bytes,
                    CebinaeParams params);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
   // Data-plane components (driven by the control-plane agent).

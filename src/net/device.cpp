@@ -32,8 +32,8 @@ Node& Device::peer_node() {
   return peer_->owner();
 }
 
-void Device::send(const Packet& pkt) {
-  qdisc_->enqueue(pkt);
+void Device::send(PacketSlab::Slot s) {
+  qdisc_->enqueue_slot(s);
   try_transmit();
 }
 
@@ -45,7 +45,7 @@ void Device::try_transmit() {
   PacketSlab::Entry& frame = slab[s];
 
   busy_ = true;
-  const std::uint32_t size = frame.pkt.size_bytes;
+  const std::uint32_t size = frame.size_bytes;
   const Time tx_time = serialization_delay(size);
   tx_bytes_ += size;
   ++tx_packets_;
@@ -76,8 +76,7 @@ void Device::arrive() {
     // arrival's.
     slab.prefetch(slab[wire_.front()].next);
   }
-  peer_->owner().receive(slab[s].pkt);
-  slab.release(s);
+  peer_->owner().receive(s);
 }
 
 }  // namespace cebinae

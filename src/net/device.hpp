@@ -4,7 +4,7 @@
 // serializes packets at the link rate; propagation adds a fixed delay before
 // the peer's node receives the frame.
 //
-// Packets stay in the slab slot their queue disc copied them into
+// Packets stay in the slab slot their sender encoded them into
 // (net/packet_slab.hpp). When the transmitter takes a slot from the queue
 // disc, it links the slot into the device's delay line, a SlotFifo, instead
 // of scheduling one event per frame. The delay is constant and the
@@ -13,8 +13,7 @@
 // keeps the (arrival, seq) key reserved when its frame was sent (see
 // Scheduler::reserve_seq), so the global event order is the same as with
 // one propagation event per frame (DESIGN.md §11). The arrival hands the
-// packet to the peer node by reference and releases the slot once the node
-// has handled it.
+// slot to the peer node, which forwards or delivers it.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,9 @@ class Device {
 
   void set_peer(Device& peer) { peer_ = &peer; }
 
-  // Enqueue a packet for transmission; starts the transmitter if idle.
-  void send(const Packet& pkt);
+  // Offers the frame in slab slot `s` to the queue disc, which owns it from
+  // here; starts the transmitter if idle.
+  void send(PacketSlab::Slot s);
 
   [[nodiscard]] QueueDisc& qdisc() { return *qdisc_; }
   [[nodiscard]] const QueueDisc& qdisc() const { return *qdisc_; }
@@ -69,8 +69,8 @@ class Device {
  private:
   void try_transmit();
   void arm_head(PacketSlab& slab);
-  // Arrival of the head frame: pops it, re-arms for the next head, delivers
-  // to the peer node and releases the slot.
+  // Arrival of the head frame: pops it, re-arms for the next head and hands
+  // its slot to the peer node.
   void arrive();
 
   Scheduler& sched_;

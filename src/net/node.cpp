@@ -43,15 +43,29 @@ void Node::unbind(std::uint16_t port) {
   }
 }
 
-void Node::receive(const Packet& pkt) {
-  if (pkt.flow.dst == id_) {
-    PacketSink* sink = sink_for(pkt.flow.dst_port);
-    if (sink == nullptr) return;
-    ++delivered_packets_;
-    sink->deliver(pkt);
+void Node::receive(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  const FlowId& flow = slab[s].flow;
+  if (flow.dst != id_) {
+    Device* egress = route_to(flow.dst);
+    if (egress == nullptr) {
+      ++routing_drops_;
+      slab.release(s);
+      return;
+    }
+    egress->send(s);
     return;
   }
-  send(pkt);
+  PacketSink* sink = sink_for(flow.dst_port);
+  if (sink == nullptr) {
+    slab.release(s);
+    return;
+  }
+  ++delivered_packets_;
+  const Packet pkt = slab.packet(s);
+  // Released before delivery, so the reply the sink sends reuses the slot.
+  slab.release(s);
+  sink->deliver(pkt);
 }
 
 void Node::send(const Packet& pkt) {
@@ -60,7 +74,7 @@ void Node::send(const Packet& pkt) {
     ++routing_drops_;
     return;
   }
-  egress->send(pkt);
+  egress->send(PacketSlab::local().alloc(pkt, Time::zero()));
 }
 
 }  // namespace cebinae

@@ -47,13 +47,14 @@ class Node {
   void bind(std::uint16_t port, PacketSink& sink);
   void unbind(std::uint16_t port);
 
-  // Entry point for packets arriving from the wire and for locally
-  // originated traffic: delivers locally or forwards via the routing table.
-  // Packets pass by reference along the forwarding path; the egress queue
-  // disc takes the one copy per hop.
-  void receive(const Packet& pkt);
+  // Entry point for frames arriving from the wire; takes the slab slot. A
+  // switch hands the slot to its egress device as it is. The destination
+  // decodes the frame, releases the slot and delivers the packet to the
+  // sink bound to its port.
+  void receive(PacketSlab::Slot s);
 
-  // Send a locally originated packet toward pkt.flow.dst.
+  // Send a locally originated packet toward pkt.flow.dst: the packet's one
+  // encode into a slab slot, which it keeps up to its destination.
   void send(const Packet& pkt);
 
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }

@@ -6,14 +6,16 @@ namespace cebinae {
 
 Afq::Afq(AfqParams params) : params_(params), queues_(params.num_queues) {}
 
-bool Afq::enqueue(Packet pkt) {
-  if (byte_count() + pkt.size_bytes > params_.buffer_bytes) return reject(pkt);
+bool Afq::enqueue_slot(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Entry& frame = slab[s];
+  if (byte_count() + frame.size_bytes > params_.buffer_bytes) return reject(s);
 
   // Bid: the round in which the flow's cumulative bytes would depart under
   // ideal fair queueing. Flows idle past the current round restart there
   // (the sketch's counters cannot go backwards, so AFQ floors at the
   // current round).
-  std::uint64_t& fb = flow_bytes_[pkt.flow];
+  std::uint64_t& fb = flow_bytes_[frame.flow];
   fb = std::max(fb, current_round_ * params_.bytes_per_round);
   const std::uint64_t round = fb / params_.bytes_per_round;
   const std::uint64_t ahead = round - current_round_;
@@ -21,12 +23,12 @@ bool Afq::enqueue(Packet pkt) {
   if (ahead >= params_.num_queues) {
     // Target slot is beyond the calendar horizon: drop (Equation 1's limit).
     ++horizon_drops_;
-    return reject(pkt);
+    return reject(s);
   }
 
-  fb += pkt.size_bytes;
+  fb += frame.size_bytes;
   const std::size_t slot = (head_slot_ + ahead) % params_.num_queues;
-  queues_[slot].push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
+  queues_[slot].push_back(slab, admit(s, sojourn_now()));
   return true;
 }
 

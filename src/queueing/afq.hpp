@@ -32,7 +32,7 @@ class Afq final : public QueueDisc {
  public:
   explicit Afq(AfqParams params);
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::uint64_t current_round() const { return current_round_; }

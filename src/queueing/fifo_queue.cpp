@@ -2,9 +2,10 @@
 
 namespace cebinae {
 
-bool FifoQueue::enqueue(Packet pkt) {
-  if (byte_count() + pkt.size_bytes > limit_bytes_) return reject(pkt);
-  q_.push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
+bool FifoQueue::enqueue_slot(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  if (byte_count() + slab[s].size_bytes > limit_bytes_) return reject(s);
+  q_.push_back(slab, admit(s, sojourn_now()));
   return true;
 }
 

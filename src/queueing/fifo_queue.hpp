@@ -17,7 +17,7 @@ class FifoQueue final : public QueueDisc {
     return std::numeric_limits<std::uint64_t>::max();
   }
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
  private:

@@ -12,8 +12,8 @@ Time control_law(Time t, std::uint32_t count) {
 }
 }  // namespace
 
-FqCoDel::FlowQueue& FqCoDel::queue_for(const Packet& pkt) {
-  const std::uint64_t key = FlowIdHash{}(pkt.flow);
+FqCoDel::FlowQueue& FqCoDel::queue_for(const FlowId& flow) {
+  const std::uint64_t key = FlowIdHash{}(flow);
   auto it = queues_.find(key);
   if (it == queues_.end()) it = queues_.emplace(key, std::make_unique<FlowQueue>()).first;
   return *it->second;
@@ -29,14 +29,16 @@ void FqCoDel::drop_from_fattest() {
   // standing queue rather than the arriving packet.
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot victim = fattest->q.pop_front(slab);
-  fattest->bytes -= slab[victim].pkt.size_bytes;
+  fattest->bytes -= slab[victim].size_bytes;
   drop(victim);
 }
 
-bool FqCoDel::enqueue(Packet pkt) {
-  FlowQueue& fq = queue_for(pkt);
-  fq.q.push_back(PacketSlab::local(), admit(pkt, sched_.now()));
-  fq.bytes += pkt.size_bytes;
+bool FqCoDel::enqueue_slot(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Entry& frame = slab[s];
+  FlowQueue& fq = queue_for(frame.flow);
+  fq.q.push_back(slab, admit(s, sched_.now()));
+  fq.bytes += frame.size_bytes;
 
   if (!fq.in_new && !fq.in_old) {
     fq.deficit = kMtuBytes;
@@ -56,7 +58,7 @@ PacketSlab::Slot FqCoDel::codel_pop(FlowQueue& fq, Time now, bool& ok_to_drop) {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot s = fq.q.pop_front(slab);
   const PacketSlab::Entry& e = slab[s];
-  fq.bytes -= e.pkt.size_bytes;
+  fq.bytes -= e.size_bytes;
 
   if (now - e.stamp < kTarget || fq.bytes < kMtuBytes) {
     fq.first_above_time = Time::zero();
@@ -78,7 +80,7 @@ PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
     } else {
       while (fq.dropping && s != PacketSlab::kNone && now >= fq.drop_next) {
         ++fq.count;
-        if (mark_ce(slab[s].pkt)) {
+        if (mark_ce(slab[s])) {
           fq.drop_next = control_law(fq.drop_next, fq.count);
           break;  // marked packets are still delivered
         }
@@ -93,7 +95,7 @@ PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
     }
   } else if (ok_to_drop) {
     // Enter dropping state.
-    if (!mark_ce(slab[s].pkt)) {
+    if (!mark_ce(slab[s])) {
       drop(s);
       s = codel_pop(fq, now, ok_to_drop);
     }
@@ -142,7 +144,7 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
       continue;
     }
 
-    fq->deficit -= slab[s].pkt.size_bytes;
+    fq->deficit -= slab[s].size_bytes;
     account_dequeue(slab[s]);
     return s;
   }

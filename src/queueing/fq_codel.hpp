@@ -30,7 +30,7 @@ class FqCoDel final : public QueueDisc {
 
   FqCoDel(Scheduler& sched, FqCoDelParams params) : sched_(sched), params_(params) {}
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] std::size_t flow_queue_count() const { return queues_.size(); }
@@ -49,7 +49,7 @@ class FqCoDel final : public QueueDisc {
     bool dropping = false;
   };
 
-  FlowQueue& queue_for(const Packet& pkt);
+  FlowQueue& queue_for(const FlowId& flow);
   void drop_from_fattest();
   // CoDel at dequeue time: drops or marks packets of `fq` per the control
   // law and returns the slot to transmit, or PacketSlab::kNone.

@@ -3,10 +3,11 @@
 // A device pulls from its queue disc whenever the link goes idle; the queue
 // disc decides admission (enqueue may drop) and service order (dequeue).
 //
-// Admitted packets live in the thread's PacketSlab (net/packet_slab.hpp):
-// enqueue copies the packet into a slot, the discipline links the slot into
-// its SlotFifos, and dequeue_slot() hands the slot to the device, which puts
-// it on the wire without copying the packet again.
+// Packets live in the thread's PacketSlab (net/packet_slab.hpp), encoded
+// once by their sender. A device offers a frame's slot to enqueue_slot(),
+// which links it into one of the discipline's SlotFifos or rejects it and
+// releases it; dequeue_slot() hands a slot back to the device, which puts it
+// on the wire. No hop copies or decodes the packet.
 //
 // A discipline decides; QueueDisc counts. Each admission, reject, drop, CE
 // mark and dequeue goes through one protected call below, which keeps the
@@ -42,17 +43,24 @@ class QueueDisc {
  public:
   virtual ~QueueDisc() = default;
 
-  // Returns false (and counts a drop) when the packet was not admitted.
-  virtual bool enqueue(Packet pkt) = 0;
+  // Offers the frame in slab slot `s`, which the queue disc now owns: it
+  // queues the slot, or counts a drop and releases it and returns false.
+  // Every in-tree discipline implements this and dequeue_slot(). The
+  // default decodes the frame, releases the slot and calls enqueue(), for
+  // wrappers that override only that.
+  virtual bool enqueue_slot(PacketSlab::Slot s);
 
   // Removes the next packet to transmit and returns its slab slot, or
   // PacketSlab::kNone when nothing is queued. The caller owns the slot and
-  // releases it. Every in-tree discipline implements this; the default
-  // allocates a slot from dequeue() and counts nothing, for wrappers that
-  // override only that.
+  // releases it. The default encodes the packet dequeue() returns into a new
+  // slot and counts nothing, for wrappers that override only that.
   virtual PacketSlab::Slot dequeue_slot();
 
-  // dequeue_slot() with the packet copied out and its slot released.
+  // enqueue_slot() of `pkt` encoded into a new slot; for tests and wrappers.
+  virtual bool enqueue(Packet pkt);
+
+  // dequeue_slot() with the packet decoded and its slot released; for tests
+  // and wrappers.
   virtual std::optional<Packet> dequeue();
 
   // Queued totals. Virtual only so that a wrapper can report its inner
@@ -78,19 +86,24 @@ class QueueDisc {
   // (an uninstrumented stamp is never read back).
   [[nodiscard]] Time sojourn_now() const;
 
-  // Copies `pkt` into a slab slot stamped `stamp` and counts it as enqueued
-  // and queued. The discipline links the returned slot into its queue.
-  [[nodiscard]] PacketSlab::Slot admit(const Packet& pkt, Time stamp) {
+  // Counts the frame in slot s as enqueued and queued and stamps it
+  // `stamp`; returns s for the discipline to link into its queue.
+  [[nodiscard]] PacketSlab::Slot admit(PacketSlab::Slot s, Time stamp) {
+    PacketSlab::Entry& frame = PacketSlab::local()[s];
+    frame.stamp = stamp;
     ++stats_.enqueued_packets;
     ++packets_;
-    bytes_ += pkt.size_bytes;
-    return PacketSlab::local().alloc(pkt, stamp);
+    bytes_ += frame.size_bytes;
+    return s;
   }
 
-  // Counts a packet that was not admitted; returns false for enqueue.
-  bool reject(const Packet& pkt) {
+  // Counts the frame in slot s as not admitted and releases the slot;
+  // returns false for enqueue_slot.
+  bool reject(PacketSlab::Slot s) {
+    PacketSlab& slab = PacketSlab::local();
     ++stats_.dropped_packets;
-    stats_.dropped_bytes += pkt.size_bytes;
+    stats_.dropped_bytes += slab[s].size_bytes;
+    slab.release(s);
     return false;
   }
 
@@ -98,7 +111,7 @@ class QueueDisc {
   // releases its slot.
   void drop(PacketSlab::Slot s) {
     PacketSlab& slab = PacketSlab::local();
-    const std::uint32_t size = slab[s].pkt.size_bytes;
+    const std::uint32_t size = slab[s].size_bytes;
     --packets_;
     bytes_ -= size;
     ++stats_.dropped_packets;
@@ -106,23 +119,23 @@ class QueueDisc {
     slab.release(s);
   }
 
-  // Marks an ECN-capable packet CE and counts the mark; returns false, and
-  // leaves the packet as it is, when it is not ECT.
-  bool mark_ce(Packet& pkt) {
-    if (!pkt.ect) return false;
-    pkt.ce = true;
+  // Marks an ECN-capable frame CE and counts the mark; returns false, and
+  // leaves the frame as it is, when it is not ECT.
+  bool mark_ce(PacketSlab::Entry& frame) {
+    if (!frame.ect()) return false;
+    frame.set_ce();
     ++stats_.ecn_marked_packets;
     return true;
   }
 
-  // Counts a packet the discipline has unlinked for the wire and observes
-  // its sojourn (now − entry.stamp) when instrumented.
-  void account_dequeue(const PacketSlab::Entry& entry) {
+  // Counts a frame the discipline has unlinked for the wire and observes
+  // its sojourn (now − frame.stamp) when instrumented.
+  void account_dequeue(const PacketSlab::Entry& frame) {
     --packets_;
-    bytes_ -= entry.pkt.size_bytes;
+    bytes_ -= frame.size_bytes;
     ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += entry.pkt.size_bytes;
-    if (sojourn_hist_ != nullptr) record_sojourn(entry.stamp);
+    stats_.dequeued_bytes += frame.size_bytes;
+    if (sojourn_hist_ != nullptr) record_sojourn(frame.stamp);
   }
 
  private:
@@ -134,9 +147,9 @@ class QueueDisc {
 
   const Scheduler* sojourn_sched_ = nullptr;
   obs::Histogram* sojourn_hist_ = nullptr;
-  // Set while the default dequeue_slot() runs, so a discipline that
-  // overrides neither dequeue method fails an assert instead of recursing.
-  bool adapting_dequeue_ = false;
+  // Set while a default adapter runs, so a discipline that overrides
+  // neither method of a pair fails an assert instead of recursing.
+  bool adapting_ = false;
 };
 
 }  // namespace cebinae

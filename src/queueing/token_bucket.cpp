@@ -59,25 +59,27 @@ void StrawmanQueueDisc::on_tick() {
   tick_.arm_after(params_.interval);
 }
 
-bool StrawmanQueueDisc::enqueue(Packet pkt) {
+bool StrawmanQueueDisc::enqueue_slot(PacketSlab::Slot s) {
+  PacketSlab& slab = PacketSlab::local();
+  const PacketSlab::Entry& frame = slab[s];
   if (limiting_) {
-    auto it = buckets_.find(pkt.flow);
+    auto it = buckets_.find(frame.flow);
     if (it == buckets_.end()) {
       it = buckets_
-               .emplace(pkt.flow,
+               .emplace(frame.flow,
                         TokenBucket(frozen_rate_Bps_,
                                     params_.burst_factor * frozen_rate_Bps_ *
                                         params_.interval.seconds()))
                .first;
     }
-    if (!it->second.conforms(pkt.size_bytes, sched_.now())) {
+    if (!it->second.conforms(frame.size_bytes, sched_.now())) {
       ++limited_drops_;
-      return reject(pkt);
+      return reject(s);
     }
   }
 
-  if (byte_count() + pkt.size_bytes > buffer_bytes_) return reject(pkt);
-  q_.push_back(PacketSlab::local(), admit(pkt, sojourn_now()));
+  if (byte_count() + frame.size_bytes > buffer_bytes_) return reject(s);
+  q_.push_back(slab, admit(s, sojourn_now()));
   return true;
 }
 
@@ -85,9 +87,9 @@ PacketSlab::Slot StrawmanQueueDisc::dequeue_slot() {
   if (q_.empty()) return PacketSlab::kNone;
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Slot s = q_.pop_front(slab);
-  const Packet& pkt = slab[s].pkt;
-  interval_bytes_[pkt.flow] += pkt.size_bytes;
-  account_dequeue(slab[s]);
+  const PacketSlab::Entry& frame = slab[s];
+  interval_bytes_[frame.flow] += frame.size_bytes;
+  account_dequeue(frame);
   return s;
 }
 

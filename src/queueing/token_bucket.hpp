@@ -53,7 +53,7 @@ class StrawmanQueueDisc final : public QueueDisc {
   StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
                     std::uint64_t buffer_bytes, StrawmanParams params = {});
 
-  bool enqueue(Packet pkt) override;
+  bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
   [[nodiscard]] bool limiting() const { return limiting_; }

@@ -94,6 +94,9 @@ class Scenario {
   [[nodiscard]] TcpSender& sender(std::size_t flow_index) {
     return *senders_.at(flow_index);
   }
+  [[nodiscard]] TcpReceiver& receiver(std::size_t flow_index) {
+    return *receivers_.at(flow_index);
+  }
   [[nodiscard]] const Device& bottleneck(int link = 0) const {
     return *topo_.bottlenecks.at(link);
   }

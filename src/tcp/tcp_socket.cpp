@@ -314,6 +314,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
   pkt.ect = config_.ecn_capable;
 
   total_sent_bytes_ += len;
+  ++segments_sent_;
   if (loss_mode_ == LossMode::kFastRecovery) prr_out_ += len;
   if (!is_retransmission) {
     unacked_.push_back(

@@ -91,6 +91,8 @@ class TcpSender final : public PacketSink {
 
   [[nodiscard]] std::uint64_t bytes_acked() const { return snd_una_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return total_sent_bytes_; }
+  // Segments handed to the node, retransmissions included.
+  [[nodiscard]] std::uint64_t segments_sent() const { return segments_sent_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
   [[nodiscard]] std::uint64_t rto_count() const { return rto_count_; }
   [[nodiscard]] std::uint64_t fast_retransmit_count() const { return fast_retransmits_; }
@@ -193,6 +195,7 @@ class TcpSender final : public PacketSink {
   Time next_pacing_gate_ = Time::zero();
 
   std::uint64_t total_sent_bytes_ = 0;
+  std::uint64_t segments_sent_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t rto_count_ = 0;
   std::uint64_t fast_retransmits_ = 0;

@@ -4,6 +4,7 @@
 // to the whole program it is linked into.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +29,16 @@ void* counted_new(std::size_t n) {
   throw std::bad_alloc();
 }
 
+// The packet slab's 64-byte frames come from the over-aligned forms.
+void* counted_aligned_new(std::size_t n, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(al);
+  // aligned_alloc takes a non-zero multiple of the alignment.
+  const std::size_t size = (std::max<std::size_t>(n, 1) + align - 1) / align * align;
+  if (void* p = std::aligned_alloc(align, size)) return p;
+  throw std::bad_alloc();
+}
+
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
 
 }  // namespace
@@ -44,6 +55,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void* operator new(std::size_t n, std::align_val_t al) { return counted_aligned_new(n, al); }
+void* operator new[](std::size_t n, std::align_val_t al) { return counted_aligned_new(n, al); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace cebinae {
 namespace {
