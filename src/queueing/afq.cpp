@@ -4,12 +4,13 @@
 
 namespace cebinae {
 
-Afq::Afq(AfqParams params) : params_(params), queues_(params.num_queues) {}
+Afq::Afq(std::uint64_t buffer_bytes, AfqParams params)
+    : buffer_bytes_(buffer_bytes), params_(params), queues_(params.num_queues) {}
 
 bool Afq::enqueue_slot(PacketSlab::Slot s) {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Entry& frame = slab[s];
-  if (byte_count() + frame.size_bytes > params_.buffer_bytes) return reject(s);
+  if (byte_count() + frame.size_bytes > buffer_bytes_) return reject(s);
 
   // Bid: the round in which the flow's cumulative bytes would depart under
   // ideal fair queueing. Flows idle past the current round restart there

@@ -25,12 +25,12 @@ namespace cebinae {
 struct AfqParams {
   std::uint32_t num_queues = 32;      // nQ
   std::uint32_t bytes_per_round = 2 * kMtuBytes;  // BpR
-  std::uint64_t buffer_bytes = 4 * 1024 * 1024;
 };
 
 class Afq final : public QueueDisc {
  public:
-  explicit Afq(AfqParams params);
+  // Admission requires byte_count + size <= buffer_bytes.
+  Afq(std::uint64_t buffer_bytes, AfqParams params);
 
   bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
@@ -39,6 +39,7 @@ class Afq final : public QueueDisc {
   [[nodiscard]] std::uint64_t horizon_drops() const { return horizon_drops_; }
 
  private:
+  std::uint64_t buffer_bytes_;
   AfqParams params_;
   std::vector<SlotFifo> queues_;  // ring of calendar slots
   std::size_t head_slot_ = 0;

@@ -1,5 +1,6 @@
 #include "queueing/fq_codel.hpp"
 
+#include <cassert>
 #include <cmath>
 
 namespace cebinae {
@@ -12,19 +13,14 @@ Time control_law(Time t, std::uint32_t count) {
 }
 }  // namespace
 
-FqCoDel::FlowQueue& FqCoDel::queue_for(const FlowId& flow) {
-  const std::uint64_t key = FlowIdHash{}(flow);
-  auto it = queues_.find(key);
-  if (it == queues_.end()) it = queues_.emplace(key, std::make_unique<FlowQueue>()).first;
-  return *it->second;
-}
-
 void FqCoDel::drop_from_fattest() {
   FlowQueue* fattest = nullptr;
-  for (auto& [key, fq] : queues_) {
-    if (!fattest || fq->bytes > fattest->bytes) fattest = fq.get();
+  for (auto& [flow, fq] : queues_) {
+    if (!fattest || fq.bytes > fattest->bytes) fattest = &fq;
   }
-  if (!fattest || fattest->q.empty()) return;
+  // Called only while byte_count() exceeds the limit, so some queue holds
+  // bytes; an empty pick would spin enqueue_slot's loop forever.
+  assert(fattest != nullptr && !fattest->q.empty());
   // RFC 8290 drops from the head of the fattest queue to penalize the
   // standing queue rather than the arriving packet.
   PacketSlab& slab = PacketSlab::local();
@@ -36,14 +32,14 @@ void FqCoDel::drop_from_fattest() {
 bool FqCoDel::enqueue_slot(PacketSlab::Slot s) {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Entry& frame = slab[s];
-  FlowQueue& fq = queue_for(frame.flow);
+  FlowQueue& fq = queues_[frame.flow];
   fq.q.push_back(slab, admit(s, sched_.now()));
   fq.bytes += frame.size_bytes;
 
-  if (!fq.in_new && !fq.in_old) {
+  if (!fq.scheduled) {
     fq.deficit = kMtuBytes;
     new_flows_.push_back(&fq);
-    fq.in_new = true;
+    fq.scheduled = true;
   }
   while (byte_count() > params_.limit_bytes) drop_from_fattest();
   return true;
@@ -117,14 +113,12 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
   // services, recycles, or retires one queue.
   while (!new_flows_.empty() || !old_flows_.empty()) {
     const bool from_new = !new_flows_.empty();
-    std::list<FlowQueue*>& lst = from_new ? new_flows_ : old_flows_;
+    std::deque<FlowQueue*>& lst = from_new ? new_flows_ : old_flows_;
     FlowQueue* fq = lst.front();
 
     if (fq->deficit <= 0) {
       fq->deficit += kMtuBytes;
       lst.pop_front();
-      fq->in_new = false;
-      fq->in_old = true;
       old_flows_.push_back(fq);
       continue;
     }
@@ -135,11 +129,9 @@ PacketSlab::Slot FqCoDel::dequeue_slot() {
       // retired (RFC 8290 §4.2); an old empty queue is removed.
       lst.pop_front();
       if (from_new) {
-        fq->in_new = false;
-        fq->in_old = true;
         old_flows_.push_back(fq);
       } else {
-        fq->in_old = false;
+        fq->scheduled = false;
       }
       continue;
     }

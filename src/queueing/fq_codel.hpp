@@ -6,8 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
+#include <deque>
 #include <unordered_map>
 
 #include "queueing/queue_disc.hpp"
@@ -40,8 +39,7 @@ class FqCoDel final : public QueueDisc {
     SlotFifo q;
     std::uint64_t bytes = 0;
     std::int64_t deficit = 0;
-    bool in_new = false;  // linked on new_flows_
-    bool in_old = false;  // linked on old_flows_
+    bool scheduled = false;  // on new_flows_ or old_flows_ (moving keeps it set)
     // CoDel control-law state.
     Time first_above_time = Time::zero();
     Time drop_next = Time::zero();
@@ -49,7 +47,6 @@ class FqCoDel final : public QueueDisc {
     bool dropping = false;
   };
 
-  FlowQueue& queue_for(const FlowId& flow);
   void drop_from_fattest();
   // CoDel at dequeue time: drops or marks packets of `fq` per the control
   // law and returns the slot to transmit, or PacketSlab::kNone.
@@ -60,10 +57,13 @@ class FqCoDel final : public QueueDisc {
 
   Scheduler& sched_;
   FqCoDelParams params_;
-  // Keyed by FlowIdHash; the iteration order breaks drop_from_fattest ties.
-  std::unordered_map<std::uint64_t, std::unique_ptr<FlowQueue>> queues_;
-  std::list<FlowQueue*> new_flows_;
-  std::list<FlowQueue*> old_flows_;
+  // Map nodes never move, so the lists hold plain pointers. drop_from_fattest
+  // takes the first fattest queue in iteration order, which depends only on
+  // hash values, bucket count and insertion order: the same order as a map
+  // keyed by the 64-bit FlowIdHash value under the identity std::hash.
+  std::unordered_map<FlowId, FlowQueue, FlowIdHash> queues_;
+  std::deque<FlowQueue*> new_flows_;
+  std::deque<FlowQueue*> old_flows_;
 };
 
 }  // namespace cebinae

@@ -57,12 +57,9 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
       disc = std::move(q);
       break;
     }
-    case QdiscKind::kAfq: {
-      AfqParams p = cfg_.afq;
-      p.buffer_bytes = cfg_.buffer_bytes;
-      disc = std::make_unique<Afq>(p);
+    case QdiscKind::kAfq:
+      disc = std::make_unique<Afq>(cfg_.buffer_bytes, cfg_.afq);
       break;
-    }
     case QdiscKind::kStrawman:
       disc = std::make_unique<StrawmanQueueDisc>(net_->scheduler(), cfg_.bottleneck_bps,
                                                  cfg_.buffer_bytes, StrawmanParams{});

@@ -46,7 +46,7 @@ struct ScenarioConfig {
   bool auto_cebinae_timing = true;
 
   FqCoDelParams fq;  // limit_bytes is overridden with buffer_bytes
-  AfqParams afq;     // buffer_bytes is overridden with buffer_bytes
+  AfqParams afq;
 
   double access_rate_factor = 4.0;
   Time duration = Seconds(30);

@@ -14,6 +14,8 @@ Packet pkt(std::uint32_t flow, std::uint32_t size = kMtuBytes) {
   return p;
 }
 
+constexpr std::uint64_t kBufferBytes = 4 * 1024 * 1024;
+
 AfqParams params(std::uint32_t nq = 32, std::uint32_t bpr = 2 * kMtuBytes) {
   AfqParams p;
   p.num_queues = nq;
@@ -22,7 +24,7 @@ AfqParams params(std::uint32_t nq = 32, std::uint32_t bpr = 2 * kMtuBytes) {
 }
 
 TEST(Afq, SingleFlowPassesInOrder) {
-  Afq q(params());
+  Afq q(kBufferBytes, params());
   for (std::uint64_t i = 0; i < 5; ++i) {
     Packet p = pkt(1);
     p.seq = i;
@@ -36,7 +38,7 @@ TEST(Afq, SingleFlowPassesInOrder) {
 }
 
 TEST(Afq, RoundRobinAcrossBackloggedFlows) {
-  Afq q(params(32, kMtuBytes));
+  Afq q(kBufferBytes, params(32, kMtuBytes));
   // Two flows, each with 16 packets: the calendar interleaves them round by
   // round rather than serving one flow's backlog first.
   for (int i = 0; i < 16; ++i) {
@@ -54,7 +56,7 @@ TEST(Afq, RoundRobinAcrossBackloggedFlows) {
 }
 
 TEST(Afq, ByteFairnessForUnequalPacketSizes) {
-  Afq q(params(64, kMtuBytes));
+  Afq q(kBufferBytes, params(64, kMtuBytes));
   for (int i = 0; i < 20; ++i) q.enqueue(pkt(1, kMtuBytes));
   for (int i = 0; i < 40; ++i) q.enqueue(pkt(2, kMtuBytes / 2));
   std::map<NodeId, std::uint64_t> bytes;
@@ -68,7 +70,7 @@ TEST(Afq, ByteFairnessForUnequalPacketSizes) {
 
 TEST(Afq, HorizonDropsWhenFlowTooFarAhead) {
   // nQ=4, BpR=1 MTU: a flow can have at most ~4 MTU scheduled ahead.
-  Afq q(params(4, kMtuBytes));
+  Afq q(kBufferBytes, params(4, kMtuBytes));
   int admitted = 0;
   for (int i = 0; i < 10; ++i) {
     if (q.enqueue(pkt(1))) ++admitted;
@@ -83,7 +85,7 @@ TEST(Afq, HorizonScalesWithNqTimesBpr) {
        {std::tuple<std::uint32_t, std::uint32_t, int>{8, kMtuBytes, 8},
         {4, 2 * kMtuBytes, 8},
         {16, kMtuBytes, 16}}) {
-    Afq q(params(nq, bpr));
+    Afq q(kBufferBytes, params(nq, bpr));
     int admitted = 0;
     for (int i = 0; i < 64; ++i) {
       if (q.enqueue(pkt(1))) ++admitted;
@@ -93,7 +95,7 @@ TEST(Afq, HorizonScalesWithNqTimesBpr) {
 }
 
 TEST(Afq, IdleFlowRestartsAtCurrentRound) {
-  Afq q(params(8, kMtuBytes));
+  Afq q(kBufferBytes, params(8, kMtuBytes));
   // Flow 1 sends a lot early; flow 2 arrives later and must not be charged
   // for rounds it never used.
   for (int i = 0; i < 8; ++i) q.enqueue(pkt(1));
@@ -106,9 +108,7 @@ TEST(Afq, IdleFlowRestartsAtCurrentRound) {
 }
 
 TEST(Afq, BufferLimitIndependentOfHorizon) {
-  AfqParams p = params(1024, kMtuBytes);
-  p.buffer_bytes = 4 * kMtuBytes;
-  Afq q(p);
+  Afq q(4 * kMtuBytes, params(1024, kMtuBytes));
   int admitted = 0;
   for (std::uint32_t f = 1; f <= 8; ++f) {
     if (q.enqueue(pkt(f))) ++admitted;
@@ -117,7 +117,7 @@ TEST(Afq, BufferLimitIndependentOfHorizon) {
 }
 
 TEST(Afq, DrainsCompletely) {
-  Afq q(params());
+  Afq q(kBufferBytes, params());
   for (std::uint32_t f = 1; f <= 5; ++f) {
     for (int i = 0; i < 3; ++i) q.enqueue(pkt(f));
   }

@@ -156,6 +156,10 @@ TEST(AllocBudget, CebinaeScenarioSteadyState) {
   expect_steady_state_budget(short_rtt_mix(QdiscKind::kCebinae));
 }
 
+TEST(AllocBudget, FqCoDelScenarioSteadyState) {
+  expect_steady_state_budget(short_rtt_mix(QdiscKind::kFqCoDel));
+}
+
 // SACK-heavy: 32 NewReno + 2 BBR flows over a 100 Mbps, 100 ms, 835-MTU
 // FIFO for 4 s, where windows of hundreds of segments recover from many
 // holes at once. Guards the sender's SACK scoreboard against allocating

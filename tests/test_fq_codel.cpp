@@ -137,5 +137,23 @@ TEST(FqCoDel, ReactivatedFlowIsNewAgain) {
   EXPECT_EQ(p->flow.src, 1u);
 }
 
+TEST(FqCoDel, ArrivalOnOldListDoesNotScheduleQueueTwice) {
+  Scheduler sched;
+  FqCoDel q(sched, params());
+  q.enqueue(pkt(1));
+  for (int i = 0; i < 10; ++i) q.enqueue(pkt(2));
+  EXPECT_EQ(q.dequeue().value().flow.src, 1u);
+  EXPECT_EQ(q.dequeue().value().flow.src, 2u);
+  // Flow 1's queue is empty and waits on the old list. Its new packets must
+  // leave it there, not also put it on the new list, or it would be served
+  // twice per round.
+  for (int i = 0; i < 10; ++i) q.enqueue(pkt(1));
+  for (int i = 0; i < 8; ++i) {
+    auto p = q.dequeue();
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->flow.src, i % 2 == 0 ? 1u : 2u) << "dequeue " << i;
+  }
+}
+
 }  // namespace
 }  // namespace cebinae

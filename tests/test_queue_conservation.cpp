@@ -46,7 +46,7 @@ class QueueConservation : public ::testing::TestWithParam<QdiscKind> {
         break;
       }
       case QdiscKind::kAfq:
-        q_ = std::make_unique<Afq>(AfqParams{8, kMtuBytes, kBufferBytes});
+        q_ = std::make_unique<Afq>(kBufferBytes, AfqParams{8, kMtuBytes});
         break;
       case QdiscKind::kStrawman:
         q_ = std::make_unique<StrawmanQueueDisc>(sched_, kCapacityBps, kBufferBytes);
