@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace cebinae {
 
@@ -10,16 +11,19 @@ CebinaeAgent::CebinaeAgent(Scheduler& sched, CebinaeQueueDisc& qdisc)
       params_(qdisc.params()),
       capacity_Bps_(static_cast<double>(qdisc.capacity_bps()) / 8.0),
       port_(qdisc.capacity_bps(), params_.delta_port),
-      rotate_gen_(sched, params_.dt, [this] { on_rotate(); }),
+      rotate_timer_(sched,
+                    [this] {
+                      rotate_timer_.arm_after(params_.dt);
+                      on_rotate();
+                    }),
       commit_timer_(sched, [this] { commit(); }) {}
 
-void CebinaeAgent::start() { rotate_gen_.start(params_.dt); }
+void CebinaeAgent::start() { rotate_timer_.arm_after(params_.dt); }
 
 void CebinaeAgent::on_rotate() {
   qdisc_.rotate();
-  ++rotations_;
 
-  if (rotations_ % params_.p_rounds == 0) recompute();
+  if (rotations() % params_.p_rounds == 0) recompute();
 
   // Commit window [t0 + vdT, t0 + vdT + L]: the drained queue is guaranteed
   // empty, so rate and membership changes are safe. Apply the latest targets
@@ -32,12 +36,12 @@ void CebinaeAgent::on_rotate() {
 void CebinaeAgent::commit() {
   const bool was_saturated = qdisc_.lbf().saturated_phase();
   if (target_saturated_ && !was_saturated) {
-    qdisc_.set_top_flows(target_top_flows_);
-    qdisc_.lbf().enter_saturated(target_top_rate_, target_bottom_rate_);
+    qdisc_.set_top_flows(snapshot_.top_flows);
+    qdisc_.lbf().enter_saturated(snapshot_.top_rate_Bps, snapshot_.bottom_rate_Bps);
     ++phase_changes_;
   } else if (target_saturated_) {
-    qdisc_.set_top_flows(target_top_flows_);
-    qdisc_.lbf().set_future_rates(target_top_rate_, target_bottom_rate_);
+    qdisc_.set_top_flows(snapshot_.top_flows);
+    qdisc_.lbf().set_future_rates(snapshot_.top_rate_Bps, snapshot_.bottom_rate_Bps);
   } else if (was_saturated) {
     qdisc_.set_top_flows({});
     qdisc_.lbf().leave_saturated();
@@ -58,11 +62,10 @@ void CebinaeAgent::recompute() {
 
   snapshot_.saturated = saturated;
   snapshot_.utilization = port_.last_utilization();
-  snapshot_.top_flows.clear();
 
   if (!saturated || entries.empty()) {
     target_saturated_ = false;
-    target_top_flows_.clear();
+    snapshot_.top_flows.clear();
     snapshot_.top_rate_Bps = 0.0;
     snapshot_.bottom_rate_Bps = capacity_Bps_;
     return;
@@ -79,7 +82,6 @@ void CebinaeAgent::recompute() {
     if (static_cast<double>(e.bytes) >= threshold) {
       top.insert(e.flow);
       bottleneck_bytes += static_cast<double>(e.bytes);
-      snapshot_.top_flows.push_back(e.flow);
     }
   }
   bottleneck_bytes *= 1.0 - params_.tau;
@@ -91,12 +93,9 @@ void CebinaeAgent::recompute() {
   const double bottom_rate = capacity_Bps_ - top_rate;
 
   target_saturated_ = true;
-  target_top_rate_ = top_rate;
-  target_bottom_rate_ = bottom_rate;
-  target_top_flows_ = std::move(top);
-
   snapshot_.top_rate_Bps = top_rate;
   snapshot_.bottom_rate_Bps = bottom_rate;
+  snapshot_.top_flows = std::move(top);
 }
 
 }  // namespace cebinae

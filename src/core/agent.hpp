@@ -1,20 +1,19 @@
 // Cebinae's control-plane agent (the paper's Fig. 4 pseudocode on the
 // Fig. 6 timeline).
 //
-// Every dT the data plane rotates queue priorities (driven by the packet
-// generator). Every P rotations the agent samples the port's transmit byte
-// counter (the queue disc's stats().dequeued_bytes), polls-and-resets the
-// heavy-hitter cache, classifies ⊤ flows (within δf of the maximum), and
-// computes taxed rate allocations; all changes commit at t0 + vdT + L — the
-// window in which the drained queue is guaranteed empty, so membership
-// moves cannot reorder packets.
+// Every dT the data plane rotates queue priorities (driven by the agent's
+// ROTATE timer, which models the switch's packet generator). Every P
+// rotations the agent samples the port's transmit byte counter (the queue
+// disc's stats().dequeued_bytes), polls-and-resets the heavy-hitter cache,
+// classifies ⊤ flows (within δf of the maximum), and computes taxed rate
+// allocations; all changes commit at t0 + vdT + L — the window in which the
+// drained queue is guaranteed empty, so membership moves cannot reorder
+// packets.
 #pragma once
 
 #include <cstdint>
 #include <unordered_set>
-#include <vector>
 
-#include "control/packet_generator.hpp"
 #include "core/cebinae_queue_disc.hpp"
 #include "core/params.hpp"
 #include "core/port_saturation.hpp"
@@ -35,11 +34,12 @@ class CebinaeAgent {
     double utilization = 0.0;
     double top_rate_Bps = 0.0;
     double bottom_rate_Bps = 0.0;
-    std::vector<FlowId> top_flows;
+    // The ⊤ set the next commit installs; empty when unsaturated.
+    std::unordered_set<FlowId, FlowIdHash> top_flows;
   };
   [[nodiscard]] const Snapshot& snapshot() const { return snapshot_; }
 
-  [[nodiscard]] std::uint64_t rotations() const { return rotations_; }
+  [[nodiscard]] std::uint64_t rotations() const { return qdisc_.lbf().rotations(); }
   [[nodiscard]] std::uint64_t recomputations() const { return recomputations_; }
   [[nodiscard]] std::uint64_t phase_changes() const { return phase_changes_; }
 
@@ -53,20 +53,18 @@ class CebinaeAgent {
   CebinaeParams params_;
   double capacity_Bps_;
   PortSaturationDetector port_;  // control-plane state (§4.1)
-  PacketGenerator rotate_gen_;  // models the hardware ROTATE packet source
+  // The hardware packet generator's ROTATE, every dT: it re-arms before it
+  // rotates, so the period never drifts.
+  Timer rotate_timer_;
   Timer commit_timer_;
 
-  std::uint64_t rotations_ = 0;
   std::uint64_t recomputations_ = 0;
   std::uint64_t phase_changes_ = 0;
 
-  // Targets computed by the last recomputation, applied to each queue as it
-  // becomes available.
+  // Whether the last recomputation taxes: the snapshot's rates and ⊤ set are
+  // the targets applied to each queue as it becomes available. It differs
+  // from snapshot_.saturated when the port saturated with an empty cache.
   bool target_saturated_ = false;
-  double target_top_rate_ = 0.0;
-  double target_bottom_rate_ = 0.0;
-  std::unordered_set<FlowId, FlowIdHash> target_top_flows_;
-
   Snapshot snapshot_;
 };
 

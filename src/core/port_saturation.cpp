@@ -9,8 +9,7 @@ bool PortSaturationDetector::sample(std::uint64_t tx_bytes, Time interval) {
   const double capacity_bytes =
       static_cast<double>(capacity_bps_) / 8.0 * interval.seconds();
   last_utilization_ = capacity_bytes > 0 ? static_cast<double>(delta) / capacity_bytes : 0.0;
-  saturated_ = last_utilization_ >= 1.0 - delta_port_;
-  return saturated_;
+  return last_utilization_ >= 1.0 - delta_port_;
 }
 
 }  // namespace cebinae

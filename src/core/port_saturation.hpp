@@ -21,7 +21,6 @@ class PortSaturationDetector {
   // previous sample and report saturation over the elapsed interval.
   bool sample(std::uint64_t tx_bytes, Time interval);
 
-  [[nodiscard]] bool saturated() const { return saturated_; }
   [[nodiscard]] double last_utilization() const { return last_utilization_; }
 
  private:
@@ -29,7 +28,6 @@ class PortSaturationDetector {
   double delta_port_;
   std::uint64_t last_sample_ = 0;
   double last_utilization_ = 0.0;
-  bool saturated_ = false;
 };
 
 }  // namespace cebinae

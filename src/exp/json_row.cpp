@@ -69,7 +69,6 @@ void append_value(std::string& out, const JsonObject::Value& value) {
                  [&](double v) { append_number(out, v); },
                  [&](std::uint64_t v) { out += std::to_string(v); },
                  [&](std::int64_t v) { out += std::to_string(v); },
-                 [&](bool v) { out += v ? "true" : "false"; },
                  [&](const std::string& v) { append_escaped(out, v); },
                  [&](const std::vector<double>& v) {
                    out += '[';
@@ -184,9 +183,6 @@ class Reader {
       JsonObject nested;
       p = object(nested);
       out.set(key, nested);
-    } else if (c == 't' || c == 'f') {
-      p = literal(c == 't' ? "true" : "false");
-      out.set(key, c == 't');
     } else if (c == 'n') {
       p = literal("null");
       out.set(key, kNaN);
@@ -329,11 +325,6 @@ JsonObject& JsonObject::set(std::string_view key, std::uint64_t v) {
 
 JsonObject& JsonObject::set(std::string_view key, std::int64_t v) {
   fields_.emplace_back(key, Value(std::in_place_type<std::int64_t>, v));
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view key, bool v) {
-  fields_.emplace_back(key, Value(std::in_place_type<bool>, v));
   return *this;
 }
 

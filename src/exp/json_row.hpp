@@ -28,7 +28,7 @@ namespace cebinae::exp {
 
 class JsonObject {
  public:
-  using Value = std::variant<double, std::uint64_t, std::int64_t, bool, std::string,
+  using Value = std::variant<double, std::uint64_t, std::int64_t, std::string,
                              std::vector<double>, std::shared_ptr<const JsonObject>,
                              std::shared_ptr<const std::vector<JsonObject>>>;
   using Field = std::pair<std::string, Value>;
@@ -37,7 +37,8 @@ class JsonObject {
   JsonObject& set(std::string_view key, std::uint64_t v);
   JsonObject& set(std::string_view key, std::int64_t v);
   JsonObject& set(std::string_view key, int v) { return set(key, static_cast<std::int64_t>(v)); }
-  JsonObject& set(std::string_view key, bool v);
+  // No row holds a bool; deleted so that a bool does not become an int64.
+  JsonObject& set(std::string_view key, bool v) = delete;
   JsonObject& set(std::string_view key, std::string_view v);
   JsonObject& set(std::string_view key, const char* v) { return set(key, std::string_view(v)); }
   JsonObject& set(std::string_view key, std::vector<double> v);
@@ -67,8 +68,8 @@ class JsonObject {
   // Empty when absent or not a list of objects.
   [[nodiscard]] const std::vector<JsonObject>& list(std::string_view key) const;
 
-  // A numeric value as a double; nothing for strings, bools, arrays,
-  // objects and lists.
+  // A numeric value as a double; nothing for strings, arrays, objects and
+  // lists.
   [[nodiscard]] static std::optional<double> number(const Value& v);
   // One value as str() writes it.
   [[nodiscard]] static std::string str(const Value& v);

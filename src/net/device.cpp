@@ -17,11 +17,7 @@ Device::Device(Scheduler& sched, Node& owner, std::uint64_t rate_bps, Time prop_
                        : 0),
       prop_delay_(prop_delay),
       qdisc_(std::move(qdisc)),
-      tx_done_(sched,
-               [this] {
-                 busy_ = false;
-                 try_transmit();
-               }),
+      tx_done_(sched, [this] { try_transmit(); }),
       arrival_(sched, [this] { arrive(); }) {
   assert(rate_bps_ > 0);
   assert(qdisc_ != nullptr);
@@ -38,18 +34,13 @@ void Device::send(PacketSlab::Slot s) {
 }
 
 void Device::try_transmit() {
-  if (busy_) return;
+  if (tx_done_.armed()) return;
   const PacketSlab::Slot s = qdisc_->dequeue_slot();
   if (s == PacketSlab::kNone) return;
   PacketSlab& slab = PacketSlab::local();
   PacketSlab::Entry& frame = slab[s];
 
-  busy_ = true;
-  const std::uint32_t size = frame.size_bytes;
-  const Time tx_time = serialization_delay(size);
-  tx_bytes_ += size;
-  ++tx_packets_;
-
+  const Time tx_time = serialization_delay(frame.size_bytes);
   tx_done_.arm_after(tx_time);
   assert(peer_ != nullptr && "device transmitted before the link was connected");
   // The arrival's key is reserved here, right after the tx-done event: this

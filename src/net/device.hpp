@@ -53,9 +53,10 @@ class Device {
 
   // Bytes of every frame the transmitter has started to serialize onto the
   // wire (the paper's per-port egress transmit counter). A frame counts when
-  // its serialization starts, not when it ends.
-  [[nodiscard]] std::uint64_t tx_bytes() const { return tx_bytes_; }
-  [[nodiscard]] std::uint64_t tx_packets() const { return tx_packets_; }
+  // its serialization starts, not when it ends: the transmitter starts each
+  // frame as it dequeues it, so these are the queue disc's dequeue counts.
+  [[nodiscard]] std::uint64_t tx_bytes() const { return qdisc_->stats().dequeued_bytes; }
+  [[nodiscard]] std::uint64_t tx_packets() const { return qdisc_->stats().dequeued_packets; }
   // Frames handed to the wire (serializing or propagating) that the peer
   // has not received yet.
   [[nodiscard]] std::size_t frames_on_wire() const { return wire_.size(); }
@@ -81,14 +82,11 @@ class Device {
   std::int64_t ns_per_byte_;
   Time prop_delay_;
   std::unique_ptr<QueueDisc> qdisc_;
-  bool busy_ = false;
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t tx_packets_ = 0;
   Device* peer_ = nullptr;
   // Delay line: frames on the wire, oldest first. Each slot's `stamp` is its
   // arrival time and `seq` the arrival's reserved scheduler seq.
   SlotFifo wire_;
-  Timer tx_done_;  // end of the current frame's serialization
+  Timer tx_done_;  // end of the current frame's serialization; armed while busy
   Timer arrival_;  // the delay line's head reaches the peer
 };
 

@@ -28,8 +28,7 @@ bool Afq::enqueue_slot(PacketSlab::Slot s) {
   }
 
   fb += frame.size_bytes;
-  const std::size_t slot = (head_slot_ + ahead) % params_.num_queues;
-  queues_[slot].push_back(slab, admit(s, sojourn_now()));
+  queues_[round % params_.num_queues].push_back(slab, admit(s, sojourn_now()));
   return true;
 }
 
@@ -37,14 +36,13 @@ PacketSlab::Slot Afq::dequeue_slot() {
   // Serve the current round's queue; when it empties, rotate to the next
   // non-empty slot (advancing the virtual round clock).
   for (std::uint32_t scanned = 0; scanned < params_.num_queues; ++scanned) {
-    auto& q = queues_[head_slot_];
+    auto& q = queues_[current_round_ % params_.num_queues];
     if (!q.empty()) {
       PacketSlab& slab = PacketSlab::local();
       const PacketSlab::Slot s = q.pop_front(slab);
       account_dequeue(slab[s]);
       return s;
     }
-    head_slot_ = (head_slot_ + 1) % params_.num_queues;
     ++current_round_;
   }
   // All slots empty: opportunistically age out stale flow state so the map

@@ -41,8 +41,8 @@ class Afq final : public QueueDisc {
  private:
   std::uint64_t buffer_bytes_;
   AfqParams params_;
-  std::vector<SlotFifo> queues_;  // ring of calendar slots
-  std::size_t head_slot_ = 0;
+  // Ring of calendar slots: round r is queued in slot r % num_queues.
+  std::vector<SlotFifo> queues_;
   std::uint64_t current_round_ = 0;
   std::uint64_t horizon_drops_ = 0;
 

@@ -46,11 +46,9 @@ void StrawmanQueueDisc::on_tick() {
     if (rate > 0) {
       frozen_rate_Bps_ = rate;
       for (auto& [flow, bucket] : buckets_) bucket.set_rate(rate);
-      limiting_ = true;
     }
-  } else if (limiting_) {
+  } else if (limiting()) {
     // Aggregate demand dropped below capacity: release all limits.
-    limiting_ = false;
     buckets_.clear();
     frozen_rate_Bps_ = 0.0;
   }
@@ -62,7 +60,7 @@ void StrawmanQueueDisc::on_tick() {
 bool StrawmanQueueDisc::enqueue_slot(PacketSlab::Slot s) {
   PacketSlab& slab = PacketSlab::local();
   const PacketSlab::Entry& frame = slab[s];
-  if (limiting_) {
+  if (limiting()) {
     auto it = buckets_.find(frame.flow);
     if (it == buckets_.end()) {
       it = buckets_

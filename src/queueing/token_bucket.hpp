@@ -56,7 +56,7 @@ class StrawmanQueueDisc final : public QueueDisc {
   bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] bool limiting() const { return limiting_; }
+  [[nodiscard]] bool limiting() const { return frozen_rate_Bps_ > 0; }
   [[nodiscard]] double frozen_rate_Bps() const { return frozen_rate_Bps_; }
   [[nodiscard]] std::uint64_t limited_drops() const { return limited_drops_; }
 
@@ -75,8 +75,7 @@ class StrawmanQueueDisc final : public QueueDisc {
   std::unordered_map<FlowId, std::uint64_t, FlowIdHash> interval_bytes_;
   PortSaturationDetector saturation_;
 
-  // Enforcement.
-  bool limiting_ = false;
+  // Enforcement: every flow is held to this rate while it is positive.
   double frozen_rate_Bps_ = 0.0;
   std::unordered_map<FlowId, TokenBucket, FlowIdHash> buckets_;
   std::uint64_t limited_drops_ = 0;

@@ -147,19 +147,19 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
         [this](const FlowId& f, std::uint64_t bytes, Time now) {
           stats_.on_delivery(f, bytes, now);
         });
-    flow_ids_.push_back(flow);
   }
 }
 
 void Scenario::enable_trace(Time period) {
-  assert(trace_timer_ == nullptr && "enable_trace must be called at most once");
+  assert(!trace_timer_ && "enable_trace must be called at most once");
   assert(period > Time::zero() && "trace period must be positive");
   trace_period_ = period;
-  trace_prev_bytes_.assign(flow_ids_.size(), 0);
-  trace_timer_ = std::make_unique<PacketGenerator>(net_->scheduler(), period, [this] {
+  trace_prev_bytes_.assign(flow_ids().size(), 0);
+  trace_timer_.emplace(net_->scheduler(), [this] {
+    trace_timer_->arm_after(trace_period_);
     trace_.push_back(trace_row(net_->scheduler().now()));
   });
-  trace_timer_->start(period);
+  trace_timer_->arm_after(period);
 }
 
 namespace {
@@ -178,11 +178,12 @@ exp::JsonObject Scenario::trace_row(Time now) {
   // flows whose configured start precedes the window — matching the paper's
   // time-series figures, where a joining flow enters the fairness index only
   // once it has been active for a full sample window.
-  std::vector<double> tput(flow_ids_.size(), 0.0);
+  const std::vector<FlowId>& flows = flow_ids();
+  std::vector<double> tput(flows.size(), 0.0);
   std::vector<double> active;
   const Time window_start = now - trace_period_;
-  for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
-    const std::uint64_t total = stats_.total_bytes(flow_ids_[i]);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const std::uint64_t total = stats_.total_bytes(flows[i]);
     tput[i] = static_cast<double>(total - trace_prev_bytes_[i]) / trace_period_.seconds();
     trace_prev_bytes_[i] = total;
     if (cfg_.flows[i].start <= window_start) active.push_back(tput[i]);
@@ -269,9 +270,9 @@ exp::JsonObject Scenario::trace_row(Time now) {
   row.set("ceb_util", std::move(utilization));
   row.set("ceb_cache_occupied", std::move(cache_occupied));
   row.set("ceb_cache_uncounted", std::move(cache_uncounted));
-  std::vector<double> top(flow_ids_.size(), 0.0);
-  for (std::size_t i = 0; i < flow_ids_.size(); ++i) {
-    top[i] = cebinae_qdiscs_[0]->is_top(flow_ids_[i]) ? 1.0 : 0.0;
+  std::vector<double> top(flows.size(), 0.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    top[i] = cebinae_qdiscs_[0]->is_top(flows[i]) ? 1.0 : 0.0;
   }
   row.set("top_flow", std::move(top));
   return row;

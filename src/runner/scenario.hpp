@@ -10,11 +10,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/agent.hpp"
 #include "core/cebinae_queue_disc.hpp"
-#include "control/packet_generator.hpp"
 #include "core/params.hpp"
 #include "exp/json_row.hpp"
 #include "metrics/flow_stats.hpp"
@@ -90,7 +90,7 @@ class Scenario {
   // Accessors ---------------------------------------------------------------
   [[nodiscard]] Network& network() { return *net_; }
   [[nodiscard]] FlowStatsCollector& stats() { return stats_; }
-  [[nodiscard]] const std::vector<FlowId>& flow_ids() const { return flow_ids_; }
+  [[nodiscard]] const std::vector<FlowId>& flow_ids() const { return stats_.flows(); }
   [[nodiscard]] TcpSender& sender(std::size_t flow_index) {
     return *senders_.at(flow_index);
   }
@@ -131,11 +131,11 @@ class Scenario {
   ChainTopology topo_;
   std::vector<std::unique_ptr<TcpSender>> senders_;
   std::vector<std::unique_ptr<TcpReceiver>> receivers_;
-  std::vector<FlowId> flow_ids_;
   std::vector<std::unique_ptr<CebinaeAgent>> agents_;
   std::vector<CebinaeQueueDisc*> cebinae_qdiscs_;
   std::vector<exp::JsonObject> trace_;
-  std::unique_ptr<PacketGenerator> trace_timer_;
+  // Re-arms for the next tick before it builds its row.
+  std::optional<Timer> trace_timer_;
   Time trace_period_;
   std::vector<std::uint64_t> trace_prev_bytes_;  // per flow, at the last tick
 };

@@ -1,6 +1,7 @@
 #include "tcp/tcp_socket.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -26,6 +27,7 @@ void TcpReceiver::deliver(const Packet& pkt) {
 
   const std::uint64_t seq = pkt.seq;
   const std::uint64_t end = pkt.seq_end();
+  const std::uint64_t delivered = rcv_nxt_;
 
   if (end <= rcv_nxt_) {
     // Pure duplicate; still ACK to keep the sender's clock going.
@@ -45,27 +47,19 @@ void TcpReceiver::deliver(const Packet& pkt) {
     latest_block_ = Packet::SackBlock{merged.begin, merged.end};
   }
 
-  const std::uint64_t newly = rcv_nxt_ - delivered_bytes_;
-  if (newly > 0) {
-    delivered_bytes_ = rcv_nxt_;
-    if (on_delivery_) on_delivery_(data_flow_, newly, sched_.now());
-  }
+  const std::uint64_t newly = rcv_nxt_ - delivered;
+  if (newly > 0 && on_delivery_) on_delivery_(data_flow_, newly, sched_.now());
   send_ack(pkt);
 }
 
 void TcpReceiver::send_ack(const Packet& data_pkt) {
-  Packet ack;
-  ack.flow = data_flow_.reversed();
-  ack.kind = Packet::Kind::kTcpAck;
-  ack.size_bytes = kAckBytes;
-  ack.ack = rcv_nxt_;
-  ack.ts_echo = data_pkt.ts_sent;
-  ack.ece = ece_pending_;
   // SACK option: the block containing the most recent arrival first
   // (RFC 2018), then older ranges in rotation so the whole out-of-order map
   // is eventually advertised even when it has many holes.
+  std::array<Packet::SackBlock, 3> sack{};
+  std::uint8_t sack_count = 0;
   if (latest_block_.end > rcv_nxt_ && latest_block_.end > latest_block_.begin) {
-    ack.sack[ack.sack_count++] =
+    sack[sack_count++] =
         Packet::SackBlock{std::max(latest_block_.begin, rcv_nxt_), latest_block_.end};
   }
   if (!ooo_.empty()) {
@@ -76,10 +70,10 @@ void TcpReceiver::send_ack(const Packet& data_pkt) {
                           (idx == ooo_.size() || ooo_[idx].begin >= sack_rotation_seq_) &&
                           (idx == 0 || ooo_[idx - 1].begin < sack_rotation_seq_);
     if (!at_bound) idx = ooo_.lower_bound(sack_rotation_seq_);
-    for (std::size_t i = 0; i < ooo_.size() && ack.sack_count < ack.sack.size(); ++i) {
+    for (std::size_t i = 0; i < ooo_.size() && sack_count < sack.size(); ++i) {
       if (idx == ooo_.size()) idx = 0;
       if (ooo_[idx].begin != latest_block_.begin) {
-        ack.sack[ack.sack_count++] = Packet::SackBlock{ooo_[idx].begin, ooo_[idx].end};
+        sack[sack_count++] = Packet::SackBlock{ooo_[idx].begin, ooo_[idx].end};
       }
       ++idx;
     }
@@ -87,9 +81,23 @@ void TcpReceiver::send_ack(const Packet& data_pkt) {
     sack_rotation_seq_ = idx == 0 ? 0 : ooo_[idx].begin;
     sack_rotation_idx_ = idx;
   }
+  // Every member named, so nothing is zeroed first and then overwritten.
+  const Packet ack{.flow = data_flow_.reversed(),
+                   .kind = Packet::Kind::kTcpAck,
+                   .size_bytes = kAckBytes,
+                   .payload_bytes = 0,
+                   .seq = 0,
+                   .ack = rcv_nxt_,
+                   .sack = sack,
+                   .sack_count = sack_count,
+                   .ts_sent = Time::zero(),
+                   .ts_echo = data_pkt.ts_sent,
+                   .ect = false,
+                   .ce = false,
+                   .ece = ece_pending_};
   ece_pending_ = false;
   ++acks_sent_;
-  local_.send(std::move(ack));
+  local_.send(ack);
 }
 
 // ---------------------------------------------------------------------------
@@ -304,14 +312,20 @@ void TcpSender::try_send() {
 }
 
 void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retransmission) {
-  Packet pkt;
-  pkt.flow = config_.flow;
-  pkt.kind = Packet::Kind::kTcpData;
-  pkt.payload_bytes = len;
-  pkt.size_bytes = len + kHeaderBytes;
-  pkt.seq = seq;
-  pkt.ts_sent = sched_.now();
-  pkt.ect = config_.ecn_capable;
+  // Every member named, so nothing is zeroed first and then overwritten.
+  const Packet pkt{.flow = config_.flow,
+                   .kind = Packet::Kind::kTcpData,
+                   .size_bytes = len + kHeaderBytes,
+                   .payload_bytes = len,
+                   .seq = seq,
+                   .ack = 0,
+                   .sack = {},
+                   .sack_count = 0,
+                   .ts_sent = sched_.now(),
+                   .ts_echo = Time::zero(),
+                   .ect = config_.ecn_capable,
+                   .ce = false,
+                   .ece = false};
 
   total_sent_bytes_ += len;
   ++segments_sent_;
@@ -321,7 +335,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
         SegMeta{seq, len, 0, sched_.now(), delivered_, delivered_stamp_, false, false, false});
   }
   if (!rto_timer_.armed()) arm_rto();
-  local_.send(std::move(pkt));
+  local_.send(pkt);
 }
 
 void TcpSender::retransmit_front() {

@@ -38,7 +38,8 @@ class TcpReceiver final : public PacketSink {
 
   void set_delivery_callback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
 
-  [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
+  // Every byte below rcv_nxt has been delivered in order.
+  [[nodiscard]] std::uint64_t delivered_bytes() const { return rcv_nxt_; }
   [[nodiscard]] std::uint64_t rcv_next() const { return rcv_nxt_; }
   [[nodiscard]] std::uint64_t ooo_bytes() const;
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
@@ -57,7 +58,6 @@ class TcpReceiver final : public PacketSink {
   Packet::SackBlock latest_block_{};
   std::uint64_t sack_rotation_seq_ = 0;  // round-robin cursor over ooo_
   std::size_t sack_rotation_idx_ = 0;    // ooo_.lower_bound(cursor) when last set
-  std::uint64_t delivered_bytes_ = 0;
   std::uint64_t acks_sent_ = 0;
   bool ece_pending_ = false;
   DeliveryCallback on_delivery_;

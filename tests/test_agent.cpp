@@ -58,6 +58,22 @@ TEST(CebinaeAgent, RotatesEveryDt) {
   EXPECT_EQ(h.qdisc.lbf().rotations(), 10u);
 }
 
+TEST(CebinaeAgent, RotationsFallExactlyDtApart) {
+  // Traffic flows and commits land between the rotations; none of it moves
+  // the ROTATE timer, and every P-th rotation recomputes.
+  AgentHarness h;
+  h.start();
+  const Time dt = agent_params().dt;
+  for (std::uint64_t k = 1; k <= 1000; ++k) {
+    h.sched.run_until(dt * static_cast<std::int64_t>(k) - Nanoseconds(1));
+    ASSERT_EQ(h.agent.rotations(), k - 1) << "rotation " << k;
+    h.sched.run_until(dt * static_cast<std::int64_t>(k));
+    ASSERT_EQ(h.agent.rotations(), k) << "rotation " << k;
+    ASSERT_EQ(h.agent.recomputations(), k / agent_params().p_rounds) << "rotation " << k;
+  }
+  EXPECT_GE(h.agent.phase_changes(), 1u);  // commits entered the saturated phase
+}
+
 TEST(CebinaeAgent, RecomputesEveryPRounds) {
   AgentHarness h;
   h.agent.start();
@@ -83,7 +99,7 @@ TEST(CebinaeAgent, SaturationDetectedAndTopFlowClassified) {
   EXPECT_TRUE(h.agent.snapshot().saturated);
   EXPECT_GE(h.agent.snapshot().utilization, 0.99);
   ASSERT_EQ(h.agent.snapshot().top_flows.size(), 1u);
-  EXPECT_EQ(h.agent.snapshot().top_flows[0].src, 1u);
+  EXPECT_TRUE(h.agent.snapshot().top_flows.contains(FlowId{1, 1000, 5000, 5000}));
   // Membership was committed to the data plane.
   EXPECT_TRUE(h.qdisc.is_top(FlowId{1, 1000, 5000, 5000}));
   EXPECT_FALSE(h.qdisc.is_top(FlowId{2, 1000, 5000, 5000}));

@@ -67,8 +67,8 @@ TEST(Aggregate, MeanAndPopulationStddev) {
 
 TEST(JsonObject, BuildsOrderedObject) {
   JsonObject o;
-  o.set("a", 1).set("b", 2.5).set("c", "x").set("d", true);
-  EXPECT_EQ(o.str(), R"({"a":1,"b":2.5,"c":"x","d":true})");
+  o.set("a", 1).set("b", 2.5).set("c", "x").set("d", -3);
+  EXPECT_EQ(o.str(), R"({"a":1,"b":2.5,"c":"x","d":-3})");
 }
 
 TEST(JsonObject, EscapesStringsAndHandlesArraysAndNesting) {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "control/packet_generator.hpp"
 #include "net/network.hpp"
 #include "runner/scenario.hpp"
 
@@ -353,20 +352,6 @@ class SlabScenario : public ::testing::TestWithParam<QdiscKind> {
     std::uint64_t on_wire = 0;   // frames serializing or propagating
   };
 
-  // The transmitter's own counts equal its queue disc's dequeue counts on
-  // every device: each dequeued packet starts serializing at once.
-  static void assert_tx_equals_dequeued(Network& net) {
-    for (NodeId n = 0; n < net.node_count(); ++n) {
-      Node& node = net.node(n);
-      for (std::size_t d = 0; d < node.device_count(); ++d) {
-        const Device& dev = node.device(d);
-        const QueueDiscStats& s = dev.qdisc().stats();
-        ASSERT_EQ(dev.tx_packets(), s.dequeued_packets) << "node " << n << " device " << d;
-        ASSERT_EQ(dev.tx_bytes(), s.dequeued_bytes) << "node " << n << " device " << d;
-      }
-    }
-  }
-
   static Totals totals(Network& net) {
     Totals t;
     for (NodeId n = 0; n < net.node_count(); ++n) {
@@ -409,16 +394,16 @@ TEST_P(SlabScenario, LiveSlotsAreQueuedOrOnTheWire) {
   int ticks = 0;
   std::uint64_t max_queued = 0;
   std::uint64_t max_extensions = 0;
-  PacketGenerator check(net.scheduler(), Milliseconds(10), [&] {
+  Timer check(net.scheduler(), [&] {
+    check.arm_after(Milliseconds(10));
     const Totals t = totals(net);
     ASSERT_EQ(slab.live() - before, t.queued + t.on_wire);
     ASSERT_EQ(slab.live_extensions(), slab.frames_with_extension());
-    ASSERT_NO_FATAL_FAILURE(assert_tx_equals_dequeued(net));
     max_queued = std::max(max_queued, t.queued);
     max_extensions = std::max(max_extensions, slab.live_extensions());
     ++ticks;
   });
-  check.start(Milliseconds(10));
+  check.arm_after(Milliseconds(10));
   scenario.run();
   EXPECT_GT(ticks, 100);
   EXPECT_GT(max_queued, 0u);

@@ -9,7 +9,6 @@
 #include <variant>
 #include <vector>
 
-#include "control/packet_generator.hpp"
 #include "exp/json_row.hpp"
 #include "metrics/jfi.hpp"
 
@@ -193,7 +192,8 @@ exp::JsonObject run_and_check_trace_sums(const ScenarioConfig& cfg, Time period)
   scenario.enable_trace(period);
   Network& net = scenario.network();
   int ticks = 0;
-  PacketGenerator check(net.scheduler(), period, [&] {
+  Timer check(net.scheduler(), [&] {
+    check.arm_after(period);
     const exp::JsonObject& row = scenario.trace().back();
     std::uint64_t tx_bytes = 0, tx_packets = 0;
     for (NodeId n = 0; n < net.node_count(); ++n) {
@@ -215,7 +215,7 @@ exp::JsonObject run_and_check_trace_sums(const ScenarioConfig& cfg, Time period)
     EXPECT_EQ(row.num("tcp.fast_retransmits"), static_cast<double>(fast_retransmits));
     ++ticks;
   });
-  check.start(period);
+  check.arm_after(period);
   scenario.run();
   EXPECT_EQ(static_cast<std::size_t>(ticks), scenario.trace().size());
   return scenario.trace().back();
