@@ -15,6 +15,7 @@
 #include "core/lbf.hpp"
 #include "exp/json_row.hpp"
 #include "metrics/jfi.hpp"
+#include "net/counting_sink.hpp"
 #include "net/network.hpp"
 #include "net/packet_slab.hpp"
 #include "queueing/fifo_queue.hpp"
@@ -23,7 +24,6 @@
 #include "sim/scheduler.hpp"
 #include "tcp/interval_set.hpp"
 #include "topology/topology.hpp"
-#include "workload/udp_app.hpp"
 
 namespace {
 
@@ -330,7 +330,7 @@ void BM_ForwardFrameThreeHops(benchmark::State& state) {
   net.link(s1, s2, 1'000'000'000, Microseconds(10), nullptr, nullptr);
   net.link(s2, h3, 1'000'000'000, Microseconds(10), nullptr, nullptr);
   net.build_routes();
-  UdpSink sink(h3, 9);
+  CountingSink sink(h3, 9);
   Packet p;
   p.flow = FlowId{h0.id(), h3.id(), 1, 9};
   p.kind = Packet::Kind::kTcpData;

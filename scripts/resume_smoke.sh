@@ -2,10 +2,11 @@
 # Resume smoke gate (tier-1): a sweep killed part-way and continued with
 # --resume must print the same report and write the same files as an
 # uninterrupted run.
-#   * table2 --smoke at --jobs=4 is SIGKILLed once --out holds >= 10 rows,
-#     then resumed at --jobs=1: stdout and JSONL (minus wall_s) must match
-#     an uninterrupted --jobs=1 run. A run that wrote every row before the
-#     kill landed is started again, up to 3 attempts.
+#   * table2 --smoke at --jobs=4 runs under a file-size limit of half the
+#     uninterrupted run's --out, so the kernel ends it with SIGXFSZ (exit
+#     status 153) partway through a row; it is then resumed at --jobs=1:
+#     stdout and JSONL (minus wall_s) must match an uninterrupted --jobs=1
+#     run.
 #   * fig01 --out is torn inside job 1's row, within its trace list (the job
 #     was being written when the process died): the resumed stdout must
 #     match byte for byte, and the JSONL minus wall_s.
@@ -20,35 +21,34 @@ if [[ ! -x "$BENCH" ]]; then
 fi
 
 tmpdir="$(mktemp -d)"
-pid=""
-trap '[[ -n "$pid" ]] && kill -9 "$pid" 2>/dev/null; rm -rf "$tmpdir"' EXIT
+trap 'rm -rf "$tmpdir"' EXIT
 
 strip_wall() { sed -E 's/"wall_s":[0-9.eE+-]+/"wall_s":0/' "$1"; }
 rows() { [[ -f "$1" ]] && wc -l <"$1" || echo 0; }
 
-# ---- table2: SIGKILL mid-sweep, resume at another --jobs --------------------
-echo "== table2 --smoke: SIGKILL at >= 10 rows, then --resume ==" >&2
+# ---- table2: killed mid-sweep, resume at another --jobs ---------------------
+echo "== table2 --smoke: killed at half its --out size, then --resume ==" >&2
 "$BENCH" --experiment=table2 --smoke --jobs=1 \
   --out="$tmpdir/ref.jsonl" >"$tmpdir/ref.stdout" 2>/dev/null
 total="$(rows "$tmpdir/ref.jsonl")"
 
-# A fast or loaded host can finish the whole sweep before the kill lands;
-# such a leg tests nothing, so it is run again, up to 3 attempts.
-for attempt in 1 2 3; do
-  rm -f "$tmpdir/res.jsonl"
-  "$BENCH" --experiment=table2 --smoke --jobs=4 \
-    --out="$tmpdir/res.jsonl" >/dev/null 2>&1 &
-  pid=$!
-  while kill -0 "$pid" 2>/dev/null && (($(rows "$tmpdir/res.jsonl") < 10)); do
-    sleep 0.01
-  done
-  kill -9 "$pid" 2>/dev/null || true
-  wait "$pid" 2>/dev/null || true
-  pid=""
-  killed="$(rows "$tmpdir/res.jsonl")"
-  echo "attempt $attempt: the killed run left $killed of $total rows" >&2
-  ((killed < total)) && break
-done
+# Rows are written in job order, so where the limit cuts does not depend on
+# the host's speed. `ulimit -f` counts KiB; -c 0 keeps the kill from leaving
+# a core file.
+limit_kib=$(($(wc -c <"$tmpdir/ref.jsonl") / 2048))
+status=0
+(
+  ulimit -c 0
+  ulimit -f "$limit_kib"
+  exec "$BENCH" --experiment=table2 --smoke --jobs=4 \
+    --out="$tmpdir/res.jsonl" >/dev/null 2>&1
+) || status=$?
+killed="$(rows "$tmpdir/res.jsonl")"
+echo "the run limited to $limit_kib KiB exited $status after $killed of $total rows" >&2
+if ((status != 153)); then
+  echo "error: the run limited to $limit_kib KiB exited $status; expected 153 (SIGXFSZ)" >&2
+  exit 1
+fi
 if ((killed < 10 || killed >= total)); then
   echo "error: the killed run left $killed of $total rows; expected 10..$((total - 1))" >&2
   exit 1

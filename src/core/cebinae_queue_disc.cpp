@@ -9,11 +9,11 @@ CebinaeQueueDisc::CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
       buffer_bytes_(buffer_bytes),
       params_(params),
       lbf_(params, capacity_bps),
-      cache_(params.cache_stages, params.cache_slots) {}
+      cache_(kCacheStages, kCacheSlots) {}
 
 bool CebinaeQueueDisc::enqueue_slot(PacketSlab::Slot s) {
   PacketSlab& slab = PacketSlab::local();
-  PacketSlab::Entry& frame = slab[s];
+  const PacketSlab::Entry& frame = slab[s];
   // Shared physical buffer: the LBF's guarantees assume the whole buffer is
   // available to whichever queue needs it (paper §4.4).
   if (byte_count() + frame.size_bytes > buffer_bytes_) {
@@ -22,22 +22,21 @@ bool CebinaeQueueDisc::enqueue_slot(PacketSlab::Slot s) {
   }
 
   const FlowGroup group = is_top(frame.flow) ? FlowGroup::kTop : FlowGroup::kBottom;
-  const LeakyBucketFilter::Decision d = lbf_.admit(group, frame.size_bytes, sched_.now());
+  const LeakyBucketFilter::Queue queue = lbf_.admit(group, frame.size_bytes, sched_.now());
 
-  switch (d.queue) {
+  switch (queue) {
     case LeakyBucketFilter::Queue::kDrop:
       ++lbf_dropped_packets_;
       return reject(s);
     case LeakyBucketFilter::Queue::kTail:
       ++delayed_packets_;
-      if (d.mark_ecn) mark_ce(frame);
       break;
     case LeakyBucketFilter::Queue::kHead:
       break;
   }
 
-  const int q = d.queue == LeakyBucketFilter::Queue::kHead ? lbf_.head_index()
-                                                           : 1 - lbf_.head_index();
+  const int q = queue == LeakyBucketFilter::Queue::kHead ? lbf_.head_index()
+                                                          : 1 - lbf_.head_index();
   q_[q].push_back(slab, admit(s, sojourn_now()));
   return true;
 }

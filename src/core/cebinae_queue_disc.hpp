@@ -19,6 +19,10 @@ namespace cebinae {
 
 class CebinaeQueueDisc final : public QueueDisc {
  public:
+  // Heavy-hitter cache geometry (§4.2 / Table 3).
+  static constexpr std::uint32_t kCacheStages = 2;
+  static constexpr std::uint32_t kCacheSlots = 2048;  // per stage
+
   CebinaeQueueDisc(Scheduler& sched, std::uint64_t capacity_bps, std::uint64_t buffer_bytes,
                    CebinaeParams params);
 

@@ -39,8 +39,7 @@ double LeakyBucketFilter::entitled_bytes(double rate_head_Bps, double rate_tail_
   return rate_head_Bps * dt_s_ + rate_tail_Bps * dt_s_;
 }
 
-LeakyBucketFilter::Decision LeakyBucketFilter::admit(FlowGroup group, std::uint32_t size,
-                                                     Time now) {
+LeakyBucketFilter::Queue LeakyBucketFilter::admit(FlowGroup group, std::uint32_t size, Time now) {
   advance_virtual_round(now);
   const int tail = 1 - head_;
 
@@ -74,22 +73,12 @@ LeakyBucketFilter::Decision LeakyBucketFilter::admit(FlowGroup group, std::uint3
     past_tail = past_head - rate_tail * dt_s_;
   }
 
-  Decision d;
-  if (past_head <= 0) {
-    d.queue = Queue::kHead;
-  } else if (past_tail <= 0) {
-    d.queue = Queue::kTail;
-    // Fig. 5 line 26: the optional ECN mark applies to packets delayed into
-    // the future queue while the port is saturated (the unsaturated-phase
-    // aggregate filter is buffer management, not a congestion signal).
-    d.mark_ecn = params_.mark_ecn && saturated_;
-  } else {
-    d.queue = Queue::kDrop;
-    // The dropped packet must not consume allocation.
-    if (saturated_) bytes_[static_cast<int>(group)] -= size;
-    total_bytes_ -= size;
-  }
-  return d;
+  if (past_head <= 0) return Queue::kHead;
+  if (past_tail <= 0) return Queue::kTail;
+  // The dropped packet must not consume allocation.
+  if (saturated_) bytes_[static_cast<int>(group)] -= size;
+  total_bytes_ -= size;
+  return Queue::kDrop;
 }
 
 void LeakyBucketFilter::rotate(Time now) {

@@ -28,15 +28,10 @@ class LeakyBucketFilter {
  public:
   enum class Queue : std::uint8_t { kHead, kTail, kDrop };
 
-  struct Decision {
-    Queue queue = Queue::kHead;
-    bool mark_ecn = false;
-  };
-
   LeakyBucketFilter(const CebinaeParams& params, std::uint64_t capacity_bps);
 
   // Fig. 5 lines 13-33: admission decision for a packet of `size` bytes.
-  [[nodiscard]] Decision admit(FlowGroup group, std::uint32_t size, Time now);
+  [[nodiscard]] Queue admit(FlowGroup group, std::uint32_t size, Time now);
 
   // Fig. 5 lines 8-12 (ROTATE packet): drain one round's allocation from the
   // byte counters, advance the round origin, and flip queue priorities.

@@ -19,12 +19,6 @@ struct CebinaeParams {
   Time dt = Nanoseconds(1 << 27);           // dT: physical bucket duration (2^n)
   Time vdt = Nanoseconds(1 << 10);          // vdT: virtual bucket duration (2^m, m<n)
 
-  bool mark_ecn = false;  // optionally mark instead of delay-only signaling
-
-  // Heavy-hitter cache geometry (§4.2 / Table 3).
-  std::uint32_t cache_stages = 2;
-  std::uint32_t cache_slots = 2048;  // per stage
-
   // Round a duration up to the next power-of-two nanoseconds (Tofino-style
   // bucket durations enable the vdT masking trick in Fig. 5).
   [[nodiscard]] static Time next_pow2(Time t) {

@@ -1,5 +1,5 @@
-// A counting UDP sink: unit tests bind it to a node's port and count the
-// packets and payload bytes the network delivers there.
+// A counting sink: unit tests bind it to a node's port and count the
+// packets and payload bytes the network delivers there, whatever their kind.
 #pragma once
 
 #include <cstdint>
@@ -9,12 +9,12 @@
 
 namespace cebinae {
 
-class UdpSink final : public PacketSink {
+class CountingSink final : public PacketSink {
  public:
-  UdpSink(Node& local, std::uint16_t port) : local_(local), port_(port) {
+  CountingSink(Node& local, std::uint16_t port) : local_(local), port_(port) {
     local_.bind(port_, *this);
   }
-  ~UdpSink() override { local_.unbind(port_); }
+  ~CountingSink() override { local_.unbind(port_); }
 
   void deliver(const Packet& pkt) override {
     ++packets_;

@@ -1,8 +1,8 @@
 // Packet and flow-identity types shared by the whole simulator.
 //
 // Packets are small value types; the simulator models only the metadata that
-// congestion control and queueing react to (sizes, sequence numbers, ECN
-// bits, timestamps) — payload bytes are never materialized.
+// congestion control and queueing react to (sizes, sequence numbers, SACK
+// blocks, timestamps) — payload bytes are never materialized.
 #pragma once
 
 #include <array>
@@ -58,14 +58,14 @@ inline std::ostream& operator<<(std::ostream& os, const FlowId& f) {
 }
 
 struct Packet {
-  enum class Kind : std::uint8_t { kTcpData, kTcpAck, kUdp };
+  enum class Kind : std::uint8_t { kTcpData, kTcpAck };
 
   FlowId flow;
   Kind kind = Kind::kTcpData;
   std::uint32_t size_bytes = 0;     // frame size on the wire
   std::uint32_t payload_bytes = 0;  // application bytes carried
 
-  // Transport fields (TCP semantics; UDP leaves them zero).
+  // Transport fields (TCP semantics).
   std::uint64_t seq = 0;  // first payload byte offset of this segment
   std::uint64_t ack = 0;  // cumulative ACK: next byte expected by receiver
 
@@ -82,16 +82,10 @@ struct Packet {
   Time ts_sent;
   Time ts_echo;
 
-  // ECN state. `ect` is set by ECN-capable senders, `ce` by congested
-  // routers, `ece` echoed on ACKs by receivers.
-  bool ect = false;
-  bool ce = false;
-  bool ece = false;
-
   [[nodiscard]] std::uint64_t seq_end() const { return seq + payload_bytes; }
 };
 
-// Anything that terminates packets at a node (TCP sockets, UDP sinks, ...).
+// Anything that terminates packets at a node (TCP sockets, counting sinks).
 class PacketSink {
  public:
   virtual ~PacketSink() = default;

@@ -164,13 +164,8 @@ class PacketSlab {
   static constexpr Slot kNone = std::numeric_limits<Slot>::max();
 
   // One frame in one cache line. The kind's primary number and timestamp
-  // are `seq`/`ts_sent` for data and UDP and `ack`/`ts_echo` for an ACK.
+  // are `seq`/`ts_sent` for data and `ack`/`ts_echo` for an ACK.
   struct alignas(64) Entry {
-    static constexpr std::uint8_t kKindMask = 0x3;
-    static constexpr std::uint8_t kEct = 1 << 2;
-    static constexpr std::uint8_t kCe = 1 << 3;
-    static constexpr std::uint8_t kEce = 1 << 4;
-
     Slot next = kNone;         // link in a SlotFifo or the free list
     Slot ext = kNone;          // extension record, or kNone
     std::uint64_t number = 0;  // the kind's primary number
@@ -180,19 +175,13 @@ class PacketSlab {
     FlowId flow;
     std::uint32_t size_bytes = 0;
     std::uint32_t payload_bytes = 0;
-    std::uint8_t bits = 0;  // Packet::Kind, then the ECT, CE and ECE bits
+    Packet::Kind kind = Packet::Kind::kTcpData;
     std::uint8_t sack_count = 0;
-
-    [[nodiscard]] Packet::Kind kind() const { return static_cast<Packet::Kind>(bits & kKindMask); }
-    [[nodiscard]] bool ect() const { return (bits & kEct) != 0; }
-    [[nodiscard]] bool ce() const { return (bits & kCe) != 0; }
-    [[nodiscard]] bool ece() const { return (bits & kEce) != 0; }
-    void set_ce() { bits |= kCe; }
   };
   static_assert(sizeof(Entry) == 64 && alignof(Entry) == 64);
 
   // What a frame leaves out: the kind's other number and timestamp
-  // (`ack`/`ts_echo` for data and UDP, `seq`/`ts_sent` for an ACK) and the
+  // (`ack`/`ts_echo` for data, `seq`/`ts_sent` for an ACK) and the
   // SACK blocks.
   struct Extension {
     Slot next = kNone;  // link in the free list
@@ -222,9 +211,7 @@ class PacketSlab {
     e.flow = pkt.flow;
     e.size_bytes = pkt.size_bytes;
     e.payload_bytes = pkt.payload_bytes;
-    e.bits = static_cast<std::uint8_t>(static_cast<std::uint8_t>(pkt.kind) |
-                                       (pkt.ect ? Entry::kEct : 0) | (pkt.ce ? Entry::kCe : 0) |
-                                       (pkt.ece ? Entry::kEce : 0));
+    e.kind = pkt.kind;
     e.sack_count = pkt.sack_count;
     e.ext = kNone;
     const std::uint64_t other = ack ? pkt.seq : pkt.ack;
@@ -248,10 +235,10 @@ class PacketSlab {
     const Extension* x = e.ext != kNone ? &extensions_[e.ext] : nullptr;
     const std::uint64_t other = x != nullptr ? x->number : 0;
     const Time other_time = x != nullptr ? x->time : Time::zero();
-    const bool ack = e.kind() == Packet::Kind::kTcpAck;
+    const bool ack = e.kind == Packet::Kind::kTcpAck;
     // Every member named, so nothing is zeroed first and then overwritten.
     return Packet{.flow = e.flow,
-                  .kind = e.kind(),
+                  .kind = e.kind,
                   .size_bytes = e.size_bytes,
                   .payload_bytes = e.payload_bytes,
                   .seq = ack ? other : e.number,
@@ -259,10 +246,7 @@ class PacketSlab {
                   .sack = x != nullptr ? x->sack : std::array<Packet::SackBlock, 3>{},
                   .sack_count = e.sack_count,
                   .ts_sent = ack ? other_time : e.time,
-                  .ts_echo = ack ? e.time : other_time,
-                  .ect = e.ect(),
-                  .ce = e.ce(),
-                  .ece = e.ece()};
+                  .ts_echo = ack ? e.time : other_time};
   }
 
   // Releases slot s and its extension record.

@@ -67,7 +67,6 @@ PacketSlab::Slot FqCoDel::codel_pop(FlowQueue& fq, Time now, bool& ok_to_drop) {
 }
 
 PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
-  PacketSlab& slab = PacketSlab::local();
   bool ok_to_drop = false;
   PacketSlab::Slot s = codel_pop(fq, now, ok_to_drop);
   if (fq.dropping) {
@@ -76,10 +75,6 @@ PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
     } else {
       while (fq.dropping && s != PacketSlab::kNone && now >= fq.drop_next) {
         ++fq.count;
-        if (mark_ce(slab[s])) {
-          fq.drop_next = control_law(fq.drop_next, fq.count);
-          break;  // marked packets are still delivered
-        }
         drop(s);
         s = codel_pop(fq, now, ok_to_drop);
         if (!ok_to_drop) {
@@ -91,10 +86,8 @@ PacketSlab::Slot FqCoDel::codel_dequeue(FlowQueue& fq, Time now) {
     }
   } else if (ok_to_drop) {
     // Enter dropping state.
-    if (!mark_ce(slab[s])) {
-      drop(s);
-      s = codel_pop(fq, now, ok_to_drop);
-    }
+    drop(s);
+    s = codel_pop(fq, now, ok_to_drop);
     fq.dropping = true;
     // Start closer to the previous rate if we were recently dropping.
     if (fq.count > 2 && now - fq.drop_next < kInterval) {

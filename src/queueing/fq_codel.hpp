@@ -1,8 +1,7 @@
 // FQ-CoDel (RFC 8290): DRR fair queueing across per-flow queues, each
 // managed by CoDel (RFC 8289). This is the paper's "FQ" comparison point;
 // following the paper's methodology, the flow-queue count is unbounded
-// (ideal per-flow queueing) rather than 1024. Packets from ECN-capable
-// transports (ECT) are marked CE instead of dropped by CoDel.
+// (ideal per-flow queueing) rather than 1024.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +47,8 @@ class FqCoDel final : public QueueDisc {
   };
 
   void drop_from_fattest();
-  // CoDel at dequeue time: drops or marks packets of `fq` per the control
-  // law and returns the slot to transmit, or PacketSlab::kNone.
+  // CoDel at dequeue time: drops packets of `fq` per the control law and
+  // returns the slot to transmit, or PacketSlab::kNone.
   PacketSlab::Slot codel_dequeue(FlowQueue& fq, Time now);
   // Pops the head of `fq` (kNone when empty) and sets `ok_to_drop` when its
   // sojourn has stayed above kTarget for kInterval.

@@ -9,10 +9,10 @@
 // releases it; dequeue_slot() hands a slot back to the device, which puts it
 // on the wire. No hop copies or decodes the packet.
 //
-// A discipline decides; QueueDisc counts. Each admission, reject, drop, CE
-// mark and dequeue goes through one protected call below, which keeps the
-// queued totals and every QueueDiscStats field, so for every discipline
-// packets offered = packet_count() + dequeued + dropped (bytes likewise).
+// A discipline decides; QueueDisc counts. Each admission, reject, drop and
+// dequeue goes through one protected call below, which keeps the queued
+// totals and every QueueDiscStats field, so for every discipline packets
+// offered = packet_count() + dequeued + dropped (bytes likewise).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@ struct QueueDiscStats {
   std::uint64_t dropped_bytes = 0;
   std::uint64_t dequeued_packets = 0;
   std::uint64_t dequeued_bytes = 0;
-  std::uint64_t ecn_marked_packets = 0;
 };
 
 class QueueDisc {
@@ -117,15 +116,6 @@ class QueueDisc {
     ++stats_.dropped_packets;
     stats_.dropped_bytes += size;
     slab.release(s);
-  }
-
-  // Marks an ECN-capable frame CE and counts the mark; returns false, and
-  // leaves the frame as it is, when it is not ECT.
-  bool mark_ce(PacketSlab::Entry& frame) {
-    if (!frame.ect()) return false;
-    frame.set_ce();
-    ++stats_.ecn_marked_packets;
-    return true;
   }
 
   // Counts a frame the discipline has unlinked for the wire and observes

@@ -27,14 +27,14 @@ double TokenBucket::tokens(Time now) const {
 }
 
 StrawmanQueueDisc::StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
-                                     std::uint64_t buffer_bytes, StrawmanParams params)
+                                     std::uint64_t buffer_bytes)
     : sched_(sched), tick_(sched, [this] { on_tick(); }), buffer_bytes_(buffer_bytes),
-      params_(params), saturation_(capacity_bps, params.delta_port) {
-  tick_.arm_after(params_.interval);
+      saturation_(capacity_bps, kDeltaPort) {
+  tick_.arm_after(kInterval);
 }
 
 void StrawmanQueueDisc::on_tick() {
-  if (saturation_.sample(stats().dequeued_bytes, params_.interval)) {
+  if (saturation_.sample(stats().dequeued_bytes, kInterval)) {
     // Freeze every flow at the maximal observed per-flow rate: the
     // strawman's "token-bucket rate limit on all flows of the maximal
     // size". Re-armed every interval while saturation persists so the limit
@@ -42,7 +42,7 @@ void StrawmanQueueDisc::on_tick() {
     // flow's own rate is below the max by definition).
     std::uint64_t max_bytes = 0;
     for (const auto& [flow, b] : interval_bytes_) max_bytes = std::max(max_bytes, b);
-    const double rate = static_cast<double>(max_bytes) / params_.interval.seconds();
+    const double rate = static_cast<double>(max_bytes) / kInterval.seconds();
     if (rate > 0) {
       frozen_rate_Bps_ = rate;
       for (auto& [flow, bucket] : buckets_) bucket.set_rate(rate);
@@ -54,7 +54,7 @@ void StrawmanQueueDisc::on_tick() {
   }
 
   interval_bytes_.clear();
-  tick_.arm_after(params_.interval);
+  tick_.arm_after(kInterval);
 }
 
 bool StrawmanQueueDisc::enqueue_slot(PacketSlab::Slot s) {
@@ -66,8 +66,7 @@ bool StrawmanQueueDisc::enqueue_slot(PacketSlab::Slot s) {
       it = buckets_
                .emplace(frame.flow,
                         TokenBucket(frozen_rate_Bps_,
-                                    params_.burst_factor * frozen_rate_Bps_ *
-                                        params_.interval.seconds()))
+                                    kBurstFactor * frozen_rate_Bps_ * kInterval.seconds()))
                .first;
     }
     if (!it->second.conforms(frame.size_bytes, sched_.now())) {

@@ -41,17 +41,14 @@ class TokenBucket {
   Time last_refill_;
 };
 
-struct StrawmanParams {
-  double delta_port = 0.01;          // saturation threshold, as in Cebinae
-  Time interval = Milliseconds(100); // rate measurement / decision period
-  double burst_factor = 2.0;         // bucket depth in units of rate*interval
-};
-
 // The strawman queue disc: drop-tail FIFO plus freeze-at-max token buckets.
 class StrawmanQueueDisc final : public QueueDisc {
  public:
-  StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps,
-                    std::uint64_t buffer_bytes, StrawmanParams params = {});
+  static constexpr double kDeltaPort = 0.01;            // saturation threshold, as in Cebinae
+  static constexpr Time kInterval = Milliseconds(100);  // rate measurement / decision period
+  static constexpr double kBurstFactor = 2.0;           // bucket depth in units of rate*interval
+
+  StrawmanQueueDisc(Scheduler& sched, std::uint64_t capacity_bps, std::uint64_t buffer_bytes);
 
   bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
@@ -66,7 +63,6 @@ class StrawmanQueueDisc final : public QueueDisc {
   Scheduler& sched_;
   Timer tick_;
   std::uint64_t buffer_bytes_;
-  StrawmanParams params_;
 
   SlotFifo q_;
 

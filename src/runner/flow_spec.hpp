@@ -16,6 +16,9 @@ struct FlowSpec {
   Time start = Time::zero();
   Time stop = Time::max();
   std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
+  // Must stay false: it becomes TcpSender::Config::ecn_capable, which the
+  // sender asserts false (ECN is not modelled). Kept only because the
+  // benchmark's traced run still reads it.
   bool ecn = false;
   int enter = 0;   // entry switch index on the chain
   int exit = -1;   // exit switch index; -1 = last switch

@@ -62,7 +62,7 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
       break;
     case QdiscKind::kStrawman:
       disc = std::make_unique<StrawmanQueueDisc>(net_->scheduler(), cfg_.bottleneck_bps,
-                                                 cfg_.buffer_bytes, StrawmanParams{});
+                                                 cfg_.buffer_bytes);
       break;
   }
   // Per-link sojourn-time histogram: dequeue − enqueue of every delivered
@@ -221,18 +221,16 @@ exp::JsonObject Scenario::trace_row(Time now) {
   row.set("tput_Bps", std::move(tput));
 
   // Bottleneck queue state, one array element per chain link.
-  std::vector<double> depth_bytes, depth_pkts, drops, ecn_marks;
+  std::vector<double> depth_bytes, depth_pkts, drops;
   for (const Device* dev : topo_.bottlenecks) {
     const QueueDisc& q = dev->qdisc();
     depth_bytes.push_back(static_cast<double>(q.byte_count()));
     depth_pkts.push_back(static_cast<double>(q.packet_count()));
     drops.push_back(static_cast<double>(q.stats().dropped_packets));
-    ecn_marks.push_back(static_cast<double>(q.stats().ecn_marked_packets));
   }
   row.set("q_bytes", std::move(depth_bytes));
   row.set("q_pkts", std::move(depth_pkts));
   row.set("q_drops", std::move(drops));
-  row.set("q_ecn_marks", std::move(ecn_marks));
 
   // Per-flow TCP state.
   std::vector<double> cwnd, srtt;

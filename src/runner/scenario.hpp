@@ -119,7 +119,7 @@ class Scenario {
   // then the scalars, then the arrays. Per-flow throughput over
   // [now - period, now) and JFI(t), the registry's sojourn and RTT
   // histograms, network-wide transmit counts, TCP loss-recovery counts,
-  // per-bottleneck queue depth/drops/ECN marks, per-flow cwnd and srtt, and
+  // per-bottleneck queue depth and drops, per-flow cwnd and srtt, and
   // (under Cebinae) LBF rotations, ⊤/⊥ classification state,
   // delayed/dropped counts, and cache occupancy. Schedules nothing.
   [[nodiscard]] exp::JsonObject trace_row(Time now);

@@ -21,7 +21,6 @@ struct AckEvent {
   std::uint64_t bytes_in_flight = 0; // after processing this ACK
   std::uint64_t delivered = 0;       // total bytes delivered so far
   double delivery_rate_Bps = 0.0;    // per-ACK delivery rate sample (0 if none)
-  bool ece = false;                  // ECN congestion echo
   bool round_start = false;          // first ACK of a new RTT round
   bool in_recovery = false;          // socket is in loss recovery
   Time min_rtt;                      // connection-lifetime minimum RTT

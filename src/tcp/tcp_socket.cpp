@@ -23,7 +23,6 @@ std::uint64_t TcpReceiver::ooo_bytes() const { return ooo_.total_bytes(); }
 
 void TcpReceiver::deliver(const Packet& pkt) {
   if (pkt.kind != Packet::Kind::kTcpData) return;
-  if (pkt.ce) ece_pending_ = true;
 
   const std::uint64_t seq = pkt.seq;
   const std::uint64_t end = pkt.seq_end();
@@ -91,11 +90,7 @@ void TcpReceiver::send_ack(const Packet& data_pkt) {
                    .sack = sack,
                    .sack_count = sack_count,
                    .ts_sent = Time::zero(),
-                   .ts_echo = data_pkt.ts_sent,
-                   .ect = false,
-                   .ce = false,
-                   .ece = ece_pending_};
-  ece_pending_ = false;
+                   .ts_echo = data_pkt.ts_sent};
   ++acks_sent_;
   local_.send(ack);
 }
@@ -119,6 +114,7 @@ TcpSender::TcpSender(Scheduler& sched, Node& local, std::unique_ptr<CongestionCo
       pacing_timer_(sched, [this] { try_send(); }) {
   assert(config_.flow.src == local_.id());
   assert(cc_ != nullptr);
+  assert(!config_.ecn_capable && "ECN is not modelled");
   local_.bind(config_.flow.src_port, *this);
   if (config_.metrics != nullptr) m_srtt_ = &config_.metrics->histogram("tcp.srtt_s");
 }
@@ -322,10 +318,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
                    .sack = {},
                    .sack_count = 0,
                    .ts_sent = sched_.now(),
-                   .ts_echo = Time::zero(),
-                   .ect = config_.ecn_capable,
-                   .ce = false,
-                   .ece = false};
+                   .ts_echo = Time::zero()};
 
   total_sent_bytes_ += len;
   ++segments_sent_;
@@ -362,7 +355,6 @@ void TcpSender::deliver(const Packet& pkt) {
   if (pkt.ack > snd_una_) {
     on_new_ack(pkt);
   } else if (snd_nxt_ > snd_una_) {
-    if (pkt.ece) pending_ece_ = true;
     on_dup_ack();
   }
 }
@@ -435,12 +427,10 @@ void TcpSender::on_new_ack(const Packet& ack) {
   ev.bytes_in_flight = bytes_in_flight();
   ev.delivered = delivered_;
   ev.delivery_rate_Bps = rate_sample;
-  ev.ece = ack.ece || pending_ece_;
   ev.round_start = round_start;
   // Fast recovery freezes the window; RTO recovery slow-starts (CA_Loss).
   ev.in_recovery = loss_mode_ == LossMode::kFastRecovery;
   ev.min_rtt = rtt_.has_sample() ? rtt_.min_rtt() : Time::zero();
-  pending_ece_ = false;
   cc_->on_ack(ev);
 
   if (unacked_.empty()) {

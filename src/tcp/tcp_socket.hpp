@@ -3,7 +3,7 @@
 // The model covers everything the paper's workloads exercise: bytestream
 // transfer with cumulative ACKs, out-of-order reassembly, RTT sampling via
 // timestamp echo, SACK-based fast recovery (RFC 6675 pipe, PRR), RTO with
-// exponential backoff, optional pacing (used by BBR), and ECN. Connection
+// exponential backoff and optional pacing (used by BBR). Connection
 // setup/teardown (SYN/FIN) is omitted: sockets are born connected, which the
 // long-lived infinite-demand flows in the evaluation never notice.
 #pragma once
@@ -59,7 +59,6 @@ class TcpReceiver final : public PacketSink {
   std::uint64_t sack_rotation_seq_ = 0;  // round-robin cursor over ooo_
   std::size_t sack_rotation_idx_ = 0;    // ooo_.lower_bound(cursor) when last set
   std::uint64_t acks_sent_ = 0;
-  bool ece_pending_ = false;
   DeliveryCallback on_delivery_;
 };
 
@@ -68,6 +67,8 @@ class TcpSender final : public PacketSink {
   struct Config {
     FlowId flow;  // data direction: flow.src must be the local node
     std::uint64_t bytes_to_send = std::numeric_limits<std::uint64_t>::max();
+    // Must stay false: ECN is not modelled, and the constructor asserts it.
+    // Kept only because the benchmark's traced run still assigns it.
     bool ecn_capable = false;
     Time start_time;
     Time stop_time = Time::max();  // stop offering new data after this time
@@ -171,7 +172,6 @@ class TcpSender final : public PacketSink {
   std::size_t retx_hint_ = 0;
 
   std::uint32_t dup_acks_ = 0;
-  bool pending_ece_ = false;
   LossMode loss_mode_ = LossMode::kNone;
   std::uint64_t recover_ = 0;
   std::uint64_t sacked_bytes_ = 0;

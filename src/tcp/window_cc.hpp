@@ -1,7 +1,6 @@
-// Shared base for window-based (loss/ECN reactive) congestion control:
-// slow start, ECE handling with a once-per-RTT reduction guard, and the
-// common RTO response. Subclasses supply the congestion-avoidance increase
-// rule and the multiplicative-decrease rule.
+// Shared base for window-based (loss reactive) congestion control: slow
+// start and the common RTO response. Subclasses supply the
+// congestion-avoidance increase rule and the multiplicative-decrease rule.
 #pragma once
 
 #include <algorithm>
@@ -21,12 +20,6 @@ class WindowCc : public CongestionControl {
     // No window growth while repairing losses (Linux: cong_avoid is not
     // called in CA_Recovery/CA_Loss).
     if (ev.in_recovery) return;
-    if (ev.ece && can_reduce(ev)) {
-      // ECN congestion echo: multiplicative decrease without retransmission.
-      last_reduction_ = ev.now;
-      reduce(ev.now);
-      return;
-    }
     if (in_slow_start()) {
       on_slow_start_ack(ev);  // may exit slow start (e.g., HyStart)
       if (in_slow_start()) {
@@ -40,13 +33,11 @@ class WindowCc : public CongestionControl {
   }
 
   void on_loss(Time now, std::uint64_t /*bytes_in_flight*/) override {
-    last_reduction_ = now;
     reduce(now);
     clamp();
   }
 
   void on_rto(Time now) override {
-    last_reduction_ = now;
     ssthresh_ = std::max<std::uint64_t>(cwnd_ / 2, 2 * kMssBytes);
     cwnd_ = kMssBytes;
     on_timeout_reset(now);
@@ -60,7 +51,7 @@ class WindowCc : public CongestionControl {
   // implementations may lower ssthresh_ to terminate slow start early.
   virtual void on_slow_start_ack(const AckEvent& /*ev*/) {}
 
-  // Multiplicative decrease on loss/ECN; must update cwnd_ and ssthresh_.
+  // Multiplicative decrease on loss; must update cwnd_ and ssthresh_.
   virtual void reduce(Time now) = 0;
 
   // Extra state reset after an RTO (e.g., Cubic clears its epoch).
@@ -68,15 +59,8 @@ class WindowCc : public CongestionControl {
 
   void clamp() { cwnd_ = std::max<std::uint64_t>(cwnd_, 2 * kMssBytes); }
 
-  [[nodiscard]] bool can_reduce(const AckEvent& ev) const {
-    // At most one reduction per RTT so a burst of marks is a single signal.
-    const Time guard = ev.rtt > Time::zero() ? ev.rtt : Milliseconds(10);
-    return ev.now - last_reduction_ >= guard;
-  }
-
   std::uint64_t cwnd_ = 10ull * kMssBytes;  // initial window: 10 segments
   std::uint64_t ssthresh_ = std::numeric_limits<std::uint64_t>::max();
-  Time last_reduction_ = Time::zero();
 };
 
 }  // namespace cebinae

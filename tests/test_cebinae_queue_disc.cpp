@@ -110,27 +110,6 @@ TEST(CebinaeQueueDisc, TopMembershipRoutesToGroups) {
   EXPECT_GT(q.lbf_dropped_packets(), 0u);
 }
 
-TEST(CebinaeQueueDisc, EcnMarkingOnDelayedEctPackets) {
-  Scheduler sched;
-  CebinaeParams p = params();
-  p.mark_ecn = true;
-  CebinaeQueueDisc q(sched, kRate, 1000 * kMtuBytes, p);
-  // Marking only applies in the saturated phase (Fig. 5 line 26).
-  q.lbf().enter_saturated(kRate / 8.0 * 0.5, kRate / 8.0 * 0.5);
-  // Push past one round's group allocation with ECT packets.
-  bool saw_mark = false;
-  for (int i = 0; i < 20; ++i) {
-    Packet pk = pkt(1);
-    pk.ect = true;
-    q.enqueue(std::move(pk));
-  }
-  while (auto out = q.dequeue()) {
-    if (out->ce) saw_mark = true;
-  }
-  EXPECT_TRUE(saw_mark);
-  EXPECT_GT(q.stats().ecn_marked_packets, 0u);
-}
-
 TEST(CebinaeQueueDisc, RotateDelegatesToLbf) {
   Scheduler sched;
   CebinaeQueueDisc q(sched, kRate, 100 * kMtuBytes, params());

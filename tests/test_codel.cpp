@@ -8,10 +8,9 @@
 namespace cebinae {
 namespace {
 
-Packet pkt(std::uint32_t size, bool ect = false) {
+Packet pkt(std::uint32_t size) {
   Packet p;
   p.size_bytes = size;
-  p.ect = ect;
   return p;
 }
 
@@ -73,21 +72,6 @@ TEST(Codel, DropRateAcceleratesWithSqrtLaw) {
   }
   const std::uint64_t drops_second_half = q.stats().dropped_packets - drops_first_half;
   EXPECT_GT(drops_second_half, drops_first_half);
-}
-
-TEST(Codel, EcnMarksInsteadOfDropping) {
-  Scheduler sched;
-  FqCoDel q(sched, codel_params(8 << 20));
-  for (int i = 0; i < 500; ++i) q.enqueue(pkt(kMtuBytes, /*ect=*/true));
-  bool saw_mark = false;
-  for (int i = 0; i < 100; ++i) {
-    sched.run_until(sched.now() + Milliseconds(20));
-    auto p = q.dequeue();
-    if (p && p->ce) saw_mark = true;
-  }
-  EXPECT_TRUE(saw_mark);
-  EXPECT_EQ(q.stats().dropped_packets, 0u);
-  EXPECT_GT(q.stats().ecn_marked_packets, 0u);
 }
 
 TEST(Codel, RecoverWhenQueueDrains) {

@@ -1,4 +1,4 @@
-#include "workload/udp_app.hpp"
+#include "net/counting_sink.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,11 @@ TEST(UdpApp, SinkCountsPayloadBytes) {
   Node& b = net.add_node();
   net.link(a, b, 1'000'000'000, Microseconds(10), nullptr, nullptr);
   net.build_routes();
-  UdpSink sink{b, 9};
+  CountingSink sink{b, 9};
   for (int i = 0; i < 5; ++i) {
     Packet p;
     p.flow = FlowId{a.id(), b.id(), 1, 9};
-    p.kind = Packet::Kind::kUdp;
+    p.kind = Packet::Kind::kTcpData;
     p.size_bytes = 1000;
     p.payload_bytes = 1000 - kHeaderBytes;
     a.send(std::move(p));

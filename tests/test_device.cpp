@@ -5,20 +5,20 @@
 #include <utility>
 #include <vector>
 
+#include "net/counting_sink.hpp"
 #include "net/network.hpp"
 #include "queueing/fifo_queue.hpp"
-#include "workload/udp_app.hpp"
 
 namespace cebinae {
 namespace {
 
-// Two nodes, one link; a UDP sink on node B counts arrivals.
+// Two nodes, one link; a counting sink on node B counts arrivals.
 struct Harness {
   Network net;
   Node& a = net.add_node();
   Node& b = net.add_node();
   Network::LinkDevices devs;
-  UdpSink sink{b, 9};
+  CountingSink sink{b, 9};
 
   explicit Harness(std::uint64_t rate_bps = 8'000'000, Time delay = Milliseconds(1))
       : devs(net.link(a, b, rate_bps, delay, nullptr, nullptr)) {
@@ -28,7 +28,7 @@ struct Harness {
   Packet make_packet(std::uint32_t size) {
     Packet p;
     p.flow = FlowId{a.id(), b.id(), 1, 9};
-    p.kind = Packet::Kind::kUdp;
+    p.kind = Packet::Kind::kTcpData;
     p.size_bytes = size;
     p.payload_bytes = size - kHeaderBytes;
     return p;
@@ -96,11 +96,11 @@ TEST(Device, QueueDropsDoNotReachPeer) {
   auto devs = net.link(a, b, 8'000'000, Time::zero(),
                        std::make_unique<FifoQueue>(kMtuBytes), nullptr);
   net.build_routes();
-  UdpSink sink(b, 9);
+  CountingSink sink(b, 9);
 
   Packet p;
   p.flow = FlowId{a.id(), b.id(), 1, 9};
-  p.kind = Packet::Kind::kUdp;
+  p.kind = Packet::Kind::kTcpData;
   p.size_bytes = kMtuBytes;
   p.payload_bytes = kMssBytes;
   // First packet dequeues immediately (transmitter idle); the next two fill
@@ -115,12 +115,12 @@ TEST(Device, QueueDropsDoNotReachPeer) {
 
 TEST(Device, FullDuplexDirectionsAreIndependent) {
   Harness h(8'000'000, Milliseconds(1));
-  UdpSink sink_a(h.a, 7);
+  CountingSink sink_a(h.a, 7);
 
   Packet fwd = h.make_packet(1000);
   Packet rev;
   rev.flow = FlowId{h.b.id(), h.a.id(), 1, 7};
-  rev.kind = Packet::Kind::kUdp;
+  rev.kind = Packet::Kind::kTcpData;
   rev.size_bytes = 1000;
   rev.payload_bytes = 1000 - kHeaderBytes;
 

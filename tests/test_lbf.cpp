@@ -9,11 +9,10 @@ namespace {
 constexpr std::uint64_t kRate = 100'000'000;
 constexpr double kCapacityBps = kRate / 8.0;  // 12.5 MB/s
 
-CebinaeParams params(bool mark_ecn = false) {
+CebinaeParams params() {
   CebinaeParams p;
   p.dt = Nanoseconds(1 << 20);
   p.vdt = Nanoseconds(1 << 10);
-  p.mark_ecn = mark_ecn;
   return p;
 }
 
@@ -29,7 +28,7 @@ TEST(Lbf, UnsaturatedAdmitsUpToCapacityThenDelaysThenDrops) {
   int tail = 0;
   int drop = 0;
   for (int i = 0; i < 30; ++i) {
-    switch (lbf.admit(FlowGroup::kBottom, 1000, Time::zero()).queue) {
+    switch (lbf.admit(FlowGroup::kBottom, 1000, Time::zero())) {
       case Queue::kHead:
         ++head;
         break;
@@ -49,8 +48,8 @@ TEST(Lbf, UnsaturatedAdmitsUpToCapacityThenDelaysThenDrops) {
 TEST(Lbf, GroupsIgnoredWhileUnsaturated) {
   LeakyBucketFilter lbf(params(), kRate);
   // Both groups draw from the same aggregate allowance.
-  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 8000, Time::zero()).queue, Queue::kHead);
-  EXPECT_EQ(lbf.admit(FlowGroup::kBottom, 8000, Time::zero()).queue, Queue::kTail);
+  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 8000, Time::zero()), Queue::kHead);
+  EXPECT_EQ(lbf.admit(FlowGroup::kBottom, 8000, Time::zero()), Queue::kTail);
 }
 
 TEST(Lbf, SaturatedTopGroupIsRateLimited) {
@@ -62,7 +61,7 @@ TEST(Lbf, SaturatedTopGroupIsRateLimited) {
   int tail = 0;
   int drop = 0;
   for (int i = 0; i < 12; ++i) {
-    switch (lbf.admit(FlowGroup::kTop, 500, Time::zero()).queue) {
+    switch (lbf.admit(FlowGroup::kTop, 500, Time::zero())) {
       case Queue::kHead:
         ++head;
         break;
@@ -88,7 +87,7 @@ TEST(Lbf, BottomGroupUnaffectedByTopConsumption) {
   const double bottom_round = bytes_per_dt(kCapacityBps * 0.8);
   int head = 0;
   for (int i = 0; i < static_cast<int>(bottom_round / 500); ++i) {
-    if (lbf.admit(FlowGroup::kBottom, 500, Time::zero()).queue == Queue::kHead) ++head;
+    if (lbf.admit(FlowGroup::kBottom, 500, Time::zero()) == Queue::kHead) ++head;
   }
   EXPECT_EQ(head, static_cast<int>(bottom_round / 500));
 }
@@ -133,7 +132,7 @@ TEST(Lbf, VirtualPacingLimitsCatchUpBursts) {
 
   int head = 0;
   for (int i = 0; i < 10; ++i) {
-    if (lbf.admit(FlowGroup::kTop, 500, late).queue == Queue::kHead) ++head;
+    if (lbf.admit(FlowGroup::kTop, 500, late) == Queue::kHead) ++head;
   }
   // Remaining head entitlement is only ~10% of the round (~262 bytes): at
   // most 0 full 500 B packets fit.
@@ -145,7 +144,7 @@ TEST(Lbf, EarlySenderGetsFullHeadAllocation) {
   lbf.enter_saturated(kCapacityBps * 0.2, kCapacityBps * 0.8);
   int head = 0;
   for (int i = 0; i < 10; ++i) {
-    if (lbf.admit(FlowGroup::kTop, 500, Time::zero()).queue == Queue::kHead) ++head;
+    if (lbf.admit(FlowGroup::kTop, 500, Time::zero()) == Queue::kHead) ++head;
   }
   EXPECT_EQ(head, 5);  // full 2621-byte entitlement available at round start
 }
@@ -154,23 +153,9 @@ TEST(Lbf, DropsDoNotConsumeAllocation) {
   LeakyBucketFilter lbf(params(), kRate);
   lbf.enter_saturated(kCapacityBps * 0.2, kCapacityBps * 0.8);
   // A giant packet that must be dropped...
-  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 50'000, Time::zero()).queue, Queue::kDrop);
+  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 50'000, Time::zero()), Queue::kDrop);
   // ...must not charge the group's counter: a normal packet still fits.
-  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 500, Time::zero()).queue, Queue::kHead);
-}
-
-TEST(Lbf, EcnMarkedOnlyWhenDelayed) {
-  LeakyBucketFilter lbf(params(/*mark_ecn=*/true), kRate);
-  lbf.enter_saturated(kCapacityBps * 0.2, kCapacityBps * 0.8);
-  bool saw_head_mark = false;
-  bool saw_tail_mark = false;
-  for (int i = 0; i < 12; ++i) {
-    const auto d = lbf.admit(FlowGroup::kTop, 500, Time::zero());
-    if (d.queue == Queue::kHead && d.mark_ecn) saw_head_mark = true;
-    if (d.queue == Queue::kTail && d.mark_ecn) saw_tail_mark = true;
-  }
-  EXPECT_FALSE(saw_head_mark);
-  EXPECT_TRUE(saw_tail_mark);
+  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 500, Time::zero()), Queue::kHead);
 }
 
 TEST(Lbf, PhaseChangeBootstrapSplitsAggregateProportionally) {
@@ -210,8 +195,7 @@ TEST(Lbf, SteadyStateThroughputMatchesRateOverManyRounds) {
     // Offered load: 2x the allocation, spread across the round.
     for (int i = 0; i < 40; ++i) {
       const Time t = now + (dt / 40) * i;
-      const auto d = lbf.admit(FlowGroup::kTop, 2000, t);
-      if (d.queue != Queue::kDrop) admitted += 2000;
+      if (lbf.admit(FlowGroup::kTop, 2000, t) != Queue::kDrop) admitted += 2000;
     }
     now += dt;
     lbf.rotate(now);

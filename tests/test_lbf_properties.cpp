@@ -38,7 +38,7 @@ TEST_P(LbfRateSweep, AdmittedTopBytesTrackAllocatedRate) {
     const int pkts = std::max(4, static_cast<int>(offered / kMtuBytes));
     for (int i = 0; i < pkts; ++i) {
       const Time t = now + (dt / pkts) * i;
-      if (lbf.admit(FlowGroup::kTop, kMtuBytes, t).queue != Queue::kDrop) {
+      if (lbf.admit(FlowGroup::kTop, kMtuBytes, t) != Queue::kDrop) {
         admitted += kMtuBytes;
       }
     }
@@ -78,7 +78,7 @@ TEST(LbfProperties, GroupsAreIsolated) {
     int head = 0;
     const int offered = static_cast<int>(bottom_round / 500) + 4;
     for (int i = 0; i < offered; ++i) {
-      if (lbf.admit(FlowGroup::kBottom, 500, Time::zero()).queue == Queue::kHead) ++head;
+      if (lbf.admit(FlowGroup::kBottom, 500, Time::zero()) == Queue::kHead) ++head;
     }
     EXPECT_EQ(head, static_cast<int>(bottom_round / 500)) << "trial " << trial;
   }
@@ -91,8 +91,8 @@ TEST(LbfProperties, HeadThenTailNeverReorders) {
   lbf.enter_saturated(12.5e6 * 0.2, 12.5e6 * 0.8);
   int phase = 0;  // 0=head, 1=tail, 2=drop
   for (int i = 0; i < 40; ++i) {
-    const auto d = lbf.admit(FlowGroup::kTop, 500, Time::zero());
-    const int now_phase = d.queue == Queue::kHead ? 0 : (d.queue == Queue::kTail ? 1 : 2);
+    const Queue q = lbf.admit(FlowGroup::kTop, 500, Time::zero());
+    const int now_phase = q == Queue::kHead ? 0 : (q == Queue::kTail ? 1 : 2);
     EXPECT_GE(now_phase, phase) << "packet " << i;
     phase = now_phase;
   }
@@ -110,7 +110,7 @@ TEST(LbfProperties, RotationsAreIdempotentOnIdleGroups) {
   EXPECT_DOUBLE_EQ(lbf.group_bytes(FlowGroup::kTop), 0.0);
   EXPECT_DOUBLE_EQ(lbf.group_bytes(FlowGroup::kBottom), 0.0);
   // A fresh packet after long idleness is admitted to the head queue.
-  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 500, now).queue, Queue::kHead);
+  EXPECT_EQ(lbf.admit(FlowGroup::kTop, 500, now), Queue::kHead);
 }
 
 TEST(LbfProperties, AdmissionMonotoneInRate) {
@@ -121,7 +121,7 @@ TEST(LbfProperties, AdmissionMonotoneInRate) {
     lbf.enter_saturated(12.5e6 * share, 12.5e6 * (1 - share));
     double admitted = 0;
     for (int i = 0; i < 60; ++i) {
-      if (lbf.admit(FlowGroup::kTop, 1000, Time::zero()).queue != Queue::kDrop) {
+      if (lbf.admit(FlowGroup::kTop, 1000, Time::zero()) != Queue::kDrop) {
         admitted += 1000;
       }
     }
@@ -143,7 +143,7 @@ TEST(LbfProperties, TotalAdmissionNeverExceedsTwoRoundsOfCapacity) {
     for (int i = 0; i < 600; ++i) {
       const FlowGroup g = rng.bernoulli(0.5) ? FlowGroup::kTop : FlowGroup::kBottom;
       const std::uint32_t size = static_cast<std::uint32_t>(rng.uniform_int(64, kMtuBytes));
-      if (lbf.admit(g, size, Time::zero()).queue != Queue::kDrop) admitted += size;
+      if (lbf.admit(g, size, Time::zero()) != Queue::kDrop) admitted += size;
     }
     EXPECT_LE(admitted, 2.0 * cap * params().dt.seconds() + 2.0 * kMtuBytes)
         << "trial " << trial;

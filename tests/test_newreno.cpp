@@ -62,29 +62,6 @@ TEST(NewReno, WindowNeverBelowTwoSegments) {
   EXPECT_GE(cc.cwnd_bytes(), 2ull * kMss);
 }
 
-TEST(NewReno, EceReducesLikeLoss) {
-  NewReno cc;
-  feed_round(cc, Seconds(1), Milliseconds(100), kMss);
-  const std::uint64_t before = cc.cwnd_bytes();
-  AckEvent ev = make_ack(Seconds(5), kMss, Milliseconds(100));
-  ev.ece = true;
-  cc.on_ack(ev);
-  EXPECT_EQ(cc.cwnd_bytes(), before / 2);
-}
-
-TEST(NewReno, EceReductionAtMostOncePerRtt) {
-  NewReno cc;
-  feed_round(cc, Seconds(1), Milliseconds(100), kMss);
-  AckEvent ev = make_ack(Seconds(5), kMss, Milliseconds(100));
-  ev.ece = true;
-  cc.on_ack(ev);
-  const std::uint64_t after_first = cc.cwnd_bytes();
-  // A second mark 10 ms later (well within one 100 ms RTT) must not reduce.
-  ev.now = Seconds(5) + Milliseconds(10);
-  cc.on_ack(ev);
-  EXPECT_GE(cc.cwnd_bytes(), after_first);
-}
-
 TEST(NewReno, SlowStartIncrementCappedAtTwoMssPerAck) {
   NewReno cc;
   const std::uint64_t before = cc.cwnd_bytes();

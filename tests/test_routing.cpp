@@ -1,15 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "net/counting_sink.hpp"
 #include "net/network.hpp"
-#include "workload/udp_app.hpp"
 
 namespace cebinae {
 namespace {
 
-Packet udp_packet(NodeId src, NodeId dst, std::uint16_t dst_port) {
+Packet data_packet(NodeId src, NodeId dst, std::uint16_t dst_port) {
   Packet p;
   p.flow = FlowId{src, dst, 1, dst_port};
-  p.kind = Packet::Kind::kUdp;
+  p.kind = Packet::Kind::kTcpData;
   p.size_bytes = 500;
   p.payload_bytes = 500 - kHeaderBytes;
   return p;
@@ -27,8 +27,8 @@ TEST(Routing, ForwardsAcrossAChain) {
   net.link(s2, h3, 1'000'000'000, Microseconds(10), nullptr, nullptr);
   net.build_routes();
 
-  UdpSink sink(h3, 9);
-  h0.send(udp_packet(h0.id(), h3.id(), 9));
+  CountingSink sink(h3, 9);
+  h0.send(data_packet(h0.id(), h3.id(), 9));
   net.scheduler().run();
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_EQ(h3.delivered_packets(), 1u);
@@ -49,8 +49,8 @@ TEST(Routing, PicksShortestPath) {
   net.link(b, d, 1'000'000, Microseconds(1), nullptr, nullptr);
   net.build_routes();
 
-  UdpSink sink(d, 9);
-  a.send(udp_packet(a.id(), d.id(), 9));
+  CountingSink sink(d, 9);
+  a.send(data_packet(a.id(), d.id(), 9));
   net.scheduler().run();
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_GT(ab.ab.tx_packets(), 0u);
@@ -63,7 +63,7 @@ TEST(Routing, UnroutableDestinationCountsDrop) {
   Node& b = net.add_node();
   net.link(a, b, 1'000'000, Microseconds(1), nullptr, nullptr);
   net.build_routes();
-  a.send(udp_packet(a.id(), 99, 9));
+  a.send(data_packet(a.id(), 99, 9));
   net.scheduler().run();
   EXPECT_EQ(a.routing_drops(), 1u);
 }
@@ -81,7 +81,7 @@ TEST(Routing, HostToOtherComponentCountsDropAtHost) {
   net.link(s1, h2, 1'000'000, Microseconds(1), nullptr, nullptr);
   net.link(x, y, 1'000'000, Microseconds(1), nullptr, nullptr);
   net.build_routes();
-  h0.send(udp_packet(h0.id(), x.id(), 9));
+  h0.send(data_packet(h0.id(), x.id(), 9));
   net.scheduler().run();
   EXPECT_EQ(h0.routing_drops(), 1u);
   EXPECT_EQ(up.ab.tx_packets(), 0u);
@@ -94,7 +94,7 @@ TEST(Routing, UnboundPortIsDiscardedAtDestination) {
   Node& b = net.add_node();
   net.link(a, b, 1'000'000, Microseconds(1), nullptr, nullptr);
   net.build_routes();
-  a.send(udp_packet(a.id(), b.id(), 12345));
+  a.send(data_packet(a.id(), b.id(), 12345));
   net.scheduler().run();
   EXPECT_EQ(b.delivered_packets(), 0u);
 }
@@ -102,15 +102,15 @@ TEST(Routing, UnboundPortIsDiscardedAtDestination) {
 TEST(Routing, BindRejectsDuplicatePort) {
   Network net;
   Node& a = net.add_node();
-  UdpSink s1(a, 9);
-  EXPECT_DEATH({ UdpSink s2(a, 9); }, "");
+  CountingSink s1(a, 9);
+  EXPECT_DEATH({ CountingSink s2(a, 9); }, "");
 }
 
 TEST(Routing, RebindAfterUnbind) {
   Network net;
   Node& a = net.add_node();
-  { UdpSink s1(a, 9); }
-  UdpSink s2(a, 9);  // destructor unbound the port; rebinding must work
+  { CountingSink s1(a, 9); }
+  CountingSink s2(a, 9);  // destructor unbound the port; rebinding must work
   SUCCEED();
 }
 

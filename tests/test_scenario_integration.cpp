@@ -33,6 +33,15 @@ TEST(ScenarioIntegration, SingleFlowSaturatesFifoBottleneck) {
   EXPECT_LE(r.throughput_Bps[0] * 8, 50e6 * 1.001);
 }
 
+// ECN is not modelled: a flow that asks for it aborts instead of running
+// without it.
+TEST(ScenarioIntegration, EcnFlowAborts) {
+  ScenarioConfig cfg = base_config(QdiscKind::kFifo);
+  cfg.flows = flows_of(CcaType::kNewReno, 1, Milliseconds(20));
+  cfg.flows[0].ecn = true;
+  EXPECT_DEATH(Scenario{cfg}, "ECN is not modelled");
+}
+
 TEST(ScenarioIntegration, TwoEqualFlowsShareFairlyUnderFifo) {
   ScenarioConfig cfg = base_config(QdiscKind::kFifo);
   cfg.flows = flows_of(CcaType::kNewReno, 2, Milliseconds(20));

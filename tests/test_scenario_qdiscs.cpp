@@ -1,6 +1,5 @@
 // Runner-level behavior of the comparison queue disciplines (AFQ and the
-// strawman) plus Cebinae's ECN mode — the pieces the ablation benches rely
-// on.
+// strawman) — the pieces the ablation benches rely on.
 #include <gtest/gtest.h>
 
 #include "runner/scenario.hpp"
@@ -92,24 +91,6 @@ TEST(ScenarioQdiscs, StrawmanDoesNotRepairUnfairness) {
   const ScenarioResult ceb = run(QdiscKind::kCebinae);
   EXPECT_LT(straw.jfi, fifo.jfi + 0.15);  // no meaningful repair
   EXPECT_GT(ceb.jfi, fifo.jfi + 0.2);     // Cebinae repairs
-}
-
-TEST(ScenarioQdiscs, CebinaeEcnModeMarksInsteadOfDropping) {
-  ScenarioConfig cfg = base(QdiscKind::kCebinae);
-  cfg.cebinae.mark_ecn = true;
-  cfg.duration = Seconds(20);
-  cfg.flows = flows_of(CcaType::kNewReno, 2, Milliseconds(20));
-  for (FlowSpec& f : cfg.flows) f.ecn = true;
-  cfg.flows[1].rtt = Milliseconds(80);
-
-  Scenario scenario(cfg);
-  const ScenarioResult r = scenario.run();
-  // The taxed flow receives CE marks (gentler than drops) and efficiency
-  // stays high.
-  EXPECT_GT(scenario.cebinae_qdisc(0)->stats().ecn_marked_packets, 0u);
-  // ECN-mode taxation signals once per RTT via CE; slightly costlier than
-  // drop mode in efficiency but far gentler on latency.
-  EXPECT_GT(r.total_goodput_Bps * 8, 0.7 * 50e6);
 }
 
 TEST(ScenarioQdiscs, AllQdiscKindsRunToCompletion) {

@@ -214,17 +214,6 @@ TEST(TcpReceiver, BackwardMergeAcrossGapBoundary) {
   EXPECT_EQ(h.rx.rcv_next(), 400u);
 }
 
-TEST(TcpReceiver, CePacketTriggersEceOnce) {
-  ReceiverHarness h;
-  Packet p = h.data(0, 100);
-  p.ce = true;
-  h.rx.deliver(p);
-  // The ACK for this packet carries ECE; we can't observe the ACK directly
-  // here (no reverse route), but the latch must clear so state stays sane.
-  h.rx.deliver(h.data(100, 100));
-  SUCCEED();
-}
-
 // --- Sender SACK recovery driven by fabricated ACKs -------------------------
 
 // Fixed window: recovery decisions then depend only on the scoreboard, not

@@ -94,9 +94,7 @@ TEST(Strawman, LimitsDropNonconformingTraffic) {
   // Freeze while the top flow runs at ~60 Mbps, then let it try to ramp to
   // ~108 Mbps: the excess must be dropped by its token bucket.
   Scheduler sched;
-  StrawmanParams params;
-  params.burst_factor = 0.5;
-  StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes, params);
+  StrawmanQueueDisc q(sched, kRate, 2000 * kMtuBytes);
   bool ramped = false;
   Timer feed(sched, [&] {
     for (int i = 0; i < (ramped ? 9 : 5); ++i) q.enqueue(pkt(1));

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/counting_sink.hpp"
 #include "queueing/fifo_queue.hpp"
-#include "workload/udp_app.hpp"
 
 namespace cebinae {
 namespace {
@@ -31,10 +31,10 @@ TEST(Topology, HostsTraverseTheRightLinks) {
                            Microseconds(50));
   net.build_routes();
 
-  UdpSink sink(*pair.dst, 9);
+  CountingSink sink(*pair.dst, 9);
   Packet p;
   p.flow = FlowId{pair.src->id(), pair.dst->id(), 1, 9};
-  p.kind = Packet::Kind::kUdp;
+  p.kind = Packet::Kind::kTcpData;
   p.size_bytes = 500;
   pair.src->send(p);
   net.scheduler().run();
@@ -52,10 +52,10 @@ TEST(Topology, EndToEndHostsCrossAllLinks) {
                            Microseconds(50));
   net.build_routes();
 
-  UdpSink sink(*pair.dst, 9);
+  CountingSink sink(*pair.dst, 9);
   Packet p;
   p.flow = FlowId{pair.src->id(), pair.dst->id(), 1, 9};
-  p.kind = Packet::Kind::kUdp;
+  p.kind = Packet::Kind::kTcpData;
   p.size_bytes = 500;
   pair.src->send(p);
   net.scheduler().run();
