@@ -23,6 +23,7 @@
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/interval_set.hpp"
+#include "tcp/tcp_socket.hpp"
 #include "topology/topology.hpp"
 
 namespace {
@@ -346,6 +347,76 @@ void BM_ForwardFrameThreeHops(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForwardFrameThreeHops);
+
+// A window that never changes, so the ACK path's cost is the scoreboard's.
+class FixedWindowCc final : public CongestionControl {
+ public:
+  explicit FixedWindowCc(std::uint64_t cwnd) : cwnd_(cwnd) {}
+  void on_ack(const AckEvent&) override {}
+  void on_loss(Time, std::uint64_t) override {}
+  void on_rto(Time) override {}
+  [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
+  [[nodiscard]] std::string_view name() const override { return "fixed"; }
+
+ private:
+  std::uint64_t cwnd_;
+};
+
+void BM_TcpSackRecoveryAck(benchmark::State& state) {
+  // SACK recovery over a 1,000-segment window: the odd segments arrive and
+  // each draws a dup ACK SACKing it (fast recovery starts at the third and
+  // repairs holes as PRR allows), then one cumulative ACK covers the whole
+  // window. Only the 501 ACKs are timed; each iteration sends a fresh window.
+  constexpr std::uint64_t kWindow = 1000;
+  Network net;
+  Node& src = net.add_node();
+  Node& dst = net.add_node();
+  net.link(src, dst, 1'000'000'000, Microseconds(10), nullptr, nullptr);
+  net.build_routes();
+  const FlowId flow{src.id(), dst.id(), 5000, 5000};
+  CountingSink sink(dst, flow.dst_port);
+
+  std::vector<Packet> acks;
+  auto ack = [&](std::uint64_t cum_seg, std::uint64_t sack_seg) {
+    Packet p;
+    p.flow = flow.reversed();
+    p.kind = Packet::Kind::kTcpAck;
+    p.size_bytes = kAckBytes;
+    p.ack = cum_seg * kMssBytes;
+    if (sack_seg > cum_seg) {
+      p.sack[p.sack_count++] = Packet::SackBlock{sack_seg * kMssBytes, (sack_seg + 1) * kMssBytes};
+    }
+    acks.push_back(p);
+  };
+  for (std::uint64_t s = 1; s < kWindow; s += 2) ack(0, s);
+  ack(kWindow, 0);
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    TcpSender::Config cfg;
+    cfg.flow = flow;
+    cfg.bytes_to_send = kWindow * kMssBytes;
+    cfg.start_time = net.scheduler().now();
+    auto sender = std::make_unique<TcpSender>(
+        net.scheduler(), src, std::make_unique<FixedWindowCc>(kWindow * kMssBytes), cfg);
+    sender->start();
+    const std::uint64_t sent = sink.packets() + kWindow;
+    while (sink.packets() < sent) {
+      net.scheduler().run_until(net.scheduler().now() + Milliseconds(1));
+    }
+    state.ResumeTiming();
+    for (const Packet& p : acks) sender->deliver(p);
+    state.PauseTiming();
+    benchmark::DoNotOptimize(sender->bytes_acked());
+    sender.reset();
+    net.scheduler().run();  // drain the retransmissions
+    state.ResumeTiming();
+  }
+  state.counters["per_ack"] = benchmark::Counter(
+      static_cast<double>(acks.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TcpSackRecoveryAck);
 
 void BM_TraceRowToJson(benchmark::State& state) {
   // Serialization cost of one trace row (runner-side, off the sim path).

@@ -15,10 +15,17 @@ namespace cebinae {
 
 class FlowStatsCollector {
  public:
-  // Fix a flow's position in the output ordering (call in scenario order).
-  void register_flow(const FlowId& flow);
+  // Fix a flow's position in the output ordering (call in scenario order)
+  // and return it: the index its deliveries are booked against. A flow
+  // registered again keeps its first index.
+  std::size_t register_flow(const FlowId& flow);
 
-  // Matches TcpReceiver::DeliveryCallback.
+  // Books `bytes` delivered at `now` to the flow at `index`, as returned by
+  // register_flow().
+  void on_delivery(std::size_t index, std::uint64_t bytes, Time now);
+  // The same for a registered flow named by its FlowId, at one hash lookup
+  // per delivery. Kept only because the benchmark's traced run still books
+  // its deliveries this way.
   void on_delivery(const FlowId& flow, std::uint64_t bytes, Time now);
 
   [[nodiscard]] std::size_t flow_count() const { return order_.size(); }
@@ -51,11 +58,13 @@ class FlowStatsCollector {
     std::uint64_t in_window = 0;
     std::vector<std::uint64_t> buckets;
   };
+  [[nodiscard]] static double goodput_Bps(const Record& rec, Time from, Time to);
 
   Time window_from_ = Time::zero();
   Time window_to_ = Time::zero();
-  std::vector<FlowId> order_;
-  std::unordered_map<FlowId, Record, FlowIdHash> records_;
+  std::vector<FlowId> order_;    // registration order
+  std::vector<Record> records_;  // records_[i] belongs to order_[i]
+  std::unordered_map<FlowId, std::size_t, FlowIdHash> index_;
 };
 
 }  // namespace cebinae

@@ -142,10 +142,10 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
     senders_.push_back(
         std::make_unique<TcpSender>(net_->scheduler(), *pairs[i].src, make_cc(spec.cca), sc));
     receivers_.push_back(std::make_unique<TcpReceiver>(net_->scheduler(), *pairs[i].dst, flow));
-    stats_.register_flow(flow);
+    const std::size_t index = stats_.register_flow(flow);
     receivers_.back()->set_delivery_callback(
-        [this](const FlowId& f, std::uint64_t bytes, Time now) {
-          stats_.on_delivery(f, bytes, now);
+        [this, index](const FlowId&, std::uint64_t bytes, Time now) {
+          stats_.on_delivery(index, bytes, now);
         });
   }
 }

@@ -127,29 +127,31 @@ std::size_t TcpSender::first_seg_from(std::uint64_t seq) const {
   if (unacked_.empty()) return 0;
   // unacked_ is contiguous, and every segment but a finite stream's last is
   // kMssBytes long: segment k starts at k * kMssBytes.
+  assert(front_seq_ % kMssBytes == 0);
   const std::uint64_t k = (seq + kMssBytes - 1) / kMssBytes;
-  const std::uint64_t front = unacked_.front().seq / kMssBytes;
+  const std::uint64_t front = front_seq_ / kMssBytes;
   const std::size_t i =
       k <= front ? 0 : static_cast<std::size_t>(std::min<std::uint64_t>(k - front, unacked_.size()));
-  assert(i == unacked_.size() || unacked_[i].seq >= seq);
-  assert(i == 0 || unacked_[i - 1].seq < seq);
+  assert(i == unacked_.size() || seg_seq(i) >= seq);
+  assert(i == 0 || seg_seq(i - 1) < seq);
   return i;
 }
 
 std::size_t TcpSender::tag_sacked(std::size_t i) {
   SegMeta& m = unacked_[i];
   assert(!m.sacked);
+  const std::uint32_t len = seg_len(i);
   m.sacked = true;
-  sacked_bytes_ += m.len;
+  sacked_bytes_ += len;
   // SACKed bytes are delivered bytes (Linux counts them in tp->delivered at
   // SACK time, which keeps rate samples honest when a later cumulative ACK
   // jumps over them).
-  delivered_ += m.len;
+  delivered_ += len;
   delivered_stamp_ = sched_.now();
-  if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += m.len;
+  if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += len;
   if (m.counted_lost) {
     m.counted_lost = false;
-    lost_bytes_ -= m.len;
+    lost_bytes_ -= len;
   }
   // unacked_[i - 1] ends the run on the left, unacked_[i + 1] starts the
   // one on the right.
@@ -183,7 +185,7 @@ void TcpSender::process_sack(const Packet& ack) {
         i += run;
       }
     }
-    while (i < unacked_.size() && unacked_[i].seq + unacked_[i].len <= block.end) {
+    while (i < unacked_.size() && seg_end(i) <= block.end) {
       i = tag_sacked(i);
     }
     highest_sacked_ = std::max(highest_sacked_, block.end);
@@ -193,11 +195,11 @@ void TcpSender::process_sack(const Packet& ack) {
   // SACK have (with no reordering in this network) left the network.
   if (highest_sacked_ > lost_scan_seq_) {
     for (std::size_t i = first_seg_from(std::max(lost_scan_seq_, snd_una_));
-         i < unacked_.size() && unacked_[i].seq + unacked_[i].len <= highest_sacked_; ++i) {
+         i < unacked_.size() && seg_end(i) <= highest_sacked_; ++i) {
       SegMeta& m = unacked_[i];
       if (!m.sacked && !m.retransmitted && !m.counted_lost) {
         m.counted_lost = true;
-        lost_bytes_ += m.len;
+        lost_bytes_ += seg_len(i);
       }
     }
     lost_scan_seq_ = highest_sacked_;
@@ -211,15 +213,16 @@ bool TcpSender::retransmit_hole() {
     if (m.sacked || m.retransmitted) continue;
     if (!m.counted_lost) return false;  // ordered: no further known losses
     // The retransmission puts the segment back into the network.
+    const std::uint64_t seq = seg_seq(retx_hint_);
+    const std::uint32_t len = seg_len(retx_hint_);
     m.counted_lost = false;
-    lost_bytes_ -= m.len;
-    m.sent_time = sched_.now();
+    lost_bytes_ -= len;
     m.delivered_at_send = delivered_;
     m.delivered_stamp_at_send = delivered_stamp_;
     m.retransmitted = true;
     ++retransmissions_;
     ++retx_hint_;
-    send_segment(m.seq, m.len, /*is_retransmission=*/true);
+    send_segment(seq, len, /*is_retransmission=*/true);
     return true;
   }
   return false;
@@ -263,14 +266,16 @@ void TcpSender::mark_all_lost() {
   sacked_bytes_ = 0;
   lost_bytes_ = 0;
   retx_hint_ = 0;
+  std::size_t i = 0;
   for (SegMeta& m : unacked_) {
+    const std::uint32_t len = seg_len(i++);
     m.retransmitted = false;
     if (m.sacked) {
       m.counted_lost = false;
-      sacked_bytes_ += m.len;
+      sacked_bytes_ += len;
     } else {
       m.counted_lost = true;
-      lost_bytes_ += m.len;
+      lost_bytes_ += len;
     }
   }
 }
@@ -324,8 +329,9 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
   ++segments_sent_;
   if (loss_mode_ == LossMode::kFastRecovery) prr_out_ += len;
   if (!is_retransmission) {
-    unacked_.push_back(
-        SegMeta{seq, len, 0, sched_.now(), delivered_, delivered_stamp_, false, false, false});
+    assert(seq == seg_seq(unacked_.size()) && seq == snd_nxt_ &&
+           "only a finite stream's last segment may be shorter than kMssBytes");
+    unacked_.push_back(SegMeta{delivered_, delivered_stamp_, 0, false, false, false});
   }
   if (!rto_timer_.armed()) arm_rto();
   local_.send(pkt);
@@ -334,12 +340,11 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
 void TcpSender::retransmit_front() {
   if (unacked_.empty()) return;
   SegMeta& m = unacked_.front();
-  m.sent_time = sched_.now();
   m.delivered_at_send = delivered_;
   m.delivered_stamp_at_send = delivered_stamp_;
   m.retransmitted = true;
   ++retransmissions_;
-  send_segment(m.seq, m.len, /*is_retransmission=*/true);
+  send_segment(front_seq_, seg_len(0), /*is_retransmission=*/true);
 }
 
 void TcpSender::arm_rto() {
@@ -364,34 +369,42 @@ void TcpSender::on_new_ack(const Packet& ack) {
   const std::uint64_t newly = ack.ack - snd_una_;
   snd_una_ = ack.ack;
 
-  // Release fully-acknowledged segment metadata; remember the most recent
-  // one for the delivery-rate sample (BBR).
-  double rate_sample = 0.0;
-  while (!unacked_.empty() && unacked_.front().seq + unacked_.front().len <= snd_una_) {
+  // Release fully-acknowledged segment metadata; remember the operands of
+  // the most recent one's delivery-rate sample (BBR). A stamp before `now`
+  // means one was taken.
+  std::uint64_t rate_bytes = 0;
+  Time rate_stamp = now;
+  while (!unacked_.empty()) {
+    const std::uint32_t len = seg_len(0);
+    if (front_seq_ + len > snd_una_) break;
     const SegMeta& m = unacked_.front();
     if (m.sacked) {
-      sacked_bytes_ -= m.len;  // already counted as delivered at SACK time
+      sacked_bytes_ -= len;  // already counted as delivered at SACK time
       // The rest of m's run, if any, starts at the next segment.
       if (m.sacked_run > 1) {
         unacked_[1].sacked_run = unacked_[m.sacked_run - 1].sacked_run = m.sacked_run - 1;
       }
     } else {
-      delivered_ += m.len;
+      delivered_ += len;
       delivered_stamp_ = now;
-      if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += m.len;
+      if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += len;
     }
-    if (m.counted_lost) lost_bytes_ -= m.len;
+    if (m.counted_lost) lost_bytes_ -= len;
     // Linux-style rate sample: bytes delivered since this segment was sent,
     // over the interval since the delivery event preceding its transmission
     // (burst-compressed send times would otherwise overestimate). Karn's
     // rule: retransmitted segments give no sample.
     if (!m.retransmitted && now > m.delivered_stamp_at_send) {
-      rate_sample = static_cast<double>(delivered_ - m.delivered_at_send) /
-                    (now - m.delivered_stamp_at_send).seconds();
+      rate_bytes = delivered_ - m.delivered_at_send;
+      rate_stamp = m.delivered_stamp_at_send;
     }
+    front_seq_ += len;
     unacked_.pop_front();
     if (retx_hint_ > 0) --retx_hint_;
   }
+  const double rate_sample = rate_stamp < now ? static_cast<double>(rate_bytes) /
+                                                    (now - rate_stamp).seconds()
+                                              : 0.0;
   if (unacked_.empty()) {
     sacked_bytes_ = 0;
     lost_bytes_ = 0;

@@ -8,6 +8,7 @@
 // long-lived infinite-demand flows in the evaluation never notice.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -112,21 +113,34 @@ class TcpSender final : public PacketSink {
   [[nodiscard]] std::uint64_t lost_bytes_dbg() const { return lost_bytes_; }
 
  private:
+  // A segment's seq and length are not stored: see seg_seq() and seg_len().
   struct SegMeta {
-    std::uint64_t seq = 0;
-    std::uint32_t len = 0;
+    std::uint64_t delivered_at_send = 0;
+    Time delivered_stamp_at_send;  // time of the last delivery event at send
     // Boundary tag of a run of consecutive SACKed segments in unacked_: the
     // run's length, kept at its first and its last segment (stale inside).
     std::uint32_t sacked_run = 0;
-    Time sent_time;
-    std::uint64_t delivered_at_send = 0;
-    Time delivered_stamp_at_send;  // time of the last delivery event at send
     bool retransmitted = false;
     bool sacked = false;
     bool counted_lost = false;  // deducted from the pipe estimate
   };
-  // The run tag lives in the padding after `len`.
-  static_assert(sizeof(SegMeta) == 48);
+  // 21 segments per 512-byte deque block.
+  static_assert(sizeof(SegMeta) == 24);
+
+  // unacked_ is contiguous from front_seq_ to snd_nxt_, and every segment
+  // but a finite stream's last is kMssBytes long: unacked_[i] starts at
+  // front_seq_ + i * kMssBytes, and only the last one may end short, at
+  // snd_nxt_.
+  [[nodiscard]] std::uint64_t seg_seq(std::size_t i) const {
+    return front_seq_ + static_cast<std::uint64_t>(i) * kMssBytes;
+  }
+  [[nodiscard]] std::uint64_t seg_end(std::size_t i) const {
+    assert(i < unacked_.size());
+    return std::min<std::uint64_t>(seg_seq(i) + kMssBytes, snd_nxt_);
+  }
+  [[nodiscard]] std::uint32_t seg_len(std::size_t i) const {
+    return static_cast<std::uint32_t>(seg_end(i) - seg_seq(i));
+  }
 
   void try_send();
   void send_segment(std::uint64_t seq, std::uint32_t len, bool is_retransmission);
@@ -165,6 +179,7 @@ class TcpSender final : public PacketSink {
   Time delivered_stamp_;          // when delivered_ last advanced
 
   std::deque<SegMeta> unacked_;
+  std::uint64_t front_seq_ = 0;  // seq of unacked_[0]; snd_nxt_ when empty
   // Retransmit hint (Linux's retransmit_skb_hint): every segment in
   // unacked_[0, retx_hint_) is SACKed or retransmitted, so the scan for the
   // next hole resumes here. Shifts down on pop_front; mark_all_lost, which

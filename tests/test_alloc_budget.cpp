@@ -135,7 +135,7 @@ void expect_steady_state_budget(const ScenarioConfig& cfg) {
 }
 
 // 32 NewReno + 8 Cubic flows over a 100 Mbps, 5 ms, 420-MTU bottleneck for
-// 2 s. What remains is mostly TCP senders' std::deque blocks: about 9e-3
+// 2 s. What remains is mostly TCP senders' std::deque blocks: about 5e-3
 // per event.
 ScenarioConfig short_rtt_mix(QdiscKind qdisc) {
   ScenarioConfig cfg;
@@ -163,7 +163,7 @@ TEST(AllocBudget, FqCoDelScenarioSteadyState) {
 // SACK-heavy: 32 NewReno + 2 BBR flows over a 100 Mbps, 100 ms, 835-MTU
 // FIFO for 4 s, where windows of hundreds of segments recover from many
 // holes at once. Guards the sender's SACK scoreboard against allocating
-// per ACK; about 8e-3 per event, again mostly deque blocks.
+// per ACK; about 4e-3 per event, again mostly deque blocks.
 TEST(AllocBudget, SackHeavyScenarioSteadyState) {
   ScenarioConfig cfg;
   cfg.qdisc = QdiscKind::kFifo;

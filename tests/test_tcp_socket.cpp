@@ -231,11 +231,63 @@ class FixedWindowCc final : public CongestionControl {
   std::uint64_t cwnd_;
 };
 
-// Logs the segment number of every data segment reaching the receiver host.
+// Logs the segment number and payload of every data segment reaching the
+// receiver host, and hands the segment on to `next`, if set.
 struct SegmentLog final : PacketSink {
   std::vector<std::uint64_t> segs;
-  void deliver(const Packet& pkt) override { segs.push_back(pkt.seq / kMssBytes); }
+  std::vector<std::uint32_t> payloads;
+  PacketSink* next = nullptr;
+  void deliver(const Packet& pkt) override {
+    segs.push_back(pkt.seq / kMssBytes);
+    payloads.push_back(pkt.payload_bytes);
+    if (next != nullptr) next->deliver(pkt);
+  }
 };
+
+// Drops the first arrival of the segment starting at `seq`; hands every
+// other packet on to `next`.
+struct DropFirstCopy final : PacketSink {
+  std::uint64_t seq;
+  PacketSink& next;
+  bool dropped = false;
+  DropFirstCopy(std::uint64_t s, PacketSink& n) : seq(s), next(n) {}
+  void deliver(const Packet& pkt) override {
+    if (!dropped && pkt.seq == seq) {
+      dropped = true;
+      return;
+    }
+    next.deliver(pkt);
+  }
+};
+
+// A finite stream whose last segment is short: the tiny buffer forces SACK
+// recovery, and losing the last segment's first copy, which no later
+// segment can reveal, forces an RTO that retransmits it.
+TEST(TcpSocket, ShortLastSegmentSurvivesRecoveryAndRto) {
+  const std::uint64_t last_seq = 500 * kMssBytes;
+  const std::uint64_t total = last_seq + 17;
+  TcpHarness h(10'000'000, Milliseconds(10), 8 * kMtuBytes, total);
+  SegmentLog log;
+  DropFirstCopy drop(last_seq, *h.receiver);
+  log.next = &drop;
+  h.dst.unbind(h.flow.dst_port);
+  h.dst.bind(h.flow.dst_port, log);
+  h.sender->start();
+  h.net.scheduler().run();
+
+  EXPECT_EQ(h.receiver->delivered_bytes(), total);
+  EXPECT_EQ(h.sender->bytes_acked(), total);
+  EXPECT_GT(h.sender->fast_retransmit_count(), 0u);
+  EXPECT_GE(h.sender->rto_count(), 1u);
+  std::size_t last_copies = 0;
+  for (std::size_t i = 0; i < log.segs.size(); ++i) {
+    if (log.segs[i] != 500) continue;
+    ++last_copies;
+    EXPECT_EQ(log.payloads[i], 17u);
+  }
+  EXPECT_GE(last_copies, 2u);  // the dropped copy and a retransmission
+  EXPECT_TRUE(drop.dropped);
+}
 
 // The sender sends one window of `window_segs` segments to a host that only
 // logs them; the test plays the receiver, handing the sender ACKs whose
