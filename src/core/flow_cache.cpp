@@ -30,14 +30,15 @@ FlowCache::FlowCache(std::uint32_t stages, std::uint32_t slots_per_stage)
   assert(slots_ >= 1);
 }
 
-std::size_t FlowCache::index_of(const FlowId& flow, std::uint32_t stage) const {
-  const std::uint64_t h = mix(FlowIdHash{}(flow) ^ kStageSeeds[stage]);
+std::size_t FlowCache::index_of(std::uint64_t hash, std::uint32_t stage) const {
+  const std::uint64_t h = mix(hash ^ kStageSeeds[stage]);
   return static_cast<std::size_t>(stage) * slots_ + h % slots_;
 }
 
 bool FlowCache::add(const FlowId& flow, std::uint64_t bytes) {
+  const std::uint64_t hash = FlowIdHash{}(flow);
   for (std::uint32_t s = 0; s < stages_; ++s) {
-    Slot& slot = table_[index_of(flow, s)];
+    Slot& slot = table_[index_of(hash, s)];
     if (!slot.used) {
       slot.used = true;
       slot.flow = flow;
@@ -68,8 +69,9 @@ std::vector<FlowCache::Entry> FlowCache::poll_and_reset() {
 }
 
 std::optional<std::uint64_t> FlowCache::bytes_for(const FlowId& flow) const {
+  const std::uint64_t hash = FlowIdHash{}(flow);
   for (std::uint32_t s = 0; s < stages_; ++s) {
-    const Slot& slot = table_[index_of(flow, s)];
+    const Slot& slot = table_[index_of(hash, s)];
     if (slot.used && slot.flow == flow) return slot.bytes;
   }
   return std::nullopt;

@@ -46,12 +46,15 @@ class FlowCache {
 
  private:
   struct Slot {
-    FlowId flow;
     std::uint64_t bytes = 0;
+    FlowId flow;
     bool used = false;
   };
+  static_assert(sizeof(Slot) == 24);
 
-  [[nodiscard]] std::size_t index_of(const FlowId& flow, std::uint32_t stage) const;
+  // Slot of a flow whose FlowIdHash is `hash` in `stage`: the flow is
+  // hashed once per packet and each stage reseeds that value.
+  [[nodiscard]] std::size_t index_of(std::uint64_t hash, std::uint32_t stage) const;
 
   std::uint32_t stages_;
   std::uint32_t slots_;

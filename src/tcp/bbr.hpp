@@ -18,6 +18,7 @@ class Bbr final : public CongestionControl {
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] double pacing_rate_Bps() const override { return pacing_rate_; }
   [[nodiscard]] bool in_slow_start() const override { return mode_ == Mode::kStartup; }
+  [[nodiscard]] bool uses_delivery_rate() const override { return true; }
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(Time now, std::uint64_t bytes_in_flight) override;

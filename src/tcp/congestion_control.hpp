@@ -19,8 +19,8 @@ struct AckEvent {
   std::uint64_t acked_bytes = 0;     // bytes newly acknowledged by this ACK
   Time rtt;                          // RTT sample (zero when unavailable)
   std::uint64_t bytes_in_flight = 0; // after processing this ACK
-  std::uint64_t delivered = 0;       // total bytes delivered so far
-  double delivery_rate_Bps = 0.0;    // per-ACK delivery rate sample (0 if none)
+  double delivery_rate_Bps = 0.0;    // per-ACK delivery rate sample (0 if none, or
+                                     // when the CC does not read it)
   bool round_start = false;          // first ACK of a new RTT round
   bool in_recovery = false;          // socket is in loss recovery
   Time min_rtt;                      // connection-lifetime minimum RTT
@@ -45,6 +45,13 @@ class CongestionControl {
   [[nodiscard]] virtual double pacing_rate_Bps() const { return 0.0; }
 
   [[nodiscard]] virtual bool in_slow_start() const { return false; }
+
+  // Whether on_ack reads AckEvent::delivery_rate_Bps. A property of the
+  // algorithm, not a setting: the socket keeps per-segment rate stamps only
+  // for an algorithm that reads the samples, and reports 0 to the others.
+  // An algorithm that does not say, such as a wrapper that forwards on_ack
+  // to another, gets the samples.
+  [[nodiscard]] virtual bool uses_delivery_rate() const { return true; }
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 

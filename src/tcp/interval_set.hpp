@@ -4,12 +4,13 @@
 // Under loss, every arriving out-of-order segment used to insert a node
 // into a std::map — one allocation per packet on exactly the code path the
 // paper's loss-heavy experiments hammer. Blocks here live in one sorted
-// vector (disjoint, merged on insert), and its capacity is reused for the
-// rest of the connection's lifetime. A deep buffer holds thousands of
+// vector (disjoint, merged on insert). A deep buffer holds thousands of
 // islands, so the vector keeps a free prefix: the in-order drain advances a
 // head index instead of shifting, and an insert or merge shifts the shorter
 // side of the change. Repairs land near the front, new islands near the
-// back, so neither moves more than a few entries.
+// back, so neither moves more than a few entries. Capacity is given back
+// once the live blocks shrink to an eighth of it (see compact()), so a
+// recovered connection does not keep its worst episode's buffer.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,7 @@ class IntervalSet {
   [[nodiscard]] bool empty() const { return head_ == blocks_.size(); }
   [[nodiscard]] std::size_t size() const { return blocks_.size() - head_; }
   [[nodiscard]] const Block& operator[](std::size_t i) const { return blocks_[head_ + i]; }
+  [[nodiscard]] std::size_t capacity() const { return blocks_.capacity(); }
 
   [[nodiscard]] std::uint64_t total_bytes() const {
     std::uint64_t total = 0;
@@ -107,12 +109,23 @@ class IntervalSet {
   }
 
   // Drops the free prefix once it outgrows the live blocks, so moving them
-  // costs no more than the blocks consumed since the last compaction.
+  // costs no more than the blocks consumed since the last compaction. When
+  // the capacity is also at least kShrinkMinCapacity and 8x the live
+  // blocks, the live blocks move into a vector of their own size instead.
+  // Doubling back to the old capacity takes fewer allocations than the 7/8
+  // of it in inserts, so an insert still costs O(1) allocations amortized.
   void compact() {
     if (head_ <= size()) return;
-    blocks_.erase(blocks_.begin(), blocks_.begin() + static_cast<std::ptrdiff_t>(head_));
+    const auto live = blocks_.begin() + static_cast<std::ptrdiff_t>(head_);
+    if (blocks_.capacity() >= kShrinkMinCapacity && blocks_.capacity() >= 8 * size()) {
+      blocks_ = std::vector<Block>(live, blocks_.end());
+    } else {
+      blocks_.erase(blocks_.begin(), live);
+    }
     head_ = 0;
   }
+
+  static constexpr std::size_t kShrinkMinCapacity = 64;
 
   // Live blocks are blocks_[head_, end): sorted by begin, pairwise
   // disjoint. drain_into consumes from the front by advancing head_.

@@ -115,6 +115,7 @@ TcpSender::TcpSender(Scheduler& sched, Node& local, std::unique_ptr<CongestionCo
   assert(config_.flow.src == local_.id());
   assert(cc_ != nullptr);
   assert(!config_.ecn_capable && "ECN is not modelled");
+  if (cc_->uses_delivery_rate()) rate_stamps_.emplace();
   local_.bind(config_.flow.src_port, *this);
   if (config_.metrics != nullptr) m_srtt_ = &config_.metrics->histogram("tcp.srtt_s");
 }
@@ -159,6 +160,7 @@ std::size_t TcpSender::tag_sacked(std::size_t i) {
   const std::uint32_t right =
       i + 1 < unacked_.size() && unacked_[i + 1].sacked ? unacked_[i + 1].sacked_run : 0;
   const std::uint32_t run = left + 1 + right;
+  assert(run <= kMaxSackedRun && "a SACKed run must fit SegMeta::sacked_run");
   unacked_[i - left].sacked_run = run;
   unacked_[i + right].sacked_run = run;
   return i + right + 1;
@@ -217,8 +219,7 @@ bool TcpSender::retransmit_hole() {
     const std::uint32_t len = seg_len(retx_hint_);
     m.counted_lost = false;
     lost_bytes_ -= len;
-    m.delivered_at_send = delivered_;
-    m.delivered_stamp_at_send = delivered_stamp_;
+    if (rate_stamps_) stamp_rate((*rate_stamps_)[retx_hint_]);
     m.retransmitted = true;
     ++retransmissions_;
     ++retx_hint_;
@@ -331,7 +332,9 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
   if (!is_retransmission) {
     assert(seq == seg_seq(unacked_.size()) && seq == snd_nxt_ &&
            "only a finite stream's last segment may be shorter than kMssBytes");
-    unacked_.push_back(SegMeta{delivered_, delivered_stamp_, 0, false, false, false});
+    unacked_.emplace_back();
+    if (rate_stamps_) stamp_rate(rate_stamps_->emplace_back());
+    assert(stamps_in_step());
   }
   if (!rto_timer_.armed()) arm_rto();
   local_.send(pkt);
@@ -339,10 +342,8 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
 
 void TcpSender::retransmit_front() {
   if (unacked_.empty()) return;
-  SegMeta& m = unacked_.front();
-  m.delivered_at_send = delivered_;
-  m.delivered_stamp_at_send = delivered_stamp_;
-  m.retransmitted = true;
+  unacked_.front().retransmitted = true;
+  if (rate_stamps_) stamp_rate(rate_stamps_->front());
   ++retransmissions_;
   send_segment(front_seq_, seg_len(0), /*is_retransmission=*/true);
 }
@@ -370,8 +371,8 @@ void TcpSender::on_new_ack(const Packet& ack) {
   snd_una_ = ack.ack;
 
   // Release fully-acknowledged segment metadata; remember the operands of
-  // the most recent one's delivery-rate sample (BBR). A stamp before `now`
-  // means one was taken.
+  // the most recent one's delivery-rate sample (only kept for a CC that
+  // reads it). A stamp before `now` means one was taken.
   std::uint64_t rate_bytes = 0;
   Time rate_stamp = now;
   while (!unacked_.empty()) {
@@ -394,12 +395,17 @@ void TcpSender::on_new_ack(const Packet& ack) {
     // over the interval since the delivery event preceding its transmission
     // (burst-compressed send times would otherwise overestimate). Karn's
     // rule: retransmitted segments give no sample.
-    if (!m.retransmitted && now > m.delivered_stamp_at_send) {
-      rate_bytes = delivered_ - m.delivered_at_send;
-      rate_stamp = m.delivered_stamp_at_send;
+    if (rate_stamps_) {
+      const RateStamp& r = rate_stamps_->front();
+      if (!m.retransmitted && now > r.stamp) {
+        rate_bytes = delivered_ - r.delivered;
+        rate_stamp = r.stamp;
+      }
+      rate_stamps_->pop_front();
     }
     front_seq_ += len;
     unacked_.pop_front();
+    assert(stamps_in_step());
     if (retx_hint_ > 0) --retx_hint_;
   }
   const double rate_sample = rate_stamp < now ? static_cast<double>(rate_bytes) /
@@ -438,7 +444,6 @@ void TcpSender::on_new_ack(const Packet& ack) {
   ev.acked_bytes = newly;
   ev.rtt = rtt_sample > Time::zero() ? rtt_sample : Time::zero();
   ev.bytes_in_flight = bytes_in_flight();
-  ev.delivered = delivered_;
   ev.delivery_rate_Bps = rate_sample;
   ev.round_start = round_start;
   // Fast recovery freezes the window; RTO recovery slow-starts (CA_Loss).

@@ -15,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -111,21 +112,38 @@ class TcpSender final : public PacketSink {
   [[nodiscard]] bool in_recovery() const { return loss_mode_ != LossMode::kNone; }
   [[nodiscard]] std::uint64_t sacked_bytes_dbg() const { return sacked_bytes_; }
   [[nodiscard]] std::uint64_t lost_bytes_dbg() const { return lost_bytes_; }
+  [[nodiscard]] std::size_t outstanding_segments_dbg() const { return unacked_.size(); }
+  // Rate stamps held: outstanding_segments_dbg() under a CC that reads
+  // delivery-rate samples, 0 under any other.
+  [[nodiscard]] std::size_t rate_stamps_dbg() const {
+    return rate_stamps_ ? rate_stamps_->size() : 0;
+  }
 
  private:
   // A segment's seq and length are not stored: see seg_seq() and seg_len().
+  // One 32-bit word per segment, 128 to a 512-byte deque block.
   struct SegMeta {
-    std::uint64_t delivered_at_send = 0;
-    Time delivered_stamp_at_send;  // time of the last delivery event at send
     // Boundary tag of a run of consecutive SACKed segments in unacked_: the
     // run's length, kept at its first and its last segment (stale inside).
-    std::uint32_t sacked_run = 0;
-    bool retransmitted = false;
-    bool sacked = false;
-    bool counted_lost = false;  // deducted from the pipe estimate
+    std::uint32_t sacked_run : 29 = 0;
+    std::uint32_t retransmitted : 1 = 0;
+    std::uint32_t sacked : 1 = 0;
+    std::uint32_t counted_lost : 1 = 0;  // deducted from the pipe estimate
   };
-  // 21 segments per 512-byte deque block.
-  static_assert(sizeof(SegMeta) == 24);
+  static_assert(sizeof(SegMeta) == 4);
+  static constexpr std::uint32_t kMaxSackedRun = (1u << 29) - 1;
+
+  // Operands of the delivery-rate sample a segment's cumulative ACK yields:
+  // delivered_ and delivered_stamp_ when it was last sent. Kept only for a
+  // CC that reads the samples (BBR), one per entry of unacked_.
+  struct RateStamp {
+    std::uint64_t delivered = 0;
+    Time stamp;  // time of the last delivery event at send
+  };
+  void stamp_rate(RateStamp& r) const { r = RateStamp{delivered_, delivered_stamp_}; }
+  [[nodiscard]] bool stamps_in_step() const {
+    return !rate_stamps_ || rate_stamps_->size() == unacked_.size();
+  }
 
   // unacked_ is contiguous from front_seq_ to snd_nxt_, and every segment
   // but a finite stream's last is kMssBytes long: unacked_[i] starts at
@@ -180,6 +198,9 @@ class TcpSender final : public PacketSink {
 
   std::deque<SegMeta> unacked_;
   std::uint64_t front_seq_ = 0;  // seq of unacked_[0]; snd_nxt_ when empty
+  // rate_stamps_[i] belongs to unacked_[i]. Engaged only when
+  // cc_->uses_delivery_rate(): other senders allocate nothing for it.
+  std::optional<std::deque<RateStamp>> rate_stamps_;
   // Retransmit hint (Linux's retransmit_skb_hint): every segment in
   // unacked_[0, retx_hint_) is SACKed or retransmitted, so the scan for the
   // next hole resumes here. Shifts down on pop_front; mark_all_lost, which

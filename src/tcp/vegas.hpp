@@ -15,6 +15,7 @@ class Vegas final : public CongestionControl {
   [[nodiscard]] std::string_view name() const override { return "vegas"; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const override { return cwnd_; }
   [[nodiscard]] bool in_slow_start() const override { return cwnd_ < ssthresh_; }
+  [[nodiscard]] bool uses_delivery_rate() const override { return false; }
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(Time now, std::uint64_t bytes_in_flight) override;

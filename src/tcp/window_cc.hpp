@@ -15,6 +15,7 @@ class WindowCc : public CongestionControl {
  public:
   [[nodiscard]] std::uint64_t cwnd_bytes() const final { return cwnd_; }
   [[nodiscard]] bool in_slow_start() const final { return cwnd_ < ssthresh_; }
+  [[nodiscard]] bool uses_delivery_rate() const final { return false; }
 
   void on_ack(const AckEvent& ev) final {
     // No window growth while repairing losses (Linux: cong_avoid is not

@@ -22,6 +22,16 @@ TEST(CcFactory, NamesMatchAlgorithms) {
   EXPECT_EQ(make_cc(CcaType::kBbr)->name(), "bbr");
 }
 
+// Only BBR reads delivery-rate samples, so only a BBR sender keeps
+// per-segment rate stamps.
+TEST(CcFactory, OnlyBbrUsesDeliveryRate) {
+  EXPECT_FALSE(make_cc(CcaType::kNewReno)->uses_delivery_rate());
+  EXPECT_FALSE(make_cc(CcaType::kCubic)->uses_delivery_rate());
+  EXPECT_FALSE(make_cc(CcaType::kBic)->uses_delivery_rate());
+  EXPECT_FALSE(make_cc(CcaType::kVegas)->uses_delivery_rate());
+  EXPECT_TRUE(make_cc(CcaType::kBbr)->uses_delivery_rate());
+}
+
 TEST(CcFactory, InstancesAreIndependent) {
   auto a = make_cc(CcaType::kNewReno);
   auto b = make_cc(CcaType::kNewReno);

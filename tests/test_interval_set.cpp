@@ -100,6 +100,34 @@ TEST(IntervalSet, DrainIntoNoopWhenGapRemains) {
   EXPECT_EQ(s.size(), 1u);
 }
 
+// Draining all but a few of 10,000 islands gives the vector's capacity
+// back, and the blocks left are the same.
+TEST(IntervalSet, CapacityFollowsLiveBlocks) {
+  constexpr std::uint64_t kIslands = 10'000;
+  constexpr std::uint64_t kLeft = 5;
+  IntervalSet s;
+  for (std::uint64_t k = 0; k < kIslands; ++k) s.add(10 * k + 1, 10 * k + 5);
+  ASSERT_EQ(s.size(), kIslands);
+  ASSERT_GE(s.capacity(), kIslands);
+
+  std::uint64_t cursor = 10 * (kIslands - kLeft);
+  s.drain_into(cursor);
+  EXPECT_EQ(cursor, 10 * (kIslands - kLeft));
+  ASSERT_EQ(s.size(), kLeft);
+  EXPECT_LE(s.capacity(), std::max<std::size_t>(64, 8 * s.size()));
+  for (std::uint64_t i = 0; i < kLeft; ++i) {
+    const std::uint64_t k = kIslands - kLeft + i;
+    EXPECT_EQ(s[i].begin, 10 * k + 1);
+    EXPECT_EQ(s[i].end, 10 * k + 5);
+  }
+  // The shrunk set keeps working: a repair below, a new island above.
+  s.add(10 * (kIslands - kLeft) + 5, 10 * (kIslands - kLeft) + 11);
+  s.add(10 * kIslands + 1, 10 * kIslands + 5);
+  ASSERT_EQ(s.size(), kLeft);
+  EXPECT_EQ(s[0].begin, 10 * (kIslands - kLeft) + 1);
+  EXPECT_EQ(s[0].end, 10 * (kIslands - kLeft + 1) + 5);
+  EXPECT_EQ(s[kLeft - 1].begin, 10 * kIslands + 1);
+}
 
 // Differential test against a byte-set model: every byte the set holds is
 // one flag over a window of kSpace bytes, and the expected blocks are the

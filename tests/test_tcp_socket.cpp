@@ -10,6 +10,7 @@
 
 #include "net/network.hpp"
 #include "queueing/fifo_queue.hpp"
+#include "tcp/bbr.hpp"
 #include "tcp/new_reno.hpp"
 
 namespace cebinae {
@@ -26,14 +27,14 @@ struct TcpHarness {
 
   explicit TcpHarness(std::uint64_t rate_bps = 10'000'000, Time delay = Milliseconds(10),
                       std::uint64_t buffer_bytes = 64 * kMtuBytes,
-                      std::uint64_t bytes_to_send =
-                          std::numeric_limits<std::uint64_t>::max()) {
+                      std::uint64_t bytes_to_send = std::numeric_limits<std::uint64_t>::max(),
+                      std::unique_ptr<CongestionControl> cc = std::make_unique<NewReno>()) {
     net.link(src, dst, rate_bps, delay, std::make_unique<FifoQueue>(buffer_bytes), nullptr);
     net.build_routes();
     TcpSender::Config cfg;
     cfg.flow = flow;
     cfg.bytes_to_send = bytes_to_send;
-    sender = std::make_unique<TcpSender>(net.scheduler(), src, std::make_unique<NewReno>(), cfg);
+    sender = std::make_unique<TcpSender>(net.scheduler(), src, std::move(cc), cfg);
     receiver = std::make_unique<TcpReceiver>(net.scheduler(), dst, flow);
   }
 };
@@ -287,6 +288,44 @@ TEST(TcpSocket, ShortLastSegmentSurvivesRecoveryAndRto) {
   }
   EXPECT_GE(last_copies, 2u);  // the dropped copy and a retransmission
   EXPECT_TRUE(drop.dropped);
+}
+
+// A sender keeps one rate stamp per outstanding segment under BBR, which
+// reads delivery-rate samples, through fast recovery and an RTO (the sender
+// asserts the lock-step after every push and pop), and none under NewReno.
+TEST(TcpSocket, RateStampsOnlyUnderBbrAndInStep) {
+  const std::uint64_t last_seq = 500 * kMssBytes;
+  const std::uint64_t total = last_seq + 17;
+  for (const bool bbr : {true, false}) {
+    SCOPED_TRACE(bbr ? "bbr" : "newreno");
+    TcpHarness h(10'000'000, Milliseconds(10), 8 * kMtuBytes, total,
+                 bbr ? std::unique_ptr<CongestionControl>(std::make_unique<Bbr>())
+                     : std::make_unique<NewReno>());
+    DropFirstCopy drop(last_seq, *h.receiver);
+    h.dst.unbind(h.flow.dst_port);
+    h.dst.bind(h.flow.dst_port, drop);
+    std::uint64_t probes = 0;
+    std::uint64_t busy_probes = 0;  // with segments outstanding
+    std::uint64_t probes_in_step = 0;
+    Timer probe(h.net.scheduler(), [&] {
+      const std::size_t outstanding = h.sender->outstanding_segments_dbg();
+      ++probes;
+      if (outstanding > 0) ++busy_probes;
+      if (h.sender->rate_stamps_dbg() == (bbr ? outstanding : 0)) ++probes_in_step;
+      if (h.sender->bytes_acked() < total) probe.arm_after(Microseconds(500));
+    });
+    probe.arm_after(Microseconds(500));
+    h.sender->start();
+    h.net.scheduler().run();
+
+    EXPECT_EQ(h.sender->bytes_acked(), total);
+    EXPECT_GT(h.sender->fast_retransmit_count(), 0u);
+    EXPECT_GE(h.sender->rto_count(), 1u);
+    EXPECT_GT(busy_probes, 100u);
+    EXPECT_EQ(probes_in_step, probes);
+    EXPECT_EQ(h.sender->outstanding_segments_dbg(), 0u);
+    EXPECT_EQ(h.sender->rate_stamps_dbg(), 0u);
+  }
 }
 
 // The sender sends one window of `window_segs` segments to a host that only
