@@ -25,7 +25,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
     job.label = "stages=" + std::to_string(stages);
     job.params.set("stages", static_cast<std::uint64_t>(stages));
     job.custom = [stages](std::uint64_t /*seed*/) {
-      const TofinoResources r = TofinoResourceModel(32, 4096).estimate(stages);
+      const TofinoResources r = estimate_tofino_resources(stages);
       return std::vector<std::pair<std::string, double>>{
           {"pipeline_stages", static_cast<double>(r.pipeline_stages)},
           {"phv_bits", static_cast<double>(r.phv_bits)},

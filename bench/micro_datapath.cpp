@@ -249,7 +249,6 @@ BENCHMARK(BM_FlowCachePollAndReset);
 void BM_LbfAdmit(benchmark::State& state) {
   CebinaeParams params;
   params.dt = Nanoseconds(1 << 20);
-  params.vdt = Nanoseconds(1 << 10);
   LeakyBucketFilter lbf(params, 10'000'000'000ull);
   lbf.enter_saturated(6e8, 6.5e8);
   std::int64_t now = 0;

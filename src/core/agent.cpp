@@ -30,7 +30,7 @@ void CebinaeAgent::on_rotate() {
   // to the queue that just became available for scheduling. dT > vdT + L
   // (CebinaeParams::for_link), so the previous rotation's commit has run.
   assert(!commit_timer_.armed() && "commit window overlaps the next rotation");
-  commit_timer_.arm_after(params_.vdt + params_.l_deadline);
+  commit_timer_.arm_after(CebinaeParams::kVdt + CebinaeParams::kLDeadline);
 }
 
 void CebinaeAgent::commit() {

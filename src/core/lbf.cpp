@@ -5,35 +5,39 @@
 
 namespace cebinae {
 
+namespace {
+static_assert((CebinaeParams::kVdt.ns() & (CebinaeParams::kVdt.ns() - 1)) == 0,
+              "vdT must be a power of two");
+constexpr double kVdtS = CebinaeParams::kVdt.seconds();
+constexpr std::int64_t kVdtMask = ~(CebinaeParams::kVdt.ns() - 1);
+}  // namespace
+
 LeakyBucketFilter::LeakyBucketFilter(const CebinaeParams& params, std::uint64_t capacity_bps)
     : params_(params),
       capacity_Bps_(static_cast<double>(capacity_bps) / 8.0),
       dt_s_(params.dt.seconds()),
-      vdt_s_(params.vdt.seconds()),
-      vdt_mask_(~(params.vdt.ns() - 1)),
-      rounds_per_dt_(params.dt.ns() / params.vdt.ns()) {
+      rounds_per_dt_(params.dt / CebinaeParams::kVdt) {
   assert((params.dt.ns() & (params.dt.ns() - 1)) == 0 && "dT must be a power of two");
-  assert((params.vdt.ns() & (params.vdt.ns() - 1)) == 0 && "vdT must be a power of two");
-  assert(params.vdt < params.dt);
+  assert(CebinaeParams::kVdt < params.dt);
   // Unsaturated phase: both queues pass traffic at full capacity.
   for (auto& q : rate_) q[0] = q[1] = capacity_Bps_;
 }
 
 void LeakyBucketFilter::advance_virtual_round(Time now) {
-  if (now >= round_time_ + params_.vdt) {
-    round_time_ = Time(now.ns() & vdt_mask_);
-    relative_round_ = (round_time_ - base_round_time_) / params_.vdt;
+  if (now >= round_time_ + CebinaeParams::kVdt) {
+    round_time_ = Time(now.ns() & kVdtMask);
+    relative_round_ = (round_time_ - base_round_time_) / CebinaeParams::kVdt;
   }
 }
 
 double LeakyBucketFilter::entitled_bytes(double rate_head_Bps, double rate_tail_Bps) const {
   const double rel = static_cast<double>(std::max<std::int64_t>(relative_round_, 0));
   if (relative_round_ < rounds_per_dt_) {
-    return rate_head_Bps * rel * vdt_s_;
+    return rate_head_Bps * rel * kVdtS;
   }
   if (relative_round_ < 2 * rounds_per_dt_) {
     return rate_head_Bps * dt_s_ +
-           (rel - static_cast<double>(rounds_per_dt_)) * rate_tail_Bps * vdt_s_;
+           (rel - static_cast<double>(rounds_per_dt_)) * rate_tail_Bps * kVdtS;
   }
   // Should never happen with timely rotations; entitle the full horizon.
   return rate_head_Bps * dt_s_ + rate_tail_Bps * dt_s_;
@@ -94,7 +98,7 @@ void LeakyBucketFilter::rotate(Time now) {
     base_round_time_ = Time(now.ns() & ~(params_.dt.ns() - 1));
   }
   advance_virtual_round(now);
-  relative_round_ = (round_time_ - base_round_time_) / params_.vdt;
+  relative_round_ = (round_time_ - base_round_time_) / CebinaeParams::kVdt;
 
   head_ = 1 - head_;
   ++rotations_;

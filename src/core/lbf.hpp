@@ -71,8 +71,6 @@ class LeakyBucketFilter {
   CebinaeParams params_;
   double capacity_Bps_;
   double dt_s_;
-  double vdt_s_;
-  std::int64_t vdt_mask_;
   std::int64_t rounds_per_dt_;
 
   int head_ = 0;

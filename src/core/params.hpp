@@ -1,5 +1,7 @@
 // Cebinae's configurable parameters (the paper's Table 1) plus the derived
-// sizing rules from §4.4.
+// sizing rules from §4.4. vdT and L are fixed properties of the switch, not
+// settings: vdT is the clock-precision round of Fig. 5 and L the
+// control-plane deadline of Fig. 6.
 #pragma once
 
 #include <algorithm>
@@ -14,10 +16,11 @@ struct CebinaeParams {
   double delta_flow = 0.01;  // δf: flow bottleneck threshold
   double tau = 0.01;         // τ: tax rate
 
-  std::uint32_t p_rounds = 1;           // P: dT periods per recomputation
-  Time l_deadline = Nanoseconds(1 << 16);   // L: control-plane deadline
-  Time dt = Nanoseconds(1 << 27);           // dT: physical bucket duration (2^n)
-  Time vdt = Nanoseconds(1 << 10);          // vdT: virtual bucket duration (2^m, m<n)
+  std::uint32_t p_rounds = 1;      // P: dT periods per recomputation
+  Time dt = Nanoseconds(1 << 27);  // dT: physical bucket duration (2^n)
+
+  static constexpr Time kLDeadline = Nanoseconds(1 << 16);  // L: control-plane deadline
+  static constexpr Time kVdt = Nanoseconds(1 << 10);  // vdT: virtual bucket duration (2^m, m<n)
 
   // Round a duration up to the next power-of-two nanoseconds (Tofino-style
   // bucket durations enable the vdT masking trick in Fig. 5).
@@ -35,7 +38,7 @@ struct CebinaeParams {
     CebinaeParams p;
     const double drain_s =
         static_cast<double>(buffer_bytes) * 8.0 / static_cast<double>(rate_bps);
-    const Time lower = SecondsF(drain_s) + p.vdt + p.l_deadline;
+    const Time lower = SecondsF(drain_s) + kVdt + kLDeadline;
     p.dt = next_pow2(lower);
     p.p_rounds = static_cast<std::uint32_t>(std::max<std::int64_t>(
         1, (max_rtt.ns() + p.dt.ns() - 1) / p.dt.ns()));

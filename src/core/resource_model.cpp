@@ -20,37 +20,30 @@ constexpr double kTcamBudgetKb = 12 * 24 * 1.28;
 constexpr double kPhvBase = 832.0;
 constexpr double kPhvPerStage = 105.0;
 constexpr double kSramBaseKb = 800.0;
-constexpr double kSramPerStageKb = 1648.0;  // at the reference geometry
+constexpr double kSramPerStageKb = 1648.0;
 constexpr double kTcamPerStageKb = 19.0;
 constexpr double kTcamBaseKb = -4.0;
 constexpr double kVliwBase = 85.0;
 constexpr double kVliwPerStage = 4.0;
 
-constexpr std::uint32_t kReferencePorts = 32;
-constexpr std::uint32_t kReferenceSlots = 4096;
+constexpr std::uint32_t kPorts = 32;  // Table 3's switch
 }  // namespace
 
 double TofinoResources::phv_fraction() const { return phv_bits / kPhvBudgetBits; }
 double TofinoResources::sram_fraction() const { return sram_kb / kSramBudgetKb; }
 double TofinoResources::tcam_fraction() const { return tcam_kb / kTcamBudgetKb; }
 
-TofinoResources TofinoResourceModel::estimate(std::uint32_t cache_stages) const {
+TofinoResources estimate_tofino_resources(std::uint32_t cache_stages) {
   TofinoResources r;
   r.cache_stages = cache_stages;
   r.pipeline_stages = 11;  // fixed by the Cebinae pipeline layout (Table 3)
   r.phv_bits = static_cast<std::uint32_t>(kPhvBase + kPhvPerStage * cache_stages);
-
-  // SRAM scales with the cache geometry relative to the calibration point.
-  const double geometry_scale =
-      (static_cast<double>(ports_) / kReferencePorts) *
-      (static_cast<double>(slots_per_port_) / kReferenceSlots);
-  r.sram_kb = static_cast<std::uint32_t>(kSramBaseKb +
-                                         kSramPerStageKb * geometry_scale * cache_stages);
+  r.sram_kb = static_cast<std::uint32_t>(kSramBaseKb + kSramPerStageKb * cache_stages);
 
   const double tcam = kTcamBaseKb + kTcamPerStageKb * cache_stages;
   r.tcam_kb = tcam > 0 ? static_cast<std::uint32_t>(tcam) : 0;
   r.vliw_instructions = static_cast<std::uint32_t>(kVliwBase + kVliwPerStage * cache_stages);
-  r.queues = 2 * ports_;  // exactly two priorities per port -- Cebinae's claim
+  r.queues = 2 * kPorts;  // exactly two priorities per port -- Cebinae's claim
   return r;
 }
 

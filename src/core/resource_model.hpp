@@ -3,10 +3,10 @@
 // The paper reports the P4 compiler's resource usage for Cebinae's data
 // plane on a 32-port Tofino. We do not have the Tofino toolchain, so this
 // model expresses each resource as a calibrated affine function of the flow
-// cache's stage count; the two configurations from the paper reproduce
-// Table 3 exactly, and other configurations extrapolate along the same cost
-// structure (each extra cache stage adds one register array, its hash
-// computation, and its match logic).
+// cache's stage count at the paper's geometry (32 ports x 4096 slots); the
+// two configurations from the paper reproduce Table 3 exactly, and other
+// stage counts extrapolate along the same cost structure (each extra cache
+// stage adds one register array, its hash computation, and its match logic).
 #pragma once
 
 #include <cstdint>
@@ -28,18 +28,8 @@ struct TofinoResources {
   [[nodiscard]] double tcam_fraction() const;
 };
 
-class TofinoResourceModel {
- public:
-  // `ports`: switch port count; `slots`: cache slots per port per stage.
-  // Table 3 uses 32 ports and 4096 slots.
-  explicit TofinoResourceModel(std::uint32_t ports = 32, std::uint32_t slots_per_port = 4096)
-      : ports_(ports), slots_per_port_(slots_per_port) {}
-
-  [[nodiscard]] TofinoResources estimate(std::uint32_t cache_stages) const;
-
- private:
-  std::uint32_t ports_;
-  std::uint32_t slots_per_port_;
-};
+// Resource estimates for `cache_stages` flow-cache stages at Table 3's
+// geometry: 32 ports, 4096 cache slots per port per stage.
+[[nodiscard]] TofinoResources estimate_tofino_resources(std::uint32_t cache_stages);
 
 }  // namespace cebinae

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace cebinae {
 
@@ -14,6 +15,8 @@ std::vector<double> maxmin_rates(const MaxMinProblem& problem) {
 
   constexpr double kEps = 1e-9;
   std::size_t active = num_flows;
+  // A flow on no link would have an unbounded rate.
+  for (const auto& links : problem.flow_links) assert(!links.empty());
 
   while (active > 0) {
     // Count active flows per link.
@@ -26,22 +29,13 @@ std::vector<double> maxmin_rates(const MaxMinProblem& problem) {
       }
     }
 
-    // Largest uniform increment every active flow can take.
+    // Largest uniform increment every active flow can take. An active flow
+    // is on at least one link, so some link bounds it.
     double inc = std::numeric_limits<double>::infinity();
     for (std::size_t l = 0; l < num_links; ++l) {
       if (active_on_link[l] == 0) continue;
       inc = std::min(inc, (problem.link_capacity[l] - used[l]) /
                               static_cast<double>(active_on_link[l]));
-    }
-    if (!problem.demand.empty()) {
-      for (std::size_t f = 0; f < num_flows; ++f) {
-        if (!frozen[f]) inc = std::min(inc, problem.demand[f] - rate[f]);
-      }
-    }
-    if (inc == std::numeric_limits<double>::infinity()) {
-      // Flows that traverse no links have unbounded rates; freeze them at 0
-      // increments beyond demand (treat as satisfied).
-      break;
     }
     inc = std::max(inc, 0.0);
 
@@ -51,7 +45,7 @@ std::vector<double> maxmin_rates(const MaxMinProblem& problem) {
       for (std::size_t l : problem.flow_links[f]) used[l] += inc;
     }
 
-    // Freeze flows on saturated links and flows whose demand is met.
+    // Freeze flows on saturated links.
     for (std::size_t f = 0; f < num_flows; ++f) {
       if (frozen[f]) continue;
       bool freeze = false;
@@ -61,8 +55,6 @@ std::vector<double> maxmin_rates(const MaxMinProblem& problem) {
           break;
         }
       }
-      if (!problem.demand.empty() && rate[f] >= problem.demand[f] - kEps) freeze = true;
-      if (problem.flow_links[f].empty() && inc == 0.0) freeze = true;
       if (freeze) {
         frozen[f] = true;
         --active;

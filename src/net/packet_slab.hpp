@@ -8,10 +8,12 @@
 // so neither allocates per packet.
 //
 // A slot is one 64-byte, 64-aligned frame (Entry): the fields that queues,
-// links and switches read, plus the packet kind's primary number and
-// timestamp. The rest of a Packet (the other number and timestamp, the SACK
-// blocks) goes to an extension record, taken only when one of them is
-// non-zero, so the encoding is lossless for every Packet (DESIGN.md §11).
+// links and switches read, plus the packet kind's number and timestamp
+// (`seq`/`ts_sent` for data, `ack`/`ts_echo` for an ACK). An ACK's SACK
+// blocks go to a 56-byte extension record, taken only when sack_count > 0.
+// TCP never sends the kind's other number and timestamp, nor a block past
+// sack_count; alloc asserts that they are zero, so the encoding is exact for
+// what TCP sends (DESIGN.md §11).
 //
 // Frames and extension records live in fixed-size chunks, so a reference
 // to either stays valid while the slab grows. Released records go on a LIFO
@@ -163,13 +165,13 @@ class PacketSlab {
   using Slot = std::uint32_t;
   static constexpr Slot kNone = std::numeric_limits<Slot>::max();
 
-  // One frame in one cache line. The kind's primary number and timestamp
-  // are `seq`/`ts_sent` for data and `ack`/`ts_echo` for an ACK.
+  // One frame in one cache line. The kind's number and timestamp are
+  // `seq`/`ts_sent` for data and `ack`/`ts_echo` for an ACK.
   struct alignas(64) Entry {
     Slot next = kNone;         // link in a SlotFifo or the free list
     Slot ext = kNone;          // extension record, or kNone
-    std::uint64_t number = 0;  // the kind's primary number
-    Time time;                 // the kind's primary timestamp
+    std::uint64_t number = 0;  // the kind's number
+    Time time;                 // the kind's timestamp
     Time stamp;                // enqueue time in a queue disc; arrival time on the wire
     std::uint64_t seq = 0;     // the arrival's reserved scheduler seq, on the wire
     FlowId flow;
@@ -180,15 +182,12 @@ class PacketSlab {
   };
   static_assert(sizeof(Entry) == 64 && alignof(Entry) == 64);
 
-  // What a frame leaves out: the kind's other number and timestamp
-  // (`ack`/`ts_echo` for data, `seq`/`ts_sent` for an ACK) and the
-  // SACK blocks.
+  // What a frame leaves out: the SACK blocks.
   struct Extension {
     Slot next = kNone;  // link in the free list
-    std::uint64_t number = 0;
-    Time time;
     std::array<Packet::SackBlock, 3> sack{};
   };
+  static_assert(sizeof(Extension) == 56);
 
   // The calling thread's slab.
   [[nodiscard]] static PacketSlab& local() {
@@ -202,9 +201,16 @@ class PacketSlab {
 
   // Encodes `pkt` into a new frame stamped `stamp`.
   [[nodiscard]] Slot alloc(const Packet& pkt, Time stamp) {
+    const bool ack = pkt.kind == Packet::Kind::kTcpAck;
+    assert((ack ? pkt.seq : pkt.ack) == 0 && "the frame has no room for the other number");
+    assert((ack ? pkt.ts_sent : pkt.ts_echo) == Time::zero() &&
+           "the frame has no room for the other timestamp");
+    assert(pkt.sack_count <= pkt.sack.size());
+    for (std::size_t i = pkt.sack_count; i < pkt.sack.size(); ++i) {
+      assert(pkt.sack[i].begin == 0 && pkt.sack[i].end == 0 && "a SACK block past sack_count");
+    }
     const Slot s = frames_.alloc();
     Entry& e = frames_[s];
-    const bool ack = pkt.kind == Packet::Kind::kTcpAck;
     e.number = ack ? pkt.ack : pkt.seq;
     e.time = ack ? pkt.ts_echo : pkt.ts_sent;
     e.stamp = stamp;
@@ -214,16 +220,9 @@ class PacketSlab {
     e.kind = pkt.kind;
     e.sack_count = pkt.sack_count;
     e.ext = kNone;
-    const std::uint64_t other = ack ? pkt.seq : pkt.ack;
-    const Time other_time = ack ? pkt.ts_sent : pkt.ts_echo;
-    std::uint64_t sack_bits = 0;
-    for (const Packet::SackBlock& b : pkt.sack) sack_bits |= b.begin | b.end;
-    if ((other | static_cast<std::uint64_t>(other_time.ns()) | sack_bits) != 0) {
+    if (pkt.sack_count > 0) {
       e.ext = extensions_.alloc();
-      Extension& x = extensions_[e.ext];
-      x.number = other;
-      x.time = other_time;
-      x.sack = pkt.sack;
+      extensions_[e.ext].sack = pkt.sack;
     }
     ++allocations_;
     return s;
@@ -232,21 +231,19 @@ class PacketSlab {
   // Decodes the frame in slot s.
   [[nodiscard]] Packet packet(Slot s) const {
     const Entry& e = frames_[s];
-    const Extension* x = e.ext != kNone ? &extensions_[e.ext] : nullptr;
-    const std::uint64_t other = x != nullptr ? x->number : 0;
-    const Time other_time = x != nullptr ? x->time : Time::zero();
     const bool ack = e.kind == Packet::Kind::kTcpAck;
     // Every member named, so nothing is zeroed first and then overwritten.
     return Packet{.flow = e.flow,
                   .kind = e.kind,
                   .size_bytes = e.size_bytes,
                   .payload_bytes = e.payload_bytes,
-                  .seq = ack ? other : e.number,
-                  .ack = ack ? e.number : other,
-                  .sack = x != nullptr ? x->sack : std::array<Packet::SackBlock, 3>{},
+                  .seq = ack ? 0 : e.number,
+                  .ack = ack ? e.number : 0,
+                  .sack = e.ext != kNone ? extensions_[e.ext].sack
+                                         : std::array<Packet::SackBlock, 3>{},
                   .sack_count = e.sack_count,
-                  .ts_sent = ack ? other_time : e.time,
-                  .ts_echo = ack ? e.time : other_time};
+                  .ts_sent = ack ? Time::zero() : e.time,
+                  .ts_echo = ack ? e.time : Time::zero()};
   }
 
   // Releases slot s and its extension record.

@@ -23,27 +23,24 @@
 
 namespace cebinae::obs {
 
-// Streaming summary of observed samples (count/sum/min/max); cheap enough to
+// Streaming summary of observed samples (count/sum/max); cheap enough to
 // sit on a per-ACK path. Trace rows export n, mean, and max.
 class Histogram {
  public:
   void observe(double x) {
     ++n_;
     sum_ += x;
-    if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
-  [[nodiscard]] double min() const { return n_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const { return n_ == 0 ? 0.0 : max_; }
 
  private:
   std::uint64_t n_ = 0;
   double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
 

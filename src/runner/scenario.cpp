@@ -38,7 +38,8 @@ std::string_view to_string(QdiscKind kind) {
   return "?";
 }
 
-std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
+std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link,
+                                                           const CebinaeParams& cebinae) {
   std::unique_ptr<QueueDisc> disc;
   switch (cfg_.qdisc) {
     case QdiscKind::kFifo:
@@ -52,7 +53,7 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link) {
     }
     case QdiscKind::kCebinae: {
       auto q = std::make_unique<CebinaeQueueDisc>(net_->scheduler(), cfg_.bottleneck_bps,
-                                                  cfg_.buffer_bytes, effective_params_);
+                                                  cfg_.buffer_bytes, cebinae);
       cebinae_qdiscs_.push_back(q.get());
       disc = std::move(q);
       break;
@@ -85,21 +86,21 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
   }
 
   // Derive Cebinae timing from the link and the slowest flow (paper §4.4).
-  effective_params_ = cfg_.cebinae;
+  CebinaeParams cebinae = cfg_.cebinae;
   if (cfg_.qdisc == QdiscKind::kCebinae && cfg_.auto_cebinae_timing) {
     Time max_rtt = Time::zero();
     for (const FlowSpec& f : cfg_.flows) max_rtt = std::max(max_rtt, f.rtt);
     const CebinaeParams derived =
         CebinaeParams::for_link(cfg_.bottleneck_bps, cfg_.buffer_bytes, max_rtt);
-    effective_params_.dt = derived.dt;
+    cebinae.dt = derived.dt;
     // The RTT rule gives a lower bound on the recomputation interval; a
     // config may ask for a longer one (smoother rate measurements stabilize
     // the top-flow membership).
-    effective_params_.p_rounds = std::max(derived.p_rounds, cfg_.cebinae.p_rounds);
+    cebinae.p_rounds = std::max(derived.p_rounds, cfg_.cebinae.p_rounds);
   }
 
   topo_ = build_chain(*net_, cfg_.chain_links, cfg_.bottleneck_bps, kChainLinkDelay,
-                      [this](int link) { return make_bottleneck_qdisc(link); });
+                      [this, &cebinae](int link) { return make_bottleneck_qdisc(link, cebinae); });
 
   if (cfg_.qdisc == QdiscKind::kCebinae) {
     for (CebinaeQueueDisc* q : cebinae_qdiscs_) {
@@ -310,6 +311,7 @@ std::vector<double> ideal_goodputs_Bps(const ScenarioConfig& cfg) {
     // Mirror the constructor's path normalization so reporters can call this
     // on a raw config without building a Scenario.
     const int exit = f.exit < 0 ? cfg.chain_links : f.exit;
+    assert(exit > f.enter);  // as attach_hosts asserts; maxmin_rates needs a link
     std::vector<std::size_t> links;
     for (int l = f.enter; l < exit; ++l) links.push_back(static_cast<std::size_t>(l));
     problem.flow_links.push_back(std::move(links));

@@ -108,12 +108,10 @@ class Scenario {
     return cebinae_qdiscs_.empty() ? nullptr : cebinae_qdiscs_.at(link);
   }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
-  [[nodiscard]] const CebinaeParams& effective_cebinae_params() const {
-    return effective_params_;
-  }
 
  private:
-  [[nodiscard]] std::unique_ptr<QueueDisc> make_bottleneck_qdisc(int link);
+  [[nodiscard]] std::unique_ptr<QueueDisc> make_bottleneck_qdisc(int link,
+                                                                const CebinaeParams& cebinae);
 
   // The trace row at `now`, read from component state, fields in order: t_s,
   // then the scalars, then the arrays. Per-flow throughput over
@@ -125,7 +123,6 @@ class Scenario {
   [[nodiscard]] exp::JsonObject trace_row(Time now);
 
   ScenarioConfig cfg_;
-  CebinaeParams effective_params_;
   std::unique_ptr<Network> net_;
   FlowStatsCollector stats_;
   ChainTopology topo_;

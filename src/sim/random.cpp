@@ -29,10 +29,6 @@ double RandomStream::pareto(double xm, double alpha) {
   return xm / std::pow(std::max(u, 1e-12), 1.0 / alpha);
 }
 
-double RandomStream::normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
-}
-
 bool RandomStream::bernoulli(double p) {
   return std::bernoulli_distribution(p)(engine_);
 }

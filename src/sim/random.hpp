@@ -23,10 +23,7 @@ class RandomStream {
   [[nodiscard]] double exponential(double mean);
   // Bounded Pareto with shape `alpha` and scale `xm` (minimum value).
   [[nodiscard]] double pareto(double xm, double alpha);
-  [[nodiscard]] double normal(double mean, double stddev);
   [[nodiscard]] bool bernoulli(double p);
-
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:
   std::uint64_t seed_ = 0;

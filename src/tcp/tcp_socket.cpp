@@ -115,7 +115,7 @@ TcpSender::TcpSender(Scheduler& sched, Node& local, std::unique_ptr<CongestionCo
   assert(config_.flow.src == local_.id());
   assert(cc_ != nullptr);
   assert(!config_.ecn_capable && "ECN is not modelled");
-  if (cc_->uses_delivery_rate()) rate_stamps_.emplace();
+  if (cc_->uses_delivery_rate()) rate_.emplace();
   local_.bind(config_.flow.src_port, *this);
   if (config_.metrics != nullptr) m_srtt_ = &config_.metrics->histogram("tcp.srtt_s");
 }
@@ -147,8 +147,10 @@ std::size_t TcpSender::tag_sacked(std::size_t i) {
   // SACKed bytes are delivered bytes (Linux counts them in tp->delivered at
   // SACK time, which keeps rate samples honest when a later cumulative ACK
   // jumps over them).
-  delivered_ += len;
-  delivered_stamp_ = sched_.now();
+  if (rate_) {
+    rate_->delivered += len;
+    rate_->delivered_stamp = sched_.now();
+  }
   if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += len;
   if (m.counted_lost) {
     m.counted_lost = false;
@@ -219,7 +221,7 @@ bool TcpSender::retransmit_hole() {
     const std::uint32_t len = seg_len(retx_hint_);
     m.counted_lost = false;
     lost_bytes_ -= len;
-    if (rate_stamps_) stamp_rate((*rate_stamps_)[retx_hint_]);
+    if (rate_) stamp_rate(rate_->stamps[retx_hint_]);
     m.retransmitted = true;
     ++retransmissions_;
     ++retx_hint_;
@@ -333,7 +335,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
     assert(seq == seg_seq(unacked_.size()) && seq == snd_nxt_ &&
            "only a finite stream's last segment may be shorter than kMssBytes");
     unacked_.emplace_back();
-    if (rate_stamps_) stamp_rate(rate_stamps_->emplace_back());
+    if (rate_) stamp_rate(rate_->stamps.emplace_back());
     assert(stamps_in_step());
   }
   if (!rto_timer_.armed()) arm_rto();
@@ -343,7 +345,7 @@ void TcpSender::send_segment(std::uint64_t seq, std::uint32_t len, bool is_retra
 void TcpSender::retransmit_front() {
   if (unacked_.empty()) return;
   unacked_.front().retransmitted = true;
-  if (rate_stamps_) stamp_rate(rate_stamps_->front());
+  if (rate_) stamp_rate(rate_->stamps.front());
   ++retransmissions_;
   send_segment(front_seq_, seg_len(0), /*is_retransmission=*/true);
 }
@@ -385,23 +387,25 @@ void TcpSender::on_new_ack(const Packet& ack) {
       if (m.sacked_run > 1) {
         unacked_[1].sacked_run = unacked_[m.sacked_run - 1].sacked_run = m.sacked_run - 1;
       }
-    } else {
-      delivered_ += len;
-      delivered_stamp_ = now;
-      if (loss_mode_ == LossMode::kFastRecovery) prr_delivered_ += len;
+    } else if (loss_mode_ == LossMode::kFastRecovery) {
+      prr_delivered_ += len;
     }
     if (m.counted_lost) lost_bytes_ -= len;
     // Linux-style rate sample: bytes delivered since this segment was sent,
     // over the interval since the delivery event preceding its transmission
     // (burst-compressed send times would otherwise overestimate). Karn's
     // rule: retransmitted segments give no sample.
-    if (rate_stamps_) {
-      const RateStamp& r = rate_stamps_->front();
+    if (rate_) {
+      if (!m.sacked) {
+        rate_->delivered += len;
+        rate_->delivered_stamp = now;
+      }
+      const RateStamp& r = rate_->stamps.front();
       if (!m.retransmitted && now > r.stamp) {
-        rate_bytes = delivered_ - r.delivered;
+        rate_bytes = rate_->delivered - r.delivered;
         rate_stamp = r.stamp;
       }
-      rate_stamps_->pop_front();
+      rate_->stamps.pop_front();
     }
     front_seq_ += len;
     unacked_.pop_front();

@@ -113,11 +113,12 @@ class TcpSender final : public PacketSink {
   [[nodiscard]] std::uint64_t sacked_bytes_dbg() const { return sacked_bytes_; }
   [[nodiscard]] std::uint64_t lost_bytes_dbg() const { return lost_bytes_; }
   [[nodiscard]] std::size_t outstanding_segments_dbg() const { return unacked_.size(); }
+  // Whether the sender keeps rate-sampling state: only under a CC that
+  // reads delivery-rate samples.
+  [[nodiscard]] bool samples_delivery_rate_dbg() const { return rate_.has_value(); }
   // Rate stamps held: outstanding_segments_dbg() under a CC that reads
   // delivery-rate samples, 0 under any other.
-  [[nodiscard]] std::size_t rate_stamps_dbg() const {
-    return rate_stamps_ ? rate_stamps_->size() : 0;
-  }
+  [[nodiscard]] std::size_t rate_stamps_dbg() const { return rate_ ? rate_->stamps.size() : 0; }
 
  private:
   // A segment's seq and length are not stored: see seg_seq() and seg_len().
@@ -134,15 +135,20 @@ class TcpSender final : public PacketSink {
   static constexpr std::uint32_t kMaxSackedRun = (1u << 29) - 1;
 
   // Operands of the delivery-rate sample a segment's cumulative ACK yields:
-  // delivered_ and delivered_stamp_ when it was last sent. Kept only for a
-  // CC that reads the samples (BBR), one per entry of unacked_.
+  // RateSampler's delivered and delivered_stamp when it was last sent.
   struct RateStamp {
     std::uint64_t delivered = 0;
     Time stamp;  // time of the last delivery event at send
   };
-  void stamp_rate(RateStamp& r) const { r = RateStamp{delivered_, delivered_stamp_}; }
+  // Delivery-rate state, kept only for a CC that reads the samples (BBR).
+  struct RateSampler {
+    std::uint64_t delivered = 0;  // cumulative bytes known delivered
+    Time delivered_stamp;         // when delivered last advanced
+    std::deque<RateStamp> stamps;  // stamps[i] belongs to unacked_[i]
+  };
+  void stamp_rate(RateStamp& r) const { r = RateStamp{rate_->delivered, rate_->delivered_stamp}; }
   [[nodiscard]] bool stamps_in_step() const {
-    return !rate_stamps_ || rate_stamps_->size() == unacked_.size();
+    return !rate_ || rate_->stamps.size() == unacked_.size();
   }
 
   // unacked_ is contiguous from front_seq_ to snd_nxt_, and every segment
@@ -193,14 +199,12 @@ class TcpSender final : public PacketSink {
 
   std::uint64_t snd_una_ = 0;
   std::uint64_t snd_nxt_ = 0;
-  std::uint64_t delivered_ = 0;   // cumulative bytes known delivered
-  Time delivered_stamp_;          // when delivered_ last advanced
 
   std::deque<SegMeta> unacked_;
   std::uint64_t front_seq_ = 0;  // seq of unacked_[0]; snd_nxt_ when empty
-  // rate_stamps_[i] belongs to unacked_[i]. Engaged only when
-  // cc_->uses_delivery_rate(): other senders allocate nothing for it.
-  std::optional<std::deque<RateStamp>> rate_stamps_;
+  // Engaged only when cc_->uses_delivery_rate(): other senders neither
+  // allocate nor advance it.
+  std::optional<RateSampler> rate_;
   // Retransmit hint (Linux's retransmit_skb_hint): every segment in
   // unacked_[0, retx_hint_) is SACKed or retransmitted, so the scan for the
   // next hole resumes here. Shifts down on pop_front; mark_all_lost, which

@@ -5,6 +5,16 @@
 
 namespace cebinae {
 
+namespace {
+constexpr double kMeanFlowLifetimeS = 0.5;
+constexpr double kParetoShape = 1.2;  // flow-rate heavy tail
+constexpr double kMinFlowRateBps = 20e3;
+}  // namespace
+
+double SyntheticTrace::flow_rate_bps(double pareto_draw) {
+  return std::min(pareto_draw, kMaxFlowRateBps);
+}
+
 std::vector<TracePacket> SyntheticTrace::generate(const TraceConfig& config) {
   RandomStream rng(config.seed);
   std::vector<TracePacket> trace;
@@ -22,10 +32,9 @@ std::vector<TracePacket> SyntheticTrace::generate(const TraceConfig& config) {
     if (arrival_s >= duration_s) break;
 
     // One flow: CBR at a heavy-tailed rate for an exponential lifetime.
-    const double rate_bps = std::min(
-        rng.pareto(config.min_flow_rate_bps, config.pareto_shape), config.max_flow_rate_bps);
+    const double rate_bps = flow_rate_bps(rng.pareto(kMinFlowRateBps, kParetoShape));
     const double lifetime_s =
-        std::min(rng.exponential(config.mean_flow_lifetime_s), duration_s - arrival_s);
+        std::min(rng.exponential(kMeanFlowLifetimeS), duration_s - arrival_s);
 
     FlowId flow;
     flow.src = next_flow;

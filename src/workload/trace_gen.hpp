@@ -4,7 +4,9 @@
 // Emits a time-ordered packet stream with the statistical properties that
 // drive heavy-hitter detection accuracy on an ISP backbone link: Poisson
 // flow arrivals at a configurable rate, heavy-tailed (bounded-Pareto)
-// per-flow rates, exponential flow lifetimes, and bimodal packet sizes.
+// per-flow rates, exponential flow lifetimes, and bimodal packet sizes. The
+// rate and lifetime model is fixed (constants in trace_gen.cpp, and the rate
+// cap below); a config sets only the length, the arrival rate and the seed.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +27,6 @@ struct TracePacket {
 struct TraceConfig {
   Time duration = Seconds(5);
   double flow_arrivals_per_sec = 7000;  // ~420k flows/min, as in Fig. 13
-  double mean_flow_lifetime_s = 0.5;
-  double pareto_shape = 1.2;            // flow-rate heavy tail
-  double min_flow_rate_bps = 20e3;
-  double max_flow_rate_bps = 2e9;       // cap so one flow can't exceed the link
   std::uint64_t seed = 42;
 };
 
@@ -40,6 +38,12 @@ struct TraceSummary {
 
 class SyntheticTrace {
  public:
+  // Cap on a flow's rate, so one flow can't exceed the link.
+  static constexpr double kMaxFlowRateBps = 2e9;
+
+  // A flow's CBR rate from its Pareto draw: the draw, capped at kMaxFlowRateBps.
+  [[nodiscard]] static double flow_rate_bps(double pareto_draw);
+
   // Generates the full stream, sorted by timestamp.
   [[nodiscard]] static std::vector<TracePacket> generate(const TraceConfig& config);
 

@@ -10,8 +10,6 @@ constexpr std::uint64_t kRate = 100'000'000;  // ~13107 bytes per dT round
 CebinaeParams agent_params() {
   CebinaeParams p;
   p.dt = Nanoseconds(1 << 20);
-  p.vdt = Nanoseconds(1 << 10);
-  p.l_deadline = Nanoseconds(1 << 16);
   p.p_rounds = 4;
   return p;
 }

@@ -10,7 +10,6 @@ constexpr std::uint64_t kRate = 100'000'000;
 CebinaeParams params() {
   CebinaeParams p;
   p.dt = Nanoseconds(1 << 20);
-  p.vdt = Nanoseconds(1 << 10);
   return p;
 }
 

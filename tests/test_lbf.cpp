@@ -12,7 +12,6 @@ constexpr double kCapacityBps = kRate / 8.0;  // 12.5 MB/s
 CebinaeParams params() {
   CebinaeParams p;
   p.dt = Nanoseconds(1 << 20);
-  p.vdt = Nanoseconds(1 << 10);
   return p;
 }
 

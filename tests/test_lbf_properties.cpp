@@ -13,7 +13,6 @@ namespace {
 CebinaeParams params() {
   CebinaeParams p;
   p.dt = Nanoseconds(1 << 20);
-  p.vdt = Nanoseconds(1 << 10);
   return p;
 }
 

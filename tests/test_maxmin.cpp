@@ -49,30 +49,9 @@ TEST(MaxMin, ParkingLotFromFig11) {
   for (int i = 18; i < 22; ++i) EXPECT_NEAR(rates[i], 12.5, 1e-9);
 }
 
-TEST(MaxMin, DemandCapsFreezeFlows) {
-  MaxMinProblem p;
-  p.link_capacity = {30.0};
-  p.flow_links = {{0}, {0}, {0}};
-  p.demand = {4.0, 1e18, 1e18};
-  const auto rates = maxmin_rates(p);
-  EXPECT_DOUBLE_EQ(rates[0], 4.0);
-  EXPECT_DOUBLE_EQ(rates[1], 13.0);
-  EXPECT_DOUBLE_EQ(rates[2], 13.0);
-}
-
-TEST(MaxMin, FlowWithoutLinksGetsDemand) {
-  MaxMinProblem p;
-  p.link_capacity = {10.0};
-  p.flow_links = {{0}, {}};
-  p.demand = {1e18, 7.0};
-  const auto rates = maxmin_rates(p);
-  EXPECT_DOUBLE_EQ(rates[0], 10.0);
-  EXPECT_DOUBLE_EQ(rates[1], 7.0);
-}
-
 TEST(MaxMin, AllocationIsParetoEfficientOnRandomTopologies) {
-  // Property: every flow has at least one saturated link (with infinite
-  // demands), and no link is over capacity.
+  // Property: every flow has at least one saturated link, and no link is
+  // over capacity.
   RandomStream rng(5);
   for (int trial = 0; trial < 50; ++trial) {
     MaxMinProblem p;

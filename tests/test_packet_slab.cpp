@@ -1,5 +1,5 @@
 // PacketSlab and SlotFifo, and the slab's accounting across whole scenarios:
-// every Packet survives its encoding into a 64-byte frame, one allocation per
+// every Packet TCP sends survives its encoding into a 64-byte frame, one allocation per
 // packet an endpoint sent (switches pass the sender's slot on), every live
 // slot queued or on the wire, and none left behind when a network is torn
 // down mid-run.
@@ -41,13 +41,7 @@ void expect_same(const Packet& want, const Packet& got) {
   EXPECT_EQ(got.ts_echo, want.ts_echo);
 }
 
-// A data segment and an ACK as TCP sends them, and the same with every
-// field the frame leaves to an extension record set as well.
-std::vector<Packet> round_trip_cases() {
-  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
-  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
-  std::vector<Packet> cases;
-
+Packet tcp_data() {
   Packet data;
   data.flow = FlowId{3, 7, 40001, 5001};
   data.kind = Packet::Kind::kTcpData;
@@ -55,42 +49,36 @@ std::vector<Packet> round_trip_cases() {
   data.payload_bytes = kMssBytes;
   data.seq = 1'448'000;
   data.ts_sent = Milliseconds(1234);
-  cases.push_back(data);
+  return data;
+}
 
+// An ACK as TCP sends it, with `n` SACK blocks.
+Packet tcp_ack(std::uint8_t n) {
   Packet ack;
-  ack.flow = data.flow.reversed();
+  ack.flow = tcp_data().flow.reversed();
   ack.kind = Packet::Kind::kTcpAck;
   ack.size_bytes = kAckBytes;
   ack.ack = 1'449'448;
   ack.ts_echo = Milliseconds(1234);
-  cases.push_back(ack);
-
-  Packet ack_with_data_fields = ack;
-  ack_with_data_fields.seq = 77;
-  ack_with_data_fields.ts_sent = Nanoseconds(1);
-  cases.push_back(ack_with_data_fields);
-
-  Packet data_with_ack_fields = data;
-  data_with_ack_fields.ack = 99;
-  data_with_ack_fields.ts_echo = Microseconds(5);
-  data_with_ack_fields.sack = {{{1, 2}, {kMax64 - 1, kMax64}, {5, 6}}};
-  data_with_ack_fields.sack_count = 3;
-  cases.push_back(data_with_ack_fields);
-
-  for (std::uint8_t n = 0; n <= 3; ++n) {
-    Packet sacked = ack;
-    for (std::uint8_t i = 0; i < n; ++i) {
-      sacked.sack[i] = Packet::SackBlock{1'000'000u * (i + 2), 1'000'000u * (i + 2) + 1448};
-    }
-    sacked.sack_count = n;
-    cases.push_back(sacked);
+  for (std::uint8_t i = 0; i < n; ++i) {
+    ack.sack[i] = Packet::SackBlock{1'000'000u * (i + 2), 1'000'000u * (i + 2) + 1448};
   }
+  ack.sack_count = n;
+  return ack;
+}
 
-  // A stale block past sack_count, and a block of zeros inside it.
-  Packet stale = ack;
-  stale.sack[2] = Packet::SackBlock{10, 20};
-  cases.push_back(stale);
-  Packet zero_block = ack;
+// A data segment and ACKs as TCP sends them, and each kind with its own
+// fields at their extremes.
+std::vector<Packet> round_trip_cases() {
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  std::vector<Packet> cases;
+
+  cases.push_back(tcp_data());
+  for (std::uint8_t n = 0; n <= 3; ++n) cases.push_back(tcp_ack(n));
+
+  // A block of zeros inside sack_count.
+  Packet zero_block = tcp_ack(0);
   zero_block.sack_count = 1;
   cases.push_back(zero_block);
 
@@ -102,14 +90,14 @@ std::vector<Packet> round_trip_cases() {
   data_extremes.ts_sent = Time::max();
   cases.push_back(data_extremes);
 
-  Packet extremes = ack;
-  extremes.size_bytes = kMax32;
-  extremes.payload_bytes = kMax32;
-  extremes.ack = kMax64;
-  extremes.seq = kMax64;
-  extremes.ts_echo = Time::max();
-  extremes.ts_sent = Time(std::numeric_limits<std::int64_t>::min());
-  cases.push_back(extremes);
+  Packet ack_extremes = tcp_ack(0);
+  ack_extremes.size_bytes = kMax32;
+  ack_extremes.payload_bytes = kMax32;
+  ack_extremes.ack = kMax64;
+  ack_extremes.ts_echo = Time::max();
+  ack_extremes.sack = {{{kMax64, kMax64}, {kMax64, kMax64}, {kMax64, kMax64}}};
+  ack_extremes.sack_count = 3;
+  cases.push_back(ack_extremes);
 
   cases.emplace_back();  // all defaults
   return cases;
@@ -139,23 +127,25 @@ TEST(PacketSlab, EveryFieldSurvivesAllocAndDecode) {
   EXPECT_EQ(slab.live_extensions(), 0u);
 }
 
+// A frame takes a record exactly when it carries SACK blocks: none for a
+// data segment or an ACK without them, one for an ACK with one to three.
 TEST(PacketSlab, ExtensionOnlyForFieldsTheFrameLeavesOut) {
   PacketSlab slab;
-  const std::vector<Packet> cases = round_trip_cases();
-  // cases[0] and [1] are a data segment and an ACK as TCP sends them.
-  const PacketSlab::Slot data = slab.alloc(cases[0], Time::zero());
-  const PacketSlab::Slot ack = slab.alloc(cases[1], Time::zero());
+  const PacketSlab::Slot data = slab.alloc(tcp_data(), Time::zero());
   EXPECT_EQ(slab[data].ext, PacketSlab::kNone);
-  EXPECT_EQ(slab[ack].ext, PacketSlab::kNone);
   EXPECT_EQ(slab.live_extensions(), 0u);
+  slab.release(data);
 
-  std::vector<PacketSlab::Slot> slots{data, ack};
-  for (std::size_t i = 2; i < cases.size(); ++i) slots.push_back(slab.alloc(cases[i], Time::zero()));
-  EXPECT_GT(slab.live_extensions(), 0u);
-  EXPECT_EQ(slab.live_extensions(), slab.frames_with_extension());
-  for (const PacketSlab::Slot s : slots) slab.release(s);
-  EXPECT_EQ(slab.live_extensions(), 0u);
-  EXPECT_EQ(slab.frames_with_extension(), 0u);
+  for (std::uint8_t n = 0; n <= 3; ++n) {
+    SCOPED_TRACE(static_cast<int>(n));
+    const PacketSlab::Slot ack = slab.alloc(tcp_ack(n), Time::zero());
+    EXPECT_EQ(slab[ack].ext != PacketSlab::kNone, n > 0);
+    EXPECT_EQ(slab.live_extensions(), n > 0 ? 1u : 0u);
+    EXPECT_EQ(slab.live_extensions(), slab.frames_with_extension());
+    slab.release(ack);
+    EXPECT_EQ(slab.live_extensions(), 0u);
+    EXPECT_EQ(slab.frames_with_extension(), 0u);
+  }
 }
 
 TEST(PacketSlab, CountsLiveSlotsAndAllocations) {
@@ -228,8 +218,10 @@ TEST(PacketSlab, ReleasedExtensionIsPoisonedUnderAsan) {
   slab.release(s);
   EXPECT_EQ(slab.live_extensions(), 0u);
 #ifdef CEBINAE_SLAB_ASAN
-  EXPECT_TRUE(__asan_address_is_poisoned(&ext->number));
-  EXPECT_TRUE(__asan_address_is_poisoned(&ext->time));
+  // Everything but the free list's link.
+  EXPECT_FALSE(__asan_address_is_poisoned(&ext->next));
+  EXPECT_TRUE(__asan_address_is_poisoned(&ext->sack[0].begin));
+  EXPECT_TRUE(__asan_address_is_poisoned(&ext->sack[1].end));
   EXPECT_TRUE(__asan_address_is_poisoned(&ext->sack[2].end));
 #endif
   // The next SACK-carrying frame reuses the record.
@@ -292,7 +284,7 @@ TEST(SlotHandoff, SwitchesForwardTheSendersSlot) {
   PacketSlab& slab = PacketSlab::local();
   const std::uint64_t live_before = slab.live();
   const std::uint64_t allocs_before = slab.allocations();
-  Packet pkt = round_trip_cases()[3];  // needs an extension record
+  Packet pkt = tcp_ack(3);  // needs an extension record
   pkt.flow = FlowId{h0.id(), h3.id(), 1, 9};
   h0.send(pkt);
   EXPECT_EQ(slab.allocations() - allocs_before, 1u);

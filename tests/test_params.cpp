@@ -14,8 +14,10 @@ TEST(CebinaeParams, DefaultsMatchPaper) {
   EXPECT_DOUBLE_EQ(p.tau, 0.01);
   // dT and vdT are powers of two (Tofino-style masking).
   EXPECT_EQ(p.dt.ns() & (p.dt.ns() - 1), 0);
-  EXPECT_EQ(p.vdt.ns() & (p.vdt.ns() - 1), 0);
-  EXPECT_LT(p.vdt, p.dt);
+  EXPECT_EQ(CebinaeParams::kVdt.ns() & (CebinaeParams::kVdt.ns() - 1), 0);
+  EXPECT_LT(CebinaeParams::kVdt, p.dt);
+  EXPECT_EQ(CebinaeParams::kVdt, Nanoseconds(1 << 10));
+  EXPECT_EQ(CebinaeParams::kLDeadline, Nanoseconds(1 << 16));
 }
 
 TEST(CebinaeParams, NextPow2) {
@@ -32,7 +34,8 @@ TEST(CebinaeParams, ForLinkSatisfiesEquation2) {
   const std::uint64_t buffer = 850ull * kMtuBytes;
   const CebinaeParams p = CebinaeParams::for_link(rate, buffer, Milliseconds(100));
   const double drain_s = static_cast<double>(buffer) * 8.0 / rate;
-  EXPECT_GE(p.dt.seconds(), drain_s + p.vdt.seconds() + p.l_deadline.seconds());
+  EXPECT_GE(p.dt.seconds(),
+            drain_s + CebinaeParams::kVdt.seconds() + CebinaeParams::kLDeadline.seconds());
   // And remains a power of two.
   EXPECT_EQ(p.dt.ns() & (p.dt.ns() - 1), 0);
 }

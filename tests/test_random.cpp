@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace cebinae {
@@ -106,22 +105,6 @@ TEST(Random, BernoulliProbability) {
     if (rng.bernoulli(0.25)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
-}
-
-TEST(Random, NormalMoments) {
-  RandomStream rng(23);
-  const int n = 50000;
-  double sum = 0;
-  double sum_sq = 0;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal(5.0, 2.0);
-    sum += v;
-    sum_sq += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sum_sq / n - mean * mean;
-  EXPECT_NEAR(mean, 5.0, 0.1);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
 }
 
 }  // namespace

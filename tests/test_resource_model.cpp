@@ -6,8 +6,7 @@ namespace cebinae {
 namespace {
 
 TEST(ResourceModel, ReproducesTable3OneStage) {
-  TofinoResourceModel model;
-  const TofinoResources r = model.estimate(1);
+  const TofinoResources r = estimate_tofino_resources(1);
   EXPECT_EQ(r.cache_stages, 1u);
   EXPECT_EQ(r.pipeline_stages, 11u);
   EXPECT_EQ(r.phv_bits, 937u);
@@ -18,8 +17,7 @@ TEST(ResourceModel, ReproducesTable3OneStage) {
 }
 
 TEST(ResourceModel, ReproducesTable3TwoStage) {
-  TofinoResourceModel model;
-  const TofinoResources r = model.estimate(2);
+  const TofinoResources r = estimate_tofino_resources(2);
   EXPECT_EQ(r.phv_bits, 1042u);
   EXPECT_EQ(r.sram_kb, 4096u);
   EXPECT_EQ(r.tcam_kb, 34u);
@@ -31,33 +29,21 @@ TEST(ResourceModel, UnderTwentyFivePercentBudget) {
   // The paper: "Cebinae's resource consumption is less than 25% for all
   // types of compute and memory resources" (within rounding of our
   // approximate chip budgets).
-  TofinoResourceModel model;
   for (std::uint32_t stages : {1u, 2u}) {
-    const TofinoResources r = model.estimate(stages);
+    const TofinoResources r = estimate_tofino_resources(stages);
     EXPECT_LT(r.phv_fraction(), 0.26) << stages;
     EXPECT_LT(r.sram_fraction(), 0.27) << stages;
     EXPECT_LT(r.tcam_fraction(), 0.12) << stages;
   }
 }
 
-TEST(ResourceModel, SramScalesWithSlots) {
-  TofinoResourceModel half_slots(32, 2048);
-  const TofinoResources full = TofinoResourceModel(32, 4096).estimate(2);
-  const TofinoResources half = half_slots.estimate(2);
-  EXPECT_LT(half.sram_kb, full.sram_kb);
-  // Only the per-stage (cache) SRAM halves; the base does not.
-  EXPECT_GT(half.sram_kb, full.sram_kb / 2);
-}
-
 TEST(ResourceModel, QueuesAreTwoPerPort) {
-  EXPECT_EQ(TofinoResourceModel(32, 4096).estimate(1).queues, 64u);
-  EXPECT_EQ(TofinoResourceModel(64, 4096).estimate(1).queues, 128u);
+  EXPECT_EQ(estimate_tofino_resources(1).queues, 2u * 32);
 }
 
 TEST(ResourceModel, ExtrapolatesMonotonically) {
-  TofinoResourceModel model;
-  const TofinoResources r2 = model.estimate(2);
-  const TofinoResources r4 = model.estimate(4);
+  const TofinoResources r2 = estimate_tofino_resources(2);
+  const TofinoResources r4 = estimate_tofino_resources(4);
   EXPECT_GT(r4.phv_bits, r2.phv_bits);
   EXPECT_GT(r4.sram_kb, r2.sram_kb);
   EXPECT_GT(r4.tcam_kb, r2.tcam_kb);

@@ -117,7 +117,8 @@ TEST(ScenarioIntegration, DerivedCebinaeParamsSatisfyEq2) {
   ScenarioConfig cfg = base_config(QdiscKind::kCebinae);
   cfg.flows = flows_of(CcaType::kNewReno, 2, Milliseconds(100));
   Scenario scenario(cfg);
-  const CebinaeParams& p = scenario.effective_cebinae_params();
+  ASSERT_NE(scenario.cebinae_qdisc(), nullptr);
+  const CebinaeParams& p = scenario.cebinae_qdisc()->params();
   const double drain_s = static_cast<double>(cfg.buffer_bytes) * 8.0 /
                          static_cast<double>(cfg.bottleneck_bps);
   EXPECT_GE(p.dt.seconds(), drain_s);                       // Eq. 2

@@ -292,7 +292,8 @@ TEST(TcpSocket, ShortLastSegmentSurvivesRecoveryAndRto) {
 
 // A sender keeps one rate stamp per outstanding segment under BBR, which
 // reads delivery-rate samples, through fast recovery and an RTO (the sender
-// asserts the lock-step after every push and pop), and none under NewReno.
+// asserts the lock-step after every push and pop), and under NewReno no
+// rate-sampling state at all.
 TEST(TcpSocket, RateStampsOnlyUnderBbrAndInStep) {
   const std::uint64_t last_seq = 500 * kMssBytes;
   const std::uint64_t total = last_seq + 17;
@@ -301,6 +302,7 @@ TEST(TcpSocket, RateStampsOnlyUnderBbrAndInStep) {
     TcpHarness h(10'000'000, Milliseconds(10), 8 * kMtuBytes, total,
                  bbr ? std::unique_ptr<CongestionControl>(std::make_unique<Bbr>())
                      : std::make_unique<NewReno>());
+    EXPECT_EQ(h.sender->samples_delivery_rate_dbg(), bbr);
     DropFirstCopy drop(last_seq, *h.receiver);
     h.dst.unbind(h.flow.dst_port);
     h.dst.bind(h.flow.dst_port, drop);

@@ -79,15 +79,24 @@ TEST(TraceGen, ByteDistributionIsHeavyTailed) {
 }
 
 TEST(TraceGen, RateCapRespected) {
-  TraceConfig cfg = small_config();
-  cfg.max_flow_rate_bps = 1e6;
-  cfg.mean_flow_lifetime_s = 0.4;
-  const auto trace = SyntheticTrace::generate(cfg);
-  std::map<std::uint32_t, std::uint64_t> per_flow;
-  for (const auto& p : trace) per_flow[p.flow.src] += p.bytes;
-  for (const auto& [f, bytes] : per_flow) {
-    // No flow can send more than cap * duration.
-    EXPECT_LE(static_cast<double>(bytes) * 8.0, 1e6 * 0.5 * 1.05) << "flow " << f;
+  // A draw above the cap is clamped to it; one below passes unchanged.
+  constexpr double kCap = SyntheticTrace::kMaxFlowRateBps;
+  EXPECT_EQ(SyntheticTrace::flow_rate_bps(1e12), kCap);
+  EXPECT_EQ(SyntheticTrace::flow_rate_bps(kCap * 1.5), kCap);
+  EXPECT_EQ(SyntheticTrace::flow_rate_bps(kCap), kCap);
+  EXPECT_EQ(SyntheticTrace::flow_rate_bps(5e5), 5e5);
+
+  // No flow of a generated trace sends faster than the cap: consecutive
+  // packets of a flow are at least one packet's time at that rate apart
+  // (less the nanosecond that timestamp truncation may take off).
+  const auto trace = SyntheticTrace::generate(small_config());
+  std::map<std::uint32_t, Time> last_sent;
+  for (const auto& p : trace) {
+    const auto [it, first] = last_sent.try_emplace(p.flow.src, p.time);
+    if (first) continue;
+    const Time min_gap = SecondsF(static_cast<double>(p.bytes) * 8.0 / kCap);
+    EXPECT_GE(p.time - it->second, min_gap - Nanoseconds(1)) << "flow " << p.flow.src;
+    it->second = p.time;
   }
 }
 
