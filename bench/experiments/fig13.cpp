@@ -130,14 +130,14 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
       job.label += " stages=" + std::to_string(stages);
       job.params.set("stages", static_cast<std::uint64_t>(stages));
       // The trace length is what the scale changes; --resume compares it.
-      job.params.set("trace_ms", duration / Milliseconds(1));
+      job.params.set("trace_ms", static_cast<std::uint64_t>(duration / Milliseconds(1)));
       if (trials > 1) {
         job.label += " trial=" + std::to_string(t);
         job.params.set("trial", t);
       }
       const std::uint64_t trace_seed =
           opts.base_seed + static_cast<std::uint64_t>(t) * 7919;
-      job.custom = [=](std::uint64_t /*seed*/) {
+      job.custom = [=] {
         TraceConfig tc;
         tc.duration = duration;
         tc.seed = trace_seed;

@@ -24,7 +24,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
     exp::ExperimentJob job;
     job.label = "stages=" + std::to_string(stages);
     job.params.set("stages", static_cast<std::uint64_t>(stages));
-    job.custom = [stages](std::uint64_t /*seed*/) {
+    job.custom = [stages] {
       const TofinoResources r = estimate_tofino_resources(stages);
       return std::vector<std::pair<std::string, double>>{
           {"pipeline_stages", static_cast<double>(r.pipeline_stages)},

@@ -66,9 +66,8 @@ JsonObject result_row(const ExperimentJob& job, std::size_t job_index, std::uint
   return row;
 }
 
-// Execute job i with its derived seed: the unit of work of a worker.
+// Execute job i: the unit of work of a worker.
 JsonObject run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_t base_seed) {
-  const std::uint64_t seed = derive_seed(base_seed, job_index);
   ScenarioResult result;
   std::vector<JsonObject> trace;
   std::vector<std::pair<std::string, double>> metrics;
@@ -78,11 +77,11 @@ JsonObject run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_
   };
   double wall_s = 0.0;
   if (job.custom) {
-    metrics = job.custom(seed);
+    metrics = job.custom();
     wall_s = elapsed();
   } else {
     ScenarioConfig cfg = job.config;
-    cfg.seed = seed;
+    cfg.seed = derive_seed(base_seed, job_index);
     Scenario scenario(cfg);
     if (job.trace_period > Time::zero()) scenario.enable_trace(job.trace_period);
     result = scenario.run();

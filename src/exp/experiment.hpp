@@ -37,10 +37,10 @@ struct ExperimentJob {
   Time trace_period = Time::zero();
 
   // Non-Scenario jobs (analytic models, FlowCache traces, ...): when set,
-  // the runner calls this with the job's derived seed instead of building a
-  // Scenario, and the returned (name, value) pairs become numeric fields of
-  // the result row. `config` is not run.
-  std::function<std::vector<std::pair<std::string, double>>(std::uint64_t seed)> custom;
+  // the runner calls this instead of building a Scenario, and the returned
+  // (name, value) pairs become numeric fields of the result row. `config`
+  // is not run; a job that draws random numbers seeds them itself.
+  std::function<std::vector<std::pair<std::string, double>>()> custom;
 };
 
 // A job's record is the one row it writes (--out); a resumed job's record

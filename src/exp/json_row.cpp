@@ -68,7 +68,6 @@ void append_value(std::string& out, const JsonObject::Value& value) {
   std::visit(Overloaded{
                  [&](double v) { append_number(out, v); },
                  [&](std::uint64_t v) { out += std::to_string(v); },
-                 [&](std::int64_t v) { out += std::to_string(v); },
                  [&](const std::string& v) { append_escaped(out, v); },
                  [&](const std::vector<double>& v) {
                    out += '[';
@@ -92,7 +91,7 @@ void append_value(std::string& out, const JsonObject::Value& value) {
 }
 
 using Parse = JsonObject::Parse;
-using Number = std::variant<double, std::uint64_t, std::int64_t>;
+using Number = std::variant<double, std::uint64_t>;
 
 // Recursive descent over one line. Each step consumes one value and returns
 // kOk, kTruncated when the line ends inside the value, or kMalformed at the
@@ -274,8 +273,9 @@ class Reader {
     }
   }
 
-  // A token is an integer when it prints back as the same token: seeds
-  // above 2^53 stay exact, and "-0" stays a double.
+  // A token is an integer when it is a uint64 that prints back as the same
+  // token: seeds above 2^53 stay exact. Anything else, a negative integer
+  // or "-0" included, is a double.
   Parse number(Number& out) {
     const std::size_t begin = pos_;
     while (pos_ < s_.size() && std::string_view("0123456789+-.eE").find(s_[pos_]) !=
@@ -291,12 +291,6 @@ class Reader {
     if (const auto r = std::from_chars(first, last, u);
         r.ec == std::errc() && r.ptr == last && std::to_string(u) == token) {
       out = u;
-      return Parse::kOk;
-    }
-    std::int64_t i = 0;
-    if (const auto r = std::from_chars(first, last, i);
-        r.ec == std::errc() && r.ptr == last && std::to_string(i) == token) {
-      out = i;
       return Parse::kOk;
     }
     double d = 0.0;
@@ -320,11 +314,6 @@ JsonObject& JsonObject::set(std::string_view key, double v) {
 
 JsonObject& JsonObject::set(std::string_view key, std::uint64_t v) {
   fields_.emplace_back(key, Value(std::in_place_type<std::uint64_t>, v));
-  return *this;
-}
-
-JsonObject& JsonObject::set(std::string_view key, std::int64_t v) {
-  fields_.emplace_back(key, Value(std::in_place_type<std::int64_t>, v));
   return *this;
 }
 
@@ -385,7 +374,6 @@ const JsonObject::Value* JsonObject::find(std::string_view key) const {
 std::optional<double> JsonObject::number(const Value& v) {
   if (const double* d = std::get_if<double>(&v)) return *d;
   if (const std::uint64_t* u = std::get_if<std::uint64_t>(&v)) return static_cast<double>(*u);
-  if (const std::int64_t* i = std::get_if<std::int64_t>(&v)) return static_cast<double>(*i);
   return std::nullopt;
 }
 
@@ -397,9 +385,6 @@ double JsonObject::num(std::string_view key) const {
 std::uint64_t JsonObject::u64(std::string_view key, std::uint64_t dflt) const {
   const Value* v = find(key);
   if (const std::uint64_t* u = std::get_if<std::uint64_t>(v)) return *u;
-  if (const std::int64_t* i = std::get_if<std::int64_t>(v)) {
-    return *i >= 0 ? static_cast<std::uint64_t>(*i) : dflt;
-  }
   if (const double* d = std::get_if<double>(v)) {
     return *d >= 0.0 && *d < 0x1p64 ? static_cast<std::uint64_t>(*d) : dflt;
   }

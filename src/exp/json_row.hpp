@@ -9,12 +9,14 @@
 //
 // Fields keep insertion order and the type they were set with, so a row
 // prints back byte for byte: doubles as %.17g (which round-trips exactly),
-// integers exactly (64-bit seeds do not fit a double), strings with JSON
-// escapes. JSON has no infinity: set() stores a non-finite double as NaN,
-// which is written as null and read back as NaN, so a row reads the same
-// before and after a round trip.
+// non-negative integers exactly (64-bit seeds do not fit a double), strings
+// with JSON escapes. A negative integer token reads back as a double. JSON
+// has no infinity: set() stores a non-finite double as NaN, which is
+// written as null and read back as NaN, so a row reads the same before and
+// after a round trip.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,16 +30,19 @@ namespace cebinae::exp {
 
 class JsonObject {
  public:
-  using Value = std::variant<double, std::uint64_t, std::int64_t, std::string,
-                             std::vector<double>, std::shared_ptr<const JsonObject>,
+  using Value = std::variant<double, std::uint64_t, std::string, std::vector<double>,
+                             std::shared_ptr<const JsonObject>,
                              std::shared_ptr<const std::vector<JsonObject>>>;
   using Field = std::pair<std::string, Value>;
 
   JsonObject& set(std::string_view key, double v);
   JsonObject& set(std::string_view key, std::uint64_t v);
-  JsonObject& set(std::string_view key, std::int64_t v);
-  JsonObject& set(std::string_view key, int v) { return set(key, static_cast<std::int64_t>(v)); }
-  // No row holds a bool; deleted so that a bool does not become an int64.
+  // Every integer a row holds (a count, an index, a trial) is >= 0.
+  JsonObject& set(std::string_view key, int v) {
+    assert(v >= 0);
+    return set(key, static_cast<std::uint64_t>(v));
+  }
+  // No row holds a bool; deleted so that a bool does not become an integer.
   JsonObject& set(std::string_view key, bool v) = delete;
   JsonObject& set(std::string_view key, std::string_view v);
   JsonObject& set(std::string_view key, const char* v) { return set(key, std::string_view(v)); }

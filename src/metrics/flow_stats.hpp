@@ -1,7 +1,7 @@
 // Per-flow goodput accounting in 1-s buckets.
 //
 // Receivers report in-order application deliveries here; benches and
-// examples read back total and windowed goodputs.
+// tests read back total and windowed goodputs.
 #pragma once
 
 #include <cstdint>

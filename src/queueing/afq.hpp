@@ -35,7 +35,6 @@ class Afq final : public QueueDisc {
   bool enqueue_slot(PacketSlab::Slot s) override;
   PacketSlab::Slot dequeue_slot() override;
 
-  [[nodiscard]] std::uint64_t current_round() const { return current_round_; }
   [[nodiscard]] std::uint64_t horizon_drops() const { return horizon_drops_; }
 
  private:

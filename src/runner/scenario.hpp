@@ -1,5 +1,4 @@
-// Declarative experiment runner shared by examples, benches, and
-// integration tests.
+// Declarative experiment runner shared by benches and integration tests.
 //
 // A ScenarioConfig names a chain topology (1 link = dumbbell, N links =
 // parking lot), a bottleneck queue discipline (FIFO / FQ-CoDel / Cebinae),

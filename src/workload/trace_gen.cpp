@@ -6,6 +6,7 @@
 namespace cebinae {
 
 namespace {
+constexpr double kFlowArrivalsPerSec = 7000;  // ~420k flows/min, as in Fig. 13
 constexpr double kMeanFlowLifetimeS = 0.5;
 constexpr double kParetoShape = 1.2;  // flow-rate heavy tail
 constexpr double kMinFlowRateBps = 20e3;
@@ -22,13 +23,13 @@ std::vector<TracePacket> SyntheticTrace::generate(const TraceConfig& config) {
   const double duration_s = config.duration.seconds();
   // Rough pre-reservation: arrivals x average packets per flow (guessed
   // small; vector growth handles the tail).
-  trace.reserve(static_cast<std::size_t>(config.flow_arrivals_per_sec * duration_s * 8));
+  trace.reserve(static_cast<std::size_t>(kFlowArrivalsPerSec * duration_s * 8));
 
   double arrival_s = 0.0;
   std::uint32_t next_flow = 1;
 
   while (true) {
-    arrival_s += rng.exponential(1.0 / config.flow_arrivals_per_sec);
+    arrival_s += rng.exponential(1.0 / kFlowArrivalsPerSec);
     if (arrival_s >= duration_s) break;
 
     // One flow: CBR at a heavy-tailed rate for an exponential lifetime.

@@ -3,10 +3,10 @@
 //
 // Emits a time-ordered packet stream with the statistical properties that
 // drive heavy-hitter detection accuracy on an ISP backbone link: Poisson
-// flow arrivals at a configurable rate, heavy-tailed (bounded-Pareto)
-// per-flow rates, exponential flow lifetimes, and bimodal packet sizes. The
-// rate and lifetime model is fixed (constants in trace_gen.cpp, and the rate
-// cap below); a config sets only the length, the arrival rate and the seed.
+// flow arrivals, heavy-tailed (bounded-Pareto) per-flow rates, exponential
+// flow lifetimes, and bimodal packet sizes. The arrival, rate and lifetime
+// model is fixed (constants in trace_gen.cpp, and the rate cap below); a
+// config sets only the length and the seed.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@ struct TracePacket {
 
 struct TraceConfig {
   Time duration = Seconds(5);
-  double flow_arrivals_per_sec = 7000;  // ~420k flows/min, as in Fig. 13
   std::uint64_t seed = 42;
 };
 

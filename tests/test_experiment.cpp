@@ -67,7 +67,7 @@ TEST(Aggregate, MeanAndPopulationStddev) {
 
 TEST(JsonObject, BuildsOrderedObject) {
   JsonObject o;
-  o.set("a", 1).set("b", 2.5).set("c", "x").set("d", -3);
+  o.set("a", 1).set("b", 2.5).set("c", "x").set("d", -3.0);
   EXPECT_EQ(o.str(), R"({"a":1,"b":2.5,"c":"x","d":-3})");
 }
 
@@ -268,7 +268,7 @@ std::vector<ExperimentJob> custom_jobs(int n, const std::function<void(int)>& bo
   std::vector<ExperimentJob> jobs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     jobs[i].label = "job=" + std::to_string(i);
-    jobs[i].custom = [body, i](std::uint64_t) {
+    jobs[i].custom = [body, i] {
       body(i);
       return std::vector<std::pair<std::string, double>>{{"i", i}};
     };

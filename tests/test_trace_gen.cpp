@@ -11,7 +11,6 @@ namespace {
 TraceConfig small_config() {
   TraceConfig cfg;
   cfg.duration = Milliseconds(500);
-  cfg.flow_arrivals_per_sec = 2000;
   cfg.seed = 1;
   return cfg;
 }
@@ -54,9 +53,9 @@ TEST(TraceGen, TimesWithinDuration) {
 TEST(TraceGen, FlowCountMatchesArrivalRate) {
   const auto trace = SyntheticTrace::generate(small_config());
   const auto summary = SyntheticTrace::summarize(trace);
-  // ~2000 arrivals/s * 0.5 s = ~1000 flows (Poisson, wide tolerance).
-  EXPECT_GT(summary.flows, 850u);
-  EXPECT_LT(summary.flows, 1150u);
+  // 7000 arrivals/s * 0.5 s = ~3500 flows (Poisson, ±15%).
+  EXPECT_GT(summary.flows, 2975u);
+  EXPECT_LT(summary.flows, 4025u);
 }
 
 TEST(TraceGen, ByteDistributionIsHeavyTailed) {
