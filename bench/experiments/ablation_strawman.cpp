@@ -4,8 +4,9 @@
 // at the maximal observed per-flow rate with token buckets. Against an
 // entrenched aggressor that holds its share (BBRv1 at a sub-BDP buffer, the
 // modern stand-in for the paper's hypothetical 6x-aggressive variant), the
-// strawman can stop the aggressor growing further but cannot return its
-// excess; Cebinae's tax ratchets it down and redistributes.
+// paper argues the strawman can stop the aggressor growing further but
+// cannot return its excess, while Cebinae's tax ratchets it down. Here the
+// strawman redistributes as much as Cebinae (EXPERIMENTS.md, Ablations).
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -67,8 +68,6 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
                 exp::pm(exp::over(r, joiner_avg_mbps), 2).c_str(),
                 exp::pm(exp::over(r, tail_jfi), 3).c_str());
   }
-  std::printf("\n(the strawman cannot make an already-unfair allocation fair;\n"
-              " Cebinae's tax actively redistributes the incumbent's excess)\n");
 }
 
 const exp::Registration registration{exp::ExperimentSpec{

@@ -65,8 +65,6 @@ void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {
                 exp::pm(exp::over(r, "jfi"), 3).c_str(),
                 exp::pm(exp::over(r, exp::goodput_mbps), 1).c_str());
   }
-  std::printf("\n(expected shape: fairness comparable to FQ at small thresholds; goodput\n"
-              " decays as thresholds grow and collapses once they cross the fair share)\n");
 }
 
 const exp::Registration registration{exp::ExperimentSpec{

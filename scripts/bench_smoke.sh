@@ -2,11 +2,9 @@
 # Bench smoke gate (tier-1): malformed --seed/--trials/--jobs values, a
 # removed flag, --resume without a results file, and a failed results,
 # perf-summary or stdout write must exit 2, results written to a target that
-# cannot be fsynced (/dev/null, a pipe) must not, and a representative
-# subset must produce byte-identical stdout at --jobs=1 and --jobs=4 (the
-# registry's determinism contract: reports render only from the jobs' rows,
-# which come back in job order; progress goes to stderr). That every experiment
-# completes a --smoke run is golden_smoke's check (scripts/golden_smoke.sh).
+# cannot be fsynced (/dev/null, a pipe) must not. That every experiment
+# completes a --smoke run, and prints the same report at --jobs=1 and
+# --jobs=4, is golden_smoke's check (scripts/golden_smoke.sh).
 #
 # Usage: scripts/bench_smoke.sh [path-to-cebinae_bench]
 set -euo pipefail
@@ -70,17 +68,4 @@ if [[ "$status" -ne 0 || "$want" -eq 0 || "$got" -ne "$want" ]]; then
   exit 1
 fi
 
-# Determinism across worker counts on quick multi-job experiments.
-for name in fig07 fig10; do
-  echo "== $name --jobs determinism ==" >&2
-  "$BENCH" --experiment="$name" --smoke --trials=2 --jobs=1 2>/dev/null \
-    >"$tmpdir/$name.j1"
-  "$BENCH" --experiment="$name" --smoke --trials=2 --jobs=4 2>/dev/null \
-    >"$tmpdir/$name.j4"
-  if ! diff -u "$tmpdir/$name.j1" "$tmpdir/$name.j4"; then
-    echo "error: $name stdout differs between --jobs=1 and --jobs=4" >&2
-    exit 1
-  fi
-done
-
-echo "bench smoke: all experiments pass" >&2
+echo "bench smoke: bad flags and failed writes exit 2, unsyncable targets do not" >&2

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fast-suite CI gate: build with ThreadSanitizer and run the tier-1 tests
-# (unit tests + bench_smoke + golden_smoke, which runs every experiment's
-# --smoke + resume_smoke + micro_datapath_smoke + perf_compare_logic +
+# (unit tests + bench_smoke + golden_smoke, which runs every experiment and
+# diffs its output against tests/golden/<experiment>/ + its self-test +
+# resume_smoke + micro_datapath_smoke + perf_compare_logic +
 # plot_jsonl_smoke).
 # TSan exercises the runner's worker threads and its in-order JSONL
 # emission, including a resumed batch; resume_smoke additionally SIGKILLs

@@ -1,32 +1,28 @@
 #!/usr/bin/env bash
 # Plot smoke gate (tier-1): scripts/plot_jsonl.py is the one reader of the
 # results format outside C++. It must render README's two example plots from
-# fresh --smoke output — a jfi CDF per qdisc from fig07's results, and both
-# flows' goodput over time from the trace lists in fig01's results — exit 0,
-# write the SVG and report the expected number of series and points. A
-# traced job's own result fields plot one point per job (fig10's whole-run
-# jfi per qdisc), not one per tick, and its ticks group by the row's string
-# fields (fig10's windowed jfi over time per qdisc). It reads rows by the rule --resume uses:
-# a torn last line is skipped, and a malformed line before it fails, naming
-# the line.
+# the --smoke rows golden_smoke pins (tests/golden/<experiment>/smoke.jsonl)
+# — a jfi CDF per qdisc from fig07's results, and both flows' goodput over
+# time from the trace lists in fig01's results — exit 0, write the SVG and
+# report the expected number of series and points. A traced job's own result
+# fields plot one point per job (fig10's whole-run jfi per qdisc), not one
+# per tick, and its ticks group by the row's string fields (fig10's windowed
+# jfi over time per qdisc). It reads rows by the rule --resume uses: a torn
+# last line is skipped, and a malformed line before it fails, naming the
+# line.
 #
-# Usage: scripts/plot_jsonl_smoke.sh [path-to-cebinae_bench] [python3]
+# Usage: scripts/plot_jsonl_smoke.sh [python3]
 set -euo pipefail
 
-BENCH="${1:-build/bench/cebinae_bench}"
-PYTHON="${2:-python3}"
+PYTHON="${1:-python3}"
 PLOT="$(dirname "$0")/plot_jsonl.py"
-if [[ ! -x "$BENCH" ]]; then
-  echo "error: $BENCH not built" >&2
-  exit 1
-fi
+GOLDEN="$(dirname "$0")/../tests/golden"
+fig07="$GOLDEN/fig07/smoke.jsonl"
+fig01="$GOLDEN/fig01/smoke.jsonl"
+fig10="$GOLDEN/fig10/smoke.jsonl"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-
-"$BENCH" --experiment=fig07 --smoke --out="$tmpdir/fig07.jsonl" >/dev/null 2>&1
-"$BENCH" --experiment=fig01 --smoke --out="$tmpdir/fig01.jsonl" >/dev/null 2>&1
-"$BENCH" --experiment=fig10 --smoke --out="$tmpdir/fig10.jsonl" >/dev/null 2>&1
 
 # check <want> <svg> <plot args...>: plot_jsonl.py must exit 0, write <svg>
 # and report "<want>" (series and point counts) on stderr.
@@ -42,26 +38,26 @@ check() {
 }
 
 check "2 series, 2 points" "$tmpdir/jfi_cdf.svg" \
-  "$tmpdir/fig07.jsonl" --y jfi --cdf --group-by qdisc
+  "$fig07" --y jfi --cdf --group-by qdisc
 check "2 series, 6 points" "$tmpdir/fig01.svg" \
-  "$tmpdir/fig01.jsonl" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
+  "$fig01" --x t_s --y 'tput_Bps[0]' --y 'tput_Bps[1]' \
   --filter label='qdisc=Cebinae'
 
 # fig10's jobs are traced; their rows' own jfi, one per qdisc.
 check "3 series, 3 points" "$tmpdir/fig10_jfi_cdf.svg" \
-  "$tmpdir/fig10.jsonl" --y jfi --cdf --group-by qdisc
+  "$fig10" --y jfi --cdf --group-by qdisc
 # Their ticks' windowed jfi over time, grouped by the row's qdisc.
 check "3 series, 9 points" "$tmpdir/fig10_jfi_t.svg" \
-  "$tmpdir/fig10.jsonl" --x t_s --y jfi --group-by qdisc
+  "$fig10" --x t_s --y jfi --group-by qdisc
 
 # A killed writer's torn last line is skipped: the same plot as without it.
-{ cat "$tmpdir/fig07.jsonl"; head -n 1 "$tmpdir/fig07.jsonl" | head -c 40; } \
+{ cat "$fig07"; head -n 1 "$fig07" | head -c 40; } \
   > "$tmpdir/torn.jsonl"
 check "2 series, 2 points" "$tmpdir/torn.svg" \
   "$tmpdir/torn.jsonl" --y jfi --cdf --group-by qdisc
 
 # A malformed line before the last fails and names its line.
-{ head -n 1 "$tmpdir/fig07.jsonl"; echo '{"jfi":x}'; tail -n +2 "$tmpdir/fig07.jsonl"; } \
+{ head -n 1 "$fig07"; echo '{"jfi":x}'; tail -n +2 "$fig07"; } \
   > "$tmpdir/malformed.jsonl"
 status=0
 err="$("$PYTHON" "$PLOT" "$tmpdir/malformed.jsonl" --y jfi --out "$tmpdir/malformed.svg" 2>&1)" ||

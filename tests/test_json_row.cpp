@@ -2,13 +2,15 @@
 // parser (exact round trips, and truncated lines told apart from malformed
 // ones), lookups by name, and the rows a real ExperimentRunner batch
 // writes — each parses back to its own bytes, trace list included, and reads
-// the same as the row it was written from.
+// the same as the row it was written from — and every committed golden row,
+// which parses back to its own bytes too.
 #include "exp/json_row.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -380,6 +382,31 @@ TEST(Reconstruct, TraceRowRoundTripsScalarsArraysAndNaN) {
   const JsonObject tick_back = parsed(tick.str());
   EXPECT_TRUE(std::isnan(tick_back.num("stalled")));
   expect_same_reads(tick, tick_back);
+}
+
+// ---- the committed goldens ---------------------------------------------------
+
+// Every row golden_smoke pins (tests/golden/<experiment>/*.jsonl) parses and
+// serializes back to its own bytes: table2's 1,026-flow arrays, fig10's trace
+// lists, fig13's custom rows and every nested params echo.
+TEST(RowParse, EveryGoldenRowRoundTrips) {
+  namespace fs = std::filesystem;
+  std::size_t files = 0;
+  std::size_t rows = 0;
+  for (const fs::directory_entry& dir : fs::directory_iterator(CEBINAE_GOLDEN_DIR)) {
+    for (const fs::directory_entry& file : fs::directory_iterator(dir.path())) {
+      if (file.path().extension() != ".jsonl") continue;
+      ++files;
+      for (const std::string& line : lines_of(file.path().string())) {
+        ++rows;
+        JsonObject row;
+        ASSERT_EQ(JsonObject::parse(line, row), Parse::kOk) << file.path() << ": " << line;
+        EXPECT_EQ(row.str(), line) << file.path();
+      }
+    }
+  }
+  EXPECT_GT(files, 0u);
+  EXPECT_GT(rows, files);
 }
 
 }  // namespace
