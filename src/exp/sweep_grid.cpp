@@ -21,16 +21,11 @@ std::string format_value(double v) {
 }  // namespace
 
 SweepGrid& SweepGrid::qdiscs(std::vector<QdiscKind> kinds) {
-  Dimension dim;
-  dim.name = "qdisc";
+  std::vector<std::pair<std::string, Mutator>> options;
   for (QdiscKind kind : kinds) {
-    Option opt;
-    opt.value_label = std::string(to_string(kind));
-    opt.apply = [kind](ScenarioConfig& cfg) { cfg.qdisc = kind; };
-    dim.options.push_back(std::move(opt));
+    options.emplace_back(to_string(kind), [kind](ScenarioConfig& cfg) { cfg.qdisc = kind; });
   }
-  dims_.push_back(std::move(dim));
-  return *this;
+  return variants("qdisc", std::move(options));
 }
 
 SweepGrid& SweepGrid::axis(std::string name, std::vector<double> values,

@@ -14,14 +14,16 @@ struct FlowSpec {
   CcaType cca = CcaType::kNewReno;
   Time rtt = Milliseconds(50);  // two-way propagation target
   Time start = Time::zero();
-  Time stop = Time::max();
   std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
-  // Must stay false: it becomes TcpSender::Config::ecn_capable, which the
-  // sender asserts false (ECN is not modelled). Kept only because the
-  // benchmark's traced run still reads it.
-  bool ecn = false;
   int enter = 0;   // entry switch index on the chain
   int exit = -1;   // exit switch index; -1 = last switch
+
+  // Constants, not settings: every flow runs to the end of the scenario and
+  // ECN is not modelled. They are lower-case static members rather than
+  // kNames because the benchmark's traced run (perfbench/traced.cpp) reads
+  // each one as `spec.<name>`.
+  static constexpr Time stop = Time::max();
+  static constexpr bool ecn = false;
 };
 
 // Convenience: n identical flows.

@@ -45,12 +45,9 @@ std::unique_ptr<QueueDisc> Scenario::make_bottleneck_qdisc(int link,
     case QdiscKind::kFifo:
       disc = std::make_unique<FifoQueue>(cfg_.buffer_bytes);
       break;
-    case QdiscKind::kFqCoDel: {
-      FqCoDelParams p = cfg_.fq;
-      p.limit_bytes = cfg_.buffer_bytes;
-      disc = std::make_unique<FqCoDel>(net_->scheduler(), p);
+    case QdiscKind::kFqCoDel:
+      disc = std::make_unique<FqCoDel>(net_->scheduler(), FqCoDelParams{cfg_.buffer_bytes});
       break;
-    }
     case QdiscKind::kCebinae: {
       auto q = std::make_unique<CebinaeQueueDisc>(net_->scheduler(), cfg_.bottleneck_bps,
                                                   cfg_.buffer_bytes, cebinae);
@@ -85,19 +82,18 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
     if (f.exit < 0) f.exit = cfg_.chain_links;
   }
 
-  // Derive Cebinae timing from the link and the slowest flow (paper §4.4).
+  // Cebinae timing derives from the link and the slowest flow (paper §4.4);
+  // only the thresholds come from the config.
+  assert(cfg_.cebinae.dt == CebinaeParams{}.dt &&
+         cfg_.cebinae.p_rounds == CebinaeParams{}.p_rounds &&
+         "dT and P derive from the link; a config sets only δp, δf and τ");
+  Time max_rtt = Time::zero();
+  for (const FlowSpec& f : cfg_.flows) max_rtt = std::max(max_rtt, f.rtt);
+  const CebinaeParams derived =
+      CebinaeParams::for_link(cfg_.bottleneck_bps, cfg_.buffer_bytes, max_rtt);
   CebinaeParams cebinae = cfg_.cebinae;
-  if (cfg_.qdisc == QdiscKind::kCebinae && cfg_.auto_cebinae_timing) {
-    Time max_rtt = Time::zero();
-    for (const FlowSpec& f : cfg_.flows) max_rtt = std::max(max_rtt, f.rtt);
-    const CebinaeParams derived =
-        CebinaeParams::for_link(cfg_.bottleneck_bps, cfg_.buffer_bytes, max_rtt);
-    cebinae.dt = derived.dt;
-    // The RTT rule gives a lower bound on the recomputation interval; a
-    // config may ask for a longer one (smoother rate measurements stabilize
-    // the top-flow membership).
-    cebinae.p_rounds = std::max(derived.p_rounds, cfg_.cebinae.p_rounds);
-  }
+  cebinae.dt = derived.dt;
+  cebinae.p_rounds = derived.p_rounds;
 
   topo_ = build_chain(*net_, cfg_.chain_links, cfg_.bottleneck_bps, kChainLinkDelay,
                       [this, &cebinae](int link) { return make_bottleneck_qdisc(link, cebinae); });
@@ -110,7 +106,7 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
 
   // Hosts + flows.
   const std::uint64_t access_bps = static_cast<std::uint64_t>(
-      static_cast<double>(cfg_.bottleneck_bps) * cfg_.access_rate_factor);
+      static_cast<double>(cfg_.bottleneck_bps) * ScenarioConfig::access_rate_factor);
   RandomStream jitter_rng = net_->rng().derive("start-jitter");
 
   std::vector<HostPair> pairs;
@@ -130,14 +126,9 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
 
     TcpSender::Config sc;
     sc.flow = flow;
-    sc.start_time = spec.start;
-    if (cfg_.start_jitter > Time::zero()) {
-      sc.start_time += Time(static_cast<std::int64_t>(
-          jitter_rng.uniform(0.0, static_cast<double>(cfg_.start_jitter.ns()))));
-    }
-    sc.stop_time = spec.stop;
+    sc.start_time = spec.start + Time(static_cast<std::int64_t>(jitter_rng.uniform(
+                                     0.0, static_cast<double>(ScenarioConfig::start_jitter.ns()))));
     sc.bytes_to_send = spec.bytes;
-    sc.ecn_capable = spec.ecn;
     sc.metrics = &net_->metrics();
 
     senders_.push_back(

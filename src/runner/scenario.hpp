@@ -3,7 +3,7 @@
 // A ScenarioConfig names a chain topology (1 link = dumbbell, N links =
 // parking lot), a bottleneck queue discipline (FIFO / FQ-CoDel / Cebinae),
 // and a set of TCP flows with per-flow CCA, RTT, entry/exit points, and
-// start/stop times. Scenario builds the network, runs it, and reports the
+// start times. Scenario builds the network, runs it, and reports the
 // paper's metrics (per-flow goodput, bottleneck throughput, JFI).
 #pragma once
 
@@ -38,21 +38,26 @@ struct ScenarioConfig {
   std::uint64_t buffer_bytes = 420ull * kMtuBytes;
   QdiscKind qdisc = QdiscKind::kFifo;
 
-  // Cebinae knobs. With auto_cebinae_timing, dT and P are derived from the
-  // link (Eq. 2 + max-RTT rule) and only the thresholds below are taken
-  // from `cebinae`.
+  // Cebinae's settings are δp, δf and τ (paper Table 1). dT and P are not:
+  // Scenario derives them from the link and the slowest flow (§4.4, Eq. 2;
+  // CebinaeParams::for_link) and asserts that `cebinae` keeps
+  // CebinaeParams{}'s dt and p_rounds, so a timing value it would override
+  // aborts instead of vanishing.
   CebinaeParams cebinae;
-  bool auto_cebinae_timing = true;
-
-  FqCoDelParams fq;  // limit_bytes is overridden with buffer_bytes
   AfqParams afq;
 
-  double access_rate_factor = 4.0;
   Time duration = Seconds(30);
-  Time start_jitter = Milliseconds(100);  // uniform [0, jitter) added to starts
   std::uint64_t seed = 1;
 
   std::vector<FlowSpec> flows;
+
+  // Constants, not settings: no experiment varies them. They are lower-case
+  // static members rather than kNames because the benchmark's traced run
+  // (perfbench/traced.cpp) reads each one as `cfg.<name>`.
+  static constexpr double access_rate_factor = 4.0;  // access link rate / bottleneck rate
+  static constexpr Time start_jitter = Milliseconds(100);  // uniform [0, jitter) added to starts
+  static constexpr bool auto_cebinae_timing = true;  // dT and P always derive from the link
+  static constexpr FqCoDelParams fq{};  // Scenario takes limit_bytes from buffer_bytes
 };
 
 // Ideal max-min goodput allocation (application-level) for a config's

@@ -171,6 +171,41 @@ TEST(Device, BackToBackFramesArriveFifoAtTxPlusProp) {
   EXPECT_EQ(h.devs.ab.frames_on_wire(), 0u);
 }
 
+// A frame offered at the instant T the busy transmitter's tx-done is due,
+// (T, s), by an event keyed before s and by one keyed after it. Before,
+// the frame waits in the queue and the tx-done starts it; after, the
+// tx-done finds the queue empty and the offer starts it. Either way it
+// starts at T and reaches the peer at T + serialization + propagation.
+// Only times are pinned, not event counts.
+TEST(Device, FrameOfferedAtTxDoneInstantStartsThen) {
+  for (const bool offer_before_tx_done : {true, false}) {
+    SCOPED_TRACE(offer_before_tx_done ? "offer keyed before" : "offer keyed after");
+    Harness h(8'000'000, Milliseconds(5));  // 1000 B serialize in 1 ms
+    Scheduler& sched = h.net.scheduler();
+    ArrivalLog log(sched);
+    h.b.bind(10, log);
+    auto frame = [&](std::uint64_t seq) {
+      Packet p = h.make_packet(1000);
+      p.flow.dst_port = 10;
+      p.seq = seq;
+      return p;
+    };
+    const Time t = Milliseconds(1);  // frame 1's tx-done
+    Timer offer(sched, [&] { h.a.send(frame(2)); });
+    if (offer_before_tx_done) offer.arm_at(t);
+    h.a.send(frame(1));
+    if (!offer_before_tx_done) offer.arm_at(t);
+
+    sched.run_until(t);
+    EXPECT_EQ(h.devs.ab.tx_packets(), 2u);  // frame 2 started at t
+    EXPECT_EQ(h.devs.ab.frames_on_wire(), 2u);
+    sched.run();
+    EXPECT_EQ(log.arrivals, (std::vector<std::pair<Time, std::uint64_t>>{
+                                {Milliseconds(6), 1},
+                                {t + Milliseconds(1) + Milliseconds(5), 2}}));
+  }
+}
+
 TEST(Device, TeardownWithFramesOnTheWire) {
   // The delay line owns the slab slots of in-flight frames and the queue
   // disc those of queued packets; destroying the network with frames still

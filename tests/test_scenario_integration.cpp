@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -33,13 +34,25 @@ TEST(ScenarioIntegration, SingleFlowSaturatesFifoBottleneck) {
   EXPECT_LE(r.throughput_Bps[0] * 8, 50e6 * 1.001);
 }
 
-// ECN is not modelled: a flow that asks for it aborts instead of running
-// without it.
-TEST(ScenarioIntegration, EcnFlowAborts) {
-  ScenarioConfig cfg = base_config(QdiscKind::kFifo);
+// Values no experiment varies are constants: assigning one does not compile.
+static_assert(std::is_const_v<decltype(ScenarioConfig::access_rate_factor)> &&
+              std::is_const_v<decltype(ScenarioConfig::start_jitter)> &&
+              std::is_const_v<decltype(ScenarioConfig::auto_cebinae_timing)> &&
+              std::is_const_v<decltype(ScenarioConfig::fq)> &&
+              std::is_const_v<decltype(FlowSpec::stop)> &&
+              std::is_const_v<decltype(FlowSpec::ecn)>);
+
+// dT and P derive from the link (paper §4.4): a config that sets either
+// aborts instead of being silently overridden.
+TEST(ScenarioIntegration, CebinaeTimingInConfigAborts) {
+  ScenarioConfig cfg = base_config(QdiscKind::kCebinae);
   cfg.flows = flows_of(CcaType::kNewReno, 1, Milliseconds(20));
-  cfg.flows[0].ecn = true;
-  EXPECT_DEATH(Scenario{cfg}, "ECN is not modelled");
+  ScenarioConfig dt = cfg;
+  dt.cebinae.dt = Nanoseconds(1 << 20);
+  EXPECT_DEATH(Scenario{dt}, "dT and P derive from the link");
+  ScenarioConfig p = cfg;
+  p.cebinae.p_rounds = 4;
+  EXPECT_DEATH(Scenario{p}, "dT and P derive from the link");
 }
 
 TEST(ScenarioIntegration, TwoEqualFlowsShareFairlyUnderFifo) {

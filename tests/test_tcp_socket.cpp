@@ -138,6 +138,17 @@ TEST(TcpSocket, StartTimeDelaysFirstSegment) {
   EXPECT_GT(sender.bytes_sent(), 0u);
 }
 
+// ECN is not modelled: a sender asked for it aborts instead of running
+// without it.
+TEST(TcpSocket, EcnCapableConfigAborts) {
+  TcpHarness h;
+  TcpSender::Config cfg;
+  cfg.flow = FlowId{h.src.id(), h.dst.id(), 6000, 6000};
+  cfg.ecn_capable = true;
+  EXPECT_DEATH({ TcpSender sender(h.net.scheduler(), h.src, std::make_unique<NewReno>(), cfg); },
+               "ECN is not modelled");
+}
+
 // --- Receiver reassembly unit tests (fabricated packets) -------------------
 
 struct ReceiverHarness {
