@@ -25,7 +25,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   cfg.buffer_bytes = 1700ull * kMtuBytes;
   cfg.afq.bytes_per_round = 2 * kMtuBytes;
   cfg.duration = opts.scaled(Seconds(100), Seconds(30));
-  cfg.flows = {FlowSpec{}};  // placeholder; the axis rewrites flows
 
   auto afq = [](std::uint32_t nq) {
     return [nq](ScenarioConfig& c) {

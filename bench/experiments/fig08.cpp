@@ -25,7 +25,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   ScenarioConfig common;
   common.bottleneck_bps = 1'000'000'000;
   common.duration = opts.scaled(Seconds(100), Seconds(12));
-  common.flows = {FlowSpec{}};  // placeholder, replaced per mix
   return exp::SweepGrid(common)
       .variants(
           "mix",

@@ -21,7 +21,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   cfg.buffer_bytes = 3 * 1024 * 1024;
   // 256 ms RTT flows need tens of seconds to converge even in quick mode.
   cfg.duration = opts.scaled(Seconds(100), Seconds(40));
-  cfg.flows = {FlowSpec{}};  // placeholder; the axis rewrites flows
   return exp::SweepGrid(cfg)
       .axis("rtt_ms", kRttsMs,
             [](ScenarioConfig& c, double rtt_ms) {

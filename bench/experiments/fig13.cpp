@@ -11,7 +11,6 @@
 // the sweep compares cache configurations on identical traffic; the seed is
 // captured at job-build time (base_seed + trial * 7919, as the original
 // bench did), not taken from the runner's per-job derivation.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <unordered_map>
@@ -25,7 +24,7 @@
 namespace cebinae {
 namespace {
 
-constexpr double kDeltaF = 0.05;  // classification threshold (1 - delta_f)
+constexpr double kDeltaF = 0.05;  // δf: ⊤ is within 5% of the largest count
 
 const std::vector<int> kIntervalsMs = {10, 20, 40, 60, 80, 100};
 const std::vector<std::uint32_t> kStages = {1, 2, 4};
@@ -47,40 +46,21 @@ Rates evaluate(const std::vector<TracePacket>& trace, std::uint32_t stages,
   Time boundary = interval;
   auto settle = [&]() {
     if (truth.empty()) return;
-    // Ground truth classification.
-    std::uint64_t c_max = 0;
-    for (const auto& [f, b] : truth) c_max = std::max(c_max, b);
-    const double threshold = static_cast<double>(c_max) * (1.0 - kDeltaF);
-    std::unordered_map<FlowId, bool, FlowIdHash> is_top;
-    std::uint64_t true_top = 0;
-    for (const auto& [f, b] : truth) {
-      const bool top = static_cast<double>(b) >= threshold;
-      is_top[f] = top;
-      if (top) ++true_top;
-    }
-
-    // Cache-based classification.
-    const auto entries = cache.poll_and_reset();
-    std::uint64_t cache_max = 0;
-    for (const auto& e : entries) cache_max = std::max(cache_max, e.bytes);
-    const double cache_thresh = static_cast<double>(cache_max) * (1.0 - kDeltaF);
-    std::uint64_t fp = 0;
-    std::unordered_map<FlowId, bool, FlowIdHash> detected;
-    for (const auto& e : entries) {
-      if (static_cast<double>(e.bytes) >= cache_thresh) {
-        detected[e.flow] = true;
-        if (!is_top[e.flow]) ++fp;
-      }
-    }
-    std::uint64_t fn = 0;
-    for (const auto& [f, top] : is_top) {
-      if (top && detected.find(f) == detected.end()) ++fn;
-    }
+    // Fig. 4's classification on the exact counts is the ground truth; on
+    // the polled cache it is what the agent would call ⊤.
+    std::vector<FlowCache::Entry> exact;
+    exact.reserve(truth.size());
+    for (const auto& [f, b] : truth) exact.push_back({f, b});
+    const TopFlows true_top = classify_top(exact, kDeltaF);
+    const TopFlows detected = classify_top(cache.poll_and_reset(), kDeltaF);
+    std::uint64_t fp = 0, fn = 0;
+    for (const FlowId& f : detected.flows) fp += !true_top.flows.contains(f);
+    for (const FlowId& f : true_top.flows) fn += !detected.flows.contains(f);
 
     fp_sum += fp;
-    fp_opportunities += truth.size() - true_top;
+    fp_opportunities += truth.size() - true_top.flows.size();
     fn_sum += fn;
-    fn_opportunities += true_top;
+    fn_opportunities += true_top.flows.size();
     truth.clear();
   };
 

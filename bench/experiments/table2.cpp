@@ -84,16 +84,12 @@ void apply_row(ScenarioConfig& cfg, const Row& row, const exp::RunOptions& opts)
   cfg.bottleneck_bps = row.bps;
   cfg.buffer_bytes = row.buf_mtu * kMtuBytes;
   cfg.duration = duration_for(opts, row.bps);
-  cfg.flows.clear();
   for (std::size_t g = 0; g < row.groups.size(); ++g) {
     const double rtt_ms =
         row.rtts_ms.size() == 1 ? row.rtts_ms[0] : row.rtts_ms[g % row.rtts_ms.size()];
-    for (int i = 0; i < row.groups[g].count; ++i) {
-      FlowSpec f;
-      f.cca = row.groups[g].cca;
-      f.rtt = MillisecondsF(rtt_ms);
-      cfg.flows.push_back(f);
-    }
+    const std::vector<FlowSpec> group =
+        flows_of(row.groups[g].cca, row.groups[g].count, MillisecondsF(rtt_ms));
+    cfg.flows.insert(cfg.flows.end(), group.begin(), group.end());
   }
 }
 
@@ -106,9 +102,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
         std::string("r").append(std::to_string(r)),
         [r, opts](ScenarioConfig& cfg) { apply_row(cfg, rows_of_table2()[r], opts); });
   }
-  ScenarioConfig base;
-  base.flows = {FlowSpec{}};  // placeholder; every row mutator rewrites flows
-  return exp::SweepGrid(base)
+  return exp::SweepGrid(ScenarioConfig{})
       .variants("row", std::move(row_variants))
       .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae})
       .trials(opts.trials_or(1))

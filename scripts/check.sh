@@ -28,7 +28,7 @@ done
 BUILD_DIR="${BUILD_DIR:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCEBINAE_SANITIZE=thread
+cmake -B "$BUILD_DIR" -S . -DCEBINAE_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "+ ctest --test-dir $BUILD_DIR -L $LABEL --output-on-failure -j $JOBS"
 ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure -j "$JOBS"

@@ -72,19 +72,8 @@ void CebinaeAgent::recompute() {
   }
 
   // Fig. 4 lines 14-22: classify ⊤ flows and tax them.
-  std::uint64_t c_max = 0;
-  for (const auto& e : entries) c_max = std::max(c_max, e.bytes);
-
-  const double threshold = static_cast<double>(c_max) * (1.0 - params_.delta_flow);
-  std::unordered_set<FlowId, FlowIdHash> top;
-  double bottleneck_bytes = 0.0;
-  for (const auto& e : entries) {
-    if (static_cast<double>(e.bytes) >= threshold) {
-      top.insert(e.flow);
-      bottleneck_bytes += static_cast<double>(e.bytes);
-    }
-  }
-  bottleneck_bytes *= 1.0 - params_.tau;
+  TopFlows top = classify_top(entries, params_.delta_flow);
+  const double bottleneck_bytes = top.bytes * (1.0 - params_.tau);
 
   // Fig. 4 lines 27-28: split the capacity between the groups.
   const double interval_s = interval.seconds();
@@ -95,7 +84,7 @@ void CebinaeAgent::recompute() {
   target_saturated_ = true;
   snapshot_.top_rate_Bps = top_rate;
   snapshot_.bottom_rate_Bps = bottom_rate;
-  snapshot_.top_flows = std::move(top);
+  snapshot_.top_flows = std::move(top.flows);
 }
 
 }  // namespace cebinae

@@ -1,5 +1,6 @@
 #include "core/flow_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cebinae {
@@ -75,6 +76,21 @@ std::optional<std::uint64_t> FlowCache::bytes_for(const FlowId& flow) const {
     if (slot.used && slot.flow == flow) return slot.bytes;
   }
   return std::nullopt;
+}
+
+TopFlows classify_top(const std::vector<FlowCache::Entry>& entries, double delta_flow) {
+  std::uint64_t c_max = 0;
+  for (const auto& e : entries) c_max = std::max(c_max, e.bytes);
+
+  const double threshold = static_cast<double>(c_max) * (1.0 - delta_flow);
+  TopFlows top;
+  for (const auto& e : entries) {
+    if (static_cast<double>(e.bytes) >= threshold) {
+      top.flows.insert(e.flow);
+      top.bytes += static_cast<double>(e.bytes);
+    }
+  }
+  return top;
 }
 
 }  // namespace cebinae

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -62,5 +63,16 @@ class FlowCache {
   std::uint64_t occupied_ = 0;
   std::uint64_t uncounted_ = 0;
 };
+
+// Fig. 4's classification (lines 14-18): the ⊤ flows of an interval are the
+// entries whose count is within δf of the largest, c ≥ (1−δf)·c_max. The
+// agent runs it on the polled cache; fig13 scores it against the same rule
+// on exact per-flow counts.
+struct TopFlows {
+  std::unordered_set<FlowId, FlowIdHash> flows;
+  double bytes = 0.0;  // the ⊤ counts, summed as doubles in entry order
+};
+[[nodiscard]] TopFlows classify_top(const std::vector<FlowCache::Entry>& entries,
+                                    double delta_flow);
 
 }  // namespace cebinae

@@ -6,8 +6,9 @@
 // aggregate demand drops below capacity. It can stop flows from taking
 // *more* than the frozen maximum, but — unlike Cebinae — it cannot repair an
 // allocation that is already unfair (the meek flows stay frozen at their
-// small shares and the aggressor keeps the large one). The ablation bench
-// reproduces exactly this failure mode.
+// small shares and the aggressor keeps the large one). The
+// ablation_strawman bench compares it with FIFO and Cebinae on an entrenched
+// incumbent and late joiners; EXPERIMENTS.md reports what it measures.
 #pragma once
 
 #include <cstdint>

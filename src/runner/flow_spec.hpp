@@ -16,7 +16,7 @@ struct FlowSpec {
   Time start = Time::zero();
   std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
   int enter = 0;   // entry switch index on the chain
-  int exit = -1;   // exit switch index; -1 = last switch
+  int exit = -1;   // exit switch index; negative = last switch (exit_switch)
 
   // Constants, not settings: every flow runs to the end of the scenario and
   // ECN is not modelled. They are lower-case static members rather than
@@ -25,6 +25,11 @@ struct FlowSpec {
   static constexpr Time stop = Time::max();
   static constexpr bool ecn = false;
 };
+
+// The switch where `f` leaves a chain of `chain_links` links.
+[[nodiscard]] inline int exit_switch(const FlowSpec& f, int chain_links) {
+  return f.exit < 0 ? chain_links : f.exit;
+}
 
 // Convenience: n identical flows.
 [[nodiscard]] inline std::vector<FlowSpec> flows_of(CcaType cca, int n, Time rtt) {

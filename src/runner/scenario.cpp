@@ -77,11 +77,6 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
   assert(!cfg_.flows.empty());
   net_ = std::make_unique<Network>(cfg_.seed);
 
-  // Normalize flow paths.
-  for (FlowSpec& f : cfg_.flows) {
-    if (f.exit < 0) f.exit = cfg_.chain_links;
-  }
-
   // Cebinae timing derives from the link and the slowest flow (paper §4.4);
   // only the thresholds come from the config.
   assert(cfg_.cebinae.dt == CebinaeParams{}.dt &&
@@ -112,10 +107,10 @@ Scenario::Scenario(ScenarioConfig config) : cfg_(std::move(config)) {
   std::vector<HostPair> pairs;
   pairs.reserve(cfg_.flows.size());
   for (const FlowSpec& spec : cfg_.flows) {
-    const Time src_delay = src_access_delay_for(spec, spec.exit - spec.enter);
-    pairs.push_back(
-        attach_hosts(*net_, topo_, spec.enter, spec.exit, access_bps, src_delay,
-                     kDstAccessDelay));
+    const int exit = exit_switch(spec, cfg_.chain_links);
+    const Time src_delay = src_access_delay_for(spec, exit - spec.enter);
+    pairs.push_back(attach_hosts(*net_, topo_, spec.enter, exit, access_bps, src_delay,
+                                 kDstAccessDelay));
   }
   net_->build_routes();
 
@@ -299,9 +294,7 @@ std::vector<double> ideal_goodputs_Bps(const ScenarioConfig& cfg) {
       static_cast<std::size_t>(cfg.chain_links),
       static_cast<double>(cfg.bottleneck_bps) / 8.0 * payload_efficiency);
   for (const FlowSpec& f : cfg.flows) {
-    // Mirror the constructor's path normalization so reporters can call this
-    // on a raw config without building a Scenario.
-    const int exit = f.exit < 0 ? cfg.chain_links : f.exit;
+    const int exit = exit_switch(f, cfg.chain_links);
     assert(exit > f.enter);  // as attach_hosts asserts; maxmin_rates needs a link
     std::vector<std::size_t> links;
     for (int l = f.enter; l < exit; ++l) links.push_back(static_cast<std::size_t>(l));

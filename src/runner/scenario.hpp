@@ -62,7 +62,7 @@ struct ScenarioConfig {
 
 // Ideal max-min goodput allocation (application-level) for a config's
 // topology and flows — Fig. 11's "Ideal" bars. Usable without building a
-// Scenario (flow exits < 0 are normalized to chain_links here too).
+// Scenario.
 [[nodiscard]] std::vector<double> ideal_goodputs_Bps(const ScenarioConfig& cfg);
 
 struct ScenarioResult {

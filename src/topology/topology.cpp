@@ -11,7 +11,6 @@ ChainTopology build_chain(
     const std::function<std::unique_ptr<QueueDisc>(int link)>& qdisc_factory) {
   assert(links >= 1);
   ChainTopology topo;
-  topo.link_delay = link_delay;
   for (int i = 0; i <= links; ++i) topo.switches.push_back(&net.add_node());
   for (int i = 0; i < links; ++i) {
     auto devices = net.link(*topo.switches[i], *topo.switches[i + 1], rate_bps, link_delay,
@@ -34,12 +33,6 @@ HostPair attach_hosts(Network& net, ChainTopology& topo, int enter, int exit,
   net.link(*topo.switches[exit], *pair.dst, access_rate_bps, dst_access_delay,
            /*q_ab=*/nullptr, /*q_ba=*/nullptr);
   return pair;
-}
-
-Time chain_path_rtt(const ChainTopology& topo, int enter, int exit, Time src_access_delay,
-                    Time dst_access_delay) {
-  const int hops = exit - enter;
-  return 2 * (src_access_delay + hops * topo.link_delay + dst_access_delay);
 }
 
 }  // namespace cebinae

@@ -17,7 +17,6 @@ namespace cebinae {
 struct ChainTopology {
   std::vector<Node*> switches;      // size = links + 1
   std::vector<Device*> bottlenecks; // device of switches[i] toward switches[i+1]
-  Time link_delay;
 };
 
 // Builds the switch chain. `qdisc_factory(i)` supplies the egress queue disc
@@ -38,9 +37,5 @@ struct HostPair {
 [[nodiscard]] HostPair attach_hosts(Network& net, ChainTopology& topo, int enter, int exit,
                                     std::uint64_t access_rate_bps, Time src_access_delay,
                                     Time dst_access_delay);
-
-// The two-way propagation delay of a path built by attach_hosts.
-[[nodiscard]] Time chain_path_rtt(const ChainTopology& topo, int enter, int exit,
-                                  Time src_access_delay, Time dst_access_delay);
 
 }  // namespace cebinae

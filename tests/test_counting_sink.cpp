@@ -7,7 +7,7 @@
 namespace cebinae {
 namespace {
 
-TEST(UdpApp, SinkCountsPayloadBytes) {
+TEST(CountingSink, CountsPayloadBytes) {
   Network net;
   Node& a = net.add_node();
   Node& b = net.add_node();

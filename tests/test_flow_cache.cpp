@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
+#include <vector>
 
 #include "sim/random.hpp"
 
@@ -124,6 +126,19 @@ TEST(FlowCache, StagesHashIndependently) {
     if (entries.size() == 2) ++both_counted;
   }
   EXPECT_GT(both_counted, trials * 9 / 10);
+}
+
+TEST(ClassifyTop, CountAtThresholdIsTopAndJustBelowIsNot) {
+  // δf = 0.25 makes the threshold (1 − δf)·c_max = 750 exact in doubles.
+  const std::vector<FlowCache::Entry> entries = {
+      {flow(1), 1000}, {flow(2), 750}, {flow(3), 749}, {flow(4), 1}};
+  const TopFlows top = classify_top(entries, 0.25);
+  EXPECT_EQ(top.flows, (std::unordered_set<FlowId, FlowIdHash>{flow(1), flow(2)}));
+  EXPECT_EQ(top.bytes, 1750.0);
+
+  const TopFlows none = classify_top({}, 0.25);
+  EXPECT_TRUE(none.flows.empty());
+  EXPECT_EQ(none.bytes, 0.0);
 }
 
 class FlowCacheGeometry : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -2,8 +2,6 @@
 """Decision logic of scripts/perf_compare.py on fixed result lists."""
 
 import importlib.util
-import subprocess
-import tempfile
 import unittest
 from pathlib import Path
 
@@ -134,34 +132,6 @@ class Compare(unittest.TestCase):
         _, failures = perf_compare.compare(END_TO_END, "w", runs(BASE_WALLS), change)
         self.assertEqual(len(failures), 1)
         self.assertIn("outcome check", failures[0])
-
-
-class SrcLines(unittest.TestCase):
-    def test_sums_numstat_and_skips_binary_files(self):
-        numstat = "12\t3\tsrc/net/node.cpp\n0\t40\tsrc/old.hpp\n-\t-\tsrc/logo.png\n"
-        self.assertEqual(perf_compare.src_lines(numstat), (12, 43))
-        self.assertEqual(perf_compare.src_lines(""), (0, 0))
-
-    def test_report_counts_working_tree_changes_under_src_only(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            def git(*args):
-                subprocess.run(["git", "-C", tmp, "-c", "user.name=t", "-c", "user.email=t@t",
-                                *args], check=True, capture_output=True)
-            (Path(tmp) / "src").mkdir()
-            (Path(tmp) / "src" / "a.cpp").write_text("1\n2\n3\n")
-            (Path(tmp) / "README").write_text("x\n")
-            git("init", "-q")
-            git("add", "-A")
-            git("commit", "-q", "-m", "base")
-            (Path(tmp) / "src" / "a.cpp").write_text("1\n4\n")
-            (Path(tmp) / "README").write_text("y\nz\n")
-            saved = perf_compare.ROOT
-            perf_compare.ROOT = Path(tmp)
-            try:
-                report = perf_compare.src_line_report("HEAD")
-            finally:
-                perf_compare.ROOT = saved
-        self.assertEqual(report, "src/ lines vs HEAD: +1 -2, net -1")
 
 
 if __name__ == "__main__":

@@ -157,6 +157,46 @@ TEST(ScenarioIntegration, ParkingLotIdealMatchesWaterFilling) {
   for (double r : ideal) EXPECT_NEAR(r, ideal[0], 1.0);
 }
 
+// The propagation delay a flow's data crosses: the devices its packets
+// leave through on the built route from its source to its destination.
+Time forward_path_delay(Scenario& scenario, std::size_t flow_index) {
+  const FlowId& flow = scenario.flow_ids().at(flow_index);
+  Time delay = Time::zero();
+  for (Node* n = &scenario.network().node(flow.src); n->id() != flow.dst;) {
+    Device* d = n->route_to(flow.dst);
+    if (d == nullptr) {
+      ADD_FAILURE() << "no route from node " << n->id() << " to " << flow.dst;
+      return delay;
+    }
+    delay += d->prop_delay();
+    n = &d->peer_node();
+  }
+  return delay;
+}
+
+TEST(ScenarioIntegration, FlowPathDelaysSumToRtt) {
+  ScenarioConfig dumbbell = base_config(QdiscKind::kFifo);
+  dumbbell.flows = {FlowSpec{CcaType::kNewReno, Milliseconds(30)},
+                    FlowSpec{CcaType::kNewReno, Microseconds(100)}};
+  Scenario one(dumbbell);
+  EXPECT_EQ(2 * forward_path_delay(one, 0), Milliseconds(30));
+  // rtt/2 = 50 us is below the fixed bottleneck and receiver-access delays:
+  // the source access link gets the 1-us floor and the path runs longer.
+  EXPECT_EQ(one.network().node(one.flow_ids()[1].src).device(0).prop_delay(),
+            Microseconds(1));
+  EXPECT_GT(2 * forward_path_delay(one, 1), Microseconds(100));
+
+  ScenarioConfig lot = base_config(QdiscKind::kFifo);
+  lot.chain_links = 3;
+  lot.flows = flows_of(CcaType::kNewReno, 1, Milliseconds(40));
+  FlowSpec late{CcaType::kNewReno, Milliseconds(20)};
+  late.enter = 1;  // leaves at the last switch: two of the three links
+  lot.flows.push_back(late);
+  Scenario three(lot);
+  EXPECT_EQ(2 * forward_path_delay(three, 0), Milliseconds(40));
+  EXPECT_EQ(2 * forward_path_delay(three, 1), Milliseconds(20));
+}
+
 TEST(ScenarioIntegration, MultiBottleneckFlowsAreForwarded) {
   ScenarioConfig cfg = base_config(QdiscKind::kFifo);
   cfg.chain_links = 2;

@@ -63,17 +63,6 @@ TEST(Topology, EndToEndHostsCrossAllLinks) {
   for (Device* d : topo.bottlenecks) EXPECT_EQ(d->tx_packets(), 1u);
 }
 
-TEST(Topology, PathRttFormula) {
-  Network net;
-  auto topo = build_chain(net, 2, 100'000'000, Microseconds(50), fifo_factory());
-  // 2*(src 100us + 2 hops * 50us + dst 50us) = 500us.
-  EXPECT_EQ(chain_path_rtt(topo, 0, 2, Microseconds(100), Microseconds(50)),
-            Microseconds(500));
-  // Single-hop path.
-  EXPECT_EQ(chain_path_rtt(topo, 1, 2, Microseconds(100), Microseconds(50)),
-            Microseconds(400));
-}
-
 TEST(Topology, QdiscFactoryReceivesLinkIndex) {
   Network net;
   std::vector<int> seen;
