@@ -43,7 +43,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
                  {"AFQ32", afq(32)},
                  {"AFQ128", afq(128)},
                  {"Cebinae", [](ScenarioConfig& c) { c.qdisc = QdiscKind::kCebinae; }}})
-      .trials(opts.trials_or(1))
       .build();
 }
 

@@ -35,7 +35,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   }
   return exp::SweepGrid(cfg)
       .qdiscs({QdiscKind::kFifo, QdiscKind::kStrawman, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

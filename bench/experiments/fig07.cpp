@@ -23,7 +23,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   cfg.flows.push_back(FlowSpec{CcaType::kNewReno, Milliseconds(100)});
   return exp::SweepGrid(cfg)
       .qdiscs({QdiscKind::kFifo, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

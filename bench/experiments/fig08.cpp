@@ -47,7 +47,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
               }
             }}})
       .qdiscs({QdiscKind::kFifo, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

@@ -31,7 +31,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
               }
             })
       .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

@@ -47,7 +47,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   std::vector<exp::ExperimentJob> jobs =
       exp::SweepGrid(base)
           .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae})
-          .trials(opts.trials_or(1))
           .build();
   for (exp::ExperimentJob& job : jobs) job.trace_period = opts.trace_period();
   return jobs;

@@ -49,7 +49,6 @@ const char* flow_label(std::size_t i) {
 std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   return exp::SweepGrid(make_config(opts))
       .qdiscs({QdiscKind::kFifo, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

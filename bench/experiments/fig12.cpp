@@ -28,10 +28,8 @@ ScenarioConfig base_config(const exp::RunOptions& opts) {
 
 std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   // 2 reference qdiscs followed by the 7-point Cebinae threshold axis.
-  const int trials = opts.trials_or(1);
   std::vector<exp::ExperimentJob> jobs = exp::SweepGrid(base_config(opts))
                                              .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel})
-                                             .trials(trials)
                                              .build();
   ScenarioConfig ceb = base_config(opts);
   ceb.qdisc = QdiscKind::kCebinae;
@@ -43,7 +41,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
                   cfg.cebinae.delta_flow = pct / 100.0;
                   cfg.cebinae.tau = pct / 100.0;
                 })
-          .trials(trials)
           .build();
   jobs.insert(jobs.end(), std::make_move_iterator(sweep.begin()),
               std::make_move_iterator(sweep.end()));

@@ -9,8 +9,8 @@
 // one job whose closure generates the trial's packet trace and replays it
 // through a FlowCache. All points of the same trial share one trace seed so
 // the sweep compares cache configurations on identical traffic; the seed is
-// captured at job-build time (base_seed + trial * 7919, as the original
-// bench did), not taken from the runner's per-job derivation.
+// base_seed + trial * 7919 (as the original bench did), from the trial index
+// the harness passes, not the runner's per-job derivation.
 #include <cstdio>
 #include <string>
 #include <unordered_map>
@@ -80,6 +80,7 @@ Rates evaluate(const std::vector<TracePacket>& trace, std::uint32_t stages,
   return r;
 }
 
+// The spec's default_trials: traces replayed per point without --trials.
 int trace_trials(const exp::RunOptions& opts) {
   if (opts.smoke) return 1;
   return opts.full ? 20 : 3;
@@ -90,44 +91,36 @@ Time trace_duration(const exp::RunOptions& opts) {
 }
 
 std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
-  const int trials = opts.trials_or(trace_trials(opts));
   const Time duration = trace_duration(opts);
+  const std::uint64_t base_seed = opts.base_seed;
 
   std::vector<exp::ExperimentJob> jobs;
   auto add_point = [&](const char* sweep, int interval_ms, std::uint32_t stages,
                        std::uint32_t slots) {
-    for (int t = 0; t < trials; ++t) {
-      exp::ExperimentJob job;
-      job.label = std::string("sweep=") + sweep;
-      job.params.set("sweep", sweep);
-      if (std::string(sweep) == "a") {
-        job.label += " interval_ms=" + std::to_string(interval_ms);
-        job.params.set("interval_ms", interval_ms);
-      } else {
-        job.label += " slots=" + std::to_string(slots);
-        job.params.set("slots", static_cast<std::uint64_t>(slots));
-      }
-      job.label += " stages=" + std::to_string(stages);
-      job.params.set("stages", static_cast<std::uint64_t>(stages));
-      // The trace length is what the scale changes; --resume compares it.
-      job.params.set("trace_ms", static_cast<std::uint64_t>(duration / Milliseconds(1)));
-      if (trials > 1) {
-        job.label += " trial=" + std::to_string(t);
-        job.params.set("trial", t);
-      }
-      const std::uint64_t trace_seed =
-          opts.base_seed + static_cast<std::uint64_t>(t) * 7919;
-      job.custom = [=] {
-        TraceConfig tc;
-        tc.duration = duration;
-        tc.seed = trace_seed;
-        const Rates r = evaluate(SyntheticTrace::generate(tc), stages, slots,
-                                 Milliseconds(interval_ms));
-        return std::vector<std::pair<std::string, double>>{{"fpr_1e4", r.fpr * 1e4},
-                                                           {"fnr", r.fnr}};
-      };
-      jobs.push_back(std::move(job));
+    exp::ExperimentJob job;
+    job.label = std::string("sweep=") + sweep;
+    job.params.set("sweep", sweep);
+    if (std::string(sweep) == "a") {
+      job.label += " interval_ms=" + std::to_string(interval_ms);
+      job.params.set("interval_ms", interval_ms);
+    } else {
+      job.label += " slots=" + std::to_string(slots);
+      job.params.set("slots", static_cast<std::uint64_t>(slots));
     }
+    job.label += " stages=" + std::to_string(stages);
+    job.params.set("stages", static_cast<std::uint64_t>(stages));
+    // The trace length is what the scale changes; --resume compares it.
+    job.params.set("trace_ms", static_cast<std::uint64_t>(duration / Milliseconds(1)));
+    job.custom = [=](int trial) {
+      TraceConfig tc;
+      tc.duration = duration;
+      tc.seed = base_seed + static_cast<std::uint64_t>(trial) * 7919;
+      const Rates r = evaluate(SyntheticTrace::generate(tc), stages, slots,
+                               Milliseconds(interval_ms));
+      return std::vector<std::pair<std::string, double>>{{"fpr_1e4", r.fpr * 1e4},
+                                                         {"fnr", r.fnr}};
+    };
+    jobs.push_back(std::move(job));
   };
 
   for (int ms : kIntervalsMs) {
@@ -149,7 +142,8 @@ void report(const exp::RunOptions& opts, const std::vector<exp::ResultRow>& rows
                 static_cast<unsigned long long>(summary.packets),
                 static_cast<unsigned long long>(summary.flows),
                 static_cast<double>(summary.bytes) * 8 / tc.duration.seconds() / 1e9,
-                tc.duration.seconds(), opts.trials_or(trace_trials(opts)));
+                tc.duration.seconds(),
+                rows.empty() ? 0 : static_cast<int>(rows.front().trials.size()));
   }
 
   // Rows arrive in build order: sweep (a) points first, then sweep (b).
@@ -187,6 +181,7 @@ const exp::Registration registration{exp::ExperimentSpec{
     "flow-cache FPR/FNR vs round interval, slots, and stages",
     make_jobs,
     report,
+    trace_trials,
 }};
 
 }  // namespace

@@ -94,8 +94,8 @@ void apply_row(ScenarioConfig& cfg, const Row& row, const exp::RunOptions& opts)
 }
 
 std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
-  // 25 rows x 3 qdiscs (x trials), expanded row-outermost so aggregated row
-  // index is table_row * 3 + qdisc.
+  // 25 rows x 3 qdiscs, expanded row-outermost so report row index is
+  // table_row * 3 + qdisc.
   std::vector<std::pair<std::string, exp::SweepGrid::Mutator>> row_variants;
   for (std::size_t r = 0; r < rows_of_table2().size(); ++r) {
     row_variants.emplace_back(
@@ -105,7 +105,6 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
   return exp::SweepGrid(ScenarioConfig{})
       .variants("row", std::move(row_variants))
       .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel, QdiscKind::kCebinae})
-      .trials(opts.trials_or(1))
       .build();
 }
 

@@ -4,7 +4,7 @@
 //
 // Custom (non-Scenario) jobs: one per cache-stage count, each returning the
 // model's resource estimates as metrics. The model is deterministic, so
-// --trials adds nothing but zero-stddev aggregates — the default stays 1.
+// --trials adds nothing but zero-stddev aggregates.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,13 +18,13 @@ namespace {
 
 const std::vector<std::uint32_t> kStages = {1, 2, 4};
 
-std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
+std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions&) {
   std::vector<exp::ExperimentJob> jobs;
   for (std::uint32_t stages : kStages) {
     exp::ExperimentJob job;
     job.label = "stages=" + std::to_string(stages);
     job.params.set("stages", static_cast<std::uint64_t>(stages));
-    job.custom = [stages] {
+    job.custom = [stages](int) {
       const TofinoResources r = estimate_tofino_resources(stages);
       return std::vector<std::pair<std::string, double>>{
           {"pipeline_stages", static_cast<double>(r.pipeline_stages)},
@@ -40,7 +40,7 @@ std::vector<exp::ExperimentJob> make_jobs(const exp::RunOptions& opts) {
     };
     jobs.push_back(std::move(job));
   }
-  return exp::replicate_trials(std::move(jobs), opts.trials_or(1));
+  return jobs;
 }
 
 void report(const exp::RunOptions&, const std::vector<exp::ResultRow>& rows) {

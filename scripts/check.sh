@@ -5,8 +5,9 @@
 # resume_smoke + micro_datapath_smoke + perf_compare_logic +
 # plot_jsonl_smoke).
 # TSan exercises the runner's worker threads and its in-order JSONL
-# emission, including a resumed batch; resume_smoke additionally SIGKILLs
-# a 4-thread sweep and resumes it. The tier1 label keeps this loop fast
+# emission, including a resumed batch; resume_smoke additionally ends a
+# 4-thread sweep with SIGXFSZ at half its --out size (`ulimit -f`) and
+# resumes it. The tier1 label keeps this loop fast
 # enough to run on every change. The performance gate is separate:
 # scripts/perf_compare.py <base-ref>.
 #

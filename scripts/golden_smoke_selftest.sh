@@ -34,7 +34,9 @@ expect_failure() {
 cp -r "$GOLDEN" "$copy"
 file="$copy/fig10/smoke.jsonl"
 offset=$(($(wc -c <"$file") / 2))
-byte="$(tail -c +$((offset + 1)) "$file" | head -c 1)"
+# dd reads the byte alone: in `tail | head -c 1`, head's early exit can kill
+# tail with SIGPIPE, and pipefail then ends the script before the gate runs.
+byte="$(dd if="$file" bs=1 skip="$offset" count=1 status=none)"
 if [[ "$byte" == 0 ]]; then flip=1; else flip=0; fi
 printf '%s' "$flip" | dd of="$file" bs=1 seek="$offset" conv=notrunc status=none
 expect_failure "one flipped byte" "--- $copy/fig10/smoke.jsonl"

@@ -77,7 +77,7 @@ JsonObject run_job(const ExperimentJob& job, std::size_t job_index, std::uint64_
   };
   double wall_s = 0.0;
   if (job.custom) {
-    metrics = job.custom();
+    metrics = job.custom(job.trial);
     wall_s = elapsed();
   } else {
     ScenarioConfig cfg = job.config;

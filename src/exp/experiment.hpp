@@ -36,11 +36,15 @@ struct ExperimentJob {
   // (Scenario::enable_trace) into the result row's `trace` list.
   Time trace_period = Time::zero();
 
+  // Which trial of its grid point this job is; replicate_trials sets it.
+  int trial = 0;
+
   // Non-Scenario jobs (analytic models, FlowCache traces, ...): when set,
-  // the runner calls this instead of building a Scenario, and the returned
-  // (name, value) pairs become numeric fields of the result row. `config`
-  // is not run; a job that draws random numbers seeds them itself.
-  std::function<std::vector<std::pair<std::string, double>>()> custom;
+  // the runner calls this with `trial` instead of building a Scenario, and
+  // the returned (name, value) pairs become numeric fields of the result
+  // row. `config` is not run; a job that draws random numbers seeds them
+  // itself.
+  std::function<std::vector<std::pair<std::string, double>>(int trial)> custom;
 };
 
 // A job's record is the one row it writes (--out); a resumed job's record

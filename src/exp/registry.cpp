@@ -41,22 +41,6 @@ Registration::Registration(ExperimentSpec spec) {
   ExperimentRegistry::instance().add(std::move(spec));
 }
 
-std::string strip_trial(std::string_view label) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < label.size()) {
-    std::size_t end = label.find(' ', pos);
-    if (end == std::string_view::npos) end = label.size();
-    const std::string_view token = label.substr(pos, end - pos);
-    if (token.substr(0, 6) != "trial=") {
-      if (!out.empty()) out += ' ';
-      out += token;
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs, int n) {
   if (n <= 1) return jobs;
   std::vector<ExperimentJob> out;
@@ -67,18 +51,31 @@ std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs, int
       if (!copy.label.empty()) copy.label += ' ';
       copy.label += "trial=" + std::to_string(t);
       copy.params.set("trial", t);
+      copy.trial = t;
       out.push_back(std::move(copy));
     }
   }
   return out;
 }
 
-std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& jobs,
+Expansion expand(const ExperimentSpec& spec, const RunOptions& opts) {
+  Expansion e;
+  e.points = spec.make_jobs(opts);
+  if (opts.trials > 0) {
+    e.trials = opts.trials;
+  } else if (spec.default_trials) {
+    e.trials = spec.default_trials(opts);
+  }
+  e.jobs = replicate_trials(e.points, e.trials);
+  return e;
+}
+
+std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& points, int trials,
                                       const std::vector<JsonObject>& job_rows) {
+  const auto n = static_cast<std::size_t>(std::max(trials, 1));
   std::vector<ResultRow> rows;
-  for (std::size_t i = 0; i < jobs.size() && i < job_rows.size(); ++i) {
-    std::string key = strip_trial(jobs[i].label);
-    if (rows.empty() || rows.back().label != key) rows.push_back({std::move(key), &jobs[i], {}});
+  for (std::size_t i = 0; i < std::min(job_rows.size(), points.size() * n); ++i) {
+    if (i % n == 0) rows.push_back({points[i / n].label, &points[i / n], {}});
     rows.back().trials.push_back(&job_rows[i]);
   }
   return rows;
@@ -89,7 +86,8 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
     std::fprintf(stderr, "error: --resume needs --out=FILE\n");
     return 2;
   }
-  const std::vector<ExperimentJob> jobs = spec.make_jobs(opts);
+  const Expansion expansion = expand(spec, opts);
+  const std::vector<ExperimentJob>& jobs = expansion.jobs;
 
   // Resume reads the files before any writer opens them, so a file from
   // another grid, seed or scale is left untouched.
@@ -165,7 +163,7 @@ int run_experiment(const ExperimentSpec& spec, const RunOptions& opts) {
   }
 
   if (spec.report) {
-    spec.report(opts, aggregate_rows(jobs, rows));
+    spec.report(opts, aggregate_rows(expansion.points, expansion.trials, rows));
   }
   // The report is the run's output: a stdout that cannot take it (a full
   // disk, a closed pipe) fails the run like a failed results write.

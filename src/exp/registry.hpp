@@ -3,12 +3,13 @@
 // CLI drives any of them with a uniform flag set
 // (--jobs/--out/--resume/--trials/--perf-out/--smoke).
 //
-// Execution model: make_jobs(opts) expands the spec into an ordered job
-// list (SweepGrid or hand-built; trials innermost), ExperimentRunner runs
-// it with per-job seeds derived from (base_seed, job index), and
-// aggregate_rows() groups the job rows into one ResultRow per distinct
-// label-minus-trial. Reporters render from those job rows, read by
-// name and summarised with exp::over (report.hpp) — never from live
+// Execution model: make_jobs(opts) lists the spec's grid points (SweepGrid
+// or hand-built), expand() replicates each point --trials times (or the
+// spec's default), trials innermost, ExperimentRunner runs those jobs with
+// per-job seeds derived from (base_seed, job index), and aggregate_rows()
+// groups each point's consecutive trial rows into one ResultRow. No
+// experiment builds trials itself. Reporters render from those job rows, read
+// by name and summarised with exp::over (report.hpp) — never from live
 // Scenario state — which is what makes `--trials=N` a one-flag feature for
 // every experiment and keeps stdout byte-identical across `--jobs` values.
 #pragma once
@@ -27,14 +28,12 @@ namespace cebinae::exp {
 struct RunOptions {
   bool full = false;   // paper-scale durations and trial counts
   bool smoke = false;  // sub-second durations; CI sanity pass
-  int trials = 0;      // replicate every grid point; 0 = experiment default
+  int trials = 0;      // replicate every grid point; 0 = the spec's default
   std::uint64_t base_seed = 1;
   int jobs = 1;
   std::string out;       // results JSONL; "" = disabled, "-" = stdout
   bool resume = false;   // continue after the jobs already committed in `out`
   std::string perf_out;  // BENCH perf summary JSON; "" = disabled
-
-  [[nodiscard]] int trials_or(int dflt) const { return trials > 0 ? trials : dflt; }
 
   // Scenario duration ladder: --smoke » sub-second, --full » paper scale,
   // default » the quick duration the bench suite uses interactively.
@@ -51,8 +50,8 @@ struct RunOptions {
 // One line of an experiment's report: all trials of one grid point (at
 // least one).
 struct ResultRow {
-  std::string label;                   // job label minus the trial token
-  const ExperimentJob* job = nullptr;  // first trial's job (config echo)
+  std::string label;                      // the grid point's label
+  const ExperimentJob* job = nullptr;     // the grid point (config echo)
   std::vector<const JsonObject*> trials;  // each trial's job row
 };
 
@@ -61,13 +60,15 @@ struct ExperimentSpec {
   std::string title;        // header line, e.g. "Fig. 8 goodput CDFs"
   std::string description;  // one-liner shown by --list
 
-  // Expand the run options into the ordered job list. Trials must be the
-  // innermost (fastest-varying) dimension so aggregation can group
-  // consecutive jobs; SweepGrid::trials and replicate_trials both comply.
+  // The ordered grid points at these run options, one job each; their
+  // order is the report's row order. The harness replicates trials.
   std::function<std::vector<ExperimentJob>(const RunOptions&)> make_jobs;
 
   // Render the human-readable table/CDF from the grouped rows.
   std::function<void(const RunOptions&, const std::vector<ResultRow>&)> report;
+
+  // Trials per grid point when --trials is not given; unset = 1.
+  int (*default_trials)(const RunOptions&) = nullptr;
 };
 
 class ExperimentRegistry {
@@ -90,23 +91,30 @@ struct Registration {
   explicit Registration(ExperimentSpec spec);
 };
 
-// `"qdisc=FIFO trial=3"` -> `"qdisc=FIFO"`: drops the whitespace-separated
-// `trial=` token wherever it appears.
-[[nodiscard]] std::string strip_trial(std::string_view label);
-
-// Replicate each job n times with ` trial=t` appended to the label and
-// echoed into params, trials innermost. Hand-built job lists call it
-// directly, SweepGrid::trials through build(). n <= 1 returns the list
-// unchanged.
+// Replicate each job n times, trials innermost: trial t sets
+// ExperimentJob::trial, appends ` trial=t` to the label and echoes it into
+// params. n <= 1 returns the list unchanged.
 [[nodiscard]] std::vector<ExperimentJob> replicate_trials(std::vector<ExperimentJob> jobs,
                                                           int n);
 
-// Group the rows of consecutive jobs that share strip_trial(label).
-[[nodiscard]] std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& jobs,
+// One run of a spec: its grid points and the jobs that run each of them
+// `trials` times.
+struct Expansion {
+  std::vector<ExperimentJob> points;  // spec.make_jobs(opts)
+  int trials = 1;                     // --trials, or the spec's default
+  std::vector<ExperimentJob> jobs;    // replicate_trials(points, trials)
+};
+
+// The harness's one expansion of a spec at these run options.
+[[nodiscard]] Expansion expand(const ExperimentSpec& spec, const RunOptions& opts);
+
+// One ResultRow per grid point, holding its `trials` consecutive job rows.
+[[nodiscard]] std::vector<ResultRow> aggregate_rows(const std::vector<ExperimentJob>& points,
+                                                    int trials,
                                                     const std::vector<JsonObject>& job_rows);
 
-// Drive one experiment end to end: build jobs, print the header, run the
-// batch (honoring JSONL/resume/perf options uniformly), group,
+// Drive one experiment end to end: expand the spec, print the header, run
+// the batch (honoring JSONL/resume/perf options uniformly), group,
 // and render the report. Returns a process exit code.
 int run_experiment(const ExperimentSpec& spec, const RunOptions& opts);
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "exp/registry.hpp"
-
 namespace cebinae::exp {
 
 namespace {
@@ -87,7 +85,7 @@ std::vector<ExperimentJob> SweepGrid::build() const {
       idx[d] = 0;
     }
   }
-  return replicate_trials(std::move(jobs), trials_);
+  return jobs;
 }
 
 }  // namespace cebinae::exp

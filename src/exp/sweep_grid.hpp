@@ -1,11 +1,11 @@
 // SweepGrid: declarative cartesian-product builder for experiment batches.
 //
 // A grid starts from a base ScenarioConfig and accumulates dimensions —
-// qdiscs, named numeric axes and arbitrary named variants — plus a trial
-// count. build() expands the cartesian product in declaration order
-// (first-added dimension outermost) into a stable list of ExperimentJobs,
+// qdiscs, named numeric axes and arbitrary named variants. build() expands
+// the cartesian product in declaration order (first-added dimension
+// outermost) into a stable list of ExperimentJobs, one per grid point,
 // each labelled "name=value ..." with the same values echoed into its JSONL
-// `params` object, then replicates every point with replicate_trials.
+// `params` object. The harness replicates trials (exp::expand).
 //
 // The expansion order is part of the determinism contract: job index is
 // position in this product, and ExperimentRunner derives per-job seeds from
@@ -43,15 +43,6 @@ class SweepGrid {
   SweepGrid& variants(std::string name,
                       std::vector<std::pair<std::string, Mutator>> options);
 
-  // Replicate every point n times, innermost, through replicate_trials;
-  // ExperimentRunner's per-job seeding makes each trial an independent
-  // sample. n <= 1 keeps labels free of the `trial=` token, which is what the
-  // registry's aggregation key expects.
-  SweepGrid& trials(int n) {
-    trials_ = n;
-    return *this;
-  }
-
   [[nodiscard]] std::vector<ExperimentJob> build() const;
 
  private:
@@ -68,7 +59,6 @@ class SweepGrid {
 
   ScenarioConfig base_;
   std::vector<Dimension> dims_;
-  int trials_ = 1;
 };
 
 }  // namespace cebinae::exp

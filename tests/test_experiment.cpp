@@ -129,12 +129,10 @@ ScenarioConfig tiny_base() {
 TEST(SweepGrid, ExpandsCartesianProductInDeclarationOrder) {
   SweepGrid grid(tiny_base());
   grid.qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel})
-      .axis("rtt_ms", {10.0, 20.0},
-            [](ScenarioConfig& cfg, double ms) {
-              for (auto& f : cfg.flows) f.rtt = MillisecondsF(ms);
-            })
-      .trials(3);
-  const std::vector<ExperimentJob> jobs = grid.build();
+      .axis("rtt_ms", {10.0, 20.0}, [](ScenarioConfig& cfg, double ms) {
+        for (auto& f : cfg.flows) f.rtt = MillisecondsF(ms);
+      });
+  const std::vector<ExperimentJob> jobs = replicate_trials(grid.build(), 3);
   ASSERT_EQ(jobs.size(), 12u);
   // First dimension outermost, trials innermost.
   EXPECT_EQ(jobs[0].label, "qdisc=FIFO rtt_ms=10 trial=0");
@@ -165,14 +163,14 @@ TEST(SweepGrid, VariantsApplyArbitraryMutations) {
 // --- ExperimentRunner -----------------------------------------------------
 
 std::vector<ExperimentJob> mini_batch() {
-  return SweepGrid(tiny_base())
-      .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel})
-      .axis("rtt_ms", {10.0, 30.0},
-            [](ScenarioConfig& cfg, double ms) {
-              for (auto& f : cfg.flows) f.rtt = MillisecondsF(ms);
-            })
-      .trials(2)
-      .build();
+  return replicate_trials(SweepGrid(tiny_base())
+                              .qdiscs({QdiscKind::kFifo, QdiscKind::kFqCoDel})
+                              .axis("rtt_ms", {10.0, 30.0},
+                                    [](ScenarioConfig& cfg, double ms) {
+                                      for (auto& f : cfg.flows) f.rtt = MillisecondsF(ms);
+                                    })
+                              .build(),
+                          2);
 }
 
 std::vector<JsonObject> run_with_jobs(int jobs, JsonlWriter* writer = nullptr) {
@@ -268,7 +266,7 @@ std::vector<ExperimentJob> custom_jobs(int n, const std::function<void(int)>& bo
   std::vector<ExperimentJob> jobs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     jobs[i].label = "job=" + std::to_string(i);
-    jobs[i].custom = [body, i] {
+    jobs[i].custom = [body, i](int) {
       body(i);
       return std::vector<std::pair<std::string, double>>{{"i", i}};
     };

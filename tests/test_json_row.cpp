@@ -282,7 +282,7 @@ const Batch& batch() {
     out.jobs[1].label = "traced";
     out.jobs[1].trace_period = Milliseconds(100);
     out.jobs[2].label = "custom";
-    out.jobs[2].custom = [] {
+    out.jobs[2].custom = [](int) {
       return std::vector<std::pair<std::string, double>>{
           {"occupancy", 0.125}, {"rotations", 17.0}, {"undefined", std::nan("")},
           {"overflow", -kInf}, {"drop_pct", 2.5}};
@@ -332,8 +332,8 @@ TEST(Reconstruct, ReadBackRowsSummariseLikeFreshOnes) {
   ASSERT_EQ(b.result_lines.size(), b.rows.size());
   std::vector<JsonObject> back(b.rows.size());
   for (std::size_t i = 0; i < back.size(); ++i) back[i] = parsed(b.result_lines[i]);
-  const std::vector<ResultRow> fresh_rows = aggregate_rows(b.jobs, b.rows);
-  const std::vector<ResultRow> back_rows = aggregate_rows(b.jobs, back);
+  const std::vector<ResultRow> fresh_rows = aggregate_rows(b.jobs, 1, b.rows);
+  const std::vector<ResultRow> back_rows = aggregate_rows(b.jobs, 1, back);
   ASSERT_EQ(fresh_rows.size(), back_rows.size());
   for (std::size_t r = 0; r < fresh_rows.size(); ++r) {
     SCOPED_TRACE(fresh_rows[r].label);

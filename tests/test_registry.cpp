@@ -1,6 +1,7 @@
 // Experiment registry: every registered paper figure/table must expand to a
-// stable, non-empty job list, trials must group into report rows, and
-// exp::over must summarise a row's trials. cebinae_tests links the
+// stable, non-empty job list, the harness must replicate every grid point
+// into trials that group back into report rows, and exp::over must
+// summarise a row's trials. cebinae_tests links the
 // bench/experiments OBJECT library, so the registry iterated here is
 // exactly what `cebinae_bench` serves.
 #include <gtest/gtest.h>
@@ -86,29 +87,81 @@ TEST(ExperimentRegistry, JobLabelsAreUniqueWithinAnExperiment) {
 }
 
 TEST(ExperimentRegistry, TrialsMultiplyTheGridAndTagLabels) {
-  RunOptions base;
-  base.smoke = true;
-  RunOptions tripled = base;
-  tripled.trials = 3;
+  RunOptions opts;
+  opts.smoke = true;
+  opts.trials = 3;
   for (const ExperimentSpec* s : all_specs()) {
-    const auto single = s->make_jobs(base);
-    const auto multi = s->make_jobs(tripled);
-    EXPECT_EQ(multi.size(), single.size() * 3) << s->name;
-    // Trials are innermost: consecutive triplets share one grid point.
-    for (std::size_t i = 0; i + 2 < multi.size(); i += 3) {
-      const std::string key = strip_trial(multi[i].label);
-      EXPECT_EQ(strip_trial(multi[i + 1].label), key) << s->name;
-      EXPECT_EQ(strip_trial(multi[i + 2].label), key) << s->name;
-      EXPECT_NE(multi[i].label, multi[i + 1].label) << s->name;
+    const auto points = s->make_jobs(opts);
+    const Expansion e = expand(*s, opts);
+    EXPECT_EQ(e.trials, 3) << s->name;
+    ASSERT_EQ(e.jobs.size(), points.size() * 3) << s->name;
+    // Trials are innermost: job i is trial i%3 of grid point i/3.
+    for (std::size_t i = 0; i < e.jobs.size(); ++i) {
+      const ExperimentJob& point = points[i / 3];
+      const std::string t = std::to_string(i % 3);
+      EXPECT_EQ(e.jobs[i].label, point.label + " trial=" + t) << s->name;
+      JsonObject params = point.params;
+      params.set("trial", static_cast<int>(i % 3));
+      EXPECT_EQ(e.jobs[i].params.str(), params.str()) << s->name;
+      EXPECT_TRUE(e.jobs[i].params.str().ends_with("\"trial\":" + t + "}")) << s->name;
+      EXPECT_EQ(e.jobs[i].trial, static_cast<int>(i % 3)) << s->name;
     }
   }
 }
 
-TEST(StripTrial, DropsTheTrialTokenWhereverItAppears) {
-  EXPECT_EQ(strip_trial("qdisc=FIFO trial=3"), "qdisc=FIFO");
-  EXPECT_EQ(strip_trial("trial=0 qdisc=FIFO"), "qdisc=FIFO");
-  EXPECT_EQ(strip_trial("qdisc=FIFO"), "qdisc=FIFO");
-  EXPECT_EQ(strip_trial("a=1 trial=12 b=2"), "a=1 b=2");
+TEST(Expand, ReplicatesASpecThatIgnoresTrials) {
+  // make_jobs never reads opts.trials; the harness still runs each point
+  // --trials times, and a custom job is passed its trial index.
+  ExperimentSpec spec;
+  spec.make_jobs = [](const RunOptions&) {
+    std::vector<ExperimentJob> points(2);
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      points[p].label = "point=" + std::to_string(p);
+      points[p].custom = [p](int trial) {
+        return std::vector<std::pair<std::string, double>>{
+            {"point", static_cast<double>(p)}, {"trial", static_cast<double>(trial)}};
+      };
+    }
+    return points;
+  };
+  RunOptions opts;
+  EXPECT_EQ(expand(spec, opts).jobs.size(), 2u);
+  opts.trials = 4;
+  const Expansion e = expand(spec, opts);
+  ASSERT_EQ(e.jobs.size(), 8u);
+  const std::vector<JsonObject> job_rows = ExperimentRunner({}).run(e.jobs);
+  const std::vector<ResultRow> rows = aggregate_rows(e.points, e.trials, job_rows);
+  ASSERT_EQ(rows.size(), 2u);
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    EXPECT_EQ(rows[p].label, "point=" + std::to_string(p));
+    ASSERT_EQ(rows[p].trials.size(), 4u);
+    for (std::size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(rows[p].trials[t]->num("point"), static_cast<double>(p));
+      EXPECT_EQ(rows[p].trials[t]->num("trial"), static_cast<double>(t));
+    }
+  }
+}
+
+TEST(Expand, DefaultTrialsComeFromTheSpecAtEachScale) {
+  // fig13 replays 1 trace at --smoke, 3 at quick scale and 20 at --full;
+  // every other experiment runs each point once unless --trials says more.
+  RunOptions smoke;
+  smoke.smoke = true;
+  RunOptions quick;
+  RunOptions full;
+  full.full = true;
+  for (const ExperimentSpec* s : all_specs()) {
+    const bool fig13 = s->name == "fig13";
+    EXPECT_EQ(fig13, static_cast<bool>(s->default_trials)) << s->name;
+    EXPECT_EQ(expand(*s, smoke).trials, 1) << s->name;
+    EXPECT_EQ(expand(*s, quick).trials, fig13 ? 3 : 1) << s->name;
+    EXPECT_EQ(expand(*s, full).trials, fig13 ? 20 : 1) << s->name;
+  }
+  const ExperimentSpec* fig13 = ExperimentRegistry::instance().find("fig13");
+  ASSERT_NE(fig13, nullptr);
+  const Expansion e = expand(*fig13, quick);
+  EXPECT_EQ(e.jobs.size(), e.points.size() * 3);
+  EXPECT_EQ(e.jobs[2].label, e.points[0].label + " trial=2");
 }
 
 TEST(ReplicateTrials, AppendsTrialTokensInnermost) {
@@ -121,24 +174,23 @@ TEST(ReplicateTrials, AppendsTrialTokensInnermost) {
   EXPECT_EQ(out[1].label, "qdisc=FIFO trial=1");
   EXPECT_EQ(out[2].label, "qdisc=Cebinae trial=0");
   EXPECT_EQ(out[3].label, "qdisc=Cebinae trial=1");
+  EXPECT_EQ(out[3].trial, 1);
   // n <= 1 is the identity.
   EXPECT_EQ(replicate_trials(jobs, 1)[0].label, "qdisc=FIFO");
 }
 
 TEST(AggregateRows, GroupsConsecutiveTrials) {
   // Two grid points of two trials each; job i's row has metric = i.
-  std::vector<ExperimentJob> jobs(4);
+  std::vector<ExperimentJob> points(2);
+  points[0].label = "point=a";
+  points[1].label = "point=b";
   std::vector<JsonObject> job_rows(4);
-  for (int i = 0; i < 4; ++i) {
-    jobs[i].label =
-        std::string(i < 2 ? "point=a" : "point=b") + " trial=" + std::to_string(i % 2);
-    job_rows[i].set("metric", static_cast<double>(i));
-  }
-  const auto rows = aggregate_rows(jobs, job_rows);
+  for (int i = 0; i < 4; ++i) job_rows[i].set("metric", static_cast<double>(i));
+  const auto rows = aggregate_rows(points, 2, job_rows);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].label, "point=a");
   EXPECT_EQ(rows[1].label, "point=b");
-  EXPECT_EQ(rows[1].job, &jobs[2]);
+  EXPECT_EQ(rows[1].job, &points[1]);
   EXPECT_EQ(rows[0].trials, (std::vector<const JsonObject*>{&job_rows[0], &job_rows[1]}));
   EXPECT_EQ(rows[1].trials, (std::vector<const JsonObject*>{&job_rows[2], &job_rows[3]}));
 

@@ -34,7 +34,7 @@ TEST(CompleteRow, HandTruncatedResumeFileSkipsOnlyTornRow) {
   std::vector<cebinae::exp::ExperimentJob> jobs(3);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].label = std::string(1, static_cast<char>('a' + i));
-    jobs[i].custom = [] {
+    jobs[i].custom = [](int) {
       return std::vector<std::pair<std::string, double>>{};
     };
   }
@@ -58,7 +58,7 @@ std::vector<ExperimentJob> custom_grid() {
   std::vector<ExperimentJob> jobs(3);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].label = "job=" + std::to_string(i);
-    jobs[i].custom = [i] {
+    jobs[i].custom = [i](int) {
       return std::vector<std::pair<std::string, double>>{{"v", static_cast<double>(i)}};
     };
   }
@@ -155,7 +155,7 @@ std::vector<ExperimentJob> mixed_grid() {
   jobs[1].label = "traced";
   jobs[1].trace_period = cebinae::Milliseconds(100);
   jobs[2].label = "custom";
-  jobs[2].custom = [] {
+  jobs[2].custom = [](int) {
     return std::vector<std::pair<std::string, double>>{
         {"zeta", 100.0 / 7.0},
         {"alpha", 0.1},
